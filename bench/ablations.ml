@@ -84,21 +84,17 @@ let a3_exact_wall () =
 
 let a4_decay_phase_length () =
   print_endline "\n-- A4: radio decay phase length vs broadcast time (mean of 10 seeds) --";
-  let g = Gen.random_regular (rng 1304) 64 4 in
+  let csr = Csr.of_graph (Gen.random_regular (rng 1304) 64 4) in
   let t = Table.create [ "phase k"; "mean rounds"; "completion" ] in
   let seeds = List.init 10 (fun i -> 2000 + i) in
   List.iter
     (fun k ->
-      let outs =
-        List.map
-          (fun seed ->
-            Wx_radio.Sim.run ~max_rounds:20_000 g ~source:0
-              (Wx_radio.Decay_protocol.with_phase_length k)
-              (Rng.create seed))
-          seeds
+      let _, outs =
+        Sim_csr.monte_carlo ~max_rounds:20_000 csr ~source:0 (Sim_csr.decay_with_phase_length k)
+          ~seeds
       in
-      let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Wx_radio.Sim.rounds) outs)) in
-      let completed = List.length (List.filter (fun o -> o.Wx_radio.Sim.completed) outs) in
+      let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)) in
+      let completed = List.length (List.filter (fun o -> o.Sim.completed) outs) in
       Table.add_row t
         [
           Table.fi k;
@@ -108,27 +104,29 @@ let a4_decay_phase_length () =
     [ 2; 4; 7; 10; 14 ];
   Table.print t;
   Printf.printf "  (the theory's choice: k = ⌈log₂ n⌉ + 1 = %d)\n"
-    (Wx_radio.Decay_protocol.phase_length 64)
+    (Sim_csr.phase_length 64)
 
 let a5_cast_solver () =
   print_endline "\n-- A5: spokesmen-cast round counts by solver --";
   let ch = Wx_constructions.Broadcast_chain.create (rng 1305) ~copies:3 ~s:16 in
   let g = ch.Wx_constructions.Broadcast_chain.graph in
+  let csr = Csr.of_graph g in
   let t = Table.create [ "per-round solver"; "rounds"; "collisions" ] in
   List.iter
     (fun (name, proto) ->
-      let o = Wx_radio.Sim.run ~max_rounds:50_000 g ~source:0 proto (Rng.create 3001) in
-      Table.add_row t
-        [ name; Table.fi o.Wx_radio.Sim.rounds; Table.fi o.Wx_radio.Sim.collisions ])
+      let o = Sim_csr.run ~max_rounds:50_000 csr ~source:0 proto (Rng.create 3001) in
+      Table.add_row t [ name; Table.fi o.Sim.rounds; Table.fi o.Sim.collisions ])
     [
       ( "decay-sampler only",
-        Wx_radio.Spokesmen_cast.with_solver "cast-decay" (fun r i ->
-            Wx_spokesmen.Decay.solve ~reps:16 r i) );
+        Wx_radio.Spokesmen_cast.with_solver "cast-decay"
+          (fun r i -> Wx_spokesmen.Decay.solve ~reps:16 r i)
+          g );
       ( "partition-recursive only",
-        Wx_radio.Spokesmen_cast.with_solver "cast-partition" (fun _ i ->
-            Wx_spokesmen.Partition.solve_recursive i) );
-      ("full portfolio", Wx_radio.Spokesmen_cast.protocol);
-      ("distributed decay (control)", Wx_radio.Decay_protocol.protocol);
+        Wx_radio.Spokesmen_cast.with_solver "cast-partition"
+          (fun _ i -> Wx_spokesmen.Partition.solve_recursive i)
+          g );
+      ("full portfolio", Wx_radio.Spokesmen_cast.protocol g);
+      ("distributed decay (control)", Sim_csr.decay);
     ];
   Table.print t
 
@@ -156,26 +154,22 @@ let a6_bb_vs_enumeration () =
 
 let a7_uniform_p_sweep () =
   print_endline "\n-- A7: fixed transmission probability vs decay (random 4-regular, n=64) --";
-  let g = Gen.random_regular (rng 1307) 64 4 in
+  let csr = Csr.of_graph (Gen.random_regular (rng 1307) 64 4) in
   let seeds = List.init 10 (fun i -> 4000 + i) in
   let t = Table.create [ "protocol"; "mean rounds"; "completion" ] in
   let try_protocol p =
-    let outs =
-      List.map
-        (fun seed -> Wx_radio.Sim.run ~max_rounds:5000 g ~source:0 p (Rng.create seed))
-        seeds
-    in
-    let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Wx_radio.Sim.rounds) outs)) in
-    let completed = List.length (List.filter (fun o -> o.Wx_radio.Sim.completed) outs) in
+    let _, outs = Sim_csr.monte_carlo ~max_rounds:5000 csr ~source:0 p ~seeds in
+    let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)) in
+    let completed = List.length (List.filter (fun o -> o.Sim.completed) outs) in
     Table.add_row t
       [
-        p.Wx_radio.Protocol.name;
+        p.Sim_csr.name;
         Table.ff ~dec:1 (Stats.mean times);
         Printf.sprintf "%d/%d" completed (List.length seeds);
       ]
   in
-  List.iter (fun p -> try_protocol (Wx_radio.Uniform.protocol p)) [ 0.05; 0.2; 0.5; 0.9 ];
-  try_protocol Wx_radio.Decay_protocol.protocol;
+  List.iter (fun p -> try_protocol (Sim_csr.uniform p)) [ 0.05; 0.2; 0.5; 0.9 ];
+  try_protocol Sim_csr.decay;
   Table.print t;
   print_endline
     "  (no fixed p adapts to both sparse and dense frontiers — the decay schedule's point)"
@@ -186,15 +180,15 @@ let a8_explicit_vs_random_chain () =
   let t = Table.create [ "construction"; "per-round cap (exact/max-seen)"; "mean rounds"; "min" ] in
   let seeds = List.init 10 (fun i -> 6000 + i) in
   let run_chain name ch =
-    let g = ch.Wx_constructions.Broadcast_chain.graph in
+    let csr = Csr.of_graph ch.Wx_constructions.Broadcast_chain.graph in
     let target =
       ch.Wx_constructions.Broadcast_chain.relays.(ch.Wx_constructions.Broadcast_chain.copies - 1)
     in
     let times =
       List.filter_map
         (fun seed ->
-          Wx_radio.Sim.rounds_to_inform ~max_rounds:100_000 g ~source:0 ~target
-            Wx_radio.Decay_protocol.protocol (Rng.create seed))
+          Sim_csr.rounds_to_inform ~max_rounds:100_000 csr ~source:0 ~target Sim_csr.decay
+            (Rng.create seed))
         seeds
     in
     let arr = Stats.of_ints (Array.of_list times) in
@@ -231,19 +225,16 @@ let a9_decay_phase_alignment () =
   let seeds = List.init 10 (fun i -> 7000 + i) in
   List.iter
     (fun (name, g) ->
+      let csr = Csr.of_graph g in
       let mean p =
-        let outs =
-          List.map
-            (fun seed -> Wx_radio.Sim.run ~max_rounds:50_000 g ~source:0 p (Rng.create seed))
-            seeds
-        in
-        Stats.mean (Stats.of_ints (Array.of_list (List.map (fun o -> o.Wx_radio.Sim.rounds) outs)))
+        let _, outs = Sim_csr.monte_carlo ~max_rounds:50_000 csr ~source:0 p ~seeds in
+        Stats.mean (Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)))
       in
       Table.add_row t
         [
           name;
-          Table.ff ~dec:1 (mean Wx_radio.Decay_protocol.protocol);
-          Table.ff ~dec:1 (mean Wx_radio.Decay_protocol.globally_phased);
+          Table.ff ~dec:1 (mean Sim_csr.decay);
+          Table.ff ~dec:1 (mean Sim_csr.decay_globally_phased);
         ])
     [
       ("random-4-regular-64", Gen.random_regular (rng 1310) 64 4);

@@ -8,6 +8,7 @@ module Floatx = Wx_util.Floatx
 module Graph = Wx_graph.Graph
 module Bipartite = Wx_graph.Bipartite
 module Gen = Wx_graph.Gen
+module Csr = Wx_graph.Csr
 module Traversal = Wx_graph.Traversal
 module Arboricity = Wx_graph.Arboricity
 module Measure = Wx_expansion.Measure
@@ -15,6 +16,8 @@ module Bip_measure = Wx_expansion.Bip_measure
 module Bounds = Wx_expansion.Bounds
 module Nbhd = Wx_expansion.Nbhd
 module Solver = Wx_spokesmen.Solver
+module Sim = Wx_radio.Sim
+module Sim_csr = Wx_radio.Sim_csr
 module Instances = Wireless_expanders.Instances
 module Theorems = Wireless_expanders.Theorems
 module Json = Wx_obs.Json

@@ -37,19 +37,18 @@ let run ~quick =
     (fun (copies, s) ->
       let ch = Broadcast_chain.create (rng (1100 + copies + s)) ~copies ~s in
       let g = ch.Broadcast_chain.graph in
+      let csr = Csr.of_graph g in
       let target = ch.Broadcast_chain.relays.(copies - 1) in
       let lb = Broadcast_chain.paper_round_lb ch in
       let times protocol =
         List.filter_map
           (fun seed ->
-            Wx_radio.Sim.rounds_to_inform ~max_rounds:100_000 g ~source:0 ~target protocol
+            Sim_csr.rounds_to_inform ~max_rounds:100_000 csr ~source:0 ~target protocol
               (Rng.create seed))
           seeds
       in
-      let decay = times Wx_radio.Decay_protocol.protocol in
-      let spokes =
-        times Wx_radio.Spokesmen_cast.protocol
-      in
+      let decay = times Sim_csr.decay in
+      let spokes = times (Wx_radio.Spokesmen_cast.protocol g) in
       let arr l = Stats.of_ints (Array.of_list l) in
       let holds =
         List.for_all (fun r -> float_of_int r >= lb) decay
@@ -82,23 +81,20 @@ let run ~quick =
   if not quick then begin
     print_endline "\n-- per-hop relay times R_i on a (D/2 = 6, s = 16) chain (decay, 12 seeds) --";
     let ch = Broadcast_chain.create (rng 1150) ~copies:6 ~s:16 in
-    let g = ch.Broadcast_chain.graph in
+    let csr = Csr.of_graph ch.Broadcast_chain.graph in
     let per_hop = Array.make 6 [] in
     List.iter
       (fun seed ->
         let r = Rng.create seed in
         (* One run; record the first round at which each relay is informed. *)
-        let net = Wx_radio.Network.create g 0 in
+        let st = Sim_csr.create csr ~source:0 in
         let informed_at = Array.make 6 (-1) in
-        let round = ref 0 in
-        while Array.exists (fun x -> x < 0) informed_at && !round < 100_000 do
-          let tx = Wx_radio.Decay_protocol.protocol.Wx_radio.Protocol.choose net r in
-          ignore (Wx_radio.Network.step net tx);
-          incr round;
+        while Array.exists (fun x -> x < 0) informed_at && Sim_csr.round st < 100_000 do
+          ignore (Sim_csr.step st Sim_csr.decay r);
           Array.iteri
             (fun i rt ->
-              if informed_at.(i) < 0 && Wx_radio.Network.is_informed net rt then
-                informed_at.(i) <- !round)
+              if informed_at.(i) < 0 && Sim_csr.is_informed st rt then
+                informed_at.(i) <- Sim_csr.round st)
             ch.Broadcast_chain.relays
         done;
         Array.iteri
@@ -131,7 +127,7 @@ let run ~quick =
         let ch = Broadcast_chain.create (rng (1160 + copies + s)) ~copies ~s in
         let g = ch.Broadcast_chain.graph in
         let sch = Wx_radio.Schedule.synthesize (rng 1161) g ~source:0 in
-        let complete, _ = Wx_radio.Schedule.replay g sch in
+        let complete, _ = Wx_radio.Schedule.certify g sch in
         let lb = Broadcast_chain.paper_round_lb ch in
         let bfs_lb = Wx_radio.Schedule.lower_bound_rounds g ~source:0 in
         let len = Wx_radio.Schedule.length sch in
@@ -164,6 +160,7 @@ let run ~quick =
   let n_side =
     Bitset.of_array (Graph.n g) (Array.init (Bipartite.n_count inst) (fun w -> 1 + s + w))
   in
+  let csr = Csr.of_graph g in
   let log2s = Floatx.log2 (2.0 *. float_of_int s) in
   let t2 =
     Table.create [ "i"; "fraction"; "min rounds (Cor 5.1)"; "decay"; "spokesmen"; "holds" ]
@@ -173,14 +170,14 @@ let run ~quick =
     let fraction = Float.min 1.0 (2.0 *. float_of_int i /. log2s) in
     let measure protocol seed =
       match
-        Wx_radio.Sim.rounds_to_fraction ~max_rounds:50_000 g ~source:0 ~subset:n_side ~fraction
+        Sim_csr.rounds_to_fraction ~max_rounds:50_000 csr ~source:0 ~subset:n_side ~fraction
           protocol (Rng.create seed)
       with
       | Some r -> r
       | None -> max_int
     in
-    let d = measure Wx_radio.Decay_protocol.protocol 7 in
-    let sp = measure Wx_radio.Spokesmen_cast.protocol 7 in
+    let d = measure Sim_csr.decay 7 in
+    let sp = measure (Wx_radio.Spokesmen_cast.protocol g) 7 in
     let bound = Bounds.corollary_5_1_min_rounds ~s ~i in
     let holds = d >= bound && sp >= bound in
     incr total;

@@ -7,6 +7,8 @@ module Rng = Wx_util.Rng
 module Bitset = Wx_util.Bitset
 module Gen = Wx_graph.Gen
 module Bipartite = Wx_graph.Bipartite
+module Csr = Wx_graph.Csr
+module Sim_csr = Wx_radio.Sim_csr
 
 let make_tests () =
   let r = Rng.create 515151 in
@@ -40,12 +42,13 @@ let make_tests () =
     Test.make ~name:"lambda2 random 4-regular n=64"
       (Staged.stage (fun () -> Wx_spectral.Spectral_gap.lambda2_regular g64 rng_spectral));
     (* e11 kernel: one radio round on the chain. *)
-    Test.make ~name:"network step (flood tx) on chain"
+    Test.make ~name:"radio step (flood) on chain"
       (Staged.stage
-         (let g = chain.Wx_constructions.Broadcast_chain.graph in
+         (let csr = Csr.of_graph chain.Wx_constructions.Broadcast_chain.graph in
+          let r = Rng.create 1 in
           fun () ->
-            let net = Wx_radio.Network.create g 0 in
-            ignore (Wx_radio.Network.step net (Wx_radio.Network.informed net))));
+            let st = Sim_csr.create ~jobs:1 csr ~source:0 in
+            ignore (Sim_csr.step st Sim_csr.flood r)));
     (* exact-enumeration kernel (ablation A3's unit cost). *)
     Test.make ~name:"gray unique enumeration 2^16"
       (Staged.stage

@@ -1,27 +1,22 @@
-(* SIMSCALE — million-node radio simulation through the flat CSR engine.
+(* SIMSCALE — million-node radio simulation through the CSR engine.
 
    Four measurements on sparse G(n,m) instances at mean degree 8 (quick:
    n = 10^5; full: n = 10^6 — see EXPERIMENTS.md for the documented
    million-node run):
 
-   1. Agreement: Decay through the legacy [Sim] and the CSR engine on a
-      shared mid-size instance must produce structurally equal outcomes
-      (rounds, completion, informed count, collisions, frontier history),
-      and the CSR outcome must not depend on the job count.
-   2. Alloc: once the network is saturated, a CSR flood step at jobs=1
+   1. Jobs-independence: Decay on a shared mid-size instance produces
+      structurally equal outcomes (rounds, completion, informed count,
+      collisions, frontier history) at jobs 1 and at the pool default.
+   2. Alloc: once the network is saturated, a flood step at jobs=1
       allocates zero minor words (budgeted a constant few words for the
       [Gc.minor_words] float boxing of the probe itself) — the
-      steady-state claim the acceptance gate names. The legacy scratch
-      path is held to the same budget.
+      steady-state claim the acceptance gate names.
    3. Throughput: steady-state flood rounds on the fully-informed network
-      (all n seeded via [inform] — the saturated regime both engines
-      reach under sustained broadcast), legacy scatter vs CSR gather,
-      reported as vertex-scans/sec (both engines credit
-      Work.vertex_scans = n per round, so the rates land in wx-bench/4
-      and gate in `wx bench diff`). At saturation the gather is O(1) per
-      vertex (every neighbor probe early-exits on the transmitter check)
-      while the scatter stays O(m); the headline claim: best CSR rate
-      >= 5x legacy.
+      (all n seeded via [inform] — the saturated regime a sustained
+      broadcast reaches), at jobs=1 and at the pool default, reported as
+      absolute vertex-scans/sec on the table and as an informational row
+      (every step credits Work.vertex_scans = n, so the experiment's rate
+      also lands in wx-bench/4 and the ledger's simscale series).
    4. End-to-end: Decay from one source at scale n, informational
       rounds/sec and spread (gnm at mean degree 8 may strand isolated
       vertices, so near-complete spread is the check, not completion —
@@ -30,12 +25,7 @@
 open Bench_common
 module Clock = Wx_obs.Clock
 module Memgc = Wx_obs.Memgc
-module Work = Wx_obs.Work
 module Pool = Wx_par.Pool
-module Csr = Wx_graph.Csr
-module Network = Wx_radio.Network
-module Sim = Wx_radio.Sim
-module Sim_csr = Wx_radio.Sim_csr
 
 let timed f =
   let t0 = Clock.now_ns () in
@@ -79,11 +69,11 @@ let run ~quick =
     if holds then incr ok;
     record ~claim ?instance ?predicted ?measured holds
   in
-  let t = Table.create [ "engine"; "n"; "rounds"; "wall s"; "vertex-scans/sec" ] in
-  let row engine rounds dt =
+  let t = Table.create [ "run"; "n"; "rounds"; "wall s"; "vertex-scans/sec" ] in
+  let row label rounds dt =
     Table.add_row t
       [
-        engine;
+        label;
         Table.fi n;
         Table.fi rounds;
         Printf.sprintf "%.3f" dt;
@@ -91,28 +81,20 @@ let run ~quick =
       ]
   in
 
-  (* 1. agreement on a shared mid-size instance, at several job counts *)
+  (* 1. jobs-independence on a shared mid-size instance *)
   let na = 20_000 and ma = 80_000 and cap = 400 in
-  let ga = Gen.gnm (rng 61) na ma in
-  let ca = Csr.of_graph ga in
-  let legacy =
-    Sim.run ~max_rounds:cap ga ~source:0 Wx_radio.Decay_protocol.protocol (Rng.create 2018)
-  in
+  let ca = Csr.of_graph (Gen.gnm (rng 61) na ma) in
   let csr_j jobs =
     Sim_csr.run ~max_rounds:cap ~jobs ca ~source:0 Sim_csr.decay (Rng.create 2018)
   in
   let c1 = csr_j 1 in
-  check "simscale: csr decay outcome = legacy (shared instance, seed)"
-    ~instance:(Printf.sprintf "gnm n=%d m=%d" na ma)
-    ~predicted:(float_of_int legacy.Sim.informed_final)
-    ~measured:(float_of_int c1.Sim.informed_final)
-    (outcomes_equal legacy c1);
   let jobs = Pool.default_jobs () in
+  let cj = csr_j jobs in
   check "simscale: csr outcome independent of job count"
     ~instance:(Printf.sprintf "jobs 1 vs %d" jobs)
     ~predicted:(float_of_int c1.Sim.rounds)
-    ~measured:(float_of_int (csr_j jobs).Sim.rounds)
-    (outcomes_equal c1 (csr_j jobs));
+    ~measured:(float_of_int cj.Sim.rounds)
+    (outcomes_equal c1 cj);
 
   (* scale instance, built once (construction cost is not the claim) *)
   let g = Gen.gnm (rng 62) n m in
@@ -126,8 +108,8 @@ let run ~quick =
   (* 2 + 3. steady state: seed every vertex via [inform] (the saturated
      all-transmit regime — flood alone deadlocks at a partial fixpoint
      because vertices with >= 2 informed neighbors hear collisions
-     forever), then hold both engines to the zero-alloc budget and race
-     them over identical flood rounds. *)
+     forever), then hold the step to the zero-alloc budget and time
+     flood rounds. *)
   let saturated_csr ~jobs =
     let st = Sim_csr.create ~jobs csr ~source:0 in
     for v = 0 to n - 1 do
@@ -141,33 +123,14 @@ let run ~quick =
   check "simscale: csr steady-state step allocates zero minor words"
     ~instance:(Printf.sprintf "%d saturated flood steps, jobs=1" alloc_steps)
     ~predicted:0.0 ~measured:dw_csr (dw_csr < alloc_budget);
-  let net = Network.create g 0 in
-  for v = 0 to n - 1 do
-    Network.inform net v
-  done;
-  ignore (Network.step net (Network.informed net));
-  let dw_legacy =
-    measure_steady_alloc (fun () -> ignore (Network.step net (Network.informed net)))
-  in
-  check "simscale: legacy steady-state step allocates zero minor words"
-    ~instance:(Printf.sprintf "%d saturated flood steps" alloc_steps)
-    ~predicted:0.0 ~measured:dw_legacy (dw_legacy < alloc_budget);
-
   let steps = if quick then 64 else 32 in
-  let (), legacy_dt =
-    timed (fun () ->
-        for _ = 1 to steps do
-          ignore (Network.step net (Network.informed net))
-        done)
-  in
-  row "legacy scatter" steps legacy_dt;
   let (), csr1_dt =
     timed (fun () ->
         for _ = 1 to steps do
           ignore (Sim_csr.step st1 Sim_csr.flood r1)
         done)
   in
-  row "csr gather (j=1)" steps csr1_dt;
+  row "saturated flood (j=1)" steps csr1_dt;
   let stj, rj = saturated_csr ~jobs in
   let (), csrj_dt =
     timed (fun () ->
@@ -175,14 +138,12 @@ let run ~quick =
           ignore (Sim_csr.step stj Sim_csr.flood rj)
         done)
   in
-  row (Printf.sprintf "csr gather (j=%d)" jobs) steps csrj_dt;
-  let legacy_rate = per_sec (n * steps) legacy_dt in
-  let best_rate = Float.max (per_sec (n * steps) csr1_dt) (per_sec (n * steps) csrj_dt) in
-  check "simscale: csr >= 5x legacy vertex-scan throughput (saturated flood)"
-    ~instance:(Printf.sprintf "gnm n=%d, %d steady rounds" n steps)
-    ~predicted:5.0
-    ~measured:(best_rate /. legacy_rate)
-    (best_rate >= 5.0 *. legacy_rate);
+  row (Printf.sprintf "saturated flood (j=%d)" jobs) steps csrj_dt;
+  (* Informational: recorded for the report, not counted in the verdict. *)
+  record ~claim:"simscale: saturated flood vertex-scans/sec (informational)"
+    ~instance:(Printf.sprintf "gnm n=%d, %d steady rounds, best of j=1/j=%d" n steps jobs)
+    ~measured:(Float.max (per_sec (n * steps) csr1_dt) (per_sec (n * steps) csrj_dt))
+    true;
 
   (* 4. end-to-end decay broadcast at scale (informational rate) *)
   let decay_cap = 150 in
@@ -192,7 +153,7 @@ let run ~quick =
   in
   Table.add_row t
     [
-      "csr decay e2e";
+      "decay e2e";
       Table.fi n;
       Table.fi out.Sim.rounds;
       Printf.sprintf "%.3f" decay_dt;
@@ -211,7 +172,7 @@ let run ~quick =
 let experiment =
   {
     id = "simscale";
-    title = "million-node radio rounds: flat CSR gather vs legacy scatter";
+    title = "million-node radio rounds on the CSR engine";
     claim = "scale engine validation + throughput (no paper claim)";
     run;
   }

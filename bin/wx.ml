@@ -64,8 +64,8 @@ let make_graph family size seed =
           ~s:16
       in
       ch.Constructions.Broadcast_chain.graph
-  (* Sparse random families for the CSR engine's scale runs: both build in
-     O(n + m), so million-node instances need no O(n²) coin-flip loop. *)
+  (* Sparse random families for scale runs: both build in O(n + m), so
+     million-node instances need no O(n²) coin-flip loop. *)
   | "gnm" ->
       let n = max 2 size in
       Gen.gnm (Util.Rng.create seed) n (min (4 * n) (n * (n - 1) / 2))
@@ -333,51 +333,22 @@ let cmd_spokesmen obs family size seed solver =
 
 (* ---- broadcast ---- *)
 
-let protocol_of_name = function
-  | "flood" -> Radio.Flood.protocol
-  | "decay" -> Radio.Decay_protocol.protocol
-  | "spokesmen" -> Radio.Spokesmen_cast.protocol
+let protocol_of_name g = function
+  | "flood" -> Radio.Sim_csr.flood
+  | "decay" -> Radio.Sim_csr.decay
+  | "spokesmen" -> Radio.Spokesmen_cast.protocol g
   | s when String.length s > 8 && String.sub s 0 8 = "uniform-" ->
-      Radio.Uniform.protocol (float_of_string (String.sub s 8 (String.length s - 8)))
+      Radio.Sim_csr.uniform (float_of_string (String.sub s 8 (String.length s - 8)))
   | s ->
       Printf.eprintf "unknown protocol %S (flood | decay | spokesmen | uniform-<p>)\n" s;
       exit 1
 
-(* The CSR engine reimplements the randomized protocols over flat state
-   (identical draw order, so identical outcomes); spokesmen-cast is
-   schedule-driven and has no CSR port. *)
-let csr_protocol_of_name = function
-  | "flood" -> Radio.Sim_csr.flood
-  | "decay" -> Radio.Sim_csr.decay
-  | s when String.length s > 8 && String.sub s 0 8 = "uniform-" ->
-      Radio.Sim_csr.uniform (float_of_string (String.sub s 8 (String.length s - 8)))
-  | "spokesmen" ->
-      Printf.eprintf "protocol \"spokesmen\" is not available under --engine csr\n";
-      exit 1
-  | s ->
-      Printf.eprintf "unknown protocol %S (flood | decay | uniform-<p>)\n" s;
-      exit 1
-
-let cmd_broadcast obs family size seed protocol seeds engine =
+let cmd_broadcast obs family size seed protocol seeds =
   let g = make_graph family size seed in
-  let run_one, proto_name =
-    match engine with
-    | "legacy" ->
-        let p = protocol_of_name protocol in
-        ( (fun sd -> Radio.Sim.run ~max_rounds:100_000 g ~source:0 p (Util.Rng.create sd)),
-          p.Radio.Protocol.name )
-    | "csr" ->
-        let p = csr_protocol_of_name protocol in
-        let csr = Csr.of_graph g in
-        ( (fun sd ->
-            Radio.Sim_csr.run ~max_rounds:100_000 csr ~source:0 p (Util.Rng.create sd)),
-          p.Radio.Sim_csr.name )
-    | s ->
-        Printf.eprintf "unknown engine %S (legacy | csr)\n" s;
-        exit 1
-  in
-  say obs "broadcast on %s (n = %d) with %s [%s engine], %d seeds\n" family (Graph.n g)
-    proto_name engine seeds;
+  let p = protocol_of_name g protocol in
+  let csr = Csr.of_graph g in
+  say obs "broadcast on %s (n = %d) with %s, %d seeds\n" family (Graph.n g) p.Radio.Sim_csr.name
+    seeds;
   let seed_list = List.init seeds (fun i -> seed + 100 + i) in
   (* Run each seed explicitly so the NDJSON stream can carry a run boundary
      around the simulator's own per-round "radio.round" events. *)
@@ -385,8 +356,10 @@ let cmd_broadcast obs family size seed protocol seeds engine =
     List.map
       (fun sd ->
         event obs "broadcast.start"
-          [ ("seed", J.Int sd); ("protocol", J.String proto_name); ("engine", J.String engine) ];
-        let o = run_one sd in
+          [ ("seed", J.Int sd); ("protocol", J.String p.Radio.Sim_csr.name) ];
+        let o =
+          Radio.Sim_csr.run ~max_rounds:100_000 csr ~source:0 p (Util.Rng.create sd)
+        in
         event obs "broadcast.run"
           [
             ("seed", J.Int sd);
@@ -459,7 +432,7 @@ let cmd_schedule obs family size seed =
   say obs "synthesizing offline broadcast schedule on %s (n = %d)...\n" family (Graph.n g);
   (match Radio.Schedule.synthesize r g ~source:0 with
   | sch ->
-      let ok, informed = Radio.Schedule.replay g sch in
+      let ok, informed = Radio.Schedule.certify g sch in
       let len = Radio.Schedule.length sch in
       let bfs_lb = Radio.Schedule.lower_bound_rounds g ~source:0 in
       say obs "rounds: %d (BFS lower bound %d)\n" len bfs_lb;
@@ -1422,14 +1395,6 @@ let solver_arg = Arg.(value & opt string "all" & info [ "solver" ] ~docv:"SOLVER
 let protocol_arg = Arg.(value & opt string "decay" & info [ "protocol" ] ~docv:"PROTOCOL")
 let seeds_arg = Arg.(value & opt int 10 & info [ "seeds" ] ~docv:"K")
 
-let engine_arg =
-  let doc =
-    "Simulation engine: $(b,legacy) (boxed adjacency, transmitter scatter) or $(b,csr) \
-     (flat CSR adjacency, receiver gather sharded across domains). Outcomes are \
-     bit-identical; csr is the scale engine for million-node instances."
-  in
-  Arg.(value & opt string "legacy" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let json_arg =
   let doc = "Emit machine-readable NDJSON events on stdout; human text moves to stderr." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -1483,9 +1448,9 @@ let spokesmen_cmd =
 let broadcast_cmd =
   Cmd.v (Cmd.info "broadcast" ~doc:"Simulate radio broadcast (Monte-Carlo)")
     (with_obs "broadcast"
-       Term.(const (fun family size seed protocol seeds engine obs ->
-                 cmd_broadcast obs family size seed protocol seeds engine)
-             $ family_arg $ size_arg $ seed_arg $ protocol_arg $ seeds_arg $ engine_arg))
+       Term.(const (fun family size seed protocol seeds obs ->
+                 cmd_broadcast obs family size seed protocol seeds)
+             $ family_arg $ size_arg $ seed_arg $ protocol_arg $ seeds_arg))
 
 let core_cmd =
   Cmd.v (Cmd.info "core" ~doc:"Core-graph property report (Lemma 4.4)")

@@ -8,15 +8,14 @@
 open Wireless_expanders.Api
 
 let broadcast_stats name g source seeds =
+  let _, outs =
+    Radio.Sim_csr.monte_carlo ~max_rounds:50_000 (Csr.of_graph g) ~source Radio.Sim_csr.decay
+      ~seeds
+  in
   let times =
     List.filter_map
-      (fun seed ->
-        let o =
-          Radio.Sim.run ~max_rounds:50_000 g ~source Radio.Decay_protocol.protocol
-            (Util.Rng.create seed)
-        in
-        if o.Radio.Sim.completed then Some o.Radio.Sim.rounds else None)
-      seeds
+      (fun o -> if o.Radio.Sim.completed then Some o.Radio.Sim.rounds else None)
+      outs
   in
   let arr = Util.Stats.of_ints (Array.of_list times) in
   Format.printf "  %-28s completed %d/%d, rounds: %a@." name (List.length times)

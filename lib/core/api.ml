@@ -60,11 +60,6 @@ module Constructions = struct
 end
 
 module Radio = struct
-  module Network = Wx_radio.Network
-  module Protocol = Wx_radio.Protocol
-  module Flood = Wx_radio.Flood
-  module Decay_protocol = Wx_radio.Decay_protocol
-  module Uniform = Wx_radio.Uniform
   module Spokesmen_cast = Wx_radio.Spokesmen_cast
   module Schedule = Wx_radio.Schedule
   module Trace = Wx_radio.Trace

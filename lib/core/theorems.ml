@@ -324,10 +324,11 @@ let section_5_lower_bound chain protocol ~seeds =
   let last_relay =
     chain.Broadcast_chain.relays.(Array.length chain.Broadcast_chain.relays - 1)
   in
+  let csr = Wx_graph.Csr.of_graph g in
   let times =
     List.filter_map
       (fun seed ->
-        Wx_radio.Sim.rounds_to_inform g ~source:root ~target:last_relay protocol
+        Wx_radio.Sim_csr.rounds_to_inform csr ~source:root ~target:last_relay protocol
           (Wx_util.Rng.create seed))
       seeds
   in
@@ -338,7 +339,7 @@ let section_5_lower_bound chain protocol ~seeds =
   let predicted = Broadcast_chain.paper_round_lb chain in
   let instance =
     Printf.sprintf "chain(D/2=%d,s=%d) %s" chain.Broadcast_chain.copies chain.Broadcast_chain.s
-      protocol.Wx_radio.Protocol.name
+      protocol.Wx_radio.Sim_csr.name
   in
   { claim = "§5 LB"; instance; predicted; measured; holds = ge measured predicted }
 
@@ -390,6 +391,6 @@ let run_all ?(quick = false) rng =
     (maybe 1 [ 8; 32 ]);
   let ch = Broadcast_chain.create rng ~copies:3 ~s:8 in
   push
-    (section_5_lower_bound ch Wx_radio.Decay_protocol.protocol
+    (section_5_lower_bound ch Wx_radio.Sim_csr.decay
        ~seeds:(if quick then [ 1 ] else [ 1; 2; 3 ]));
   List.rev !acc

@@ -81,7 +81,7 @@ val corollary_5_1 : Wx_constructions.Core_graph.t -> check list
     adversary, the exact per-round maximum unique coverage [≤ 2s]. *)
 
 val section_5_lower_bound :
-  Wx_constructions.Broadcast_chain.t -> Wx_radio.Protocol.t -> seeds:int list -> check
+  Wx_constructions.Broadcast_chain.t -> Wx_radio.Sim_csr.protocol -> seeds:int list -> check
 (** Monte-Carlo: measured mean broadcast time of the protocol on the chain
     vs the instance's [copies·log₂(2s)/4] lower bound. *)
 

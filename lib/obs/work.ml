@@ -40,7 +40,6 @@ let gray_steps = kind "gray_steps"
 let rounds_simulated = kind "rounds_simulated"
 let draws = kind "draws"
 let vertex_scans = kind "radio.vertex_scans"
-let radio_rounds = kind "radio.rounds"
 
 let add k n = Metrics.add k.c n
 let incr k = Metrics.incr k.c

@@ -27,16 +27,15 @@ val name : kind -> string
 val sets_scored : kind
 val gray_steps : kind
 val rounds_simulated : kind
+(** Radio rounds executed by the engine ([Wx_radio.Sim_csr.step] credits
+    one unit per round). *)
+
 val draws : kind
 
 val vertex_scans : kind
 (** ["radio.vertex_scans"]: receiver-scan slots examined by a radio round
-    kernel (one unit per vertex per round, both engines) — the
+    kernel (one unit per vertex per round) — the
     denominator-free throughput axis of the SIMSCALE experiment. *)
-
-val radio_rounds : kind
-(** ["radio.rounds"]: rounds executed by the CSR round kernel (the legacy
-    loop's rounds stay on {!rounds_simulated}, credited in [Sim]). *)
 
 val add : kind -> int -> unit
 (** Credit [n] units; no-op while Metrics is disabled. *)

@@ -18,60 +18,41 @@ let default_solver rng inst =
   end
   else Wx_spokesmen.Portfolio.solve ~reps:24 rng inst
 
+(* Run the engine with a spokesmen fill that records each round's
+   transmit set; the engine applies the reception rule. *)
 let synthesize ?(solver = default_solver) ?max_rounds rng g ~source =
-  let n = Graph.n g in
-  let limit = match max_rounds with Some m -> m | None -> (4 * n) + 64 in
-  let informed = Bitset.create n in
-  Bitset.add_inplace informed source;
+  let limit = match max_rounds with Some m -> m | None -> (4 * Graph.n g) + 64 in
   let rounds = ref [] in
-  let count = ref 1 in
-  let round_no = ref 0 in
-  while !count < n do
-    incr round_no;
-    if !round_no > limit then failwith "Schedule.synthesize: round limit hit";
-    let inst, s_map, _ = Bipartite.of_set_neighborhood g informed in
-    if Bipartite.n_count inst = 0 then
-      failwith "Schedule.synthesize: graph disconnected from source";
-    let r = solver rng inst in
-    let tx = Bitset.create n in
-    Bitset.iter (fun i -> Bitset.add_inplace tx s_map.(i)) r.Solver.chosen;
-    (* A solver returning ∅ (degenerate) would stall: fall back to a single
-       informed vertex with an uninformed neighbor, which always makes
-       progress on a connected graph. *)
-    if Bitset.is_empty tx then begin
-      try
-        Bitset.iter
-          (fun v ->
-            if
-              Graph.fold_neighbors g v
-                (fun acc w -> acc || not (Bitset.mem informed w))
-                false
-            then begin
-              Bitset.add_inplace tx v;
-              raise Exit
-            end)
-          informed
-      with Exit -> ()
-    end;
-    (* Apply the round with the true reception rule. *)
-    let heard = Array.make n 0 in
-    Bitset.iter
-      (fun v ->
-        Graph.iter_neighbors g v (fun w -> if heard.(w) < 2 then heard.(w) <- heard.(w) + 1))
-      tx;
-    for w = 0 to n - 1 do
-      if heard.(w) = 1 && (not (Bitset.mem tx w)) && not (Bitset.mem informed w) then begin
-        Bitset.add_inplace informed w;
-        incr count
-      end
-    done;
-    rounds := tx :: !rounds
+  let fill t rng =
+    match Spokesmen_cast.choose solver g t rng with
+    | None -> failwith "Schedule.synthesize: graph disconnected from source"
+    | Some tx ->
+        rounds := tx :: !rounds;
+        Bitset.iter (Sim_csr.transmit t) tx
+  in
+  let protocol = { Sim_csr.name = "schedule"; fill } in
+  let t = Sim_csr.create (Wx_graph.Csr.of_graph g) ~source in
+  while not (Sim_csr.all_informed t) do
+    if Sim_csr.round t >= limit then failwith "Schedule.synthesize: round limit hit";
+    ignore (Sim_csr.step t protocol rng)
   done;
   { source; rounds = Array.of_list (List.rev !rounds) }
 
-let replay g t =
-  let net = Network.create g t.source in
-  Array.iter (fun tx -> ignore (Network.step net tx)) t.rounds;
-  (Network.all_informed net, Network.informed_count net)
+let replay sch =
+  {
+    Sim_csr.name = "schedule-replay";
+    fill =
+      (fun t _rng ->
+        let r = Sim_csr.round t in
+        if r < length sch then Bitset.iter (Sim_csr.transmit t) sch.rounds.(r));
+  }
+
+let certify g sch =
+  let t = Sim_csr.create (Wx_graph.Csr.of_graph g) ~source:sch.source in
+  let fill = replay sch and rng = Wx_util.Rng.create 0 in
+  for _ = 1 to length sch do
+    ignore (Sim_csr.step t fill rng)
+  done;
+  (Sim_csr.all_informed t, Sim_csr.informed_count t)
 
 let lower_bound_rounds g ~source = Wx_graph.Traversal.eccentricity g source

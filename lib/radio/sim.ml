@@ -1,16 +1,6 @@
-module Bitset = Wx_util.Bitset
-module Graph = Wx_graph.Graph
-module Rng = Wx_util.Rng
-module Metrics = Wx_obs.Metrics
-module Sink = Wx_obs.Sink
-
-let m_runs = Metrics.counter "radio.runs"
-let m_rounds = Metrics.counter "radio.rounds"
-let m_transmissions = Metrics.counter "radio.transmissions"
-let m_collisions = Metrics.counter "radio.collisions"
-let m_newly_informed = Metrics.counter "radio.newly_informed"
-let m_collision_rounds = Metrics.counter "radio.collision_rounds"
-let m_stalled_rounds = Metrics.counter "radio.stalled_rounds"
+(* The radio vocabulary shared by the engine (Sim_csr), Trace and the
+   benchmark: the per-run outcome, the per-round record and the default
+   round budget. *)
 
 type outcome = {
   rounds : int;
@@ -20,7 +10,7 @@ type outcome = {
   frontier_history : int array;
 }
 
-(* Everything the simulator knows about one completed round. This is the
+(* Everything the engine knows about one completed round. This is the
    single per-round record: metrics, the NDJSON sink and Trace all feed off
    it, so the three views can never disagree. *)
 type round_info = {
@@ -33,87 +23,5 @@ type round_info = {
 
 (* 64·n + 1024 with the multiply guarded: for n past ~max_int/64 (never
    simulatable anyway — the graph alone would not fit) the limit pins to
-   max_int instead of wrapping negative and stopping the loop at round 0.
-   Shared with Sim_csr so both engines time out identically. *)
+   max_int instead of wrapping negative and stopping the loop at round 0. *)
 let round_limit n = if n >= (max_int - 1024) / 64 then max_int else (64 * n) + 1024
-let default_limit g = round_limit (Graph.n g)
-
-let run_until ?max_rounds ?on_round g ~source protocol rng ~stop =
-  let limit = match max_rounds with Some m -> m | None -> default_limit g in
-  let net = Network.create g source in
-  let history = Wx_util.Intvec.create () in
-  let finished = ref (stop net) in
-  Metrics.incr m_runs;
-  (* Per-round bookkeeping costs a few cardinals; pay for it only when
-     someone is watching (metrics, sink or an explicit callback). *)
-  let observing () = Metrics.is_enabled () || Sink.active () || on_round <> None in
-  while (not !finished) && Network.round net < limit do
-    let coll_before = Network.collisions net in
-    let tx = protocol.Protocol.choose net rng in
-    let newly = Network.step net tx in
-    Wx_util.Intvec.push history (Network.informed_count net);
-    if observing () then begin
-      let info =
-        {
-          index = Network.round net;
-          transmitters = Bitset.cardinal tx;
-          newly_informed = Bitset.cardinal newly;
-          informed_total = Network.informed_count net;
-          collisions_this_round = Network.collisions net - coll_before;
-        }
-      in
-      if Metrics.is_enabled () then begin
-        Metrics.incr m_rounds;
-        Wx_obs.Work.incr Wx_obs.Work.rounds_simulated;
-        Metrics.add m_transmissions info.transmitters;
-        Metrics.add m_collisions info.collisions_this_round;
-        Metrics.add m_newly_informed info.newly_informed;
-        if info.collisions_this_round > 0 then Metrics.incr m_collision_rounds;
-        if info.transmitters > 0 && info.newly_informed = 0 then Metrics.incr m_stalled_rounds
-      end;
-      if Sink.active () then
-        Sink.event "radio.round"
-          [
-            ("round", Wx_obs.Json.Int info.index);
-            ("tx", Wx_obs.Json.Int info.transmitters);
-            ("newly", Wx_obs.Json.Int info.newly_informed);
-            ("informed", Wx_obs.Json.Int info.informed_total);
-            ("collisions", Wx_obs.Json.Int info.collisions_this_round);
-          ];
-      match on_round with Some f -> f info | None -> ()
-    end;
-    finished := stop net
-  done;
-  ( net,
-    {
-      rounds = Network.round net;
-      completed = !finished;
-      informed_final = Network.informed_count net;
-      collisions = Network.collisions net;
-      frontier_history = Wx_util.Intvec.to_array history;
-    } )
-
-let run ?max_rounds ?on_round g ~source protocol rng =
-  let _, o = run_until ?max_rounds ?on_round g ~source protocol rng ~stop:Network.all_informed in
-  { o with completed = o.informed_final = Graph.n g }
-
-let rounds_to_inform ?max_rounds g ~source ~target protocol rng =
-  let net, o =
-    run_until ?max_rounds g ~source protocol rng ~stop:(fun net -> Network.is_informed net target)
-  in
-  if Network.is_informed net target then Some o.rounds else None
-
-let rounds_to_fraction ?max_rounds g ~source ~subset ~fraction protocol rng =
-  let total = Bitset.cardinal subset in
-  if total = 0 then invalid_arg "Sim.rounds_to_fraction: empty subset";
-  let target = int_of_float (Float.ceil (fraction *. float_of_int total)) in
-  let enough net =
-    let cnt = Bitset.cardinal (Bitset.inter (Network.informed net) subset) in
-    cnt >= target
-  in
-  let net, o = run_until ?max_rounds g ~source protocol rng ~stop:enough in
-  if enough net then Some o.rounds else None
-
-let monte_carlo ?max_rounds g ~source protocol ~seeds =
-  let one seed = run ?max_rounds g ~source protocol (Rng.create seed) in
-  (one, List.map one seeds)

@@ -1,11 +1,8 @@
-(** Broadcast simulation drivers.
+(** Radio simulation vocabulary: what a broadcast run reports.
 
-    All runs are deterministic given the seed. The Monte-Carlo wrapper is
-    how E11 reproduces the "in expectation and with high probability"
-    qualifiers of the Section 5 lower bound. *)
-
-module Bitset = Wx_util.Bitset
-module Graph = Wx_graph.Graph
+    The engine itself is {!Sim_csr}; this module holds the records it
+    returns and streams, shared with {!Trace} and the benchmark. All runs
+    are deterministic given the seed. *)
 
 type outcome = {
   rounds : int;  (** rounds executed *)
@@ -22,62 +19,11 @@ type round_info = {
   informed_total : int;
   collisions_this_round : int;
 }
-(** The simulator's per-round record. When metrics are enabled these feed
+(** The engine's per-round record. When metrics are enabled these feed
     the [radio.*] counters; when an NDJSON sink is installed each round is
     emitted as a ["radio.round"] event; [Trace] accumulates them. *)
 
 val round_limit : int -> int
 (** The default round budget for an [n]-vertex instance: [64·n + 1024],
     computed overflow-safely (pins to [max_int] once [64·n] would wrap —
-    a documented cap, unreachable for any instance that fits in memory).
-    Shared by the legacy and CSR engines so both time out identically. *)
-
-val run_until :
-  ?max_rounds:int ->
-  ?on_round:(round_info -> unit) ->
-  Graph.t ->
-  source:int ->
-  Protocol.t ->
-  Wx_util.Rng.t ->
-  stop:(Network.t -> bool) ->
-  Network.t * outcome
-(** The shared simulation loop: run [protocol] until [stop] or the round
-    limit, invoking [on_round] after every executed round. *)
-
-val run :
-  ?max_rounds:int ->
-  ?on_round:(round_info -> unit) ->
-  Graph.t ->
-  source:int ->
-  Protocol.t ->
-  Wx_util.Rng.t ->
-  outcome
-(** Run until everyone is informed or the limit (default [64·n + 1024])
-    is hit. *)
-
-val rounds_to_inform :
-  ?max_rounds:int -> Graph.t -> source:int -> target:int -> Protocol.t -> Wx_util.Rng.t -> int option
-(** Rounds until a specific target vertex is informed ([None] on timeout) —
-    used for relay-to-relay times on the broadcast chain. *)
-
-val rounds_to_fraction :
-  ?max_rounds:int ->
-  Graph.t ->
-  source:int ->
-  subset:Bitset.t ->
-  fraction:float ->
-  Protocol.t ->
-  Wx_util.Rng.t ->
-  int option
-(** Rounds until ≥ [fraction] of [subset] is informed — Corollary 5.1
-    measures this on the core graph's N side. *)
-
-val monte_carlo :
-  ?max_rounds:int ->
-  Graph.t ->
-  source:int ->
-  Protocol.t ->
-  seeds:int list ->
-  (int -> outcome) * outcome list
-(** [(per_seed, all)]: run one broadcast per seed; [per_seed] re-runs a
-    single seed (for drilling into an outlier). *)
+    a documented cap, unreachable for any instance that fits in memory). *)

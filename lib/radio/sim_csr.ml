@@ -1,23 +1,21 @@
-(* CSR round kernel: the scale engine behind `wx broadcast --engine csr`.
+(* The radio engine: synchronous rounds over the flat Csr layout.
 
-   The legacy Network/Sim pair is transmitter-centric: each round walks the
-   transmitters' adjacency rows and scatters hear-counts into an array.
-   This engine is receiver-centric (a gather): for each vertex it counts
-   transmitting neighbors straight off the flat Csr layout, early-exiting
-   at 2 (the model cannot distinguish "two" from "many"). Gather has two
-   properties scatter lacks: each vertex's result is computed from reads
-   only, so the scan shards over domains by contiguous vertex ranges with
-   no write contention (each shard writes informed/since for its own
+   Each round a protocol's fill marks the transmitters, then a receiver
+   scan (a gather) counts, for every vertex, the transmitting neighbors
+   straight off its Csr row, early-exiting at 2 (the model cannot
+   distinguish "two" from "many"). Gather has two properties a
+   transmitter-side scatter lacks: each vertex's result is computed from
+   reads only, so the scan shards over domains by contiguous vertex ranges
+   with no write contention (each shard writes informed/since for its own
    vertices only), and a saturated network costs O(1) per vertex instead
    of O(m) per round.
 
    Determinism: protocols draw from the single Rng stream sequentially in
-   ascending vertex order — the exact order Bitset.iter gives the legacy
-   protocols — before the scan starts, and shard results are packed ints
-   summed in range order by the pool (Pool.parallel_reduce_ranges cuts
-   ranges by n alone). Outcomes are therefore bit-identical at any --jobs
-   and to the legacy Sim on shared instances (regression-tested in
-   test/test_sim_csr.ml).
+   ascending vertex order before the scan starts, and shard results are
+   packed ints summed in range order by the pool
+   (Pool.parallel_reduce_ranges cuts ranges by n alone). Outcomes are
+   therefore bit-identical at any --jobs (regression-tested against an
+   independent reference simulator in test/test_sim_csr.ml).
 
    Allocation: all per-vertex state lives in preallocated Bytes/int
    arrays, the scan is a pair of top-level tail-recursive loops with int
@@ -26,6 +24,7 @@
    SIMSCALE bench asserts this under Memgc). *)
 
 module Csr = Wx_graph.Csr
+module Bitset = Wx_util.Bitset
 module Rng = Wx_util.Rng
 module Intvec = Wx_util.Intvec
 module Metrics = Wx_obs.Metrics
@@ -91,6 +90,22 @@ let all_informed t = t.informed_count = t.n
 let is_informed t v = Bytes.get t.informed v = '\001'
 let informed_since t v = t.since.(v)
 
+let informed_set t =
+  let s = Bitset.create t.n in
+  for v = 0 to t.n - 1 do
+    if Bytes.unsafe_get t.informed v = '\001' then Bitset.add_inplace s v
+  done;
+  s
+
+(* The one checked write into the transmit scratch: fills whose transmit
+   set comes from data (a replayed schedule, a solver's choice) go through
+   here; the distributed fills below write the bytes directly and pay
+   nothing. *)
+let transmit t v =
+  if v < 0 || v >= t.n || Bytes.get t.informed v = '\000' then
+    invalid_arg "Sim_csr.transmit: transmitter without the message";
+  Bytes.unsafe_set t.transmit v '\001'
+
 (* ---- the round scan ----
 
    Top-level tail-recursive loops (not local closures) so a jobs=1 step
@@ -149,25 +164,24 @@ let step t protocol rng =
   t.informed_count <- t.informed_count + newly;
   t.collisions <- t.collisions + (packed land mask31);
   Work.add Work.vertex_scans t.n;
-  Work.incr Work.radio_rounds;
+  Work.incr Work.rounds_simulated;
   newly
 
-(* ---- protocols ----
+(* ---- distributed protocols ----
 
    Each fill draws from the rng for informed vertices in ascending vertex
-   order — the order Bitset.iter hands the legacy protocols — so the two
-   engines consume identical random streams and produce identical
-   transmit sets round for round. Counter names are shared with the
-   legacy protocol modules (registration is idempotent), so --metrics
-   totals do not depend on the engine. *)
+   order, and decides from local knowledge only: whether the vertex holds
+   the message, when it got it, the round number and n. *)
 
 let m_coin_flips = Metrics.counter "radio.decay.coin_flips"
 let m_transmit_decisions = Metrics.counter "radio.decay.transmit_decisions"
 
+let phase_length n = Wx_util.Floatx.log2i_ceil (max 2 n) + 1
+
 let flood = { name = "flood"; fill = (fun t _rng -> Bytes.blit t.informed 0 t.transmit 0 t.n) }
 
 let decay_fill k_opt t rng =
-  let k = match k_opt with Some k -> k | None -> Decay_protocol.phase_length t.n in
+  let k = match k_opt with Some k -> k | None -> phase_length t.n in
   let round = t.round in
   let informed = t.informed and transmit = t.transmit and since = t.since in
   for v = 0 to t.n - 1 do
@@ -190,7 +204,7 @@ let decay_globally_phased =
     name = "decay-global";
     fill =
       (fun t rng ->
-        let k = Decay_protocol.phase_length t.n in
+        let k = phase_length t.n in
         let slot = t.round mod k in
         let p = 1.0 /. float_of_int (1 lsl slot) in
         let informed = t.informed and transmit = t.transmit in
@@ -218,7 +232,7 @@ let uniform p =
         done);
   }
 
-(* ---- the driver loop (mirrors Sim.run) ---- *)
+(* ---- drivers ---- *)
 
 let m_runs = Metrics.counter "radio.runs"
 let m_rounds = Metrics.counter "radio.rounds"
@@ -231,13 +245,16 @@ let m_stalled_rounds = Metrics.counter "radio.stalled_rounds"
 let rec count_ones b n i acc =
   if i >= n then acc else count_ones b n (i + 1) (acc + Char.code (Bytes.unsafe_get b i))
 
-let run ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng =
+(* The shared loop: run [protocol] until [stop] or the round limit. *)
+let run_until ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng ~stop =
   let t = create ?jobs ?range csr ~source in
   let limit = match max_rounds with Some m -> m | None -> Sim.round_limit t.n in
   let history = Intvec.create () in
   Metrics.incr m_runs;
+  (* Per-round bookkeeping costs a transmitter count; pay for it only when
+     someone is watching (metrics, sink or an explicit callback). *)
   let observing () = Metrics.is_enabled () || Sink.active () || on_round <> None in
-  let finished = ref (all_informed t) in
+  let finished = ref (stop t) in
   while (not !finished) && t.round < limit do
     let coll_before = t.collisions in
     let newly = step t protocol rng in
@@ -274,12 +291,32 @@ let run ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng =
           ];
       match on_round with Some f -> f info | None -> ()
     end;
-    finished := all_informed t
+    finished := stop t
   done;
-  {
-    Sim.rounds = t.round;
-    completed = all_informed t;
-    informed_final = t.informed_count;
-    collisions = t.collisions;
-    frontier_history = Intvec.to_array history;
-  }
+  ( t,
+    {
+      Sim.rounds = t.round;
+      completed = all_informed t;
+      informed_final = t.informed_count;
+      collisions = t.collisions;
+      frontier_history = Intvec.to_array history;
+    } )
+
+let run ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng =
+  snd (run_until ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng ~stop:all_informed)
+
+let rounds_to_inform ?max_rounds csr ~source ~target protocol rng =
+  let t, o = run_until ?max_rounds csr ~source protocol rng ~stop:(fun t -> is_informed t target) in
+  if is_informed t target then Some o.Sim.rounds else None
+
+let rounds_to_fraction ?max_rounds csr ~source ~subset ~fraction protocol rng =
+  let total = Bitset.cardinal subset in
+  if total = 0 then invalid_arg "Sim_csr.rounds_to_fraction: empty subset";
+  let target = int_of_float (Float.ceil (fraction *. float_of_int total)) in
+  let enough t = Bitset.fold (fun v c -> if is_informed t v then c + 1 else c) subset 0 >= target in
+  let t, o = run_until ?max_rounds csr ~source protocol rng ~stop:enough in
+  if enough t then Some o.Sim.rounds else None
+
+let monte_carlo ?max_rounds csr ~source protocol ~seeds =
+  let one seed = run ?max_rounds csr ~source protocol (Rng.create seed) in
+  (one, List.map one seeds)

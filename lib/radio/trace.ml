@@ -1,7 +1,4 @@
-module Bitset = Wx_util.Bitset
-module Graph = Wx_graph.Graph
-
-type round = {
+type round = Sim.round_info = {
   index : int;
   transmitters : int;
   newly_informed : int;
@@ -11,24 +8,14 @@ type round = {
 
 type t = { rounds : round list; completed : bool; population : int }
 
-(* Tracing is a view over the simulator's own per-round records: run the
-   shared Sim loop with an [on_round] accumulator rather than duplicating
-   the collision/frontier bookkeeping here. *)
-let run ?(max_rounds = 4096) g ~source protocol rng =
+(* Tracing is a view over the engine's own per-round records: run
+   Sim_csr with an [on_round] accumulator rather than duplicating the
+   collision/frontier bookkeeping here. *)
+let run ?(max_rounds = 4096) csr ~source protocol rng =
   let rounds = ref [] in
-  let on_round (r : Sim.round_info) =
-    rounds :=
-      {
-        index = r.Sim.index;
-        transmitters = r.Sim.transmitters;
-        newly_informed = r.Sim.newly_informed;
-        informed_total = r.Sim.informed_total;
-        collisions_this_round = r.Sim.collisions_this_round;
-      }
-      :: !rounds
-  in
-  let net, _ = Sim.run_until ~max_rounds ~on_round g ~source protocol rng ~stop:Network.all_informed in
-  { rounds = List.rev !rounds; completed = Network.all_informed net; population = Graph.n g }
+  let on_round r = rounds := r :: !rounds in
+  let o = Sim_csr.run ~max_rounds ~on_round csr ~source protocol rng in
+  { rounds = List.rev !rounds; completed = o.Sim.completed; population = Wx_graph.Csr.n csr }
 
 let render ?(width = 24) t =
   let buf = Buffer.create 1024 in

@@ -1,11 +1,11 @@
 (** Detailed per-round simulation traces.
 
-    {!Sim} reports aggregate outcomes; this driver records what happened
+    {!Sim_csr.run} reports aggregate outcomes; this driver records what happened
     each round — transmitter count, new receptions, collision events — and
     renders a compact text timeline. The debugging view a protocol author
     reaches for when a broadcast stalls. *)
 
-type round = {
+type round = Sim.round_info = {
   index : int;  (** 1-based round number *)
   transmitters : int;
   newly_informed : int;
@@ -17,9 +17,9 @@ type t = { rounds : round list; completed : bool; population : int  (** n *) }
 
 val run :
   ?max_rounds:int ->
-  Wx_graph.Graph.t ->
+  Wx_graph.Csr.t ->
   source:int ->
-  Protocol.t ->
+  Sim_csr.protocol ->
   Wx_util.Rng.t ->
   t
 

@@ -20,16 +20,16 @@ baseline=bench/baseline.json
 # rows and the scorers lean on, and the guard that bounds it), the
 # experiment definitions themselves, and — since the baseline carries
 # work counts, units/sec series and pool utilization (wx-bench/4) — the
-# pool scheduler, the work-unit taxonomy, the radio simulator whose
-# rounds are a counted work kind, and the exposition server (its scrape
+# pool scheduler, the work-unit taxonomy, the radio engine and its
+# protocols (rounds and vertex scans are counted work kinds), and the
+# exposition server (its scrape
 # handling shares the registry the counted runs publish into, so a change
 # there can shift the instrumented-path cost the baseline certifies).
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
          lib/util/guard.ml lib/util/guard.mli bench/*.ml
-         lib/par lib/obs/work.ml lib/obs/work.mli lib/radio/sim.ml
-         lib/graph/csr.ml lib/radio/sim_csr.ml lib/radio/network.ml
-         lib/obs/expose.ml)
+         lib/par lib/obs/work.ml lib/obs/work.mli lib/radio
+         lib/graph/csr.ml lib/obs/expose.ml)
 
 if [ ! -f "$baseline" ]; then
   echo "error: $baseline missing" >&2

@@ -3,7 +3,7 @@
 # contracts that the unit suite cannot see because they live in wx's
 # cmdliner wiring — prof propagating the inner command's failure, the
 # history append/show/gate loop on a real report, prof diff / --folded on
-# real traces. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
+# real traces, broadcast's protocol and option surface. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
 # wx-bench report.
 set -u
 
@@ -87,6 +87,18 @@ check "gate --json emits history.verdict" 0 $?
 check "bench diff --json --soft" 0 $?
 grep -q 'bench.verdict' "$tmp/diff.ndjson"
 check "diff --json emits bench.verdict" 0 $?
+
+# ---- broadcast: one engine for every protocol ----
+"$WX" broadcast grid 36 --protocol spokesmen --seeds 2 --json >"$tmp/bc.ndjson" 2>/dev/null
+check "broadcast runs spokesmen-cast on the engine" 0 $?
+grep -q '"event":"broadcast.summary","completed":2' "$tmp/bc.ndjson"
+check "spokesmen-cast completes both seeds" 0 $?
+"$WX" broadcast gnm 2000 --protocol decay --seeds 1 >/dev/null 2>&1
+check "broadcast on a sparse family" 0 $?
+"$WX" broadcast grid 36 --engine csr >/dev/null 2>&1
+check "--engine is no longer an option (usage error)" 124 $?
+"$WX" broadcast grid 36 --protocol nope >/dev/null 2>&1
+check "unknown protocol exits 1" 1 $?
 
 # ---- live exposition (--expose) ----
 # A handicapped single-experiment bench stays alive long enough to scrape

@@ -15,7 +15,7 @@ let test_schedule_completes_and_replays () =
   List.iter
     (fun (name, g) ->
       let sch = Schedule.synthesize (rng ~salt:150 ()) g ~source:0 in
-      let ok, informed = Schedule.replay g sch in
+      let ok, informed = Schedule.certify g sch in
       check_true (name ^ " replay completes") ok;
       check_int (name ^ " informed all") (Graph.n g) informed)
     [
@@ -41,11 +41,12 @@ let test_schedule_cplus_fast () =
   check_int "two rounds" 2 (Schedule.length sch)
 
 let test_schedule_transmitters_informed () =
-  (* Replay uses Network.step which raises if a transmitter lacks the
-     message; reaching completion proves schedule validity. *)
+  (* Replay marks transmitters through Sim_csr.transmit, which raises if a
+     transmitter lacks the message; reaching completion proves schedule
+     validity. *)
   let g = Gen.grid 4 6 in
   let sch = Schedule.synthesize (rng ~salt:154 ()) g ~source:5 in
-  let ok, _ = Schedule.replay g sch in
+  let ok, _ = Schedule.certify g sch in
   check_true "valid schedule" ok
 
 let test_schedule_disconnected_fails () =
@@ -58,11 +59,11 @@ let test_schedule_beats_decay_on_chain () =
   let ch = Wx_constructions.Broadcast_chain.create (rng ~salt:156 ()) ~copies:2 ~s:8 in
   let g = ch.Wx_constructions.Broadcast_chain.graph in
   let sch = Schedule.synthesize (rng ~salt:157 ()) g ~source:0 in
-  let ok, _ = Schedule.replay g sch in
+  let ok, _ = Schedule.certify g sch in
   check_true "completes" ok;
   let decay =
-    Wx_radio.Sim.run ~max_rounds:20_000 g ~source:0 Wx_radio.Decay_protocol.protocol
-      (rng ~salt:158 ())
+    Wx_radio.Sim_csr.run ~max_rounds:20_000 (Wx_graph.Csr.of_graph g) ~source:0
+      Wx_radio.Sim_csr.decay (rng ~salt:158 ())
   in
   check_true "offline schedule ≤ decay rounds" (Schedule.length sch <= decay.Wx_radio.Sim.rounds)
 
@@ -177,8 +178,9 @@ let test_random_chain_shape () =
   check_true "connected" (Wx_graph.Traversal.is_connected ch.Wx_constructions.Broadcast_chain.graph);
   (* Decay completes on it. *)
   let o =
-    Wx_radio.Sim.run ~max_rounds:50_000 ch.Wx_constructions.Broadcast_chain.graph ~source:0
-      Wx_radio.Decay_protocol.protocol (rng ~salt:166 ())
+    Wx_radio.Sim_csr.run ~max_rounds:50_000
+      (Wx_graph.Csr.of_graph ch.Wx_constructions.Broadcast_chain.graph)
+      ~source:0 Wx_radio.Sim_csr.decay (rng ~salt:166 ())
   in
   check_true "broadcast completes" o.Wx_radio.Sim.completed
 

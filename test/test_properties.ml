@@ -30,7 +30,7 @@ let suite =
     qcheck ~count:25 "schedule completes on connected graphs"
       (fun g ->
         let sch = Wx_radio.Schedule.synthesize (Rng.create 9) g ~source:0 in
-        let ok, informed = Wx_radio.Schedule.replay g sch in
+        let ok, informed = Wx_radio.Schedule.certify g sch in
         ok && informed = Graph.n g
         && Wx_radio.Schedule.length sch >= Wx_radio.Schedule.lower_bound_rounds g ~source:0)
       (connected_arbitrary ~lo:4 ~hi:18);
@@ -95,15 +95,17 @@ let suite =
         if n < 2 then true
         else begin
           let r = Rng.create 11 in
-          let net = Wx_radio.Network.create g 0 in
-          (* Grow an informed set a few rounds with flooding, then test a
+          let t = Wx_radio.Sim_csr.create ~jobs:1 (Wx_graph.Csr.of_graph g) ~source:0 in
+          (* Grow an informed set a few rounds with flooding, then replay a
              random transmitter subset. *)
           for _ = 1 to 2 do
-            ignore (Wx_radio.Network.step net (Wx_radio.Network.informed net))
+            ignore (Wx_radio.Sim_csr.step t Wx_radio.Sim_csr.flood r)
           done;
-          let informed = Bitset.copy (Wx_radio.Network.informed net) in
+          let informed = Wx_radio.Sim_csr.informed_set t in
           let tx = Bitset.random_subset r informed 0.6 in
-          let newly = Wx_radio.Network.step net tx in
+          let fill t _ = Bitset.iter (Wx_radio.Sim_csr.transmit t) tx in
+          ignore (Wx_radio.Sim_csr.step t { Wx_radio.Sim_csr.name = "tx"; fill } r);
+          let newly = Bitset.diff (Wx_radio.Sim_csr.informed_set t) informed in
           let expected = Bitset.create n in
           for w = 0 to n - 1 do
             if (not (Bitset.mem informed w)) && not (Bitset.mem tx w) then begin

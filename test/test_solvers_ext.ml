@@ -155,15 +155,15 @@ let test_worst_case_bipartite_stays_bipartite () =
 (* --- uniform radio protocol --- *)
 
 let test_uniform_protocol_bounds () =
-  Alcotest.check_raises "p out of range" (Invalid_argument "Uniform.protocol: p out of range")
-    (fun () -> ignore (Wx_radio.Uniform.protocol 1.5))
+  Alcotest.check_raises "p out of range" (Invalid_argument "Sim_csr.uniform: p out of range")
+    (fun () -> ignore (Wx_radio.Sim_csr.uniform 1.5))
 
 let test_uniform_one_is_flood () =
   (* p = 1 behaves like flooding: stalls on C+. *)
   let g = Wx_constructions.Cplus.create 8 in
   let o =
-    Wx_radio.Sim.run ~max_rounds:100 g ~source:(Wx_constructions.Cplus.source g)
-      (Wx_radio.Uniform.protocol 1.0)
+    Wx_radio.Sim_csr.run ~max_rounds:100 (Wx_graph.Csr.of_graph g)
+      ~source:(Wx_constructions.Cplus.source g) (Wx_radio.Sim_csr.uniform 1.0)
       (rng ~salt:142 ())
   in
   check_true "stalls like flood" (not o.Wx_radio.Sim.completed)
@@ -171,8 +171,8 @@ let test_uniform_one_is_flood () =
 let test_uniform_half_completes_cplus () =
   let g = Wx_constructions.Cplus.create 8 in
   let o =
-    Wx_radio.Sim.run ~max_rounds:5000 g ~source:(Wx_constructions.Cplus.source g)
-      (Wx_radio.Uniform.protocol 0.3)
+    Wx_radio.Sim_csr.run ~max_rounds:5000 (Wx_graph.Csr.of_graph g)
+      ~source:(Wx_constructions.Cplus.source g) (Wx_radio.Sim_csr.uniform 0.3)
       (rng ~salt:143 ())
   in
   check_true "random silence breaks the collision" o.Wx_radio.Sim.completed

@@ -66,12 +66,14 @@ let test_corollary_5_1 () =
 let test_section_5_lower_bound_decay () =
   let ch = Wx_constructions.Broadcast_chain.create (rng ~salt:115 ()) ~copies:3 ~s:8 in
   assert_holds
-    (T.section_5_lower_bound ch Wx_radio.Decay_protocol.protocol ~seeds:[ 1; 2; 3 ])
+    (T.section_5_lower_bound ch Wx_radio.Sim_csr.decay ~seeds:[ 1; 2; 3 ])
 
 let test_section_5_lower_bound_spokesmen () =
   let ch = Wx_constructions.Broadcast_chain.create (rng ~salt:116 ()) ~copies:3 ~s:8 in
   assert_holds
-    (T.section_5_lower_bound ch Wx_radio.Spokesmen_cast.protocol ~seeds:[ 4; 5 ])
+    (T.section_5_lower_bound ch
+       (Wx_radio.Spokesmen_cast.protocol ch.Wx_constructions.Broadcast_chain.graph)
+       ~seeds:[ 4; 5 ])
 
 let test_instances_reproducible () =
   (* Same seeds → identical instances. *)
