@@ -84,13 +84,13 @@ let a3_exact_wall () =
 
 let a4_decay_phase_length () =
   print_endline "\n-- A4: radio decay phase length vs broadcast time (mean of 10 seeds) --";
-  let csr = Csr.of_graph (Gen.random_regular (rng 1304) 64 4) in
+  let g = Gen.random_regular (rng 1304) 64 4 in
   let t = Table.create [ "phase k"; "mean rounds"; "completion" ] in
   let seeds = List.init 10 (fun i -> 2000 + i) in
   List.iter
     (fun k ->
       let _, outs =
-        Sim_csr.monte_carlo ~max_rounds:20_000 csr ~source:0 (Sim_csr.decay_with_phase_length k)
+        Sim_csr.monte_carlo ~max_rounds:20_000 g ~source:0 (Sim_csr.decay_with_phase_length k)
           ~seeds
       in
       let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)) in
@@ -110,11 +110,10 @@ let a5_cast_solver () =
   print_endline "\n-- A5: spokesmen-cast round counts by solver --";
   let ch = Wx_constructions.Broadcast_chain.create (rng 1305) ~copies:3 ~s:16 in
   let g = ch.Wx_constructions.Broadcast_chain.graph in
-  let csr = Csr.of_graph g in
   let t = Table.create [ "per-round solver"; "rounds"; "collisions" ] in
   List.iter
     (fun (name, proto) ->
-      let o = Sim_csr.run ~max_rounds:50_000 csr ~source:0 proto (Rng.create 3001) in
+      let o = Sim_csr.run ~max_rounds:50_000 g ~source:0 proto (Rng.create 3001) in
       Table.add_row t [ name; Table.fi o.Sim.rounds; Table.fi o.Sim.collisions ])
     [
       ( "decay-sampler only",
@@ -154,11 +153,11 @@ let a6_bb_vs_enumeration () =
 
 let a7_uniform_p_sweep () =
   print_endline "\n-- A7: fixed transmission probability vs decay (random 4-regular, n=64) --";
-  let csr = Csr.of_graph (Gen.random_regular (rng 1307) 64 4) in
+  let g = Gen.random_regular (rng 1307) 64 4 in
   let seeds = List.init 10 (fun i -> 4000 + i) in
   let t = Table.create [ "protocol"; "mean rounds"; "completion" ] in
   let try_protocol p =
-    let _, outs = Sim_csr.monte_carlo ~max_rounds:5000 csr ~source:0 p ~seeds in
+    let _, outs = Sim_csr.monte_carlo ~max_rounds:5000 g ~source:0 p ~seeds in
     let times = Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)) in
     let completed = List.length (List.filter (fun o -> o.Sim.completed) outs) in
     Table.add_row t
@@ -180,14 +179,14 @@ let a8_explicit_vs_random_chain () =
   let t = Table.create [ "construction"; "per-round cap (exact/max-seen)"; "mean rounds"; "min" ] in
   let seeds = List.init 10 (fun i -> 6000 + i) in
   let run_chain name ch =
-    let csr = Csr.of_graph ch.Wx_constructions.Broadcast_chain.graph in
+    let g = ch.Wx_constructions.Broadcast_chain.graph in
     let target =
       ch.Wx_constructions.Broadcast_chain.relays.(ch.Wx_constructions.Broadcast_chain.copies - 1)
     in
     let times =
       List.filter_map
         (fun seed ->
-          Sim_csr.rounds_to_inform ~max_rounds:100_000 csr ~source:0 ~target Sim_csr.decay
+          Sim_csr.rounds_to_inform ~max_rounds:100_000 g ~source:0 ~target Sim_csr.decay
             (Rng.create seed))
         seeds
     in
@@ -225,9 +224,8 @@ let a9_decay_phase_alignment () =
   let seeds = List.init 10 (fun i -> 7000 + i) in
   List.iter
     (fun (name, g) ->
-      let csr = Csr.of_graph g in
       let mean p =
-        let _, outs = Sim_csr.monte_carlo ~max_rounds:50_000 csr ~source:0 p ~seeds in
+        let _, outs = Sim_csr.monte_carlo ~max_rounds:50_000 g ~source:0 p ~seeds in
         Stats.mean (Stats.of_ints (Array.of_list (List.map (fun o -> o.Sim.rounds) outs)))
       in
       Table.add_row t

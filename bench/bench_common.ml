@@ -8,7 +8,6 @@ module Floatx = Wx_util.Floatx
 module Graph = Wx_graph.Graph
 module Bipartite = Wx_graph.Bipartite
 module Gen = Wx_graph.Gen
-module Csr = Wx_graph.Csr
 module Traversal = Wx_graph.Traversal
 module Arboricity = Wx_graph.Arboricity
 module Measure = Wx_expansion.Measure

@@ -37,13 +37,12 @@ let run ~quick =
     (fun (copies, s) ->
       let ch = Broadcast_chain.create (rng (1100 + copies + s)) ~copies ~s in
       let g = ch.Broadcast_chain.graph in
-      let csr = Csr.of_graph g in
       let target = ch.Broadcast_chain.relays.(copies - 1) in
       let lb = Broadcast_chain.paper_round_lb ch in
       let times protocol =
         List.filter_map
           (fun seed ->
-            Sim_csr.rounds_to_inform ~max_rounds:100_000 csr ~source:0 ~target protocol
+            Sim_csr.rounds_to_inform ~max_rounds:100_000 g ~source:0 ~target protocol
               (Rng.create seed))
           seeds
       in
@@ -81,13 +80,12 @@ let run ~quick =
   if not quick then begin
     print_endline "\n-- per-hop relay times R_i on a (D/2 = 6, s = 16) chain (decay, 12 seeds) --";
     let ch = Broadcast_chain.create (rng 1150) ~copies:6 ~s:16 in
-    let csr = Csr.of_graph ch.Broadcast_chain.graph in
     let per_hop = Array.make 6 [] in
     List.iter
       (fun seed ->
         let r = Rng.create seed in
         (* One run; record the first round at which each relay is informed. *)
-        let st = Sim_csr.create csr ~source:0 in
+        let st = Sim_csr.create ch.Broadcast_chain.graph ~source:0 in
         let informed_at = Array.make 6 (-1) in
         while Array.exists (fun x -> x < 0) informed_at && Sim_csr.round st < 100_000 do
           ignore (Sim_csr.step st Sim_csr.decay r);
@@ -160,7 +158,6 @@ let run ~quick =
   let n_side =
     Bitset.of_array (Graph.n g) (Array.init (Bipartite.n_count inst) (fun w -> 1 + s + w))
   in
-  let csr = Csr.of_graph g in
   let log2s = Floatx.log2 (2.0 *. float_of_int s) in
   let t2 =
     Table.create [ "i"; "fraction"; "min rounds (Cor 5.1)"; "decay"; "spokesmen"; "holds" ]
@@ -170,7 +167,7 @@ let run ~quick =
     let fraction = Float.min 1.0 (2.0 *. float_of_int i /. log2s) in
     let measure protocol seed =
       match
-        Sim_csr.rounds_to_fraction ~max_rounds:50_000 csr ~source:0 ~subset:n_side ~fraction
+        Sim_csr.rounds_to_fraction ~max_rounds:50_000 g ~source:0 ~subset:n_side ~fraction
           protocol (Rng.create seed)
       with
       | Some r -> r

@@ -7,7 +7,6 @@ module Rng = Wx_util.Rng
 module Bitset = Wx_util.Bitset
 module Gen = Wx_graph.Gen
 module Bipartite = Wx_graph.Bipartite
-module Csr = Wx_graph.Csr
 module Sim_csr = Wx_radio.Sim_csr
 
 let make_tests () =
@@ -44,10 +43,9 @@ let make_tests () =
     (* e11 kernel: one radio round on the chain. *)
     Test.make ~name:"radio step (flood) on chain"
       (Staged.stage
-         (let csr = Csr.of_graph chain.Wx_constructions.Broadcast_chain.graph in
-          let r = Rng.create 1 in
+         (let g = chain.Wx_constructions.Broadcast_chain.graph and r = Rng.create 1 in
           fun () ->
-            let st = Sim_csr.create ~jobs:1 csr ~source:0 in
+            let st = Sim_csr.create ~jobs:1 g ~source:0 in
             ignore (Sim_csr.step st Sim_csr.flood r)));
     (* exact-enumeration kernel (ablation A3's unit cost). *)
     Test.make ~name:"gray unique enumeration 2^16"

@@ -83,9 +83,9 @@ let run ~quick =
 
   (* 1. jobs-independence on a shared mid-size instance *)
   let na = 20_000 and ma = 80_000 and cap = 400 in
-  let ca = Csr.of_graph (Gen.gnm (rng 61) na ma) in
+  let ga = Gen.gnm (rng 61) na ma in
   let csr_j jobs =
-    Sim_csr.run ~max_rounds:cap ~jobs ca ~source:0 Sim_csr.decay (Rng.create 2018)
+    Sim_csr.run ~max_rounds:cap ~jobs ga ~source:0 Sim_csr.decay (Rng.create 2018)
   in
   let c1 = csr_j 1 in
   let jobs = Pool.default_jobs () in
@@ -98,12 +98,13 @@ let run ~quick =
 
   (* scale instance, built once (construction cost is not the claim) *)
   let g = Gen.gnm (rng 62) n m in
-  let csr = Csr.of_graph g in
+  let offsets = Graph.offsets g in
   check "simscale: csr layout matches graph"
     ~instance:(Printf.sprintf "gnm n=%d m=%d" n m)
     ~predicted:(float_of_int (2 * Graph.m g))
-    ~measured:(float_of_int (Csr.offsets csr).(n))
-    (Csr.n csr = n && Csr.m csr = Graph.m g && (Csr.offsets csr).(n) = 2 * Graph.m g);
+    ~measured:(float_of_int offsets.(n))
+    (Array.length offsets = n + 1 && offsets.(n) = 2 * Graph.m g
+    && Array.length (Graph.adjacency g) = offsets.(n));
 
   (* 2 + 3. steady state: seed every vertex via [inform] (the saturated
      all-transmit regime — flood alone deadlocks at a partial fixpoint
@@ -111,7 +112,7 @@ let run ~quick =
      forever), then hold the step to the zero-alloc budget and time
      flood rounds. *)
   let saturated_csr ~jobs =
-    let st = Sim_csr.create ~jobs csr ~source:0 in
+    let st = Sim_csr.create ~jobs g ~source:0 in
     for v = 0 to n - 1 do
       Sim_csr.inform st v
     done;
@@ -149,7 +150,7 @@ let run ~quick =
   let decay_cap = 150 in
   let out, decay_dt =
     timed (fun () ->
-        Sim_csr.run ~max_rounds:decay_cap csr ~source:0 Sim_csr.decay (Rng.create 99))
+        Sim_csr.run ~max_rounds:decay_cap g ~source:0 Sim_csr.decay (Rng.create 99))
   in
   Table.add_row t
     [

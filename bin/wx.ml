@@ -346,7 +346,6 @@ let protocol_of_name g = function
 let cmd_broadcast obs family size seed protocol seeds =
   let g = make_graph family size seed in
   let p = protocol_of_name g protocol in
-  let csr = Csr.of_graph g in
   say obs "broadcast on %s (n = %d) with %s, %d seeds\n" family (Graph.n g) p.Radio.Sim_csr.name
     seeds;
   let seed_list = List.init seeds (fun i -> seed + 100 + i) in
@@ -358,7 +357,7 @@ let cmd_broadcast obs family size seed protocol seeds =
         event obs "broadcast.start"
           [ ("seed", J.Int sd); ("protocol", J.String p.Radio.Sim_csr.name) ];
         let o =
-          Radio.Sim_csr.run ~max_rounds:100_000 csr ~source:0 p (Util.Rng.create sd)
+          Radio.Sim_csr.run ~max_rounds:100_000 g ~source:0 p (Util.Rng.create sd)
         in
         event obs "broadcast.run"
           [

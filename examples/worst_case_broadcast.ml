@@ -9,7 +9,7 @@ open Wireless_expanders.Api
 
 let broadcast_stats name g source seeds =
   let _, outs =
-    Radio.Sim_csr.monte_carlo ~max_rounds:50_000 (Csr.of_graph g) ~source Radio.Sim_csr.decay
+    Radio.Sim_csr.monte_carlo ~max_rounds:50_000 g ~source Radio.Sim_csr.decay
       ~seeds
   in
   let times =

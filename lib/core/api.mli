@@ -29,7 +29,6 @@ module Densest = Wx_graph.Densest
 module Graph_io = Wx_graph.Graph_io
 module Connectivity = Wx_graph.Connectivity
 module Gen = Wx_graph.Gen
-module Csr = Wx_graph.Csr
 
 module Spectral : sig
   module Vec = Wx_spectral.Vec

@@ -324,11 +324,10 @@ let section_5_lower_bound chain protocol ~seeds =
   let last_relay =
     chain.Broadcast_chain.relays.(Array.length chain.Broadcast_chain.relays - 1)
   in
-  let csr = Wx_graph.Csr.of_graph g in
   let times =
     List.filter_map
       (fun seed ->
-        Wx_radio.Sim_csr.rounds_to_inform csr ~source:root ~target:last_relay protocol
+        Wx_radio.Sim_csr.rounds_to_inform g ~source:root ~target:last_relay protocol
           (Wx_util.Rng.create seed))
       seeds
   in

@@ -201,7 +201,7 @@ let gray_max_unique_count g inc st elts len =
     raise (Too_large "Measure: inner Gray enumeration exceeds the native-int ceiling");
   st.uniq <- 0;
   st.best <- 0;
-  let cnt = st.cnt in
+  let cnt = st.cnt and offsets = Graph.offsets g and nbrs = Graph.adjacency g in
   let total = 1 lsl len in
   for i = 1 to total - 1 do
     (* The bit toggled at Gray step i is the lowest set bit of i; it is an
@@ -212,9 +212,9 @@ let gray_max_unique_count g inc st elts len =
     in
     let u = Array.unsafe_get elts bit in
     let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
-    let nbrs = Graph.neighbors g u in
+    let lo = Array.unsafe_get offsets u and hi = Array.unsafe_get offsets (u + 1) - 1 in
     if adding then
-      for j = 0 to Array.length nbrs - 1 do
+      for j = lo to hi do
         let w = Array.unsafe_get nbrs j in
         if not (Nbhd.Inc.mem inc w) then begin
           let c = cnt.(w) in
@@ -223,7 +223,7 @@ let gray_max_unique_count g inc st elts len =
         end
       done
     else
-      for j = 0 to Array.length nbrs - 1 do
+      for j = lo to hi do
         let w = Array.unsafe_get nbrs j in
         if not (Nbhd.Inc.mem inc w) then begin
           let c = cnt.(w) in
@@ -234,9 +234,9 @@ let gray_max_unique_count g inc st elts len =
     if st.uniq > st.best then st.best <- st.uniq
   done;
   st.flips <- st.flips + (total - 1);
-  let last = Graph.neighbors g elts.(len - 1) in
-  for j = 0 to Array.length last - 1 do
-    let w = Array.unsafe_get last j in
+  let last = elts.(len - 1) in
+  for j = offsets.(last) to offsets.(last + 1) - 1 do
+    let w = Array.unsafe_get nbrs j in
     if not (Nbhd.Inc.mem inc w) then cnt.(w) <- 0
   done;
   st.best
@@ -516,7 +516,7 @@ let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
   let k = Array.length elts in
   if k = 0 then invalid_arg "Measure.wireless_of_set: empty set";
   check_gray_work "Measure.wireless_of_set" k work_limit;
-  let cnt = Array.make n 0 in
+  let cnt = Array.make n 0 and offsets = Graph.offsets g and nbrs = Graph.adjacency g in
   let uniq = ref 0 in
   let cur = Bitset.create n in
   let best = ref 0 in
@@ -529,10 +529,10 @@ let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
     in
     let u = elts.(bit) in
     let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
-    let nbrs = Graph.neighbors g u in
+    let lo = offsets.(u) and hi = offsets.(u + 1) - 1 in
     if adding then begin
       Bitset.add_inplace cur u;
-      for j = 0 to Array.length nbrs - 1 do
+      for j = lo to hi do
         let w = Array.unsafe_get nbrs j in
         if not (Bitset.mem s w) then begin
           let c = cnt.(w) in
@@ -543,7 +543,7 @@ let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
     end
     else begin
       Bitset.remove_inplace cur u;
-      for j = 0 to Array.length nbrs - 1 do
+      for j = lo to hi do
         let w = Array.unsafe_get nbrs j in
         if not (Bitset.mem s w) then begin
           let c = cnt.(w) in

@@ -90,8 +90,8 @@ module Inc = struct
     let cv = t.cnt.(v) in
     if cv > 0 then t.boundary <- t.boundary - 1;
     if cv = 1 then t.uniq <- t.uniq - 1;
-    let nbrs = Graph.neighbors t.g v in
-    for i = 0 to Array.length nbrs - 1 do
+    let offsets = Graph.offsets t.g and nbrs = Graph.adjacency t.g in
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
       let w = Array.unsafe_get nbrs i in
       touch t w;
       let c = t.cnt.(w) in
@@ -108,8 +108,8 @@ module Inc = struct
     if not t.in_s.(v) then invalid_arg "Nbhd.Inc.remove: vertex not in S";
     t.in_s.(v) <- false;
     t.size <- t.size - 1;
-    let nbrs = Graph.neighbors t.g v in
-    for i = 0 to Array.length nbrs - 1 do
+    let offsets = Graph.offsets t.g and nbrs = Graph.adjacency t.g in
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
       let w = Array.unsafe_get nbrs i in
       let c = t.cnt.(w) in
       t.cnt.(w) <- c - 1;

@@ -1,51 +1,10 @@
-(* Flat CSR adjacency: two int arrays instead of n boxed rows. Built once
-   in O(n + m) from a Graph.t; the simulator's gather kernel then walks
-   [neighbors.(offsets.(v) .. offsets.(v+1) - 1)] with no per-row bounds
-   object and no pointer chase per vertex. Neighbor order within a row is
-   the Graph.t order (sorted ascending), so anything that folds a row is
-   deterministic and identical across the two representations. *)
+(* Compatibility alias for e2ebench/e2e.ml only: Graph.t is the CSR layout.
+   No code outside e2ebench/ may use this module. *)
 
-module Metrics = Wx_obs.Metrics
+type t = Graph.t
 
-let n_g = Metrics.gauge "csr.n"
-let m_g = Metrics.gauge "csr.m"
-let bytes_g = Metrics.gauge "csr.bytes"
-
-type t = { n : int; m : int; offsets : int array; neighbors : int array }
-
-let n t = t.n
-let m t = t.m
-let offsets t = t.offsets
-let neighbors t = t.neighbors
-let degree t v = t.offsets.(v + 1) - t.offsets.(v)
-
-(* Words → bytes for the two payload arrays plus their headers; close
-   enough for the footprint gauge (ignores the record itself). *)
-let bytes t =
-  (Array.length t.offsets + Array.length t.neighbors + 2) * (Sys.word_size / 8)
-
-let of_graph g =
-  let n = Graph.n g in
-  let offsets = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    offsets.(v + 1) <- offsets.(v) + Graph.degree g v
-  done;
-  let neighbors = Array.make (max 1 offsets.(n)) 0 in
-  for v = 0 to n - 1 do
-    let row = Graph.neighbors g v in
-    Array.blit row 0 neighbors offsets.(v) (Array.length row)
-  done;
-  let t = { n; m = Graph.m g; offsets; neighbors } in
-  (* Footprint gauges: no-ops unless --metrics is on. Last-built wins,
-     which is the right semantics for "what is the big instance I am
-     simulating right now". *)
-  Metrics.set n_g (float_of_int n);
-  Metrics.set m_g (float_of_int t.m);
-  Metrics.set bytes_g (float_of_int (bytes t));
-  t
-
-let iter_neighbors t v f =
-  let stop = t.offsets.(v + 1) in
-  for i = t.offsets.(v) to stop - 1 do
-    f t.neighbors.(i)
-  done
+let of_graph g = g
+let n = Graph.n
+let offsets = Graph.offsets
+let neighbors = Graph.adjacency
+let bytes = Graph.bytes

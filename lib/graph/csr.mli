@@ -1,37 +1,12 @@
-(** Flat compressed-sparse-row adjacency for simulation at scale.
+(** Compatibility alias kept only for [e2ebench/e2e.ml], the frozen benchmark
+    source, which still names [Csr]: {!Graph.t} is itself the CSR layout,
+    [of_graph] is the identity and [neighbors] is {!Graph.adjacency}. No
+    code outside [e2ebench/] may use this module. *)
 
-    [Graph.t] stores one boxed int array per vertex — fine for the
-    enumeration kernels, but a million-node radio round wants the whole
-    adjacency in two flat arrays: [offsets] (length n+1) and [neighbors]
-    (length 2m, rows packed back to back). Built once in O(n + m); rows
-    keep [Graph.t]'s sorted order, so per-row folds agree between the two
-    representations.
-
-    When [--metrics] is on, building a layout sets the [csr.n] / [csr.m] /
-    [csr.bytes] gauges (last build wins), so the memory footprint of large
-    instances is observable via [/metrics] and [wx top]. *)
-
-type t
+type t = Graph.t
 
 val of_graph : Graph.t -> t
-(** O(n + m) flattening of the adjacency. *)
-
 val n : t -> int
-val m : t -> int
-
-val degree : t -> int -> int
-(** [offsets.(v+1) - offsets.(v)]. *)
-
 val offsets : t -> int array
-(** Row-start index per vertex, length [n + 1]; [offsets.(n) = 2m].
-    {b Do not mutate} — it is the layout's own storage. *)
-
 val neighbors : t -> int array
-(** Packed neighbor lists, length [2m] (and ≥ 1 so the empty graph still
-    has a valid array). Row [v] is [offsets.(v) .. offsets.(v+1) - 1],
-    sorted ascending. {b Do not mutate}. *)
-
 val bytes : t -> int
-(** Approximate heap footprint of the two payload arrays in bytes. *)
-
-val iter_neighbors : t -> int -> (int -> unit) -> unit

@@ -1,42 +1,72 @@
 module Bitset = Wx_util.Bitset
 
-type t = { n : int; m : int; adj : int array array }
+(* Compressed sparse rows: row v is [adjacency.(offsets.(v) .. offsets.(v+1) - 1)],
+   sorted ascending, so the whole graph is two flat int arrays. *)
+type t = { n : int; m : int; offsets : int array; adjacency : int array }
 
+(* O(n + m) and no comparison sort: count degrees (repeats included),
+   scatter the half-edges into unsorted rows of [scratch], then walk v
+   ascending and append v to the row of each of its neighbours — every row
+   of [adjacency] comes out sorted — and finally drop adjacent duplicates
+   in one compaction pass. *)
 let of_edges n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let seen = Hashtbl.create (2 * List.length edges) in
-  let deg = Array.make n 0 in
-  let clean =
-    List.filter
-      (fun (u, v) ->
-        if u < 0 || u >= n || v < 0 || v >= n then
-          invalid_arg "Graph.of_edges: endpoint out of range";
-        if u = v then invalid_arg "Graph.of_edges: self-loop";
-        let key = if u < v then (u, v) else (v, u) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          deg.(u) <- deg.(u) + 1;
-          deg.(v) <- deg.(v) + 1;
-          true
-        end)
-      edges
-  in
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
-  let fill = Array.make n 0 in
+  let offsets = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
-      adj.(u).(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1)
-    clean;
-  Array.iter (fun a -> Array.sort compare a) adj;
-  { n; m = List.length clean; adj }
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Graph.of_edges: endpoint out of range";
+      if u = v then invalid_arg "Graph.of_edges: self-loop";
+      offsets.(u + 1) <- offsets.(u + 1) + 1;
+      offsets.(v + 1) <- offsets.(v + 1) + 1)
+    edges;
+  for v = 0 to n - 1 do
+    offsets.(v + 1) <- offsets.(v + 1) + offsets.(v)
+  done;
+  let len = offsets.(n) in
+  let cursor = Array.sub offsets 0 n in
+  let scratch = Array.make len 0 in
+  let push row x dst =
+    dst.(cursor.(row)) <- x;
+    cursor.(row) <- cursor.(row) + 1
+  in
+  List.iter
+    (fun (u, v) ->
+      push u v scratch;
+      push v u scratch)
+    edges;
+  Array.blit offsets 0 cursor 0 n;
+  let adjacency = Array.make len 0 in
+  for v = 0 to n - 1 do
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
+      push scratch.(i) v adjacency
+    done
+  done;
+  let k = ref 0 and start = ref 0 in
+  for v = 0 to n - 1 do
+    let stop = offsets.(v + 1) and prev = ref (-1) in
+    for i = !start to stop - 1 do
+      let w = adjacency.(i) in
+      if w <> !prev then begin
+        adjacency.(!k) <- w;
+        incr k;
+        prev := w
+      end
+    done;
+    start := stop;
+    offsets.(v + 1) <- !k
+  done;
+  let adjacency = if !k = len then adjacency else Array.sub adjacency 0 !k in
+  { n; m = !k / 2; offsets; adjacency }
 
 let n g = g.n
 let m g = g.m
-let degree g v = Array.length g.adj.(v)
+let offsets g = g.offsets
+let adjacency g = g.adjacency
+let degree g v = g.offsets.(v + 1) - g.offsets.(v)
+
+(* Both payload arrays plus their headers; ignores the record itself. *)
+let bytes g = (Array.length g.offsets + Array.length g.adjacency + 2) * (Sys.word_size / 8)
 
 let max_degree g =
   let d = ref 0 in
@@ -65,16 +95,26 @@ let is_regular g =
     go 1
   end
 
-let neighbors g v = g.adj.(v)
-let iter_neighbors g v f = Array.iter f g.adj.(v)
-let fold_neighbors g v f init = Array.fold_left f init g.adj.(v)
+let neighbors g v = Array.sub g.adjacency g.offsets.(v) (degree g v)
+
+let iter_neighbors g v f =
+  for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
+    f g.adjacency.(i)
+  done
+
+let fold_neighbors g v f init =
+  let acc = ref init in
+  for i = g.offsets.(v) to g.offsets.(v + 1) - 1 do
+    acc := f !acc g.adjacency.(i)
+  done;
+  !acc
 
 let mem_edge g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then false
   else begin
-    let a = g.adj.(u) in
-    (* Binary search in the sorted adjacency array. *)
-    let lo = ref 0 and hi = ref (Array.length a - 1) in
+    let a = g.adjacency in
+    (* Binary search in the sorted row. *)
+    let lo = ref g.offsets.(u) and hi = ref (g.offsets.(u + 1) - 1) in
     let found = ref false in
     while (not !found) && !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
@@ -87,7 +127,7 @@ let mem_edge g u v =
 
 let iter_edges g f =
   for u = 0 to g.n - 1 do
-    Array.iter (fun v -> if u < v then f u v) g.adj.(u)
+    iter_neighbors g u (fun v -> if u < v then f u v)
   done
 
 let edges g =
@@ -108,9 +148,7 @@ let induced g s =
   let es = ref [] in
   Array.iteri
     (fun i v ->
-      Array.iter
-        (fun w -> if back.(w) >= 0 && back.(w) > i then es := (i, back.(w)) :: !es)
-        g.adj.(v))
+      iter_neighbors g v (fun w -> if back.(w) >= 0 && back.(w) > i then es := (i, back.(w)) :: !es))
     keep;
   (of_edges k !es, keep)
 
@@ -138,7 +176,7 @@ let relabel g perm =
     perm;
   of_edges g.n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges g))
 
-let equal a b = a.n = b.n && a.m = b.m && a.adj = b.adj
+let equal a b = a.n = b.n && a.m = b.m && a.offsets = b.offsets && a.adjacency = b.adjacency
 
 let pp fmt g = Format.fprintf fmt "graph(n=%d, m=%d, Δ=%d)" g.n g.m (max_degree g)
 
@@ -147,6 +185,6 @@ let pp_adjacency fmt g =
   Format.fprintf fmt "@.";
   for v = 0 to g.n - 1 do
     Format.fprintf fmt "  %d:" v;
-    Array.iter (fun w -> Format.fprintf fmt " %d" w) g.adj.(v);
+    iter_neighbors g v (fun w -> Format.fprintf fmt " %d" w);
     Format.fprintf fmt "@."
   done

@@ -1,21 +1,36 @@
 (** Immutable undirected simple graphs.
 
-    Vertices are [0..n-1]. Adjacency lists are sorted arrays, so membership
-    tests are O(log deg) and neighbor iteration is cache-friendly. Build
-    graphs with {!Builder} or {!of_edges}. *)
+    Vertices are [0..n-1]. The adjacency is stored compressed-sparse-row:
+    two flat int arrays, {!offsets} (length n+1) and {!adjacency} (length
+    2m), with row [v] at [adjacency.(offsets.(v) .. offsets.(v+1) - 1)]
+    sorted ascending. Membership tests are O(log deg), and the radio engine
+    and the expansion kernels walk the rows with no per-vertex pointer
+    chase. Build graphs with {!Builder} or {!of_edges}. *)
 
 type t
 
 val of_edges : int -> (int * int) list -> t
-(** [of_edges n edges] builds the graph on [n] vertices. Duplicate edges are
-    collapsed; self-loops raise [Invalid_argument], as do out-of-range
-    endpoints. *)
+(** [of_edges n edges] builds the graph on [n] vertices in O(n + |edges|).
+    Duplicate edges (in either orientation) are collapsed; a negative [n],
+    self-loops and out-of-range endpoints raise [Invalid_argument]. *)
 
 val n : t -> int
 (** Number of vertices. *)
 
 val m : t -> int
 (** Number of edges. *)
+
+val offsets : t -> int array
+(** Row start per vertex, length [n + 1]; [offsets.(n) = 2m].
+    {b Do not mutate} — it is the graph's own storage. *)
+
+val adjacency : t -> int array
+(** All rows packed back to back, length [2m]; row [v] is
+    [offsets.(v) .. offsets.(v+1) - 1], strictly ascending.
+    {b Do not mutate} — it is the graph's own storage. *)
+
+val bytes : t -> int
+(** Approximate heap footprint of {!offsets} and {!adjacency} in bytes. *)
 
 val degree : t -> int -> int
 val max_degree : t -> int
@@ -26,8 +41,8 @@ val is_regular : t -> int option
 (** [Some d] when every vertex has degree [d]. *)
 
 val neighbors : t -> int -> int array
-(** Sorted adjacency array. {b Do not mutate} — it is the graph's own
-    storage. *)
+(** A fresh copy of row [v], sorted ascending. Allocates O(deg); hot loops
+    walk {!offsets}/{!adjacency} or use {!iter_neighbors} instead. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a

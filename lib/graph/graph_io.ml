@@ -26,11 +26,17 @@ let of_string s =
   | (ln, header) :: rest -> begin
       match parse_ints ~expected:2 ln header with
       | [ n; m ] ->
+          if n < 0 then failwith (Printf.sprintf "line %d: negative vertex count %d" ln n);
           let edges =
             List.map
               (fun (lineno, line) ->
                 match parse_ints ~expected:2 lineno line with
-                | [ u; v ] -> (u, v)
+                | [ u; v ] ->
+                    if u < 0 || u >= n || v < 0 || v >= n then
+                      failwith
+                        (Printf.sprintf "line %d: endpoint out of range [0, %d): %S" lineno n line);
+                    if u = v then failwith (Printf.sprintf "line %d: self-loop %S" lineno line);
+                    (u, v)
                 | _ -> assert false)
               rest
           in

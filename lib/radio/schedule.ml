@@ -31,7 +31,7 @@ let synthesize ?(solver = default_solver) ?max_rounds rng g ~source =
         Bitset.iter (Sim_csr.transmit t) tx
   in
   let protocol = { Sim_csr.name = "schedule"; fill } in
-  let t = Sim_csr.create (Wx_graph.Csr.of_graph g) ~source in
+  let t = Sim_csr.create g ~source in
   while not (Sim_csr.all_informed t) do
     if Sim_csr.round t >= limit then failwith "Schedule.synthesize: round limit hit";
     ignore (Sim_csr.step t protocol rng)
@@ -48,7 +48,7 @@ let replay sch =
   }
 
 let certify g sch =
-  let t = Sim_csr.create (Wx_graph.Csr.of_graph g) ~source:sch.source in
+  let t = Sim_csr.create g ~source:sch.source in
   let fill = replay sch and rng = Wx_util.Rng.create 0 in
   for _ = 1 to length sch do
     ignore (Sim_csr.step t fill rng)

@@ -1,8 +1,9 @@
-(* The radio engine: synchronous rounds over the flat Csr layout.
+(* The radio engine: synchronous rounds over a Graph.t, walked directly
+   as the flat CSR layout it is.
 
    Each round a protocol's fill marks the transmitters, then a receiver
    scan (a gather) counts, for every vertex, the transmitting neighbors
-   straight off its Csr row, early-exiting at 2 (the model cannot
+   straight off its adjacency row, early-exiting at 2 (the model cannot
    distinguish "two" from "many"). Gather has two properties a
    transmitter-side scatter lacks: each vertex's result is computed from
    reads only, so the scan shards over domains by contiguous vertex ranges
@@ -23,7 +24,7 @@
    at jobs = 1 a steady-state flood step allocates zero minor words (the
    SIMSCALE bench asserts this under Memgc). *)
 
-module Csr = Wx_graph.Csr
+module Graph = Wx_graph.Graph
 module Bitset = Wx_util.Bitset
 module Rng = Wx_util.Rng
 module Intvec = Wx_util.Intvec
@@ -33,7 +34,7 @@ module Work = Wx_obs.Work
 module Pool = Wx_par.Pool
 
 type t = {
-  csr : Csr.t;
+  graph : Graph.t;
   n : int;
   jobs : int;
   range : int;
@@ -47,8 +48,13 @@ type t = {
 
 type protocol = { name : string; fill : t -> Rng.t -> unit }
 
-let create ?jobs ?(range = 16384) csr ~source =
-  let n = Csr.n csr in
+(* Footprint of the graph being simulated (last create wins). *)
+let n_g = Metrics.gauge "csr.n"
+let m_g = Metrics.gauge "csr.m"
+let bytes_g = Metrics.gauge "csr.bytes"
+
+let create ?jobs ?(range = 16384) graph ~source =
+  let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Sim_csr.create: bad source";
   if range < 1 then invalid_arg "Sim_csr.create: range must be >= 1";
   let jobs =
@@ -57,12 +63,17 @@ let create ?jobs ?(range = 16384) csr ~source =
     | Some _ -> invalid_arg "Sim_csr.create: jobs must be >= 1"
     | None -> Pool.default_jobs ()
   in
+  if Metrics.is_enabled () then begin
+    Metrics.set n_g (float_of_int n);
+    Metrics.set m_g (float_of_int (Graph.m graph));
+    Metrics.set bytes_g (float_of_int (Graph.bytes graph))
+  end;
   let informed = Bytes.make n '\000' in
   Bytes.set informed source '\001';
   let since = Array.make n (-1) in
   since.(source) <- 0;
   {
-    csr;
+    graph;
     n;
     jobs;
     range;
@@ -82,7 +93,7 @@ let inform t v =
     t.informed_count <- t.informed_count + 1
   end
 
-let csr t = t.csr
+let graph t = t.graph
 let round t = t.round
 let collisions t = t.collisions
 let informed_count t = t.informed_count
@@ -151,7 +162,7 @@ let step t protocol rng =
   Bytes.fill t.transmit 0 t.n '\000';
   protocol.fill t rng;
   t.round <- t.round + 1;
-  let offsets = Csr.offsets t.csr and nbrs = Csr.neighbors t.csr in
+  let offsets = Graph.offsets t.graph and nbrs = Graph.adjacency t.graph in
   let packed =
     if t.jobs <= 1 || t.n <= t.range then
       scan offsets nbrs t.informed t.transmit t.since t.round t.n 0 0
@@ -246,8 +257,8 @@ let rec count_ones b n i acc =
   if i >= n then acc else count_ones b n (i + 1) (acc + Char.code (Bytes.unsafe_get b i))
 
 (* The shared loop: run [protocol] until [stop] or the round limit. *)
-let run_until ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng ~stop =
-  let t = create ?jobs ?range csr ~source in
+let run_until ?max_rounds ?jobs ?range ?on_round g ~source protocol rng ~stop =
+  let t = create ?jobs ?range g ~source in
   let limit = match max_rounds with Some m -> m | None -> Sim.round_limit t.n in
   let history = Intvec.create () in
   Metrics.incr m_runs;
@@ -302,21 +313,21 @@ let run_until ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng ~stop 
       frontier_history = Intvec.to_array history;
     } )
 
-let run ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng =
-  snd (run_until ?max_rounds ?jobs ?range ?on_round csr ~source protocol rng ~stop:all_informed)
+let run ?max_rounds ?jobs ?range ?on_round g ~source protocol rng =
+  snd (run_until ?max_rounds ?jobs ?range ?on_round g ~source protocol rng ~stop:all_informed)
 
-let rounds_to_inform ?max_rounds csr ~source ~target protocol rng =
-  let t, o = run_until ?max_rounds csr ~source protocol rng ~stop:(fun t -> is_informed t target) in
+let rounds_to_inform ?max_rounds g ~source ~target protocol rng =
+  let t, o = run_until ?max_rounds g ~source protocol rng ~stop:(fun t -> is_informed t target) in
   if is_informed t target then Some o.Sim.rounds else None
 
-let rounds_to_fraction ?max_rounds csr ~source ~subset ~fraction protocol rng =
+let rounds_to_fraction ?max_rounds g ~source ~subset ~fraction protocol rng =
   let total = Bitset.cardinal subset in
   if total = 0 then invalid_arg "Sim_csr.rounds_to_fraction: empty subset";
   let target = int_of_float (Float.ceil (fraction *. float_of_int total)) in
   let enough t = Bitset.fold (fun v c -> if is_informed t v then c + 1 else c) subset 0 >= target in
-  let t, o = run_until ?max_rounds csr ~source protocol rng ~stop:enough in
+  let t, o = run_until ?max_rounds g ~source protocol rng ~stop:enough in
   if enough t then Some o.Sim.rounds else None
 
-let monte_carlo ?max_rounds csr ~source protocol ~seeds =
-  let one seed = run ?max_rounds csr ~source protocol (Rng.create seed) in
+let monte_carlo ?max_rounds g ~source protocol ~seeds =
+  let one seed = run ?max_rounds g ~source protocol (Rng.create seed) in
   (one, List.map one seeds)

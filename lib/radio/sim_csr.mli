@@ -1,4 +1,4 @@
-(** The radio engine: synchronous broadcast rounds over {!Wx_graph.Csr}.
+(** The radio engine: synchronous broadcast rounds over a {!Wx_graph.Graph.t}.
 
     The model of [8], Section 1.1: rounds are synchronous; in a round every
     processor either transmits or stays silent, and a silent processor
@@ -8,7 +8,8 @@
     reveals them to protocols. A transmitter hears nothing.
 
     Each round scans all vertices (a {e gather}), counting transmitting
-    neighbors off the flat CSR layout with an early exit at 2. Per-vertex
+    neighbors off the graph's flat CSR rows ({!Wx_graph.Graph.offsets},
+    {!Wx_graph.Graph.adjacency}) with an early exit at 2. Per-vertex
     state lives in preallocated [Bytes]/int arrays and the scan is sharded
     across {!Wx_par.Pool} domains by contiguous vertex ranges.
 
@@ -37,16 +38,18 @@
     (one unit). *)
 
 type t
-(** Mutable simulation state over one CSR instance. *)
+(** Mutable simulation state over one graph. *)
 
 type protocol = { name : string; fill : t -> Wx_util.Rng.t -> unit }
 (** A protocol fills the transmit scratch (cleared before the call) for
     the upcoming round, drawing any randomness in ascending vertex order. *)
 
-val create : ?jobs:int -> ?range:int -> Wx_graph.Csr.t -> source:int -> t
+val create : ?jobs:int -> ?range:int -> Wx_graph.Graph.t -> source:int -> t
 (** Fresh state: only [source] informed, round 0. [jobs] defaults to
     {!Wx_par.Pool.default_jobs} (a [jobs]-independent result either way);
-    [range] (default 16384) is the shard granularity. *)
+    [range] (default 16384) is the shard granularity. When [--metrics] is
+    on, sets the [csr.n] / [csr.m] / [csr.bytes] footprint gauges (last
+    create wins), observable via [/metrics] and [wx top]. *)
 
 val step : t -> protocol -> Wx_util.Rng.t -> int
 (** Execute one round; returns the newly-informed count. The scan runs
@@ -64,7 +67,7 @@ val transmit : t -> int -> unit
     cannot transmit what it does not have. For fills whose transmit set
     comes from data. *)
 
-val csr : t -> Wx_graph.Csr.t
+val graph : t -> Wx_graph.Graph.t
 val round : t -> int
 (** Rounds executed so far; inside a fill, the 0-based index of the round
     being filled. *)
@@ -118,7 +121,7 @@ val run :
   ?jobs:int ->
   ?range:int ->
   ?on_round:(Sim.round_info -> unit) ->
-  Wx_graph.Csr.t ->
+  Wx_graph.Graph.t ->
   source:int ->
   protocol ->
   Wx_util.Rng.t ->
@@ -130,7 +133,7 @@ val run :
 
 val rounds_to_inform :
   ?max_rounds:int ->
-  Wx_graph.Csr.t ->
+  Wx_graph.Graph.t ->
   source:int ->
   target:int ->
   protocol ->
@@ -141,7 +144,7 @@ val rounds_to_inform :
 
 val rounds_to_fraction :
   ?max_rounds:int ->
-  Wx_graph.Csr.t ->
+  Wx_graph.Graph.t ->
   source:int ->
   subset:Wx_util.Bitset.t ->
   fraction:float ->
@@ -153,7 +156,7 @@ val rounds_to_fraction :
 
 val monte_carlo :
   ?max_rounds:int ->
-  Wx_graph.Csr.t ->
+  Wx_graph.Graph.t ->
   source:int ->
   protocol ->
   seeds:int list ->

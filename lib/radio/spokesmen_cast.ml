@@ -35,7 +35,7 @@ let with_solver name solve g =
     Sim_csr.name;
     fill =
       (fun t rng ->
-        if Graph.n g <> Wx_graph.Csr.n (Sim_csr.csr t) then
+        if Graph.n g <> Graph.n (Sim_csr.graph t) then
           invalid_arg "Spokesmen_cast: engine runs a different graph";
         match choose solve g t rng with
         | None -> () (* stay silent *)

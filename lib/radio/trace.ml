@@ -11,11 +11,11 @@ type t = { rounds : round list; completed : bool; population : int }
 (* Tracing is a view over the engine's own per-round records: run
    Sim_csr with an [on_round] accumulator rather than duplicating the
    collision/frontier bookkeeping here. *)
-let run ?(max_rounds = 4096) csr ~source protocol rng =
+let run ?(max_rounds = 4096) g ~source protocol rng =
   let rounds = ref [] in
   let on_round r = rounds := r :: !rounds in
-  let o = Sim_csr.run ~max_rounds ~on_round csr ~source protocol rng in
-  { rounds = List.rev !rounds; completed = o.Sim.completed; population = Wx_graph.Csr.n csr }
+  let o = Sim_csr.run ~max_rounds ~on_round g ~source protocol rng in
+  { rounds = List.rev !rounds; completed = o.Sim.completed; population = Wx_graph.Graph.n g }
 
 let render ?(width = 24) t =
   let buf = Buffer.create 1024 in

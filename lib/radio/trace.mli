@@ -17,7 +17,7 @@ type t = { rounds : round list; completed : bool; population : int  (** n *) }
 
 val run :
   ?max_rounds:int ->
-  Wx_graph.Csr.t ->
+  Wx_graph.Graph.t ->
   source:int ->
   Sim_csr.protocol ->
   Wx_util.Rng.t ->

@@ -62,7 +62,7 @@ let test_schedule_beats_decay_on_chain () =
   let ok, _ = Schedule.certify g sch in
   check_true "completes" ok;
   let decay =
-    Wx_radio.Sim_csr.run ~max_rounds:20_000 (Wx_graph.Csr.of_graph g) ~source:0
+    Wx_radio.Sim_csr.run ~max_rounds:20_000 g ~source:0
       Wx_radio.Sim_csr.decay (rng ~salt:158 ())
   in
   check_true "offline schedule ≤ decay rounds" (Schedule.length sch <= decay.Wx_radio.Sim.rounds)
@@ -90,6 +90,18 @@ let test_graph_io_edge_count_mismatch () =
   match Graph_io.of_string "3 2\n0 1\n" with
   | _ -> Alcotest.fail "expected failure"
   | exception Failure _ -> ()
+
+(* Graph_io validates what Graph.of_edges would reject, so a bad file
+   fails like any other parse error: [Failure] naming the line. *)
+let expect_line_failure input line =
+  match Graph_io.of_string input with
+  | _ -> Alcotest.fail "expected failure"
+  | exception Failure msg ->
+      check_true msg (String.starts_with ~prefix:(Printf.sprintf "line %d:" line) msg)
+
+let test_graph_io_self_loop () = expect_line_failure "3 2\n0 1\n# loop\n2 2\n" 4
+let test_graph_io_out_of_range () = expect_line_failure "3 1\n\n0 3\n" 3
+let test_graph_io_negative_n () = expect_line_failure "# header\n-2 0\n" 2
 
 let test_graph_io_file_roundtrip () =
   let g = Gen.torus 3 4 in
@@ -179,7 +191,7 @@ let test_random_chain_shape () =
   (* Decay completes on it. *)
   let o =
     Wx_radio.Sim_csr.run ~max_rounds:50_000
-      (Wx_graph.Csr.of_graph ch.Wx_constructions.Broadcast_chain.graph)
+      ch.Wx_constructions.Broadcast_chain.graph
       ~source:0 Wx_radio.Sim_csr.decay (rng ~salt:166 ())
   in
   check_true "broadcast completes" o.Wx_radio.Sim.completed
@@ -230,6 +242,9 @@ let suite =
     Alcotest.test_case "io comments" `Quick test_graph_io_comments_and_whitespace;
     Alcotest.test_case "io bad header" `Quick test_graph_io_bad_header;
     Alcotest.test_case "io count mismatch" `Quick test_graph_io_edge_count_mismatch;
+    Alcotest.test_case "io self-loop" `Quick test_graph_io_self_loop;
+    Alcotest.test_case "io endpoint out of range" `Quick test_graph_io_out_of_range;
+    Alcotest.test_case "io negative n" `Quick test_graph_io_negative_n;
     Alcotest.test_case "io file roundtrip" `Quick test_graph_io_file_roundtrip;
     Alcotest.test_case "bipartite roundtrip" `Quick test_bipartite_roundtrip;
     Alcotest.test_case "cut edges" `Quick test_cut_edges;

@@ -23,6 +23,10 @@ let test_of_edges_rejects_out_of_range () =
   Alcotest.check_raises "range" (Invalid_argument "Graph.of_edges: endpoint out of range")
     (fun () -> ignore (Graph.of_edges 3 [ (0, 3) ]))
 
+let test_of_edges_rejects_negative_n () =
+  Alcotest.check_raises "negative n" (Invalid_argument "Graph.of_edges: negative n") (fun () ->
+      ignore (Graph.of_edges (-1) []))
+
 let test_neighbors_sorted () =
   let g = Graph.of_edges 5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   check_true "sorted" (Graph.neighbors g 2 = [| 0; 1; 3; 4 |])
@@ -185,8 +189,64 @@ let test_builder_rejects_self_loop () =
   Alcotest.check_raises "loop" (Invalid_argument "Builder.add_edge: self-loop") (fun () ->
       Builder.add_edge b 1 1)
 
+(* Edge lists on n <= 24 vertices with repeats and both orientations. *)
+let arbitrary_edge_list =
+  QCheck.make
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) es)))
+    QCheck.Gen.(
+      let* n = int_range 0 24 in
+      if n < 2 then return (n, [])
+      else
+        let pair =
+          let* u = int_range 0 (n - 1) in
+          let* d = int_range 1 (n - 1) in
+          return (u, (u + d) mod n)
+        in
+        let* es = list_size (int_range 0 (3 * n)) pair in
+        let* twice = list_size (int_range 0 (List.length es)) (oneofl ((0, 1) :: es)) in
+        return (n, es @ List.map (fun (u, v) -> (v, u)) twice))
+
+(* Graph.of_edges against a boolean adjacency matrix that shares no code with
+   Graph. *)
+let of_edges_matches_matrix (n, es) =
+  let g = Graph.of_edges n es in
+  let mat = Array.make_matrix n n false in
+  List.iter
+    (fun (u, v) ->
+      mat.(u).(v) <- true;
+      mat.(v).(u) <- true)
+    es;
+  let row_count v = Array.fold_left (fun c b -> if b then c + 1 else c) 0 mat.(v) in
+  let m = ref 0 in
+  for v = 0 to n - 1 do
+    m := !m + row_count v
+  done;
+  let m = !m / 2 in
+  let offsets = Graph.offsets g and adjacency = Graph.adjacency g in
+  let ok = ref (Graph.m g = m && Array.length offsets = n + 1 && offsets.(n) = 2 * m) in
+  for v = 0 to n - 1 do
+    if Graph.degree g v <> row_count v then ok := false;
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
+      if (not mat.(v).(adjacency.(i))) || (i > offsets.(v) && adjacency.(i - 1) >= adjacency.(i))
+      then ok := false
+    done;
+    for w = 0 to n - 1 do
+      if Graph.mem_edge g v w <> mat.(v).(w) then ok := false
+    done
+  done;
+  let seen = Array.make_matrix n n false and visits = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      incr visits;
+      if u >= v || (not mat.(u).(v)) || seen.(u).(v) then ok := false;
+      seen.(u).(v) <- true);
+  !ok && !visits = m
+
 let qcheck_tests =
   [
+    qcheck ~count:300 "of_edges = adjacency-matrix oracle" of_edges_matches_matrix
+      arbitrary_edge_list;
     qcheck ~count:50 "handshake: sum deg = 2m"
       (fun g ->
         let total = ref 0 in
@@ -219,6 +279,7 @@ let suite =
     Alcotest.test_case "of_edges dedup" `Quick test_of_edges_dedup;
     Alcotest.test_case "reject self-loop" `Quick test_of_edges_rejects_self_loop;
     Alcotest.test_case "reject out of range" `Quick test_of_edges_rejects_out_of_range;
+    Alcotest.test_case "reject negative n" `Quick test_of_edges_rejects_negative_n;
     Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
     Alcotest.test_case "mem_edge" `Quick test_mem_edge;
     Alcotest.test_case "degrees" `Quick test_degrees;

@@ -245,7 +245,7 @@ let test_trace_agrees_with_metrics () =
   with_metrics (fun () ->
       let g = Wx_constructions.Cplus.create 10 in
       let t =
-        Wx_radio.Trace.run ~max_rounds:50 (Wx_graph.Csr.of_graph g)
+        Wx_radio.Trace.run ~max_rounds:50 g
           ~source:(Wx_constructions.Cplus.source g) Wx_radio.Sim_csr.flood (rng ~salt:870 ())
       in
       let from_rounds =

@@ -95,7 +95,7 @@ let suite =
         if n < 2 then true
         else begin
           let r = Rng.create 11 in
-          let t = Wx_radio.Sim_csr.create ~jobs:1 (Wx_graph.Csr.of_graph g) ~source:0 in
+          let t = Wx_radio.Sim_csr.create ~jobs:1 g ~source:0 in
           (* Grow an informed set a few rounds with flooding, then replay a
              random transmitter subset. *)
           for _ = 1 to 2 do

@@ -3,7 +3,6 @@ module Sim_csr = Wx_radio.Sim_csr
 module Schedule = Wx_radio.Schedule
 module Spokesmen_cast = Wx_radio.Spokesmen_cast
 module Graph = Wx_graph.Graph
-module Csr = Wx_graph.Csr
 module Gen = Wx_graph.Gen
 module Bitset = Wx_util.Bitset
 open Common
@@ -17,7 +16,7 @@ open Common
 let replayed ?(source = 0) g sets =
   let n = Graph.n g in
   let sch = { Schedule.source; rounds = Array.of_list (List.map (Bitset.of_list n) sets) } in
-  let t = Sim_csr.create ~jobs:1 (Csr.of_graph g) ~source in
+  let t = Sim_csr.create ~jobs:1 g ~source in
   let fill = Schedule.replay sch and r = rng () in
   (t, fun () -> Sim_csr.step t fill r)
 
@@ -97,7 +96,7 @@ let test_round_counter () =
 (* --- protocols --- *)
 
 let run ~max_rounds g ~source p salt =
-  Sim_csr.run ~max_rounds (Csr.of_graph g) ~source p (rng ~salt ())
+  Sim_csr.run ~max_rounds g ~source p (rng ~salt ())
 
 let test_flood_stalls_on_cplus () =
   (* The motivating failure: flooding C⁺ informs x and y in round 1, then
@@ -167,9 +166,9 @@ let test_outcome_history_monotone () =
     o.Sim.frontier_history
 
 let test_rounds_to_inform () =
-  let csr = Csr.of_graph (Gen.path 5) in
+  let g = Gen.path 5 in
   match
-    Sim_csr.rounds_to_inform ~max_rounds:500 csr ~source:0 ~target:4 Sim_csr.flood
+    Sim_csr.rounds_to_inform ~max_rounds:500 g ~source:0 ~target:4 Sim_csr.flood
       (rng ~salt:102 ())
   with
   | Some r -> check_int "path needs 4" 4 r
@@ -178,26 +177,26 @@ let test_rounds_to_inform () =
 let test_rounds_to_inform_timeout () =
   let g = Wx_constructions.Cplus.create 6 in
   match
-    Sim_csr.rounds_to_inform ~max_rounds:50 (Csr.of_graph g)
+    Sim_csr.rounds_to_inform ~max_rounds:50 g
       ~source:(Wx_constructions.Cplus.source g) ~target:4 Sim_csr.flood (rng ~salt:103 ())
   with
   | Some _ -> Alcotest.fail "flood should stall"
   | None -> ()
 
 let test_rounds_to_fraction () =
-  let csr = Csr.of_graph (Gen.star 11) in
+  let g = Gen.star 11 in
   let leaves = Bitset.of_list 11 (List.init 10 (fun i -> i + 1)) in
   match
-    Sim_csr.rounds_to_fraction ~max_rounds:50 csr ~source:0 ~subset:leaves ~fraction:1.0
+    Sim_csr.rounds_to_fraction ~max_rounds:50 g ~source:0 ~subset:leaves ~fraction:1.0
       Sim_csr.flood (rng ~salt:104 ())
   with
   | Some r -> check_int "one round" 1 r
   | None -> Alcotest.fail "unreached"
 
 let test_monte_carlo_deterministic () =
-  let csr = Csr.of_graph (Gen.grid 4 4) in
-  let _, outs1 = Sim_csr.monte_carlo csr ~source:0 Sim_csr.decay ~seeds:[ 1; 2; 3 ] in
-  let _, outs2 = Sim_csr.monte_carlo csr ~source:0 Sim_csr.decay ~seeds:[ 1; 2; 3 ] in
+  let g = Gen.grid 4 4 in
+  let _, outs1 = Sim_csr.monte_carlo g ~source:0 Sim_csr.decay ~seeds:[ 1; 2; 3 ] in
+  let _, outs2 = Sim_csr.monte_carlo g ~source:0 Sim_csr.decay ~seeds:[ 1; 2; 3 ] in
   List.iter2
     (fun a b -> check_int "same rounds per seed" a.Sim.rounds b.Sim.rounds)
     outs1 outs2

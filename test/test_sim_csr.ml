@@ -6,7 +6,6 @@
    state the SIMSCALE bench gates on. *)
 
 module Graph = Wx_graph.Graph
-module Csr = Wx_graph.Csr
 module Gen = Wx_graph.Gen
 module Families = Wx_constructions.Families
 module Sim = Wx_radio.Sim
@@ -144,7 +143,6 @@ let test_golden_pins () =
   List.iter
     (fun f ->
       let g = f.Families.make (Rng.create 7) 40 in
-      let csr = Csr.of_graph g in
       List.iter
         (fun p ->
           let name = p.Sim_csr.name in
@@ -153,7 +151,7 @@ let test_golden_pins () =
               (fun (fam, proto, _, _, _, _, _) -> fam = f.Families.name && proto = name)
               golden
           in
-          let o = Sim_csr.run ~max_rounds:300 ~jobs:1 csr ~source:0 p (Rng.create 2018) in
+          let o = Sim_csr.run ~max_rounds:300 ~jobs:1 g ~source:0 p (Rng.create 2018) in
           let ctx = f.Families.name ^ "/" ^ name in
           check_int (ctx ^ ": rounds") rounds o.Sim.rounds;
           check_true (ctx ^ ": completed") (completed = o.Sim.completed);
@@ -183,7 +181,7 @@ let cap = 400
 let run_both g engine reference ~jobs ~range ~seed =
   let a = Ref.run ~max_rounds:cap g ~source:0 reference (Rng.create seed) in
   let b =
-    Sim_csr.run ~max_rounds:cap ~jobs ~range (Csr.of_graph g) ~source:0 engine (Rng.create seed)
+    Sim_csr.run ~max_rounds:cap ~jobs ~range g ~source:0 engine (Rng.create seed)
   in
   (a, b)
 
@@ -230,7 +228,7 @@ let test_replay_matches_reference () =
         in
         let a = Ref.run ~max_rounds:len g ~source:0 reference (Rng.create 1) in
         let b =
-          Sim_csr.run ~max_rounds:len (Csr.of_graph g) ~source:0 (Wx_radio.Schedule.replay sch)
+          Sim_csr.run ~max_rounds:len g ~source:0 (Wx_radio.Schedule.replay sch)
             (Rng.create 1)
         in
         check_outcomes_equal f.Families.name a b;
@@ -242,12 +240,11 @@ let test_jobs_invariance () =
   (* Larger sparse instance with the default range: identical outcomes at
      every job count, including ones crossing the real pool. *)
   let g = Gen.gnm (rng ~salt:3 ()) 3000 12000 in
-  let csr = Csr.of_graph g in
   (* Cap the budget: a gnm instance with an isolated vertex never
      completes, and 4 job counts × the default 64n limit would dominate
      the suite's wall time. *)
   let run jobs =
-    Sim_csr.run ~max_rounds:1500 ~jobs ~range:256 csr ~source:0 Sim_csr.decay (Rng.create 42)
+    Sim_csr.run ~max_rounds:1500 ~jobs ~range:256 g ~source:0 Sim_csr.decay (Rng.create 42)
   in
   let base = run 1 in
   (* gnm at mean degree 8 may leave a handful of isolated vertices, so ask
@@ -260,20 +257,22 @@ let test_jobs_invariance () =
 (* --- CSR layout invariants --- *)
 
 let test_csr_structure () =
+  (* The engine walks Graph.t's own rows; check them against the
+     accessor view. *)
   let g = Gen.margulis 5 in
-  let c = Csr.of_graph g in
-  check_int "n" (Graph.n g) (Csr.n c);
-  check_int "m" (Graph.m g) (Csr.m c);
-  let offsets = Csr.offsets c and nbrs = Csr.neighbors c in
+  let offsets = Graph.offsets g and adjacency = Graph.adjacency g in
   check_int "offsets length" (Graph.n g + 1) (Array.length offsets);
   check_int "packed length" (2 * Graph.m g) offsets.(Graph.n g);
+  check_int "adjacency length" (2 * Graph.m g) (Array.length adjacency);
   for v = 0 to Graph.n g - 1 do
-    check_int "degree" (Graph.degree g v) (Csr.degree c v);
-    let row = Graph.neighbors g v in
-    Array.iteri (fun i w -> check_int "neighbor" w nbrs.(offsets.(v) + i)) row
+    check_int "degree" (Graph.degree g v) (offsets.(v + 1) - offsets.(v));
+    let i = ref offsets.(v) in
+    Graph.iter_neighbors g v (fun w ->
+        check_int "neighbor" w adjacency.(!i);
+        incr i)
   done;
   check_true "bytes accounts both arrays"
-    (Csr.bytes c >= (Array.length offsets + Array.length nbrs) * (Sys.word_size / 8))
+    (Graph.bytes g >= (Array.length offsets + Array.length adjacency) * (Sys.word_size / 8))
 
 (* --- sparse generators --- *)
 
@@ -315,7 +314,7 @@ let test_inform_seeding () =
   let n = 300 in
   let g = Gen.gnm (rng ~salt:31 ()) n 900 in
   let seeds = [ 0; 17; 42; 199; 255 ] in
-  let st = Sim_csr.create ~jobs:1 (Csr.of_graph g) ~source:0 in
+  let st = Sim_csr.create ~jobs:1 g ~source:0 in
   List.iter (Sim_csr.inform st) seeds;
   Sim_csr.inform st 17;
   check_int "inform is idempotent" (List.length seeds) (Sim_csr.informed_count st);
@@ -333,7 +332,7 @@ let test_inform_seeding () =
       (Sim_csr.informed_count st)
   done;
   (* Fully seeded network: a flood step is a fixpoint. *)
-  let st2 = Sim_csr.create ~jobs:1 (Csr.of_graph g) ~source:0 in
+  let st2 = Sim_csr.create ~jobs:1 g ~source:0 in
   for v = 0 to n - 1 do
     Sim_csr.inform st2 v
   done;
@@ -365,8 +364,7 @@ let test_zero_alloc_steady_state () =
      randomized protocols additionally pay the Rng's boxed int64 draws, so
      flood is the clean probe of the kernel itself). *)
   let g = Gen.gnm (rng ~salt:23 ()) 2000 8000 in
-  let csr = Csr.of_graph g in
-  let t = Sim_csr.create ~jobs:1 csr ~source:0 in
+  let t = Sim_csr.create ~jobs:1 g ~source:0 in
   let r = Rng.create 7 in
   (* Saturate first (flood either completes or reaches its fixpoint). *)
   for _ = 1 to 200 do

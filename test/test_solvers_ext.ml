@@ -162,7 +162,7 @@ let test_uniform_one_is_flood () =
   (* p = 1 behaves like flooding: stalls on C+. *)
   let g = Wx_constructions.Cplus.create 8 in
   let o =
-    Wx_radio.Sim_csr.run ~max_rounds:100 (Wx_graph.Csr.of_graph g)
+    Wx_radio.Sim_csr.run ~max_rounds:100 g
       ~source:(Wx_constructions.Cplus.source g) (Wx_radio.Sim_csr.uniform 1.0)
       (rng ~salt:142 ())
   in
@@ -171,7 +171,7 @@ let test_uniform_one_is_flood () =
 let test_uniform_half_completes_cplus () =
   let g = Wx_constructions.Cplus.create 8 in
   let o =
-    Wx_radio.Sim_csr.run ~max_rounds:5000 (Wx_graph.Csr.of_graph g)
+    Wx_radio.Sim_csr.run ~max_rounds:5000 g
       ~source:(Wx_constructions.Cplus.source g) (Wx_radio.Sim_csr.uniform 0.3)
       (rng ~salt:143 ())
   in

@@ -1,12 +1,11 @@
 module Trace = Wx_radio.Trace
 module Gen = Wx_graph.Gen
-module Csr = Wx_graph.Csr
 module Sim_csr = Wx_radio.Sim_csr
 open Common
 
 let test_trace_records_rounds () =
   let g = Gen.path 5 in
-  let t = Trace.run (Csr.of_graph g) ~source:0 Sim_csr.flood (rng ~salt:190 ()) in
+  let t = Trace.run g ~source:0 Sim_csr.flood (rng ~salt:190 ()) in
   check_true "completed" t.Trace.completed;
   check_int "4 rounds on the path" 4 (List.length t.Trace.rounds);
   (* Informed totals monotone, final = n. *)
@@ -21,7 +20,7 @@ let test_trace_records_rounds () =
 let test_trace_flood_stall_signature () =
   let g = Wx_constructions.Cplus.create 10 in
   let t =
-    Trace.run ~max_rounds:50 (Csr.of_graph g) ~source:(Wx_constructions.Cplus.source g)
+    Trace.run ~max_rounds:50 g ~source:(Wx_constructions.Cplus.source g)
       Sim_csr.flood (rng ~salt:191 ())
   in
   check_true "stalls" (not t.Trace.completed);
@@ -30,7 +29,7 @@ let test_trace_flood_stall_signature () =
 
 let test_trace_render () =
   let g = Gen.star 6 in
-  let t = Trace.run (Csr.of_graph g) ~source:0 Sim_csr.flood (rng ~salt:192 ()) in
+  let t = Trace.run g ~source:0 Sim_csr.flood (rng ~salt:192 ()) in
   let s = Trace.render t in
   check_true "has round line" (String.length s > 20);
   check_true "reports completion"
@@ -42,7 +41,7 @@ let test_trace_render () =
 let test_globally_phased_decay_completes () =
   let g = Gen.random_regular (rng ~salt:193 ()) 32 4 in
   let o =
-    Sim_csr.run ~max_rounds:20_000 (Csr.of_graph g) ~source:0 Sim_csr.decay_globally_phased
+    Sim_csr.run ~max_rounds:20_000 g ~source:0 Sim_csr.decay_globally_phased
       (rng ~salt:194 ())
   in
   check_true "completes" o.Wx_radio.Sim.completed
@@ -71,7 +70,7 @@ let test_run_all_deterministic () =
 let test_trace_spokesmen_cast () =
   let g = Gen.grid 4 4 in
   let t =
-    Trace.run (Csr.of_graph g) ~source:0 (Wx_radio.Spokesmen_cast.protocol g) (rng ~salt:196 ())
+    Trace.run g ~source:0 (Wx_radio.Spokesmen_cast.protocol g) (rng ~salt:196 ())
   in
   check_true "completes" t.Trace.completed;
   check_int "population recorded" 16 t.Trace.population
