@@ -13,18 +13,17 @@
                                                refuses to overwrite sans --force
      wx bench diff OLD.json NEW.json           noise-aware wall-time gate, a
                                                deterministic allocation gate
-                                               (--alloc-tolerance, --alloc-only)
-                                               and a noise-aware throughput gate
-                                               (--rate-tolerance, --rate-only)
+                                               (--alloc-only) and a noise-aware
+                                               throughput gate (--rate-only)
      wx bench util REPORT.json                 pool-utilization summary of one
                                                report (busy fractions, idle tail)
      wx bench history append REPORT.json       digest a report into the perf-
                                                trajectory ledger (dedup by commit)
      wx bench history show [--metric M] [-e E] entries + per-experiment series
                                                with sparklines (wall|alloc|rate)
-     wx bench history gate [--window K]        trend gate: newest entry vs the
-                                               preceding window, diff's noise
-                                               postures per metric; exit 0/1/2
+     wx bench history gate [--soft]            trend gate: newest entry vs the
+                                               preceding window, diff's rule
+                                               per metric; exit 0/1/2
      wx prof [--out F] [--folded F] [--alloc] -- <cmd> ...
                                                run under Chrome tracing, print
                                                the hottest spans (by self time,
@@ -574,9 +573,10 @@ let provenance_line (r : Report.t) =
    busy fraction and mean idle tail, old -> new, so a diff shows scheduling
    drift (e.g. skewed sharding getting worse) next to the rate verdicts. *)
 let print_util_deltas obs deltas =
+  let util = function Some (e : Report.entry) -> e.Report.util | None -> None in
   let interesting =
     List.filter
-      (fun (d : Report.delta) -> d.Report.old_util <> None || d.Report.new_util <> None)
+      (fun (d : Report.delta) -> util d.Report.d_old <> None || util d.Report.d_new <> None)
       deltas
   in
   if interesting <> [] then begin
@@ -600,8 +600,8 @@ let print_util_deltas obs deltas =
       (fun (d : Report.delta) ->
         T.add_row t
           [
-            d.Report.d_id; busy d.Report.old_util; busy d.Report.new_util;
-            tail d.Report.old_util; tail d.Report.new_util; runs d.Report.new_util;
+            d.Report.d_id; busy (util d.Report.d_old); busy (util d.Report.d_new);
+            tail (util d.Report.d_old); tail (util d.Report.d_new); runs (util d.Report.d_new);
           ])
       interesting;
     say obs "\n-- pool utilization (informational, never gated) --\n";
@@ -612,8 +612,7 @@ let print_util_deltas obs deltas =
    default; one family only under --alloc-only / --rate-only), 2
    malformed/unreadable report — so CI can treat "slower" and "not a
    report" differently. *)
-let cmd_bench_diff obs tolerance min_wall alloc_tolerance alloc_only rate_tolerance rate_only
-    soft old_path new_path =
+let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
   match (Report.load old_path, Report.load new_path) with
   | Error m, _ | _, Error m ->
       Printf.eprintf "bench diff: malformed report: %s\n" m;
@@ -623,10 +622,7 @@ let cmd_bench_diff obs tolerance min_wall alloc_tolerance alloc_only rate_tolera
       List.iter
         (fun w -> Printf.eprintf "warning: %s\n" w)
         (Report.compat_warnings ~old_ ~new_);
-      let deltas =
-        Report.diff ~tolerance ~min_wall_s:min_wall ~alloc_tolerance ~rate_tolerance ~old_ ~new_
-          ()
-      in
+      let deltas = Report.diff ~old_ ~new_ in
       let t =
         T.create
           [
@@ -634,85 +630,83 @@ let cmd_bench_diff obs tolerance min_wall alloc_tolerance alloc_only rate_tolera
             "old minor (w)"; "new minor (w)"; "alloc"; "rate ratio"; "rate";
           ]
       in
+      let verdict_cell = function
+        | None -> "-"
+        | Some (j : Report.judgment) ->
+            Report.verdict_name j.Report.verdict
+            ^ if j.Report.note = "" then "" else " (" ^ j.Report.note ^ ")"
+      in
       List.iter
         (fun (d : Report.delta) ->
+          let w = d.Report.wall in
+          let rate_ratio = match d.Report.rate with Some j -> j.Report.ratio | None -> Float.nan in
           T.add_row t
             [
               d.Report.d_id;
-              T.ff ~dec:3 d.Report.old_median;
-              T.ff ~dec:3 d.Report.new_median;
-              T.ff ~dec:2 d.Report.ratio;
-              (Report.verdict_name d.Report.verdict
-              ^ if d.Report.note = "" then "" else " (" ^ d.Report.note ^ ")");
-              T.ff ~dec:0 d.Report.old_minor_words;
-              T.ff ~dec:0 d.Report.new_minor_words;
-              (match d.Report.alloc_verdict with
-              | None -> "-"
-              | Some v ->
-                  Report.verdict_name v
-                  ^ if d.Report.alloc_note = "" then "" else " (" ^ d.Report.alloc_note ^ ")");
-              T.ff ~dec:2 d.Report.rate_ratio;
-              (match d.Report.rate_verdict with
-              | None -> "-"
-              | Some v ->
-                  Report.verdict_name v
-                  ^ if d.Report.rate_note = "" then "" else " (" ^ d.Report.rate_note ^ ")");
+              T.ff ~dec:3 w.Report.old_median;
+              T.ff ~dec:3 w.Report.new_median;
+              T.ff ~dec:2 w.Report.ratio;
+              verdict_cell (Some w);
+              T.ff ~dec:0 (Report.minor_words d.Report.d_old);
+              T.ff ~dec:0 (Report.minor_words d.Report.d_new);
+              verdict_cell d.Report.alloc;
+              T.ff ~dec:2 rate_ratio;
+              verdict_cell d.Report.rate;
             ];
           event obs "bench.delta"
             ([
                ("id", J.String d.Report.d_id);
-               ("verdict", J.String (Report.verdict_name d.Report.verdict));
-               ("old_median_s", J.Float d.Report.old_median);
-               ("new_median_s", J.Float d.Report.new_median);
-               ("ratio", J.Float d.Report.ratio);
+               ("verdict", J.String (Report.verdict_name w.Report.verdict));
+               ("old_median_s", J.Float w.Report.old_median);
+               ("new_median_s", J.Float w.Report.new_median);
+               ("ratio", J.Float w.Report.ratio);
              ]
-            @ (match d.Report.alloc_verdict with
+            @ (match d.Report.alloc with
               | None -> []
-              | Some v ->
+              | Some j ->
                   [
-                    ("alloc_verdict", J.String (Report.verdict_name v));
-                    ("old_minor_words", J.Float d.Report.old_minor_words);
-                    ("new_minor_words", J.Float d.Report.new_minor_words);
-                    ("alloc_ratio", J.Float d.Report.alloc_ratio);
+                    ("alloc_verdict", J.String (Report.verdict_name j.Report.verdict));
+                    ("old_minor_words", J.Float j.Report.old_median);
+                    ("new_minor_words", J.Float j.Report.new_median);
+                    ("alloc_ratio", J.Float j.Report.ratio);
                   ])
             @
-            match d.Report.rate_verdict with
+            match d.Report.rate with
             | None -> []
-            | Some v ->
+            | Some j ->
                 [
-                  ("rate_verdict", J.String (Report.verdict_name v));
-                  ("rate_ratio", J.Float d.Report.rate_ratio);
-                  ("rate_note", J.String d.Report.rate_note);
+                  ("rate_verdict", J.String (Report.verdict_name j.Report.verdict));
+                  ("rate_ratio", J.Float j.Report.ratio);
+                  ("rate_note", J.String j.Report.note);
                 ]))
         deltas;
       say obs "%s" (T.render t);
       print_util_deltas obs deltas;
-      if Report.alloc_skipped deltas then
+      if Report.skipped Report.Alloc deltas then
         Printf.eprintf
-          "warning: alloc verdict skipped where a side lacks an alloc block (pre-v3 report or \
-           Memgc off); wall-time verdicts are unaffected\n";
-      if Report.rate_skipped deltas then
+          "warning: alloc verdict skipped where a side lacks an alloc block (Memgc off); \
+           wall-time verdicts are unaffected\n";
+      if Report.skipped Report.Rate deltas then
         Printf.eprintf
-          "warning: rate verdict skipped where the sides share no work kinds (pre-v4 report or \
-           Metrics off); wall-time verdicts are unaffected\n";
-      let wall_regs = Report.regressions deltas in
-      let alloc_regs = Report.alloc_regressions deltas in
-      let rate_regs = Report.rate_regressions deltas in
-      if wall_regs <> [] then
-        Printf.eprintf "%d experiment%s regressed on wall time: %s%s\n" (List.length wall_regs)
-          (if List.length wall_regs = 1 then "" else "s")
-          (String.concat ", " (List.map (fun (d : Report.delta) -> d.Report.d_id) wall_regs))
-          (if alloc_only || rate_only then " (not failing on these)" else "");
-      if alloc_regs <> [] then
-        Printf.eprintf "%d experiment%s regressed on allocation: %s%s\n" (List.length alloc_regs)
-          (if List.length alloc_regs = 1 then "" else "s")
-          (String.concat ", " (List.map (fun (d : Report.delta) -> d.Report.d_id) alloc_regs))
-          (if rate_only then " (--rate-only: not failing on these)" else "");
-      if rate_regs <> [] then
-        Printf.eprintf "%d experiment%s regressed on throughput: %s%s\n" (List.length rate_regs)
-          (if List.length rate_regs = 1 then "" else "s")
-          (String.concat ", " (List.map (fun (d : Report.delta) -> d.Report.d_id) rate_regs))
-          (if alloc_only then " (--alloc-only: not failing on these)" else "");
+          "warning: rate verdict skipped where the sides share no work kinds (Metrics off); \
+           wall-time verdicts are unaffected\n";
+      let wall_regs = Report.regressions Report.Wall deltas in
+      let alloc_regs = Report.regressions Report.Alloc deltas in
+      let rate_regs = Report.regressions Report.Rate deltas in
+      let report_regs regs what excuse =
+        if regs <> [] then
+          Printf.eprintf "%d experiment%s regressed on %s: %s%s\n" (List.length regs)
+            (if List.length regs = 1 then "" else "s")
+            what
+            (String.concat ", " (List.map (fun (d : Report.delta) -> d.Report.d_id) regs))
+            excuse
+      in
+      report_regs wall_regs "wall time"
+        (if alloc_only || rate_only then " (not failing on these)" else "");
+      report_regs alloc_regs "allocation"
+        (if rate_only then " (--rate-only: not failing on these)" else "");
+      report_regs rate_regs "throughput"
+        (if alloc_only then " (--alloc-only: not failing on these)" else "");
       let failing =
         if alloc_only then alloc_regs
         else if rate_only then rate_regs
@@ -731,13 +725,14 @@ let cmd_bench_diff obs tolerance min_wall alloc_tolerance alloc_only rate_tolera
           ("soft", J.Bool soft);
           ("exit_code", J.Int code);
         ];
-      if failing = [] then
+      if failing = [] then begin
+        let pct m = 100.0 *. (Report.rule m).Report.tolerance in
         say obs
           "no %sregressions (wall tolerance %.0f%%, floor %.0fms; alloc tolerance %.1f%%; rate \
            tolerance %.0f%%)\n"
           (if alloc_only then "allocation " else if rate_only then "throughput " else "")
-          (100.0 *. tolerance) (1e3 *. min_wall)
-          (100.0 *. alloc_tolerance) (100.0 *. rate_tolerance)
+          (pct Report.Wall) (1e3 *. Report.min_wall_s) (pct Report.Alloc) (pct Report.Rate)
+      end
       else if soft then Printf.eprintf "(--soft: reporting only, not failing)\n";
       code
 
@@ -807,9 +802,9 @@ let metric_fmt metric v =
   if Float.is_nan v then "-"
   else
     match metric with
-    | Ledger.Wall -> T.ff ~dec:3 v
-    | Ledger.Alloc -> T.ff ~dec:0 v
-    | Ledger.Rate -> T.ff ~dec:1 v
+    | Report.Wall -> T.ff ~dec:3 v
+    | Report.Alloc -> T.ff ~dec:0 v
+    | Report.Rate -> T.ff ~dec:1 v
 
 (* Digest one report into the ledger. A re-record at the same commit
    replaces the old entry (Ledger.append), so running this in CI on every
@@ -894,9 +889,9 @@ let cmd_history_show obs metric exp_filter ledger_path =
       in
       let unit_name =
         match metric with
-        | Ledger.Wall -> "median wall (s)"
-        | Ledger.Alloc -> "minor words"
-        | Ledger.Rate -> "units/sec"
+        | Report.Wall -> "median wall (s)"
+        | Report.Alloc -> "minor words"
+        | Report.Rate -> "units/sec"
       in
       let mt =
         T.create [ "experiment"; "kind"; "n"; "latest"; "min"; "max"; "oldest..newest" ]
@@ -924,7 +919,7 @@ let cmd_history_show obs metric exp_filter ledger_path =
         event obs "history.series"
           [
             ("id", J.String id);
-            ("metric", J.String (Ledger.metric_name metric));
+            ("metric", J.String (Report.metric_name metric));
             ("kind", J.String kind);
             ("values", J.List (List.map (fun v -> J.Float v) s));
           ]
@@ -932,19 +927,18 @@ let cmd_history_show obs metric exp_filter ledger_path =
       List.iter
         (fun id ->
           match metric with
-          | Ledger.Rate -> List.iter (add_series id) (Ledger.rate_kinds ~id entries)
-          | Ledger.Wall | Ledger.Alloc -> add_series id "")
+          | Report.Rate -> List.iter (add_series id) (Ledger.rate_kinds ~id entries)
+          | Report.Wall | Report.Alloc -> add_series id "")
         ids;
-      say obs "\n-- %s per experiment (%s) --\n%s" (Ledger.metric_name metric) unit_name
+      say obs "\n-- %s per experiment (%s) --\n%s" (Report.metric_name metric) unit_name
         (T.render mt);
       0
 
 (* Trend gate: the newest ledger entry judged against the window that
-   precedes it, with the diff's own noise posture per metric (see
-   Ledger.gate). Exit codes mirror bench diff: 0 clean (or --soft), 1 a
-   trend regression, 2 malformed ledger. *)
-let cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance window soft
-    ledger_path =
+   precedes it, with the diff's own rule per metric (see Ledger.gate).
+   Exit codes mirror bench diff: 0 clean (or --soft), 1 a trend
+   regression, 2 malformed ledger. *)
+let cmd_history_gate obs soft ledger_path =
   match Ledger.load ledger_path with
   | Error m ->
       Printf.eprintf "bench history gate: %s\n" m;
@@ -953,17 +947,15 @@ let cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance windo
       say obs "empty ledger %s: nothing to gate\n" ledger_path;
       0
   | Ok entries ->
-      let trends =
-        Ledger.gate ~tolerance ~min_wall_s:min_wall ~alloc_tolerance ~rate_tolerance ~window
-          entries
-      in
+      let trends = Ledger.gate entries in
       let newest = List.nth entries (List.length entries - 1) in
+      let prior = min (Ledger.window - 1) (List.length entries - 1) in
       say obs "gating %s (%s%s) against the %d preceding entr%s of %s\n"
         (short_commit newest.Ledger.l_commit)
         newest.Ledger.l_generated
         (if newest.Ledger.l_dirty then ", dirty" else "")
-        (min (window - 1) (List.length entries - 1))
-        (if min (window - 1) (List.length entries - 1) = 1 then "y" else "ies")
+        prior
+        (if prior = 1 then "y" else "ies")
         ledger_path;
       let t =
         T.create
@@ -971,34 +963,39 @@ let cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance windo
       in
       List.iter
         (fun (tr : Ledger.trend) ->
+          let j = tr.Ledger.t_judgment and note = Ledger.note tr in
+          let field f = match j with Some j -> f j | None -> Float.nan in
+          let baseline = field (fun j -> j.Report.old_median)
+          and latest = List.nth tr.Ledger.t_series (List.length tr.Ledger.t_series - 1)
+          and ratio = field (fun j -> j.Report.ratio) in
           T.add_row t
             [
               tr.Ledger.t_exp;
-              Ledger.metric_name tr.Ledger.t_metric;
+              Report.metric_name tr.Ledger.t_metric;
               (if tr.Ledger.t_kind = "" then "-" else tr.Ledger.t_kind);
-              metric_fmt tr.Ledger.t_metric tr.Ledger.t_baseline;
-              metric_fmt tr.Ledger.t_metric tr.Ledger.t_latest;
-              (if Float.is_nan tr.Ledger.t_ratio then "-" else T.ff ~dec:2 tr.Ledger.t_ratio);
-              (match tr.Ledger.t_verdict with
-              | None -> "- (" ^ tr.Ledger.t_note ^ ")"
-              | Some v ->
-                  Report.verdict_name v
-                  ^ if tr.Ledger.t_note = "" then "" else " (" ^ tr.Ledger.t_note ^ ")");
+              metric_fmt tr.Ledger.t_metric baseline;
+              metric_fmt tr.Ledger.t_metric latest;
+              (if Float.is_nan ratio then "-" else T.ff ~dec:2 ratio);
+              (match j with
+              | None -> "- (" ^ note ^ ")"
+              | Some j ->
+                  Report.verdict_name j.Report.verdict
+                  ^ if note = "" then "" else " (" ^ note ^ ")");
               Ledger.sparkline tr.Ledger.t_series;
             ];
           event obs "history.trend"
             [
               ("id", J.String tr.Ledger.t_exp);
-              ("metric", J.String (Ledger.metric_name tr.Ledger.t_metric));
+              ("metric", J.String (Report.metric_name tr.Ledger.t_metric));
               ("kind", J.String tr.Ledger.t_kind);
               ( "verdict",
-                match tr.Ledger.t_verdict with
+                match j with
                 | None -> J.Null
-                | Some v -> J.String (Report.verdict_name v) );
-              ("baseline", J.Float tr.Ledger.t_baseline);
-              ("latest", J.Float tr.Ledger.t_latest);
-              ("ratio", J.Float tr.Ledger.t_ratio);
-              ("note", J.String tr.Ledger.t_note);
+                | Some j -> J.String (Report.verdict_name j.Report.verdict) );
+              ("baseline", J.Float baseline);
+              ("latest", J.Float latest);
+              ("ratio", J.Float ratio);
+              ("note", J.String note);
             ])
         trends;
       say obs "%s" (T.render t);
@@ -1008,14 +1005,14 @@ let cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance windo
         [
           ("ledger", J.String ledger_path);
           ("entries", J.Int (List.length entries));
-          ("window", J.Int window);
+          ("window", J.Int Ledger.window);
           ( "regressions",
             J.List
               (List.map
                  (fun (tr : Ledger.trend) ->
                    J.String
                      (tr.Ledger.t_exp ^ "/"
-                     ^ Ledger.metric_name tr.Ledger.t_metric
+                     ^ Report.metric_name tr.Ledger.t_metric
                      ^ if tr.Ledger.t_kind = "" then "" else "/" ^ tr.Ledger.t_kind))
                  regs) );
           ("soft", J.Bool soft);
@@ -1028,15 +1025,14 @@ let cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance windo
              (List.map
                 (fun (tr : Ledger.trend) ->
                   Printf.sprintf "%s (%s%s)" tr.Ledger.t_exp
-                    (Ledger.metric_name tr.Ledger.t_metric)
+                    (Report.metric_name tr.Ledger.t_metric)
                     (if tr.Ledger.t_kind = "" then "" else " " ^ tr.Ledger.t_kind))
                 regs));
         if soft then Printf.eprintf "(--soft: reporting only, not failing)\n"
       end
       else
-        say obs "no trend regressions over the last %d entr%s\n"
-          (min window (List.length entries))
-          (if min window (List.length entries) = 1 then "y" else "ies");
+        say obs "no trend regressions over the last %d entr%s\n" (prior + 1)
+          (if prior = 0 then "y" else "ies");
       code
 
 (* ---- prof ---- *)
@@ -1513,35 +1509,12 @@ let bench_record_cmd =
              $ quick $ repeats $ only $ force $ out))
 
 let bench_diff_cmd =
-  let tolerance =
-    Arg.(value & opt float Obs.Report.default_tolerance
-         & info [ "tolerance"; "t" ] ~docv:"FRAC"
-             ~doc:"Relative median change needed to call a regression (default 0.25).")
-  in
-  let min_wall =
-    Arg.(value & opt float Obs.Report.default_min_wall_s
-         & info [ "min-wall" ] ~docv:"SECONDS"
-             ~doc:"Experiments with both medians under this floor are always within noise.")
-  in
-  let alloc_tolerance =
-    Arg.(value & opt float Obs.Report.default_alloc_tolerance
-         & info [ "alloc-tolerance" ] ~docv:"FRAC"
-             ~doc:"Relative minor-words change needed to call an allocation regression \
-                   (default 0.01 — minor words are deterministic, so no noise floor applies).")
-  in
   let alloc_only =
     Arg.(value & flag
          & info [ "alloc-only" ]
              ~doc:"Fail (exit 1) only on allocation regressions; wall-time regressions are \
                    still reported but do not affect the exit code. Lets CI run a hard alloc \
                    gate next to a soft wall-time gate.")
-  in
-  let rate_tolerance =
-    Arg.(value & opt float Obs.Report.default_rate_tolerance
-         & info [ "rate-tolerance" ] ~docv:"FRAC"
-             ~doc:"Relative units/sec drop needed to call a throughput regression (default \
-                   0.25). Like the wall gate it is noise-aware: the per-kind rate ranges must \
-                   also be disjoint, and experiments under the wall floor never fire.")
   in
   let rate_only =
     Arg.(value & flag
@@ -1560,12 +1533,9 @@ let bench_diff_cmd =
     (Cmd.info "diff"
        ~doc:"Compare two wx-bench reports; exit 1 on a regression, 2 on a malformed report")
     (with_obs "bench.diff"
-       Term.(const (fun tolerance min_wall alloc_tolerance alloc_only rate_tolerance rate_only
-                        soft o n obs ->
-                 cmd_bench_diff obs tolerance min_wall alloc_tolerance alloc_only rate_tolerance
-                   rate_only soft o n)
-             $ tolerance $ min_wall $ alloc_tolerance $ alloc_only $ rate_tolerance $ rate_only
-             $ soft $ old_path $ new_path))
+       Term.(const (fun alloc_only rate_only soft o n obs ->
+                 cmd_bench_diff obs alloc_only rate_only soft o n)
+             $ alloc_only $ rate_only $ soft $ old_path $ new_path))
 
 let bench_util_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"REPORT.json") in
@@ -1584,12 +1554,12 @@ let ledger_arg =
 
 let metric_conv =
   let parse = function
-    | "wall" -> Ok Ledger.Wall
-    | "alloc" -> Ok Ledger.Alloc
-    | "rate" -> Ok Ledger.Rate
+    | "wall" -> Ok Report.Wall
+    | "alloc" -> Ok Report.Alloc
+    | "rate" -> Ok Report.Rate
     | s -> Error (`Msg (Printf.sprintf "unknown metric %S (expected wall, alloc or rate)" s))
   in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Ledger.metric_name m))
+  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Report.metric_name m))
 
 let bench_history_append_cmd =
   let report = Arg.(required & pos 0 (some string) None & info [] ~docv:"REPORT.json") in
@@ -1603,7 +1573,7 @@ let bench_history_append_cmd =
 
 let bench_history_show_cmd =
   let metric =
-    Arg.(value & opt metric_conv Ledger.Wall
+    Arg.(value & opt metric_conv Report.Wall
          & info [ "metric"; "m" ] ~docv:"METRIC"
              ~doc:"Series to render: $(b,wall) (median seconds), $(b,alloc) (minor words) or \
                    $(b,rate) (units/sec per work kind).")
@@ -1621,34 +1591,6 @@ let bench_history_show_cmd =
              $ metric $ exp $ ledger_arg))
 
 let bench_history_gate_cmd =
-  let tolerance =
-    Arg.(value & opt float Obs.Report.default_tolerance
-         & info [ "tolerance"; "t" ] ~docv:"FRAC"
-             ~doc:"Relative wall-trend change needed to call a regression (default 0.25).")
-  in
-  let min_wall =
-    Arg.(value & opt float Obs.Report.default_min_wall_s
-         & info [ "min-wall" ] ~docv:"SECONDS"
-             ~doc:"Wall and rate trends where every sample sits under this floor never fire.")
-  in
-  let alloc_tolerance =
-    Arg.(value & opt float Obs.Report.default_alloc_tolerance
-         & info [ "alloc-tolerance" ] ~docv:"FRAC"
-             ~doc:"Relative minor-words drift against the window median that fails the gate \
-                   (default 0.01).")
-  in
-  let rate_tolerance =
-    Arg.(value & opt float Obs.Report.default_rate_tolerance
-         & info [ "rate-tolerance" ] ~docv:"FRAC"
-             ~doc:"Relative units/sec drop against the window median that fails the gate \
-                   (default 0.25).")
-  in
-  let window =
-    Arg.(value & opt int Ledger.default_window
-         & info [ "window"; "w" ] ~docv:"K"
-             ~doc:"Entries considered: the newest is the candidate, the preceding K-1 the \
-                   baseline window (default 8).")
-  in
   let soft =
     Arg.(value & flag
          & info [ "soft" ]
@@ -1661,12 +1603,8 @@ let bench_history_gate_cmd =
              rate trends, deterministic alloc drift); exit 1 on a trend regression, 2 on a \
              malformed ledger")
     (with_obs "bench.history.gate"
-       Term.(const (fun tolerance min_wall alloc_tolerance rate_tolerance window soft ledger
-                        obs ->
-                 cmd_history_gate obs tolerance min_wall alloc_tolerance rate_tolerance window
-                   soft ledger)
-             $ tolerance $ min_wall $ alloc_tolerance $ rate_tolerance $ window $ soft
-             $ ledger_arg))
+       Term.(const (fun soft ledger obs -> cmd_history_gate obs soft ledger)
+             $ soft $ ledger_arg))
 
 let bench_history_cmd =
   Cmd.group

@@ -152,9 +152,14 @@ let parse_string c =
         | Some 'b' -> Buffer.add_char buf '\b'
         | Some 'f' -> Buffer.add_char buf '\012'
         | Some 'u' ->
-            if c.pos + 4 >= String.length c.src then fail c "bad \\u escape";
-            let hex = String.sub c.src (c.pos + 1) 4 in
-            let code = int_of_string ("0x" ^ hex) in
+            let digit i =
+              match if c.pos + i < String.length c.src then c.src.[c.pos + i] else ' ' with
+              | '0' .. '9' as d -> Char.code d - Char.code '0'
+              | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+              | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+              | _ -> fail c "bad \\u escape (want four hex digits)"
+            in
+            let code = List.fold_left (fun acc i -> (acc * 16) + digit i) 0 [ 1; 2; 3; 4 ] in
             (* Only BMP codepoints we emit ourselves (control chars): keep it
                simple and store the raw byte for < 0x80, else a '?'. *)
             if code < 0x80 then Buffer.add_char buf (Char.chr code)

@@ -19,21 +19,11 @@
    tree does not grow the file. "unknown" commits (outside a checkout)
    always append; there is nothing to key them on.
 
-   The trend gate reuses the diff's noise posture per metric, with the
-   newest entry as the candidate and the preceding window as the
-   baseline sample set:
-   - wall: regression iff latest/median(window) > 1 + tolerance AND the
-     latest value lies outside the window's range (latest > max) — the
-     diff's median-ratio + disjoint-range rule with the window playing
-     the old report's sample list; the 50ms floor applies unchanged.
-   - alloc: minor words are deterministic per seed/jobs, so the ratio
-     against the window median gates alone at 1% with no range test —
-     which is exactly what catches slow drift: per-PR steps under 1%
-     accumulate against the window median until the gate fires.
-   - rate: units/sec inherit wall noise through the denominator, so the
-     rule mirrors wall on the rate axis (regression iff the latest rate
-     falls below 1/(1+tolerance) of the window median AND under the
-     window minimum), skipped while walls sit under the floor. *)
+   The trend gate applies the diff's own rule (Report.judge) per series,
+   with the newest entry's value as the new side and the earlier values of
+   the last [window] entries as the old side's samples. For alloc that is
+   exactly what catches slow drift: per-PR steps under 1% accumulate
+   against the window median until the gate fires. *)
 
 let schema = "wx-ledger/1"
 
@@ -253,10 +243,6 @@ let append entries e =
 
 (* ---- series extraction ---- *)
 
-type metric = Wall | Alloc | Rate
-
-let metric_name = function Wall -> "wall" | Alloc -> "alloc" | Rate -> "rate"
-
 let find_exp id e = List.find_opt (fun x -> x.x_id = id) e.l_exps
 
 (* Aligned with [entries]: NaN marks entries where the experiment (or the
@@ -268,9 +254,9 @@ let series metric ?(kind = "") ~id entries =
       | None -> Float.nan
       | Some x -> (
           match metric with
-          | Wall -> x.x_wall_s
-          | Alloc -> x.x_minor_words
-          | Rate -> (
+          | Report.Wall -> x.x_wall_s
+          | Report.Alloc -> x.x_minor_words
+          | Report.Rate -> (
               match List.assoc_opt kind x.x_rates with Some v -> v | None -> Float.nan)))
     entries
 
@@ -312,125 +298,62 @@ let sparkline xs =
 
 type trend = {
   t_exp : string;
-  t_metric : metric;
+  t_metric : Report.metric;
   t_kind : string;  (* work kind for Rate; "" otherwise *)
-  t_verdict : Report.verdict option;  (* None: not enough history to judge *)
-  t_latest : float;
-  t_baseline : float;  (* median of the prior window; nan when None *)
-  t_ratio : float;
-  t_note : string;
+  t_judgment : Report.judgment option;  (* None: nothing to judge, see [note] *)
   t_series : float list;  (* window-aligned, oldest..newest, NaN = missing *)
 }
 
-let default_window = 8
+let window = 8
 
 let last_n n xs =
   let len = List.length xs in
   if len <= n then xs else List.filteri (fun i _ -> i >= len - n) xs
 
-let split_last xs =
-  match List.rev xs with [] -> None | last :: rev_prev -> Some (List.rev rev_prev, last)
+let known = List.filter (fun v -> not (Float.is_nan v))
 
-(* One metric judged: [prev] are the window's known values, [latest] the
-   candidate. [ranged] selects the wall posture (ratio AND outside the
-   window range) vs the deterministic alloc posture (ratio alone);
-   [lower_is_better] flips the axis for rates. *)
-let judge ~tolerance ~ranged ~lower_is_better ~prev ~latest =
-  let baseline = Report.median prev in
-  let ratio = latest /. baseline in
-  let lo = List.fold_left Float.min infinity prev in
-  let hi = List.fold_left Float.max neg_infinity prev in
-  let worse_ratio, better_ratio, worse_range, better_range =
-    if lower_is_better then
-      (ratio < 1.0 /. (1.0 +. tolerance), ratio > 1.0 +. tolerance, latest < lo, latest > hi)
-    else (ratio > 1.0 +. tolerance, ratio < 1.0 -. tolerance, latest > hi, latest < lo)
-  in
-  let verdict =
-    if worse_ratio && ((not ranged) || worse_range) then Report.Regression
-    else if better_ratio && ((not ranged) || better_range) then Report.Improvement
-    else Report.Within_noise
-  in
-  let note =
-    match verdict with
-    | Report.Regression ->
-        if lower_is_better then
-          Printf.sprintf "%.0f%% below the window median and under its range (min %.3g)"
-            (100.0 *. (1.0 -. ratio)) lo
-        else
-          Printf.sprintf "+%.0f%% over the window median%s" (100.0 *. (ratio -. 1.0))
-            (if ranged then Printf.sprintf " and over its range (max %.3g)" hi else "")
-    | Report.Improvement ->
-        if lower_is_better then Printf.sprintf "+%.0f%% over the window median" (100.0 *. (ratio -. 1.0))
-        else Printf.sprintf "-%.0f%% under the window median" (100.0 *. (1.0 -. ratio))
-    | _ -> ""
-  in
-  (verdict, baseline, ratio, note)
+(* The window's earlier values and the newest one, which is NaN when the
+   newest entry lacks the series. *)
+let split_newest xs =
+  match List.rev xs with [] -> ([], Float.nan) | v :: rev_prev -> (List.rev rev_prev, v)
 
-let gate ?(tolerance = Report.default_tolerance) ?(min_wall_s = Report.default_min_wall_s)
-    ?(alloc_tolerance = Report.default_alloc_tolerance)
-    ?(rate_tolerance = Report.default_rate_tolerance) ?(window = default_window) entries =
+let gate entries =
   let entries = last_n window entries in
   match List.rev entries with
   | [] -> []
   | newest :: _ ->
-      let trend ~metric ~kind ~id =
+      let trend metric kind id =
         let ser = series metric ~kind ~id entries in
-        let known = List.filter (fun v -> not (Float.is_nan v)) ser in
-        let base =
-          {
-            t_exp = id;
-            t_metric = metric;
-            t_kind = kind;
-            t_verdict = None;
-            t_latest = (match List.rev known with v :: _ -> v | [] -> Float.nan);
-            t_baseline = Float.nan;
-            t_ratio = Float.nan;
-            t_note = "insufficient history";
-            t_series = ser;
-          }
+        let prev, latest = split_newest ser in
+        let judgment =
+          match known prev with
+          | [] -> None
+          | _ when Float.is_nan latest -> None (* never judge an older value in its place *)
+          | old_ ->
+              let prev_walls, wall = split_newest (series Report.Wall ~id entries) in
+              Some
+                (Report.judge ~walls:(known prev_walls, [ wall ]) metric ~old_ ~new_:[ latest ])
         in
-        match split_last known with
-        | None | Some ([], _) -> base
-        | Some (prev, latest) ->
-            (* The wall floor applies to wall AND rate trends: under it,
-               timer resolution dominates both axes. *)
-            let walls = List.filter (fun v -> not (Float.is_nan v)) (series Wall ~id entries) in
-            let under_floor = List.for_all (fun w -> w < min_wall_s) walls in
-            if metric <> Alloc && under_floor then
-              {
-                base with
-                t_verdict = Some Report.Within_noise;
-                t_baseline = Report.median prev;
-                t_ratio = latest /. Report.median prev;
-                t_note = Printf.sprintf "all walls under %.0fms floor" (1e3 *. min_wall_s);
-              }
-            else
-              let tolerance, ranged, lower_is_better =
-                match metric with
-                | Wall -> (tolerance, true, false)
-                | Alloc -> (alloc_tolerance, false, false)
-                | Rate -> (rate_tolerance, true, true)
-              in
-              let verdict, baseline, ratio, note =
-                judge ~tolerance ~ranged ~lower_is_better ~prev ~latest
-              in
-              {
-                base with
-                t_verdict = Some verdict;
-                t_latest = latest;
-                t_baseline = baseline;
-                t_ratio = ratio;
-                t_note = note;
-              }
+        { t_exp = id; t_metric = metric; t_kind = kind; t_judgment = judgment; t_series = ser }
       in
       (* Only experiments alive in the newest entry are gated: a removed
          experiment has no trajectory left to protect. *)
       List.concat_map
         (fun x ->
           let id = x.x_id in
-          [ trend ~metric:Wall ~kind:"" ~id; trend ~metric:Alloc ~kind:"" ~id ]
-          @ List.map (fun k -> trend ~metric:Rate ~kind:k ~id) (rate_kinds ~id entries))
+          [ trend Report.Wall "" id; trend Report.Alloc "" id ]
+          @ List.map (fun k -> trend Report.Rate k id) (rate_kinds ~id entries))
         newest.l_exps
 
+let note t =
+  match t.t_judgment with
+  | Some j -> j.Report.note
+  | None ->
+      if Float.is_nan (snd (split_newest t.t_series)) then "absent from the newest entry"
+      else "insufficient history"
+
 let regressions trends =
-  List.filter (fun t -> t.t_verdict = Some Report.Regression) trends
+  List.filter
+    (fun t ->
+      match t.t_judgment with Some j -> j.Report.verdict = Report.Regression | None -> false)
+    trends

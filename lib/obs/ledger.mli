@@ -8,11 +8,7 @@
     count and the derived units/sec per {!Work} kind — so drift that
     stays inside every single diff's tolerance is still visible (and
     gateable) across PRs. {!gate} judges the newest entry against the
-    preceding window with the diff's own noise posture per metric: the
-    wall verdict needs a median-ratio breach {e and} the latest value
-    outside the window range (under the same 50ms floor), the alloc
-    verdict is a bare 1% ratio (minor words are deterministic), and the
-    rate verdict mirrors the wall rule on the units/sec axis. *)
+    preceding window with the diff's own rule, {!Report.judge}. *)
 
 val schema : string
 (** ["wx-ledger/1"], carried on every NDJSON line. *)
@@ -60,11 +56,7 @@ val append : entry list -> entry -> entry list
 
 (** {2 Series and rendering} *)
 
-type metric = Wall | Alloc | Rate
-
-val metric_name : metric -> string
-
-val series : metric -> ?kind:string -> id:string -> entry list -> float list
+val series : Report.metric -> ?kind:string -> id:string -> entry list -> float list
 (** The metric's value per entry, aligned with [entries] (oldest first);
     NaN marks entries where the experiment, alloc block or rate [kind]
     is absent, so a sparkline keeps the commit axis. *)
@@ -84,39 +76,27 @@ val sparkline : float list -> string
 
 type trend = {
   t_exp : string;
-  t_metric : metric;
+  t_metric : Report.metric;
   t_kind : string;  (** work kind for [Rate]; [""] otherwise *)
-  t_verdict : Report.verdict option;
-      (** [None] when the window holds fewer than two known points
-          ("insufficient history" — never a failure) *)
-  t_latest : float;
-  t_baseline : float;  (** median of the prior window; NaN when [None] *)
-  t_ratio : float;  (** latest / baseline *)
-  t_note : string;
+  t_judgment : Report.judgment option;
+      (** [None] when the window holds no earlier value or the newest entry
+          lacks the series — never a failure; {!note} says which *)
   t_series : float list;  (** window-aligned, oldest..newest, NaN = missing *)
 }
 
-val default_window : int
+val window : int
 (** 8 — entries considered by {!gate} (the newest is the candidate, the
     rest the baseline window). *)
 
-val gate :
-  ?tolerance:float ->
-  ?min_wall_s:float ->
-  ?alloc_tolerance:float ->
-  ?rate_tolerance:float ->
-  ?window:int ->
-  entry list ->
-  trend list
-(** Trend verdicts over the last [window] entries, one row per
+val gate : entry list -> trend list
+(** Trend verdicts over the last {!window} entries, one row per
     (experiment in the newest entry) × metric, plus one per recorded
-    rate kind. Wall: {!Report.Regression} iff latest/median(window)
-    exceeds [1 + tolerance] {e and} latest exceeds the window max (floor
-    [min_wall_s] applies as in the diff). Alloc: plain ratio against
-    [alloc_tolerance], no range test — deterministic counts make the
-    window median a drift detector. Rate: the wall rule mirrored on the
-    units/sec axis ([1 / (1 + rate_tolerance)], latest under the window
-    min), skipped while every wall in the window sits under the floor.
-    Defaults come from {!Report}. *)
+    rate kind: {!Report.judge} with the series' earlier known values as
+    the old samples and the newest entry's value as the one new sample.
+    The wall series behind them decide the 50ms floor. *)
+
+val note : trend -> string
+(** The judgment's note, or why there is none: ["insufficient history"]
+    or ["absent from the newest entry"]. *)
 
 val regressions : trend list -> trend list

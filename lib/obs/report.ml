@@ -1,44 +1,23 @@
-(* Versioned bench reports ("wx-bench/4") and the diff between two of
-   them: a noise-aware wall-time verdict, a deterministic allocation
-   verdict, and a noise-aware throughput (rate) verdict.
+(* Versioned bench reports ("wx-bench/4") and the one regression rule that
+   both `wx bench diff` and `wx bench history gate` apply.
 
-   The wx-bench/1 reports of earlier runs recorded one wall time per
-   experiment and no provenance, so a number could never be traced back to
-   a commit, a host, or a job count — and a single sample gives a diff no
-   way to tell regression from scheduler noise. Schema 2 records the full
-   sample list (one wall time per repeat) plus provenance, and the diff
-   only calls "regression" when the medians moved beyond a relative
-   tolerance AND the two sample ranges do not overlap — both conditions, so
-   neither a noisy single sample nor a tiny absolute wobble on a fast
-   experiment can fail a gate on its own.
+   A report records, per experiment, the full wall-time sample list (one
+   per repeat) and run provenance, so a number can be traced back to a
+   commit, a host and a job count, and a diff can tell regression from
+   scheduler noise: a wall-time regression needs the medians to move
+   beyond a relative tolerance AND the two sample ranges to be disjoint.
+   The "alloc" block (Memgc.counters measured around the run) adds a
+   deterministic axis: minor-word counts are exact for a fixed seed/jobs,
+   so that verdict is a plain 1% ratio with no floor and no range logic —
+   tight where the wall-time verdict must be loose. The "work" block (units
+   per Wx_obs.Work kind) turns wall time into units/sec, which catches an
+   experiment doing half the work in the same wall time; the "util" block
+   (pool busy fraction, per-slot busy/chunks, idle tail) is informational.
 
-   That gate is noise-limited by construction: a 25% tolerance and a 50ms
-   floor let small real hot-path regressions slip through. Schema 3 adds a
-   per-experiment "alloc" block (Memgc.counters measured around the run).
-   Minor-word counts are deterministic for a fixed seed/jobs, so the alloc
-   verdict compares a plain ratio against a 1% tolerance with no floor and
-   no range logic — tight where the wall-time verdict must be loose.
-
-   Wall time alone can hide a throughput loss: an experiment that does
-   half the work in the same wall time passes the wall gate. Schema 4
-   records the work-unit deltas (Wx_obs.Work, e.g. sets_scored /
-   gray_steps / draws) each experiment performed, so the diff can compare
-   units/sec per kind — wall noise divides out identically on both sides,
-   which is why the rate verdict reuses the wall gate's median-ratio +
-   disjoint-ranges rule rather than the alloc gate's strict one. Schema 4
-   also records a "util" block (pool busy fraction, per-slot busy
-   fractions and chunk counts, idle tail) — informational in the diff, and
-   the evidence base for the planned work-stealing kernel.
-
-   [of_json] still accepts wx-bench/3, /2 and /1 (work decodes as [],
-   util/alloc as None, a scalar v1 wall_s becomes a one-sample list), so
-   historical reports remain diffable; the rate/util and alloc verdicts
-   are simply skipped against them. *)
+   [judge] is that rule, once, over two sample lists; [diff] applies it per
+   experiment and the ledger's trend gate per series. *)
 
 let schema = "wx-bench/4"
-let schema_v3 = "wx-bench/3"
-let schema_v2 = "wx-bench/2"
-let schema_v1 = "wx-bench/1"
 
 (* Pool utilization summary, reduced from Wx_par.Pool.util by the bench
    runner (Report cannot depend on Wx_par — the dependency runs the other
@@ -59,9 +38,9 @@ type entry = {
   title : string;
   claim : string;
   wall_s : float list;  (* one sample per repeat, in run order; non-empty *)
-  alloc : Memgc.counters option;  (* None when Memgc was off or pre-v3 *)
-  work : (string * int) list;  (* units per Work kind; [] when off or pre-v4 *)
-  util : util option;  (* None when Metrics was off or pre-v4 *)
+  alloc : Memgc.counters option;  (* None when Memgc was off *)
+  work : (string * int) list;  (* units per Work kind; [] when Metrics was off *)
+  util : util option;  (* None when Metrics was off *)
   holds : int;
   total : int;
   checks : Json.t;  (* opaque per-check rows, passed through verbatim *)
@@ -215,36 +194,31 @@ let int_field name j =
   let* v = field name j in
   as_int name v
 
-let entry_of_json ~v1 j =
+let entry_of_json j =
   let* id = str_field "id" j in
   let* title = str_field "title" j in
   let* claim = str_field "claim" j in
   let* wall_s =
     let* w = field "wall_s" j in
-    if v1 then
-      match Json.to_float_opt w with
-      | Some x -> Ok [ x ]
-      | None -> Error "wall_s is not a number"
-    else
-      match Json.to_list_opt w with
-      | Some (_ :: _ as xs) ->
-          let rec conv acc = function
-            | [] -> Ok (List.rev acc)
-            | x :: rest -> (
-                match Json.to_float_opt x with
-                | Some f -> conv (f :: acc) rest
-                | None -> Error "wall_s sample is not a number")
-          in
-          conv [] xs
-      | Some [] -> Error "wall_s is empty"
-      | None -> Error "wall_s is not a list"
+    match Json.to_list_opt w with
+    | Some (_ :: _ as xs) ->
+        let rec conv acc = function
+          | [] -> Ok (List.rev acc)
+          | x :: rest -> (
+              match Json.to_float_opt x with
+              | Some f -> conv (f :: acc) rest
+              | None -> Error "wall_s sample is not a number")
+        in
+        conv [] xs
+    | Some [] -> Error "wall_s is empty"
+    | None -> Error "wall_s is not a list"
   in
   let* holds = int_field "holds" j in
   let* total = int_field "total" j in
   let checks = Option.value ~default:(Json.List []) (Json.member "checks" j) in
   let metrics = Option.value ~default:Json.Null (Json.member "metrics" j) in
-  (* Absent before v3, and optional even there (Memgc may have been off);
-     a present-but-mangled block is an error, not a silent None. *)
+  (* Absent when Memgc was off; a present-but-mangled block is an error,
+     not a silent None. *)
   let* alloc =
     match Json.member "alloc" j with
     | None -> Ok None
@@ -253,9 +227,8 @@ let entry_of_json ~v1 j =
         | Some c -> Ok (Some c)
         | None -> Error "alloc block is malformed")
   in
-  (* Absent before v4 (and when Metrics was off): work decodes as [], util
-     as None — the diff then skips the rate/util verdicts for this entry,
-     mirroring the alloc compat path. *)
+  (* Absent when Metrics was off: work decodes as [], util as None, and the
+     diff skips the rate verdict for this entry. *)
   let* work =
     match Json.member "work" j with
     | None -> Ok []
@@ -320,13 +293,8 @@ let entry_of_json ~v1 j =
 
 let of_json j =
   let* s = str_field "schema" j in
-  let* v1 =
-    if s = schema || s = schema_v3 || s = schema_v2 then Ok false
-    else if s = schema_v1 then Ok true
-    else
-      Error
-        (Printf.sprintf "unsupported schema %S (want %s, %s, %s or %s)" s schema schema_v3
-           schema_v2 schema_v1)
+  let* () =
+    if s = schema then Ok () else Error (Printf.sprintf "unsupported schema %S (want %s)" s schema)
   in
   let* generated = str_field "generated" j in
   let* seed = int_field "seed" j in
@@ -335,7 +303,7 @@ let of_json j =
     as_bool "quick" q
   in
   let* jobs = int_field "jobs" j in
-  let* repeats = if v1 then Ok 1 else int_field "repeats" j in
+  let* repeats = int_field "repeats" j in
   let provenance =
     match Json.member "provenance" j with
     | Some (Json.Obj kvs) ->
@@ -350,7 +318,7 @@ let of_json j =
         let rec conv acc = function
           | [] -> Ok (List.rev acc)
           | x :: rest -> (
-              match entry_of_json ~v1 x with
+              match entry_of_json x with
               | Ok e -> conv (e :: acc) rest
               | Error m -> Error ("experiment entry: " ^ m))
         in
@@ -372,7 +340,7 @@ let save path t =
   output_char oc '\n';
   close_out oc
 
-(* ---- diff ---- *)
+(* ---- verdicts ---- *)
 
 type verdict = Regression | Improvement | Within_noise | Added | Removed
 
@@ -383,243 +351,172 @@ let verdict_name = function
   | Added -> "added"
   | Removed -> "removed"
 
-type delta = {
-  d_id : string;
+type metric = Wall | Alloc | Rate
+
+let metric_name = function Wall -> "wall" | Alloc -> "alloc" | Rate -> "rate"
+
+type rule = { tolerance : float; ranged : bool; higher_is_worse : bool; floored : bool }
+
+(* The one rule table, shared by `bench diff` and `bench history gate`.
+   Wall time is noisy, so a regression needs both a median ratio beyond
+   25% and disjoint sample ranges. Minor-word counts are deterministic per
+   seed/jobs (DESIGN.md §8), so 1% is not a noise allowance — it only
+   forgives genuinely tiny drifts — and needs no range test and no floor.
+   Rates inherit wall noise through the denominator (units are
+   deterministic, the wall is not), so they take the wall posture on a
+   flipped axis. *)
+let rule = function
+  | Wall -> { tolerance = 0.25; ranged = true; higher_is_worse = true; floored = true }
+  | Alloc -> { tolerance = 0.01; ranged = false; higher_is_worse = true; floored = false }
+  | Rate -> { tolerance = 0.25; ranged = true; higher_is_worse = false; floored = true }
+
+(* Under 50ms timer resolution dominates both the wall and the rate axis. *)
+let min_wall_s = 0.05
+
+type judgment = {
   verdict : verdict;
-  old_median : float;  (* nan when [Added] *)
-  new_median : float;  (* nan when [Removed] *)
-  ratio : float;  (* new/old medians; nan when not comparable *)
+  old_median : float;
+  new_median : float;
+  ratio : float;  (* new/old medians; 0/0 reads as 1, x/0 as infinity *)
   note : string;
-  alloc_verdict : verdict option;  (* None when either side has no alloc *)
-  old_minor_words : float;  (* nan when unknown *)
-  new_minor_words : float;  (* nan when unknown *)
-  alloc_ratio : float;  (* new/old minor words; nan when not comparable *)
-  alloc_note : string;
-  rate_verdict : verdict option;  (* None when either side has no work *)
-  rate_ratio : float;  (* new/old units-per-sec of the worst kind; nan *)
-  rate_note : string;
-  old_util : util option;  (* passed through for rendering deltas *)
-  new_util : util option;
 }
 
-let default_tolerance = 0.25
-let default_min_wall_s = 0.05
+let judge ?walls metric ~old_ ~new_ =
+  let r = rule metric in
+  let om = median old_ and nm = median new_ in
+  let ratio = if om = 0.0 then if nm = 0.0 then 1.0 else Float.infinity else nm /. om in
+  let omin = min_sample old_ and omax = max_sample old_ in
+  let nmin = min_sample new_ and nmax = max_sample new_ in
+  let under_floor =
+    r.floored
+    &&
+    let ow, nw = Option.value walls ~default:(old_, new_) in
+    List.for_all (fun w -> w < min_wall_s) (ow @ nw)
+  in
+  let up = ratio > 1.0 +. r.tolerance && ((not r.ranged) || nmin > omax) in
+  let down =
+    ratio < (if r.higher_is_worse then 1.0 -. r.tolerance else 1.0 /. (1.0 +. r.tolerance))
+    && ((not r.ranged) || nmax < omin)
+  in
+  let verdict =
+    if under_floor then Within_noise
+    else if up then if r.higher_is_worse then Regression else Improvement
+    else if down then if r.higher_is_worse then Improvement else Regression
+    else Within_noise
+  in
+  let note =
+    if under_floor then Printf.sprintf "all walls under %.0fms floor" (1e3 *. min_wall_s)
+    else if verdict = Within_noise then ""
+    else if om = 0.0 then "old side recorded zero"
+    else if r.ranged then
+      Printf.sprintf "%+.0f%%, ranges disjoint (%.3g..%.3g vs %.3g..%.3g)"
+        (100.0 *. (ratio -. 1.0))
+        omin omax nmin nmax
+    else Printf.sprintf "%+.2f%%" (100.0 *. (ratio -. 1.0))
+  in
+  { verdict; old_median = om; new_median = nm; ratio; note }
 
-(* Rates inherit wall noise (units are deterministic, the denominator is
-   not), so the rate gate reuses the wall gate's posture: same default
-   tolerance, same disjoint-ranges requirement, same floor. *)
-let default_rate_tolerance = 0.25
+(* ---- diff ---- *)
 
-(* Minor-word counts are deterministic per seed/jobs (DESIGN.md §8), so
-   1% is not a noise allowance — it only forgives genuinely tiny drifts
-   (an extra closure on a cold path) while catching any real hot-path
-   change, with no floor and no range logic. *)
-let default_alloc_tolerance = 0.01
+type delta = {
+  d_id : string;
+  d_old : entry option;
+  d_new : entry option;
+  wall : judgment;
+  alloc : judgment option;
+  rate : judgment option;
+}
 
-let minor_words_of = function
-  | Some (a : Memgc.counters) -> float_of_int a.Memgc.minor_words
-  | None -> Float.nan
+let minor_words = function
+  | Some ({ alloc = Some a; _ } : entry) -> float_of_int a.Memgc.minor_words
+  | _ -> Float.nan
 
-(* Rate verdict for one work kind: per-sample units/sec on each side
-   (units are per-experiment constants, so every wall sample yields a rate
-   sample), then the wall gate's rule on the rate axis — median ratio
-   beyond tolerance AND disjoint sample ranges, under the same wall floor.
-   Regression means the NEW side is slower: ratio < 1/(1+tol). *)
-let rate_verdict_one ~tolerance ~min_wall_s ~ou ~nu oe ne =
-  let rates units samples = List.map (fun w -> float_of_int units /. w) samples in
-  let or_ = rates ou oe.wall_s and nr = rates nu ne.wall_s in
-  let om = median or_ and nm = median nr in
-  let ratio = nm /. om in
-  if median oe.wall_s < min_wall_s && median ne.wall_s < min_wall_s then
-    (Within_noise, ratio, Printf.sprintf "both under %.0fms floor" (1e3 *. min_wall_s))
-  else if ratio < 1.0 /. (1.0 +. tolerance) && max_sample nr < min_sample or_ then
-    ( Regression,
-      ratio,
-      Printf.sprintf "%.0f%% fewer units/s and ranges disjoint (%.3g..%.3g vs %.3g..%.3g)"
-        (100.0 *. (1.0 -. ratio))
-        (min_sample or_) (max_sample or_) (min_sample nr) (max_sample nr) )
-  else if ratio > 1.0 +. tolerance && min_sample nr > max_sample or_ then
-    (Improvement, ratio, Printf.sprintf "+%.0f%% units/s and ranges disjoint" (100.0 *. (ratio -. 1.0)))
-  else (Within_noise, ratio, "")
-
-(* Across kinds the worst verdict wins: any regressed kind regresses the
-   experiment (doing 30% fewer sets/sec is not excused by drawing samples
-   faster); absent regressions, any improved kind reports improvement. *)
-let rate_verdict ~tolerance ~min_wall_s oe ne =
-  let common =
+(* One judgment per work kind both sides carry: every wall sample yields a
+   units/sec sample (units are per-experiment constants). Across kinds the
+   worst verdict wins — doing 30% fewer sets/sec is not excused by drawing
+   samples faster — and absent regressions any improved kind reports
+   improvement. The note names the deciding kind. *)
+let judge_rate (oe : entry) (ne : entry) =
+  let rates units e = List.map (fun w -> float_of_int units /. w) e.wall_s in
+  let judged =
     List.filter_map
       (fun (k, ou) ->
-        match List.assoc_opt k ne.work with Some nu -> Some (k, ou, nu) | None -> None)
+        Option.map
+          (fun nu ->
+            (k, judge ~walls:(oe.wall_s, ne.wall_s) Rate ~old_:(rates ou oe) ~new_:(rates nu ne)))
+          (List.assoc_opt k ne.work))
       oe.work
   in
-  match common with
-  (* No shared kinds. The note distinguishes "nothing to measure on either
-     side" (a work-less experiment: not a skip) from "one side carries
-     kinds the other lacks" (a v3-or-older side, or Metrics off during one
-     recording: a genuine skip worth warning about). The note is only
-     rendered next to a Some verdict, so it doubles as this flag for free. *)
-  | [] -> (None, Float.nan, if oe.work = [] && ne.work = [] then "" else "no common work kinds")
-  | _ ->
-      let judged =
-        List.map
-          (fun (k, ou, nu) ->
-            let v, r, note = rate_verdict_one ~tolerance ~min_wall_s ~ou ~nu oe ne in
-            (k, v, r, note))
-          common
-      in
-      let pick v = List.find_opt (fun (_, v', _, _) -> v' = v) judged in
-      let k, v, r, note =
-        match pick Regression with
-        | Some x -> x
-        | None -> (
-            match pick Improvement with
-            | Some x -> x
-            | None -> List.hd judged)
-      in
-      (Some v, r, if note = "" then "" else Printf.sprintf "%s %s" k note)
+  let pick v = List.find_opt (fun (_, j) -> j.verdict = v) judged in
+  match (pick Regression, pick Improvement, judged) with
+  | Some (k, j), _, _ | None, Some (k, j), _ | None, None, (k, j) :: _ ->
+      Some { j with note = (if j.note = "" then "" else k ^ " " ^ j.note) }
+  | None, None, [] -> None
 
-let diff ?(tolerance = default_tolerance) ?(min_wall_s = default_min_wall_s)
-    ?(alloc_tolerance = default_alloc_tolerance) ?(rate_tolerance = default_rate_tolerance)
-    ~old_ ~new_ () =
-  let find t id = List.find_opt (fun e -> e.id = id) t.entries in
-  let compare_one oe ne =
-    let om = median oe.wall_s and nm = median ne.wall_s in
-    let ratio = nm /. om in
-    let checks_note =
-      if (ne.holds, ne.total) <> (oe.holds, oe.total) then
-        Printf.sprintf " checks %d/%d -> %d/%d" oe.holds oe.total ne.holds ne.total
-      else ""
-    in
-    let verdict, note =
-      if om < min_wall_s && nm < min_wall_s then
-        (Within_noise, Printf.sprintf "both under %.0fms floor" (1e3 *. min_wall_s))
-      else if ratio > 1.0 +. tolerance && min_sample ne.wall_s > max_sample oe.wall_s then
-        ( Regression,
-          Printf.sprintf "+%.0f%% and ranges disjoint (%.3fs..%.3fs vs %.3fs..%.3fs)"
-            (100.0 *. (ratio -. 1.0))
-            (min_sample oe.wall_s) (max_sample oe.wall_s) (min_sample ne.wall_s)
-            (max_sample ne.wall_s) )
-      else if ratio < 1.0 -. tolerance && max_sample ne.wall_s < min_sample oe.wall_s then
-        (Improvement, Printf.sprintf "-%.0f%% and ranges disjoint" (100.0 *. (1.0 -. ratio)))
-      else (Within_noise, "")
-    in
-    let alloc_verdict, old_mw, new_mw, alloc_ratio, alloc_note =
-      match (oe.alloc, ne.alloc) with
-      | Some oa, Some na ->
-          let ow = float_of_int oa.Memgc.minor_words
-          and nw = float_of_int na.Memgc.minor_words in
-          let r = nw /. ow in
-          if oa.Memgc.minor_words = 0 then
-            if na.Memgc.minor_words = 0 then (Some Within_noise, ow, nw, 1.0, "")
-            else (Some Regression, ow, nw, Float.infinity, "old side recorded zero words")
-          else if r > 1.0 +. alloc_tolerance then
-            (Some Regression, ow, nw, r,
-             Printf.sprintf "minor words +%.2f%%" (100.0 *. (r -. 1.0)))
-          else if r < 1.0 -. alloc_tolerance then
-            (Some Improvement, ow, nw, r,
-             Printf.sprintf "minor words -%.2f%%" (100.0 *. (1.0 -. r)))
-          else (Some Within_noise, ow, nw, r, "")
-      | _ -> (None, minor_words_of oe.alloc, minor_words_of ne.alloc, Float.nan, "")
-    in
-    let rate_verdict, rate_ratio, rate_note =
-      rate_verdict ~tolerance:rate_tolerance ~min_wall_s oe ne
-    in
-    {
-      d_id = oe.id;
-      verdict;
-      old_median = om;
-      new_median = nm;
-      ratio;
-      note = note ^ checks_note;
-      alloc_verdict;
-      old_minor_words = old_mw;
-      new_minor_words = new_mw;
-      alloc_ratio;
-      alloc_note;
-      rate_verdict;
-      rate_ratio;
-      rate_note;
-      old_util = oe.util;
-      new_util = ne.util;
-    }
+let compare_one (oe : entry) (ne : entry) =
+  let wall = judge Wall ~old_:oe.wall_s ~new_:ne.wall_s in
+  let checks_note =
+    if (ne.holds, ne.total) <> (oe.holds, oe.total) then
+      Printf.sprintf " checks %d/%d -> %d/%d" oe.holds oe.total ne.holds ne.total
+    else ""
   in
-  let from_old =
-    List.map
-      (fun oe ->
-        match find new_ oe.id with
-        | Some ne -> compare_one oe ne
-        | None ->
-            {
-              d_id = oe.id;
-              verdict = Removed;
-              old_median = median oe.wall_s;
-              new_median = Float.nan;
-              ratio = Float.nan;
-              note = "";
-              alloc_verdict = None;
-              old_minor_words = minor_words_of oe.alloc;
-              new_minor_words = Float.nan;
-              alloc_ratio = Float.nan;
-              alloc_note = "";
-              rate_verdict = None;
-              rate_ratio = Float.nan;
-              rate_note = "";
-              old_util = oe.util;
-              new_util = None;
-            })
-      old_.entries
+  let alloc =
+    match (oe.alloc, ne.alloc) with
+    | Some oa, Some na ->
+        let words (a : Memgc.counters) = [ float_of_int a.Memgc.minor_words ] in
+        Some (judge Alloc ~old_:(words oa) ~new_:(words na))
+    | _ -> None
   in
-  let added =
-    List.filter_map
-      (fun ne ->
-        if find old_ ne.id = None then
-          Some
-            {
-              d_id = ne.id;
-              verdict = Added;
-              old_median = Float.nan;
-              new_median = median ne.wall_s;
-              ratio = Float.nan;
-              note = "";
-              alloc_verdict = None;
-              old_minor_words = Float.nan;
-              new_minor_words = minor_words_of ne.alloc;
-              alloc_ratio = Float.nan;
-              alloc_note = "";
-              rate_verdict = None;
-              rate_ratio = Float.nan;
-              rate_note = "";
-              old_util = None;
-              new_util = ne.util;
-            }
-        else None)
+  {
+    d_id = oe.id;
+    d_old = Some oe;
+    d_new = Some ne;
+    wall = { wall with note = wall.note ^ checks_note };
+    alloc;
+    rate = judge_rate oe ne;
+  }
+
+(* An experiment present on one side only: no comparison, just its median. *)
+let one_sided verdict (e : entry) =
+  let m = median e.wall_s in
+  let old_median, new_median = if verdict = Added then (Float.nan, m) else (m, Float.nan) in
+  {
+    d_id = e.id;
+    d_old = (if verdict = Added then None else Some e);
+    d_new = (if verdict = Added then Some e else None);
+    wall = { verdict; old_median; new_median; ratio = Float.nan; note = "" };
+    alloc = None;
+    rate = None;
+  }
+
+let diff ~old_ ~new_ =
+  let find t id = List.find_opt (fun (e : entry) -> e.id = id) t.entries in
+  List.map
+    (fun oe -> match find new_ oe.id with Some ne -> compare_one oe ne | None -> one_sided Removed oe)
+    old_.entries
+  @ List.filter_map
+      (fun ne -> if find old_ ne.id = None then Some (one_sided Added ne) else None)
       new_.entries
-  in
-  from_old @ added
 
-let regressions deltas = List.filter (fun d -> d.verdict = Regression) deltas
-let alloc_regressions deltas = List.filter (fun d -> d.alloc_verdict = Some Regression) deltas
-let rate_regressions deltas = List.filter (fun d -> d.rate_verdict = Some Regression) deltas
+let judgment metric d =
+  match metric with Wall -> Some d.wall | Alloc -> d.alloc | Rate -> d.rate
 
-(* The mixed-version case (v2 baseline vs v3 report, or Memgc off on one
-   side): some compared pair has alloc on neither or only one side, so the
-   alloc verdict was skipped there. Added/removed entries don't count —
-   there is nothing to compare. *)
-let alloc_skipped deltas =
-  List.exists
-    (fun d ->
-      d.alloc_verdict = None && d.verdict <> Added && d.verdict <> Removed)
+let regressions metric deltas =
+  List.filter
+    (fun d -> match judgment metric d with Some j -> j.verdict = Regression | None -> false)
     deltas
 
-(* Same shape for rate, with one refinement: a v3-or-older side decodes
-   with work = [], so every compared pair loses its rate verdict and the
-   diff must say so instead of quietly printing a clean gate — but an
-   experiment that counts no work on either side has nothing to skip, so
-   an all-v4 diff over such entries stays warning-free. *)
-let rate_skipped deltas =
+(* A compared pair that got no judgment on a metric it should have one for:
+   a side recorded with Memgc off (alloc), or the two sides share no work
+   kind although one carries some (rate; an experiment that counts no work
+   on either side has nothing to skip). Added/removed entries never count. *)
+let skipped metric deltas =
   List.exists
     (fun d ->
-      d.rate_verdict = None && d.rate_note <> "" && d.verdict <> Added && d.verdict <> Removed)
+      match (d.d_old, d.d_new, metric) with
+      | Some _, Some _, Alloc -> d.alloc = None
+      | Some o, Some n, Rate -> d.rate = None && (o.work <> [] || n.work <> [])
+      | _ -> false)
     deltas
 
 (* Configuration mismatches don't fail a diff, but a wall-time comparison

@@ -1,32 +1,18 @@
-(** Versioned bench reports ([wx-bench/4]) and the diff between two of
-    them: a noise-aware wall-time verdict, a deterministic allocation
-    verdict, and a noise-aware throughput (rate) verdict.
+(** Versioned bench reports ([wx-bench/4]) and the one regression rule
+    ({!judge}) that both [wx bench diff] and [wx bench history gate]
+    apply.
 
     A report records, per experiment, the full list of wall-time samples
     (one per repeat), an optional GC/allocation block ({!Memgc.counters}
-    measured around the run) and run provenance (git commit, hostname,
-    jobs, seed), so a number in a committed baseline can always be traced
-    back to the configuration that produced it. {!diff} compares two
-    reports and only declares a wall-time {!Regression} when the medians
-    moved beyond a relative tolerance {e and} the two sample ranges are
-    disjoint — scheduler noise on either side keeps the verdict at
-    {!Within_noise}. The allocation verdict needs none of that machinery:
-    minor-word counts are deterministic per seed/jobs, so a plain ratio
-    against a 1% tolerance ({!default_alloc_tolerance}) gates far tighter
-    than wall time ever could.
-
-    Schema 4 adds the throughput axis: per-experiment [work] (units done
-    per {!Work} kind — sets scored, Gray steps, draws, rounds) and a pool
-    [util] block (busy fraction, per-slot busy/chunks, idle tail). Units
-    are deterministic per seed/jobs but the wall denominator is not, so
-    the rate verdict reuses the wall gate's median-ratio + disjoint-range
-    rule per kind, with the worst kind deciding the experiment.
-
-    {!of_json} also accepts the legacy [wx-bench/3] schema (no work/util —
-    rate verdicts are skipped, see {!rate_skipped}), [wx-bench/2] (no
-    alloc block — the alloc verdict is skipped, see {!alloc_skipped}) and
-    [wx-bench/1] (scalar wall time, no provenance), decoding the latter as
-    a one-sample, one-repeat report. *)
+    measured around the run), the units done per {!Work} kind, a pool
+    [util] block (busy fraction, per-slot busy/chunks, idle tail) and run
+    provenance (git commit, hostname, jobs, seed), so a number in a
+    committed baseline can always be traced back to the configuration
+    that produced it. {!diff} compares two reports with {!judge} on three
+    axes: wall time (noise-aware: a median-ratio breach {e and} disjoint
+    sample ranges), minor words (deterministic per seed/jobs, so a bare
+    1% ratio) and units/sec per work kind (the wall posture on a flipped
+    axis, the worst kind deciding the experiment). *)
 
 val schema : string
 (** ["wx-bench/4"]. *)
@@ -50,10 +36,9 @@ type entry = {
   title : string;
   claim : string;
   wall_s : float list;  (** one sample per repeat, in run order; non-empty *)
-  alloc : Memgc.counters option;  (** [None] when Memgc was off or pre-v3 *)
-  work : (string * int) list;
-      (** units done per {!Work} kind; [[]] when Metrics was off or pre-v4 *)
-  util : util option;  (** [None] when Metrics was off or pre-v4 *)
+  alloc : Memgc.counters option;  (** [None] when Memgc was off *)
+  work : (string * int) list;  (** units done per {!Work} kind; [[]] when Metrics was off *)
+  util : util option;  (** [None] when Metrics was off *)
   holds : int;
   total : int;
   checks : Json.t;  (** opaque per-check rows, passed through verbatim *)
@@ -107,89 +92,85 @@ val load : string -> (t, string) result
 val save : string -> t -> unit
 (** Pretty-printed JSON, trailing newline. *)
 
-(** {2 Diffing} *)
+(** {2 The regression rule} *)
 
 type verdict = Regression | Improvement | Within_noise | Added | Removed
 
 val verdict_name : verdict -> string
 
-type delta = {
-  d_id : string;
-  verdict : verdict;  (** the wall-time verdict *)
-  old_median : float;  (** NaN when [Added] *)
-  new_median : float;  (** NaN when [Removed] *)
-  ratio : float;  (** new/old medians; NaN when not comparable *)
-  note : string;
-  alloc_verdict : verdict option;
-      (** [None] when either side carries no alloc block (pre-v3 report or
-          Memgc off), or the entry was added/removed *)
-  old_minor_words : float;  (** NaN when unknown *)
-  new_minor_words : float;  (** NaN when unknown *)
-  alloc_ratio : float;  (** new/old minor words; NaN when not comparable *)
-  alloc_note : string;
-  rate_verdict : verdict option;
-      (** [None] when the two sides share no work kind (pre-v4 report or
-          Metrics off), or the entry was added/removed *)
-  rate_ratio : float;
-      (** new/old units-per-sec of the verdict-deciding kind; NaN when not
-          comparable *)
-  rate_note : string;  (** names the deciding kind when non-empty *)
-  old_util : util option;  (** passed through for rendering util deltas *)
-  new_util : util option;
+type metric = Wall | Alloc | Rate
+
+val metric_name : metric -> string
+
+type rule = {
+  tolerance : float;  (** relative median move needed for a verdict *)
+  ranged : bool;  (** also require disjoint sample ranges *)
+  higher_is_worse : bool;  (** [false] for rates: a drop regresses *)
+  floored : bool;  (** silenced when every wall sample is under {!min_wall_s} *)
 }
 
-val default_tolerance : float
-(** 0.25 — a wall-time median must move 25% to count. *)
+val rule : metric -> rule
+(** The one constant table. Wall: 25%, ranged, higher is worse, floored.
+    Alloc: 1%, no range test, higher is worse, no floor (minor words are
+    deterministic per seed/jobs). Rate: 25%, ranged, lower is worse
+    (a regression needs the new median under [1 / 1.25] of the old),
+    floored. *)
 
-val default_min_wall_s : float
-(** 0.05 — experiments where both medians sit under 50ms are always within
-    noise; timer resolution dominates there. *)
+val min_wall_s : float
+(** 0.05 — timer resolution dominates under 50ms. *)
 
-val default_alloc_tolerance : float
-(** 0.01 — minor words are deterministic per seed/jobs, so 1% only
-    forgives genuinely tiny drifts; no floor is needed. *)
+type judgment = {
+  verdict : verdict;
+  old_median : float;  (** NaN when [Added] *)
+  new_median : float;  (** NaN when [Removed] *)
+  ratio : float;  (** new/old medians; 0/0 reads as 1, x/0 as infinity *)
+  note : string;  (** why, when the verdict is not a plain [Within_noise] *)
+}
 
-val default_rate_tolerance : float
-(** 0.25 — rates inherit wall noise, so the rate gate mirrors the wall
-    gate's tolerance rather than the alloc gate's strictness. *)
+val judge :
+  ?walls:float list * float list -> metric -> old_:float list -> new_:float list -> judgment
+(** Judge [new_] against [old_] under [rule metric]: {!Regression} when
+    the median ratio moves past the tolerance in the worse direction (and,
+    for a ranged rule, every new sample lies beyond every old one),
+    {!Improvement} for the mirror image, {!Within_noise} otherwise. A
+    floored metric is {!Within_noise} when every wall sample on both sides
+    is under {!min_wall_s}; [walls] are those (old, new) wall samples and
+    default to [(old_, new_)] themselves, which is right for [Wall]. An
+    alloc side that recorded zero words regresses on any nonzero count. *)
 
-val diff :
-  ?tolerance:float ->
-  ?min_wall_s:float ->
-  ?alloc_tolerance:float ->
-  ?rate_tolerance:float ->
-  old_:t ->
-  new_:t ->
-  unit ->
-  delta list
+(** {2 Diffing} *)
+
+type delta = {
+  d_id : string;
+  d_old : entry option;  (** [None] when the experiment was added *)
+  d_new : entry option;  (** [None] when it was removed *)
+  wall : judgment;  (** verdict [Added]/[Removed] when one side is missing *)
+  alloc : judgment option;  (** [None] unless both sides carry an alloc block *)
+  rate : judgment option;
+      (** the deciding work kind's judgment, its note prefixed by the kind;
+          [None] when the sides share no work kind *)
+}
+
+val diff : old_:t -> new_:t -> delta list
 (** One delta per experiment id in either report, in old-report order with
-    new-only entries appended. A wall-time regression requires {e both} a
-    median ratio above [1 + tolerance] {e and} disjoint sample ranges
-    ([new min > old max]); improvement is the mirror image. The alloc
-    verdict is a plain minor-words ratio against [1 + alloc_tolerance]
-    (regression) / [1 - alloc_tolerance] (improvement), computed only when
-    both sides carry an alloc block. The rate verdict turns each wall
-    sample into a units/sec sample per shared work kind and applies the
-    wall rule per kind (regression when the new median rate falls below
-    [1 / (1 + rate_tolerance)] of the old with disjoint rate ranges, under
-    the same [min_wall_s] floor); the worst kind decides. *)
+    new-only entries appended. Wall judges the wall samples (the note also
+    flags a change in the checks that hold); alloc the minor-word counts;
+    rate turns every wall sample into a units/sec sample per shared work
+    kind, judges each kind with the wall samples deciding the floor, and
+    keeps the worst. *)
 
-val regressions : delta list -> delta list
-(** Wall-time regressions only. *)
+val regressions : metric -> delta list -> delta list
+(** The deltas whose judgment on the metric is {!Regression}. *)
 
-val alloc_regressions : delta list -> delta list
-val rate_regressions : delta list -> delta list
+val minor_words : entry option -> float
+(** The entry's minor-word count; NaN when absent or without an alloc
+    block. *)
 
-val alloc_skipped : delta list -> bool
-(** True when some compared pair (not added/removed) lacked an alloc block
-    on at least one side — the mixed-version case a caller should warn
-    about. *)
-
-val rate_skipped : delta list -> bool
-(** Same for work/rate: true when some compared pair carries work kinds on
-    at least one side but shares none (one side pre-v4 or recorded with
-    Metrics off). Pairs with no work on either side have nothing to skip
-    and never trigger this. *)
+val skipped : metric -> delta list -> bool
+(** True when some compared pair (not added/removed) got no judgment on
+    the metric although it should have: an alloc block missing on a side
+    (Memgc off), or work kinds on a side but none in common (Metrics off
+    during one recording). The case a caller should warn about. *)
 
 val compat_warnings : old_:t -> new_:t -> string list
 (** Human-readable warnings when quick mode, job count, or seed differ —

@@ -23,15 +23,23 @@ let add_row t cells =
 
 let add_rule t = t.rows <- Rule :: t.rows
 
+(* Display width in UTF-8 code points (continuation bytes 0b10xxxxxx do
+   not count), so cells holding multi-byte glyphs such as sparkline blocks
+   pad like one column per character; for ASCII this is the byte length. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
 let render t =
   let rows = List.rev t.rows in
   let k = List.length t.headers in
-  let widths = Array.of_list (List.map String.length t.headers) in
+  let widths = Array.of_list (List.map width t.headers) in
   List.iter
     (function
       | Rule -> ()
       | Cells cs ->
-          List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) cs)
+          List.iteri (fun i c -> widths.(i) <- max widths.(i) (width c)) cs)
     rows;
   let buf = Buffer.create 1024 in
   let rule () =
@@ -48,7 +56,7 @@ let render t =
     List.iteri
       (fun i c ->
         let w = widths.(i) in
-        let pad = w - String.length c in
+        let pad = w - width c in
         let l, r = match t.aligns.(i) with Left -> (0, pad) | Right -> (pad, 0) in
         Buffer.add_char buf ' ';
         Buffer.add_string buf (String.make l ' ');

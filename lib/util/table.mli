@@ -1,4 +1,5 @@
-(** Fixed-width ASCII table rendering.
+(** Fixed-width text table rendering; column widths count UTF-8 code
+    points, so cells may hold multi-byte glyphs (sparklines, middle dots).
 
     Every experiment in the bench harness prints through this module, so all
     predicted-vs-measured tables share one layout. *)

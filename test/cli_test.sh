@@ -3,7 +3,8 @@
 # contracts that the unit suite cannot see because they live in wx's
 # cmdliner wiring — prof propagating the inner command's failure, the
 # history append/show/gate loop on a real report, prof diff / --folded on
-# real traces, broadcast's protocol and option surface. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
+# real traces, the bench gates failing when they should (the
+# WX_BENCH_*_HANDICAP hooks), broadcast's protocol and option surface. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
 # wx-bench report.
 set -u
 
@@ -87,6 +88,37 @@ check "gate --json emits history.verdict" 0 $?
 check "bench diff --json --soft" 0 $?
 grep -q 'bench.verdict' "$tmp/diff.ndjson"
 check "diff --json emits bench.verdict" 0 $?
+
+# ---- bench gate self-tests: the handicap hooks must fail the gates ----
+rec() { # rec OUT [ENV=VALUE...] -- one quick e1 record
+  local out=$1
+  shift
+  env "$@" "$WX" bench record -e e1 --quick --repeats 3 --out "$out" --force >/dev/null 2>&1
+}
+rec "$tmp/clean.json"
+check "record clean e1" 0 $?
+rec "$tmp/slow.json" WX_BENCH_HANDICAP_MS=150
+check "record e1 with a wall handicap" 0 $?
+rec "$tmp/fat.json" WX_BENCH_ALLOC_HANDICAP_WORDS=200000
+check "record e1 with an alloc handicap" 0 $?
+
+"$WX" bench diff "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
+check "bench diff fails on the wall handicap" 1 $?
+"$WX" bench diff --soft "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
+check "bench diff --soft reports it without failing" 0 $?
+"$WX" bench diff --rate-only "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
+check "bench diff --rate-only fails on the wall handicap" 1 $?
+"$WX" bench diff --alloc-only "$tmp/clean.json" "$tmp/fat.json" >/dev/null 2>&1
+check "bench diff --alloc-only fails on the alloc handicap" 1 $?
+
+printf '{"schema":"\\uZZZZ"}\n' >"$tmp/bad.json"
+"$WX" bench diff "$tmp/bad.json" "$tmp/bad.json" >/dev/null 2>&1
+check "a report with a bad \\u escape is malformed (exit 2)" 2 $?
+
+"$WX" bench diff --tolerance 0.1 "$tmp/clean.json" "$tmp/clean.json" >/dev/null 2>&1
+check "bench diff has no --tolerance (usage error)" 124 $?
+"$WX" bench history gate --window 3 --ledger "$L.clean" >/dev/null 2>&1
+check "history gate has no --window (usage error)" 124 $?
 
 # ---- broadcast: one engine for every protocol ----
 "$WX" broadcast grid 36 --protocol spokesmen --seeds 2 --json >"$tmp/bc.ndjson" 2>/dev/null

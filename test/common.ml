@@ -45,3 +45,43 @@ let arbitrary_bipartite ~smax ~nmax =
 
 let qcheck ?(count = 100) name prop arb =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(* Hostile-input generators for the decoders. Bytes are drawn half from
+   JSON's own syntax (so mutations reach the decoders behind the parser,
+   not only the parser) and half at random. *)
+let json_syntax = List.of_seq (String.to_seq "{}[]\",:\\u0123456789abcdefABCDEF.-+ eElnrstu")
+let hostile_char = QCheck.Gen.(oneof [ oneofl json_syntax; char ])
+
+(* Concatenated JSON fragments and stray bytes, so escapes, literals and
+   numbers are reached with malformed tails. *)
+let arbitrary_hostile_string =
+  let fragments =
+    [ "\""; "\"\\u"; "\\u"; "\\"; "{"; "}"; "["; "]"; ":"; ","; "0"; "1e5"; "-"; "."; "true";
+      "nul"; "_"; "Z"; "F"; " " ]
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 24)
+           (oneof [ oneofl fragments; map (String.make 1) hostile_char ])))
+
+(* Copies of [s] with one to four single-byte edits: overwrite, delete or
+   insert. *)
+let arbitrary_mutation s =
+  let edit s =
+    QCheck.Gen.(
+      let n = String.length s in
+      let* pos = int_bound (max 0 (n - 1)) in
+      let* c = hostile_char in
+      let* op = int_bound 2 in
+      return
+        (match op with
+        | 0 when n > 0 -> String.mapi (fun i x -> if i = pos then c else x) s
+        | 1 when n > 0 -> String.sub s 0 pos ^ String.sub s (pos + 1) (n - pos - 1)
+        | _ -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos)))
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      let* k = int_range 1 4 in
+      let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+      go k s)

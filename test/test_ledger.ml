@@ -2,7 +2,7 @@
    wx-ledger/1 digest and codec round-trip, dedup-by-commit append, file
    round-trips with malformed-line reporting, trend-gate verdicts on
    synthetic histories (wall / alloc / rate postures, floor, insufficient
-   history), sparklines, and the Prof trace analysis — containment
+   history, series absent from the newest entry), sparklines, and the Prof trace analysis — containment
    nesting, folded stacks, differential profiles. *)
 
 module Json = Wx_obs.Json
@@ -50,13 +50,13 @@ let find_trend trends ~metric ?(kind = "") id =
       trends
   with
   | Some t -> t
-  | None -> Alcotest.failf "no %s trend for %s" (Ledger.metric_name metric) id
+  | None -> Alcotest.failf "no %s trend for %s" (Report.metric_name metric) id
 
 let check_verdict msg expected (t : Ledger.trend) =
   Alcotest.(check string)
     msg
     (match expected with None -> "none" | Some v -> Report.verdict_name v)
-    (match t.Ledger.t_verdict with None -> "none" | Some v -> Report.verdict_name v)
+    (match t.Ledger.t_judgment with None -> "none" | Some j -> Report.verdict_name j.Report.verdict)
 
 (* ---- digest ---- *)
 
@@ -134,6 +134,19 @@ let test_codec_rejects () =
         Json.Obj (List.map (fun (k, v) -> if k = "commit" then (k, Json.Int 3) else (k, v)) kvs)
     | _ -> Json.Null)
 
+(* Byte-mutated copies of a valid ledger line decode to Ok or Error; the
+   decoder never raises. *)
+let prop_entry_hostile s =
+  match Json.of_string s with
+  | exception Json.Parse_error _ -> true
+  | j -> ( match Ledger.entry_of_json j with Ok _ | Error _ -> true)
+
+let valid_line =
+  Json.to_string
+    (Ledger.entry_to_json
+       (entry ~commit:"feedface"
+          [ exp_digest ~rates:[ ("a", 10.5) ] ~minor:42.0 "e1" 0.25; exp_digest "e2" 1.5 ]))
+
 (* ---- append / file IO ---- *)
 
 let test_append_dedup () =
@@ -181,23 +194,24 @@ let test_gate_wall () =
   (* Steady ~1.0s then a 1.5s candidate: ratio 1.5 > 1.25 and above the
      window max -> regression. *)
   let regressed = history "e1" [ 1.0; 1.02; 0.98; 1.01; 1.5 ] in
-  let t = find_trend (Ledger.gate regressed) ~metric:Ledger.Wall "e1" in
+  let t = find_trend (Ledger.gate regressed) ~metric:Report.Wall "e1" in
   check_verdict "wall spike regresses" (Some Report.Regression) t;
-  check_float ~eps:1e-6 "baseline is window median" 1.005 t.Ledger.t_baseline;
+  check_float ~eps:1e-6 "baseline is window median" 1.005
+    (Option.get t.Ledger.t_judgment).Report.old_median;
   (* Same ratio but inside the window's range (a previous sample was just
      as slow): noisy history, not a trend. *)
   let noisy = history "e1" [ 1.0; 1.6; 0.98; 1.01; 1.5 ] in
   check_verdict "spike inside window range is noise" (Some Report.Within_noise)
-    (find_trend (Ledger.gate noisy) ~metric:Ledger.Wall "e1");
+    (find_trend (Ledger.gate noisy) ~metric:Report.Wall "e1");
   (* Improvement is the mirror image. *)
   let improved = history "e1" [ 1.0; 1.02; 0.98; 1.01; 0.5 ] in
   check_verdict "wall drop improves" (Some Report.Improvement)
-    (find_trend (Ledger.gate improved) ~metric:Ledger.Wall "e1");
+    (find_trend (Ledger.gate improved) ~metric:Report.Wall "e1");
   (* Under the 50ms floor nothing fires, whatever the ratio. *)
   let tiny = history "e1" [ 0.001; 0.001; 0.010 ] in
-  let t = find_trend (Ledger.gate tiny) ~metric:Ledger.Wall "e1" in
+  let t = find_trend (Ledger.gate tiny) ~metric:Report.Wall "e1" in
   check_verdict "under floor is noise" (Some Report.Within_noise) t;
-  check_true "note names the floor" (t.Ledger.t_note <> "")
+  check_true "note names the floor" (Ledger.note t <> "")
 
 let test_gate_alloc () =
   (* Deterministic counts: a bare 2% step over the window median fires
@@ -205,15 +219,15 @@ let test_gate_alloc () =
   let minors = [ 1000.0; 1000.0; 1000.0; 1025.0 ] in
   let l = history ~minors "e1" [ 1.0; 1.0; 1.0; 1.0 ] in
   check_verdict "2.5% alloc drift regresses" (Some Report.Regression)
-    (find_trend (Ledger.gate l) ~metric:Ledger.Alloc "e1");
+    (find_trend (Ledger.gate l) ~metric:Report.Alloc "e1");
   let flat = history ~minors:[ 1000.0; 1000.0; 1005.0 ] "e1" [ 1.0; 1.0; 1.0 ] in
   check_verdict "0.5% stays within tolerance" (Some Report.Within_noise)
-    (find_trend (Ledger.gate flat) ~metric:Ledger.Alloc "e1");
+    (find_trend (Ledger.gate flat) ~metric:Report.Alloc "e1");
   (* The wall floor must NOT silence the alloc trend: counts are exact at
      any speed. *)
   let tiny = history ~minors:[ 1000.0; 1000.0; 1100.0 ] "e1" [ 0.001; 0.001; 0.001 ] in
   check_verdict "alloc gates under the wall floor" (Some Report.Regression)
-    (find_trend (Ledger.gate tiny) ~metric:Ledger.Alloc "e1")
+    (find_trend (Ledger.gate tiny) ~metric:Report.Alloc "e1")
 
 let test_gate_rate () =
   (* Rates mirror the wall rule with the axis flipped: a drop below
@@ -221,34 +235,61 @@ let test_gate_rate () =
   let rates = [ 100.0; 98.0; 102.0; 60.0 ] in
   let l = history ~rates "e1" [ 1.0; 1.0; 1.0; 1.0 ] in
   check_verdict "rate collapse regresses" (Some Report.Regression)
-    (find_trend (Ledger.gate l) ~metric:Ledger.Rate ~kind:"units" "e1");
+    (find_trend (Ledger.gate l) ~metric:Report.Rate ~kind:"units" "e1");
   let up = history ~rates:[ 100.0; 98.0; 102.0; 150.0 ] "e1" [ 1.0; 1.0; 1.0; 1.0 ] in
   check_verdict "rate jump improves" (Some Report.Improvement)
-    (find_trend (Ledger.gate up) ~metric:Ledger.Rate ~kind:"units" "e1");
+    (find_trend (Ledger.gate up) ~metric:Report.Rate ~kind:"units" "e1");
   let tiny = history ~rates:[ 100.0; 100.0; 10.0 ] "e1" [ 0.001; 0.001; 0.001 ] in
   check_verdict "rate silent under wall floor" (Some Report.Within_noise)
-    (find_trend (Ledger.gate tiny) ~metric:Ledger.Rate ~kind:"units" "e1")
+    (find_trend (Ledger.gate tiny) ~metric:Report.Rate ~kind:"units" "e1")
 
 let test_gate_insufficient_and_window () =
   (* One entry: nothing to compare against; the verdict is None, never a
      failure. *)
   let l = history "e1" [ 1.0 ] in
-  let t = find_trend (Ledger.gate l) ~metric:Ledger.Wall "e1" in
+  let t = find_trend (Ledger.gate l) ~metric:Report.Wall "e1" in
   check_verdict "single entry -> no verdict" None t;
-  check_true "note says so" (t.Ledger.t_note = "insufficient history");
+  check_true "note says so" (Ledger.note t = "insufficient history");
   check_true "no regressions from it" (Ledger.regressions (Ledger.gate l) = []);
-  (* The window truncates: an ancient slow sample outside the window must
-     not absorb a fresh regression. With window 3 only [1.0; 1.01; 1.5]
-     are seen and the candidate is out of range. *)
-  let l = history "e1" [ 9.0; 1.0; 1.01; 1.5 ] in
+  (* The window truncates: an ancient slow sample outside the last 8
+     entries must not absorb a fresh regression. Nine entries: the 9.0
+     falls out and the candidate is out of the window's range. *)
+  let steady = [ 1.0; 1.01; 0.99; 1.0; 1.02; 0.98 ] in
+  check_int "window is 8 entries" 8 Ledger.window;
+  let l = history "e1" ((9.0 :: 1.0 :: steady) @ [ 1.5 ]) in
   check_verdict "window truncates history" (Some Report.Regression)
-    (find_trend (Ledger.gate ~window:3 l) ~metric:Ledger.Wall "e1");
+    (find_trend (Ledger.gate l) ~metric:Report.Wall "e1");
+  (* Eight entries: the 9.0 is inside the window and absorbs the spike. *)
+  let l = history "e1" ((9.0 :: steady) @ [ 1.5 ]) in
   check_verdict "full history absorbs it" (Some Report.Within_noise)
-    (find_trend (Ledger.gate ~window:8 l) ~metric:Ledger.Wall "e1");
+    (find_trend (Ledger.gate l) ~metric:Report.Wall "e1");
   (* Experiments missing from the newest entry are not gated. *)
   let l = [ entry ~commit:"c0" [ exp_digest "gone" 1.0 ]; entry ~commit:"c1" [ exp_digest "e1" 1.0 ] ] in
   check_true "removed experiment not gated"
     (List.for_all (fun (t : Ledger.trend) -> t.Ledger.t_exp = "e1") (Ledger.gate l))
+
+let test_gate_absent_newest () =
+  (* Rate kind "k" reads 100, 101, 10 and is absent from the newest entry
+     (as is the alloc block): the series has no candidate, so it gets no
+     verdict — never an older entry's value judged in its place. *)
+  let line i ?minor rates = entry ~commit:(Printf.sprintf "c%d" i) [ exp_digest ~rates ?minor "e" 1.0 ] in
+  let l =
+    [
+      line 0 ~minor:1000.0 [ ("k", 100.0) ];
+      line 1 ~minor:1000.0 [ ("k", 101.0) ];
+      line 2 ~minor:5000.0 [ ("k", 10.0) ];
+      line 3 [];
+    ]
+  in
+  let trends = Ledger.gate l in
+  let rate = find_trend trends ~metric:Report.Rate ~kind:"k" "e" in
+  check_verdict "absent rate kind -> no verdict" None rate;
+  Alcotest.(check string) "note says why" "absent from the newest entry" (Ledger.note rate);
+  check_verdict "absent alloc block -> no verdict" None
+    (find_trend trends ~metric:Report.Alloc "e");
+  check_true "no regressions" (Ledger.regressions trends = []);
+  check_verdict "the wall series is still judged" (Some Report.Within_noise)
+    (find_trend trends ~metric:Report.Wall "e")
 
 let test_sparkline () =
   Alcotest.(check string) "scales to own range" "▁▄█" (Ledger.sparkline [ 1.0; 2.0; 3.0 ]);
@@ -379,12 +420,15 @@ let suite =
     Alcotest.test_case "report digest" `Quick test_digest;
     Alcotest.test_case "wx-ledger/1 round trip" `Quick test_round_trip;
     Alcotest.test_case "malformed entries rejected" `Quick test_codec_rejects;
+    qcheck ~count:500 "ledger decoder: mutated lines" prop_entry_hostile
+      (arbitrary_mutation valid_line);
     Alcotest.test_case "append dedups by commit" `Quick test_append_dedup;
     Alcotest.test_case "NDJSON file round trip" `Quick test_file_round_trip;
     Alcotest.test_case "wall trend verdicts" `Quick test_gate_wall;
     Alcotest.test_case "alloc trend verdicts" `Quick test_gate_alloc;
     Alcotest.test_case "rate trend verdicts" `Quick test_gate_rate;
     Alcotest.test_case "insufficient history / window" `Quick test_gate_insufficient_and_window;
+    Alcotest.test_case "series absent from the newest entry" `Quick test_gate_absent_newest;
     Alcotest.test_case "sparkline rendering" `Quick test_sparkline;
     Alcotest.test_case "prof: containment profile" `Quick test_prof_profile;
     Alcotest.test_case "prof: folded stacks" `Quick test_prof_folded;

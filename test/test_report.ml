@@ -1,7 +1,7 @@
-(* The performance-trajectory layer: the wx-bench/4 schema (and its
-   v3/v2/v1 ancestors) round-trips through Wx_obs.Json, bench-diff
-   wall-time, allocation and throughput verdicts on synthetic report
-   pairs, and the catapult traces Trace_export emits are well-formed
+(* The performance-trajectory layer: the wx-bench/4 schema round-trips
+   through Wx_obs.Json, bench-diff wall-time, allocation and throughput
+   verdicts on synthetic report pairs (pinned at the rule table's
+   boundaries), and the catapult traces Trace_export emits are well-formed
    (every event carries ph/ts/pid/tid, one track per pool worker). *)
 
 module Json = Wx_obs.Json
@@ -89,81 +89,6 @@ let test_round_trip () =
   | Some (Json.String s) -> check_true "schema is wx-bench/4" (s = Report.schema)
   | _ -> Alcotest.fail "no schema field"
 
-let test_v3_compat () =
-  (* A wx-bench/3 document is a v4 document with no work/util blocks (and
-     no derived rate series); decoding must succeed with [work = []] and
-     [util = None] everywhere. *)
-  let v3 =
-    match Report.to_json (report [ entry ~alloc:(minor_words 1_000) "e1" [ 1.0; 1.1 ] ]) with
-    | Json.Obj kvs ->
-        Json.Obj
-          (List.map
-             (function "schema", _ -> ("schema", Json.String "wx-bench/3") | kv -> kv)
-             kvs)
-    | _ -> assert false
-  in
-  match Report.of_json v3 with
-  | Error m -> Alcotest.failf "v3 rejected: %s" m
-  | Ok r ->
-      check_true "v3 entries decode with work = [] and util = None"
-        (List.for_all
-           (fun (e : Report.entry) -> e.Report.work = [] && e.Report.util = None)
-           r.Report.entries);
-      check_true "v3 keeps its alloc blocks"
-        (List.for_all (fun (e : Report.entry) -> e.Report.alloc <> None) r.Report.entries)
-
-let test_v2_compat () =
-  (* A wx-bench/2 document is exactly a v3 document with no alloc blocks;
-     decoding must succeed and leave [alloc = None] everywhere. *)
-  let v2 =
-    match Report.to_json (report [ entry "e1" [ 1.0; 1.1 ] ]) with
-    | Json.Obj kvs ->
-        Json.Obj
-          (List.map
-             (function "schema", _ -> ("schema", Json.String "wx-bench/2") | kv -> kv)
-             kvs)
-    | _ -> assert false
-  in
-  match Report.of_json v2 with
-  | Error m -> Alcotest.failf "v2 rejected: %s" m
-  | Ok r ->
-      check_true "v2 entries decode with alloc = None"
-        (List.for_all (fun (e : Report.entry) -> e.Report.alloc = None) r.Report.entries)
-
-let test_v1_compat () =
-  (* A minimal wx-bench/1 document, as PR 1's harness wrote it: scalar
-     wall_s, no repeats, no provenance. *)
-  let v1 =
-    Json.Obj
-      [
-        ("schema", Json.String "wx-bench/1");
-        ("generated", Json.String "20260101T000000Z");
-        ("seed", Json.Int 20180218);
-        ("quick", Json.Bool false);
-        ("jobs", Json.Int 4);
-        ( "experiments",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("id", Json.String "e1");
-                  ("title", Json.String "t");
-                  ("claim", Json.String "c");
-                  ("wall_s", Json.Float 1.5);
-                  ("holds", Json.Int 3);
-                  ("total", Json.Int 3);
-                ];
-            ] );
-      ]
-  in
-  match Report.of_json v1 with
-  | Error m -> Alcotest.failf "v1 rejected: %s" m
-  | Ok r ->
-      check_int "v1 repeats default to 1" 1 r.Report.repeats;
-      (match r.Report.entries with
-      | [ e ] -> check_true "scalar wall_s becomes one sample" (e.Report.wall_s = [ 1.5 ])
-      | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l))
-
 let test_malformed () =
   let reject name j =
     match Report.of_json j with
@@ -172,6 +97,15 @@ let test_malformed () =
   in
   reject "not a report" (Json.Obj [ ("hello", Json.Int 1) ]);
   reject "unknown schema" (Json.Obj [ ("schema", Json.String "wx-bench/9") ]);
+  (* Superseded schemas are no longer decoded. *)
+  (match Report.to_json (report [ entry "e1" [ 1.0 ] ]) with
+  | Json.Obj kvs ->
+      reject "wx-bench/3"
+        (Json.Obj
+           (List.map
+              (function "schema", _ -> ("schema", Json.String "wx-bench/3") | kv -> kv)
+              kvs))
+  | _ -> assert false);
   let base =
     Report.to_json (report [ entry "e1" [ 1.0 ] ])
   in
@@ -202,11 +136,43 @@ let test_malformed () =
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
   | Error _ -> ())
 
+(* ---- hostile input ---- *)
+
+let test_json_bad_unicode_escape () =
+  List.iter
+    (fun src ->
+      match Json.of_string src with
+      | _ -> Alcotest.failf "accepted %s" src
+      | exception Json.Parse_error _ -> ())
+    [ {|"\uZZZZ"|}; {|"\u__41"|}; {|"\u12"|}; {|"\u"|} ];
+  check_true "four hex digits decode" (Json.of_string {|"\u0041"|} = Json.String "A")
+
+(* Arbitrary strings either parse or raise Parse_error — nothing else. *)
+let prop_json_hostile s =
+  match Json.of_string s with _ -> true | exception Json.Parse_error _ -> true
+
+(* Byte-mutated copies of a valid report decode to Ok or Error; the
+   decoder never raises. *)
+let valid_report_text =
+  Json.to_string_pretty
+    (Report.to_json
+       (report
+          [
+            entry ~alloc:(minor_words 650_489) ~work:[ ("gray_steps", 120_000) ] ~util:some_util
+              "e1" [ 1.0; 1.2 ];
+            entry "e2" [ 0.25 ];
+          ]))
+
+let prop_report_hostile s =
+  match Json.of_string s with
+  | exception Json.Parse_error _ -> true
+  | j -> ( match Report.of_json j with Ok _ | Error _ -> true)
+
 (* ---- diff verdicts ---- *)
 
 let verdict_of deltas id =
   match List.find_opt (fun d -> d.Report.d_id = id) deltas with
-  | Some d -> d.Report.verdict
+  | Some d -> d.Report.wall.Report.verdict
   | None -> Alcotest.failf "no delta for %s" id
 
 let test_diff_verdicts () =
@@ -237,7 +203,7 @@ let test_diff_verdicts () =
         entry "fresh" [ 1.0 ];
       ]
   in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "regression" (verdict_of deltas "reg" = Report.Regression);
   check_true "overlapping spread is noise" (verdict_of deltas "overlap" = Report.Within_noise);
   check_true "small change is noise" (verdict_of deltas "small" = Report.Within_noise);
@@ -245,20 +211,30 @@ let test_diff_verdicts () =
   check_true "under floor is noise" (verdict_of deltas "tiny" = Report.Within_noise);
   check_true "removed" (verdict_of deltas "gone" = Report.Removed);
   check_true "added" (verdict_of deltas "fresh" = Report.Added);
-  check_int "one regression total" 1 (List.length (Report.regressions deltas));
+  check_int "one regression total" 1 (List.length (Report.regressions Report.Wall deltas));
   (* Same report on both sides: everything within noise. *)
-  let self = Report.diff ~old_ ~new_:old_ () in
+  let self = Report.diff ~old_ ~new_:old_ in
   check_true "self diff is clean"
-    (List.for_all (fun d -> d.Report.verdict = Report.Within_noise) self)
+    (List.for_all (fun d -> d.Report.wall.Report.verdict = Report.Within_noise) self)
 
 let test_diff_tolerance_and_warnings () =
   let old_ = report [ entry "e" [ 1.0; 1.0; 1.0 ] ] in
+  let verdict new_ = (List.hd (Report.diff ~old_ ~new_:(report [ entry "e" new_ ]))).Report.wall in
+  (* The 25% wall tolerance: +20% is noise even with disjoint ranges,
+     +30% with disjoint ranges regresses. *)
+  check_true "+20% is noise"
+    ((verdict [ 1.2; 1.2; 1.2 ]).Report.verdict = Report.Within_noise);
+  check_true "+30% with disjoint ranges regresses"
+    ((verdict [ 1.3; 1.3; 1.3 ]).Report.verdict = Report.Regression);
+  (* The floor silences a pair only when every sample on both sides sits
+     under 50ms: medians under it are not enough. *)
+  let tiny = report [ entry "e" [ 0.010; 0.010; 0.010 ] ] in
+  let d new_ = (List.hd (Report.diff ~old_:tiny ~new_:(report [ entry "e" new_ ]))).Report.wall in
+  check_true "every sample under the floor is noise"
+    ((d [ 0.040; 0.040; 0.045 ]).Report.verdict = Report.Within_noise);
+  check_true "one sample over the floor lifts it"
+    ((d [ 0.040; 0.040; 0.060 ]).Report.verdict = Report.Regression);
   let new_ = report [ entry "e" [ 1.2; 1.2; 1.2 ] ] in
-  (* +20%: noise at the default 25% tolerance, regression at 10%. *)
-  check_true "default tolerates 20%"
-    ((List.hd (Report.diff ~old_ ~new_ ())).Report.verdict = Report.Within_noise);
-  check_true "tight tolerance flags 20%"
-    ((List.hd (Report.diff ~tolerance:0.10 ~old_ ~new_ ())).Report.verdict = Report.Regression);
   check_true "same config, no warnings" (Report.compat_warnings ~old_ ~new_ = []);
   let other = report ~quick:false ~jobs:8 [ entry "e" [ 1.0 ] ] in
   check_int "quick+jobs mismatches warned" 2
@@ -268,7 +244,7 @@ let test_diff_tolerance_and_warnings () =
 
 let alloc_verdict_of deltas id =
   match List.find_opt (fun d -> d.Report.d_id = id) deltas with
-  | Some d -> d.Report.alloc_verdict
+  | Some d -> Option.map (fun j -> j.Report.verdict) d.Report.alloc
   | None -> Alcotest.failf "no delta for %s" id
 
 let test_alloc_verdicts () =
@@ -294,54 +270,54 @@ let test_alloc_verdicts () =
         entry ~alloc:(minor_words 1_000_000) "same" [ 1.0 ];
       ]
   in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "+2% minor words regresses" (alloc_verdict_of deltas "reg" = Some Report.Regression);
   check_true "+0.5% is within tolerance"
     (alloc_verdict_of deltas "drift" = Some Report.Within_noise);
   check_true "-2% improves" (alloc_verdict_of deltas "imp" = Some Report.Improvement);
   check_true "identical counts are clean"
     (alloc_verdict_of deltas "same" = Some Report.Within_noise);
-  check_int "one alloc regression total" 1 (List.length (Report.alloc_regressions deltas));
+  check_int "one alloc regression total" 1
+    (List.length (Report.regressions Report.Alloc deltas));
   check_true "nothing skipped when both sides carry blocks"
-    (not (Report.alloc_skipped deltas));
+    (not (Report.skipped Report.Alloc deltas));
   (* Wall verdicts are independent: identical wall samples stay clean. *)
-  check_true "no wall regressions" (Report.regressions deltas = []);
-  (* A wider tolerance swallows the +2%. *)
-  let lax = Report.diff ~alloc_tolerance:0.05 ~old_ ~new_ () in
-  check_true "+2% is noise at 5% tolerance"
-    (alloc_verdict_of lax "reg" = Some Report.Within_noise)
+  check_true "no wall regressions" (Report.regressions Report.Wall deltas = [])
 
 let test_alloc_mixed_versions () =
-  (* v2 baseline (no alloc blocks) vs v3 report: the alloc verdict is
-     skipped per entry, flagged via [alloc_skipped], and the wall verdict
-     still computes normally. *)
+  (* A side recorded with Memgc off (no alloc block): the alloc verdict is
+     skipped per entry, flagged via [skipped], and the wall verdict still
+     computes normally. *)
   let old_ = report [ entry "e" [ 1.0; 1.0; 1.0 ] ] in
   let new_ = report [ entry ~alloc:(minor_words 500_000) "e" [ 2.0; 2.1; 1.9 ] ] in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "alloc verdict skipped" (alloc_verdict_of deltas "e" = None);
-  check_true "skip is flagged" (Report.alloc_skipped deltas);
+  check_true "skip is flagged" (Report.skipped Report.Alloc deltas);
   check_true "wall verdict still computed" (verdict_of deltas "e" = Report.Regression);
   (* The one-sided minor-word count still surfaces for the table. *)
   (match deltas with
   | [ d ] ->
-      check_true "old words unknown" (Float.is_nan d.Report.old_minor_words);
-      check_float "new words shown" 500_000.0 d.Report.new_minor_words
+      check_true "old words unknown" (Float.is_nan (Report.minor_words d.Report.d_old));
+      check_float "new words shown" 500_000.0 (Report.minor_words d.Report.d_new)
   | _ -> Alcotest.fail "expected one delta");
   (* Added/removed entries never get an alloc verdict. *)
   let grown =
     report
       [ entry ~alloc:(minor_words 1) "e" [ 1.0 ]; entry ~alloc:(minor_words 1) "fresh" [ 1.0 ] ]
   in
-  let deltas = Report.diff ~old_:(report [ entry ~alloc:(minor_words 1) "e" [ 1.0 ] ]) ~new_:grown () in
+  let deltas = Report.diff ~old_:(report [ entry ~alloc:(minor_words 1) "e" [ 1.0 ] ]) ~new_:grown in
   check_true "added entry has no alloc verdict" (alloc_verdict_of deltas "fresh" = None);
-  check_true "added/removed do not count as skipped" (not (Report.alloc_skipped deltas))
+  check_true "added/removed do not count as skipped" (not (Report.skipped Report.Alloc deltas))
 
 (* ---- throughput (rate) verdicts ---- *)
 
 let rate_verdict_of deltas id =
   match List.find_opt (fun d -> d.Report.d_id = id) deltas with
-  | Some d -> d.Report.rate_verdict
+  | Some d -> Option.map (fun j -> j.Report.verdict) d.Report.rate
   | None -> Alcotest.failf "no delta for %s" id
+
+let rate_note (d : Report.delta) =
+  match d.Report.rate with Some j -> j.Report.note | None -> ""
 
 let test_rate_verdicts () =
   (* Rates are derived per sample: units / wall_s. Equal work with slower
@@ -377,7 +353,7 @@ let test_rate_verdicts () =
         entry "nowork" [ 1.0 ];
       ]
   in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "halved work at equal wall regresses"
     (rate_verdict_of deltas "less_work" = Some Report.Regression);
   check_true "the wall gate cannot see it" (verdict_of deltas "less_work" = Report.Within_noise);
@@ -391,56 +367,53 @@ let test_rate_verdicts () =
   check_true "no shared kinds skips the verdict" (rate_verdict_of deltas "nowork" = None);
   (* Work-less on BOTH sides is not a skip: nothing was lost, so an
      all-v4 diff over such entries stays warning-free. *)
-  check_true "both-sides-empty is not flagged" (not (Report.rate_skipped deltas));
-  check_int "two rate regressions total" 2 (List.length (Report.rate_regressions deltas));
+  check_true "both-sides-empty is not flagged" (not (Report.skipped Report.Rate deltas));
+  check_int "two rate regressions total" 2 (List.length (Report.regressions Report.Rate deltas));
   (* The note names the deciding kind. *)
   (match List.find_opt (fun d -> d.Report.d_id = "less_work") deltas with
   | Some d ->
       check_true "note names the kind"
-        (String.length d.Report.rate_note >= String.length "gray_steps"
-        && String.sub d.Report.rate_note 0 (String.length "gray_steps") = "gray_steps")
+        (String.length (rate_note d) >= String.length "gray_steps"
+        && String.sub (rate_note d) 0 (String.length "gray_steps") = "gray_steps")
   | None -> Alcotest.fail "no delta for less_work");
-  (* A lax tolerance swallows the halving. *)
-  let lax = Report.diff ~rate_tolerance:1.5 ~old_ ~new_ () in
-  check_true "2x drop is noise at 150% tolerance"
-    (rate_verdict_of lax "less_work" = Some Report.Within_noise);
   (* Self-diff: every computed rate verdict is clean. *)
-  let self = Report.diff ~old_ ~new_:old_ () in
-  check_true "self diff has no rate regressions" (Report.rate_regressions self = [])
+  let self = Report.diff ~old_ ~new_:old_ in
+  check_true "self diff has no rate regressions" (Report.regressions Report.Rate self = [])
 
 let test_rate_worst_kind_wins () =
   (* Two kinds, one steady and one collapsing: the collapsing kind decides. *)
   let old_ = report [ entry ~work:[ ("a", 1000); ("b", 1000) ] "e" [ 1.0; 1.0; 1.0 ] ] in
   let new_ = report [ entry ~work:[ ("a", 1000); ("b", 100) ] "e" [ 1.0; 1.0; 1.0 ] ] in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "worst kind decides" (rate_verdict_of deltas "e" = Some Report.Regression);
   (match deltas with
-  | [ d ] -> check_true "note names the collapsing kind" (d.Report.rate_note <> "" && String.sub d.Report.rate_note 0 1 = "b")
+  | [ d ] -> check_true "note names the collapsing kind" (rate_note d <> "" && String.sub (rate_note d) 0 1 = "b")
   | _ -> Alcotest.fail "expected one delta");
   (* Kinds present on only one side are ignored (no common basis). *)
   let old_ = report [ entry ~work:[ ("a", 1000) ] "e" [ 1.0 ] ] in
   let new_ = report [ entry ~work:[ ("b", 1000) ] "e" [ 1.0 ] ] in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "disjoint kind sets skip" (rate_verdict_of deltas "e" = None);
-  check_true "disjoint kind sets are a flagged skip" (Report.rate_skipped deltas)
+  check_true "disjoint kind sets are a flagged skip" (Report.skipped Report.Rate deltas)
 
 let test_rate_mixed_versions () =
-  (* v3-shaped old (no work) vs v4 new: rate skipped, wall still gates,
-     and added/removed entries never produce a rate verdict. *)
+  (* Old side recorded with Metrics off (no work) vs a side with work: rate
+     skipped, wall still gates, and added/removed entries never produce a
+     rate verdict. *)
   let old_ = report [ entry "e" [ 1.0; 1.0; 1.0 ] ] in
   let new_ = report [ entry ~work:[ ("sets_scored", 10) ] "e" [ 2.0; 2.1; 1.9 ] ] in
-  let deltas = Report.diff ~old_ ~new_ () in
+  let deltas = Report.diff ~old_ ~new_ in
   check_true "rate verdict skipped" (rate_verdict_of deltas "e" = None);
-  check_true "skip is flagged" (Report.rate_skipped deltas);
+  check_true "skip is flagged" (Report.skipped Report.Rate deltas);
   check_true "wall verdict still computed" (verdict_of deltas "e" = Report.Regression);
   let grown =
     report [ entry ~work:[ ("a", 1) ] "e" [ 1.0 ]; entry ~work:[ ("a", 1) ] "fresh" [ 1.0 ] ]
   in
   let deltas =
-    Report.diff ~old_:(report [ entry ~work:[ ("a", 1) ] "e" [ 1.0 ] ]) ~new_:grown ()
+    Report.diff ~old_:(report [ entry ~work:[ ("a", 1) ] "e" [ 1.0 ] ]) ~new_:grown
   in
   check_true "added entry has no rate verdict" (rate_verdict_of deltas "fresh" = None);
-  check_true "added/removed do not count as skipped" (not (Report.rate_skipped deltas))
+  check_true "added/removed do not count as skipped" (not (Report.skipped Report.Rate deltas))
 
 (* ---- catapult traces ---- *)
 
@@ -523,10 +496,11 @@ let suite =
   [
     Alcotest.test_case "median / spread helpers" `Quick test_median;
     Alcotest.test_case "wx-bench/4 round trip" `Quick test_round_trip;
-    Alcotest.test_case "wx-bench/3 compatibility" `Quick test_v3_compat;
-    Alcotest.test_case "wx-bench/2 compatibility" `Quick test_v2_compat;
-    Alcotest.test_case "wx-bench/1 compatibility" `Quick test_v1_compat;
     Alcotest.test_case "malformed reports rejected" `Quick test_malformed;
+    Alcotest.test_case "json \\u escape needs four hex digits" `Quick test_json_bad_unicode_escape;
+    qcheck ~count:1000 "json decoder: hostile strings" prop_json_hostile arbitrary_hostile_string;
+    qcheck ~count:500 "report decoder: mutated reports" prop_report_hostile
+      (arbitrary_mutation valid_report_text);
     Alcotest.test_case "diff verdicts on synthetic pairs" `Quick test_diff_verdicts;
     Alcotest.test_case "diff tolerance + compat warnings" `Quick test_diff_tolerance_and_warnings;
     Alcotest.test_case "alloc verdicts on synthetic pairs" `Quick test_alloc_verdicts;

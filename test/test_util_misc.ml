@@ -17,6 +17,31 @@ let test_table_render () =
   let widths = List.map String.length lines in
   check_true "all lines same width" (List.for_all (fun w -> w = List.hd widths) widths)
 
+(* Display width by decoding UTF-8 with the stdlib, independent of the
+   width count Table uses. *)
+let display_width s =
+  let rec go i n =
+    if i >= String.length s then n
+    else go (i + Uchar.utf_decode_length (String.get_utf_8_uchar s i)) (n + 1)
+  in
+  go 0 0
+
+let test_table_utf8 () =
+  let t = Table.create [ "experiment"; "window" ] in
+  Table.add_row t [ "e1"; "\u{2581}\u{2584}\u{2588}\u{00b7}\u{2585}" ];
+  Table.add_row t [ "simscale"; "ascii" ];
+  Table.add_row t [ "e11"; "\u{00b7}\u{00b7}\u{2588}" ];
+  let lines = String.split_on_char '\n' (String.trim (Table.render t)) in
+  let widths = List.map display_width lines in
+  check_true "every line has the same display width"
+    (List.for_all (fun w -> w = List.hd widths) widths);
+  (* ASCII-only tables render byte for byte as before. *)
+  let a = Table.create [ "id"; "v" ] in
+  Table.add_row a [ "alpha"; "1" ];
+  Alcotest.(check string) "ascii layout unchanged"
+    "+-------+---+\n| id    | v |\n+-------+---+\n| alpha | 1 |\n+-------+---+\n"
+    (Table.render a)
+
 let test_table_wrong_arity () =
   let t = Table.create [ "a"; "b" ] in
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: wrong number of cells")
@@ -158,6 +183,7 @@ let suite =
   [
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_wrong_arity;
+    Alcotest.test_case "table pads multi-byte cells" `Quick test_table_utf8;
     Alcotest.test_case "table formatters" `Quick test_table_formatters;
     Alcotest.test_case "log2" `Quick test_log2;
     Alcotest.test_case "log2i" `Quick test_log2i;
