@@ -7,10 +7,11 @@
    1. Jobs-independence: Decay on a shared mid-size instance produces
       structurally equal outcomes (rounds, completion, informed count,
       collisions, frontier history) at jobs 1 and at the pool default.
-   2. Alloc: once the network is saturated, a flood step at jobs=1
-      allocates zero minor words (budgeted a constant few words for the
-      [Gc.minor_words] float boxing of the probe itself) — the
-      steady-state claim the acceptance gate names.
+   2. Alloc: once the network is saturated, a flood step and a Decay
+      step at jobs=1 each allocate zero minor words (budgeted a constant
+      few words for the [Gc.minor_words] float boxing of the probe itself)
+      — the steady-state claim the acceptance gate names. Decay adds one
+      RNG coin per vertex per round, so its check covers the RNG too.
    3. Throughput: steady-state flood rounds on the fully-informed network
       (all n seeded via [inform] — the saturated regime a sustained
       broadcast reaches), at jobs=1 and at the pool default, reported as
@@ -124,6 +125,10 @@ let run ~quick =
   check "simscale: csr steady-state step allocates zero minor words"
     ~instance:(Printf.sprintf "%d saturated flood steps, jobs=1" alloc_steps)
     ~predicted:0.0 ~measured:dw_csr (dw_csr < alloc_budget);
+  let dw_decay = measure_steady_alloc (fun () -> ignore (Sim_csr.step st1 Sim_csr.decay r1)) in
+  check "simscale: csr steady-state decay step allocates zero minor words"
+    ~instance:(Printf.sprintf "%d saturated decay steps, jobs=1" alloc_steps)
+    ~predicted:0.0 ~measured:dw_decay (dw_decay < alloc_budget);
   let steps = if quick then 64 else 32 in
   let (), csr1_dt =
     timed (fun () ->

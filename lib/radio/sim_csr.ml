@@ -191,24 +191,28 @@ let phase_length n = Wx_util.Floatx.log2i_ceil (max 2 n) + 1
 
 let flood = { name = "flood"; fill = (fun t _rng -> Bytes.blit t.informed 0 t.transmit 0 t.n) }
 
-let decay_fill k_opt t rng =
-  let k = match k_opt with Some k -> k | None -> phase_length t.n in
+let decay_fill k t rng =
   let round = t.round in
   let informed = t.informed and transmit = t.transmit and since = t.since in
   for v = 0 to t.n - 1 do
     if Bytes.unsafe_get informed v = '\001' then begin
       let slot = (round - Array.unsafe_get since v) mod k in
-      let p = 1.0 /. float_of_int (1 lsl slot) in
       Metrics.incr m_coin_flips;
-      if Rng.bernoulli rng p then begin
+      if Rng.coin_pow2 rng slot then begin
         Metrics.incr m_transmit_decisions;
         Bytes.unsafe_set transmit v '\001'
       end
     end
   done
 
-let decay = { name = "decay"; fill = decay_fill None }
-let decay_with_phase_length k = { name = Printf.sprintf "decay-k%d" k; fill = decay_fill (Some k) }
+(* Each [fill] applies [decay_fill] in full: a partial application would
+   allocate a curried closure on every call. *)
+let decay = { name = "decay"; fill = (fun t rng -> decay_fill (phase_length t.n) t rng) }
+let decay_with_phase_length k =
+  (* Slots run over [0, k-1] and transmit with probability 2^-slot, which
+     [Rng.coin_pow2] takes exactly for slot <= 61. *)
+  if k < 1 || k > 62 then invalid_arg "Sim_csr.decay_with_phase_length: k must be in [1, 62]";
+  { name = Printf.sprintf "decay-k%d" k; fill = (fun t rng -> decay_fill k t rng) }
 
 let decay_globally_phased =
   {
@@ -217,12 +221,11 @@ let decay_globally_phased =
       (fun t rng ->
         let k = phase_length t.n in
         let slot = t.round mod k in
-        let p = 1.0 /. float_of_int (1 lsl slot) in
         let informed = t.informed and transmit = t.transmit in
         for v = 0 to t.n - 1 do
           if Bytes.unsafe_get informed v = '\001' then begin
             Metrics.incr m_coin_flips;
-            if Rng.bernoulli rng p then begin
+            if Rng.coin_pow2 rng slot then begin
               Metrics.incr m_transmit_decisions;
               Bytes.unsafe_set transmit v '\001'
             end

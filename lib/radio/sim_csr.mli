@@ -102,7 +102,10 @@ val decay : protocol
     message) transmits with probability [2^{-i}]. *)
 
 val decay_with_phase_length : int -> protocol
-(** Decay with an explicit phase length (ablation: decay aggressiveness). *)
+(** [decay_with_phase_length k] is Decay with an explicit phase length [k]
+    (ablation: decay aggressiveness). Slots run over [0, k-1], so the
+    coin's exponent stays within {!Wx_util.Rng.coin_pow2}'s exact domain.
+    Raises [Invalid_argument] unless [1 <= k <= 62]. *)
 
 val decay_globally_phased : protocol
 (** Decay with globally aligned phases (slot = round mod k for every node),

@@ -4,9 +4,16 @@
     is no hidden global state, so every experiment in [EXPERIMENTS.md] is
     reproducible from its printed seed.
 
-    The core generator is xoshiro256** (Blackman & Vigna) implemented on
-    [int64]; seeding and splitting use splitmix64, the recommended companion
-    seeding generator. *)
+    The core generator is xoshiro256** (Blackman & Vigna); seeding and
+    splitting use splitmix64, the recommended companion seeding generator.
+
+    The state is a 32-byte buffer holding the four 64-bit words s0..s3 at
+    byte offsets 0/8/16/24, read and written unboxed. [bits], [int],
+    [int_in], [bool] and [coin_pow2] allocate nothing per draw; [float] and
+    [int64] allocate only their boxed result, and [bernoulli] only its
+    caller's boxed [p]. This is why Decay's per-vertex coin uses
+    {!coin_pow2}: an integer argument is never boxed. The streams are pinned
+    by golden vectors in the test suite. *)
 
 type t
 (** Mutable generator state. *)
@@ -45,7 +52,18 @@ val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
+(** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). It
+    draws once when [0 < p < 1] and not at all otherwise. *)
+
+val coin_pow2 : t -> int -> bool
+(** [coin_pow2 t k] is [bernoulli t (1.0 /. float_of_int (1 lsl k))] without
+    the float: the same draws, the same result, for every [k] in its domain
+    [0 <= k <= 61]. [k = 0] is [true] without drawing; otherwise it draws
+    once and tests the top 53 bits v of the draw. For [k <= 53] it is [true]
+    iff v < 2^(53-k), exactly probability 2^-k (v * 2^-53 < 2^-k iff
+    v < 2^(53-k)). For [53 < k <= 61] it is [true] iff v = 0, probability
+    2^-53, the resolution of the 53-bit draw [bernoulli] shares. Raises
+    [Invalid_argument] for [k] outside [0, 61]. *)
 
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success in

@@ -22,13 +22,16 @@ baseline=bench/baseline.json
 # work counts, units/sec series and pool utilization (wx-bench/4) — the
 # pool scheduler, the work-unit taxonomy, the radio engine and its
 # protocols (rounds and vertex scans are counted work kinds), the graph
-# layout (graph.ml: the CSR rows the radio scan and Nbhd.Inc walk), and the
-# exposition server (its scrape
+# layout (graph.ml: the CSR rows the radio scan and Nbhd.Inc walk), the
+# RNG (every generator and randomized protocol draws from it, so its
+# per-draw allocation lands in every alloc baseline), and the exposition
+# server (its scrape
 # handling shares the registry the counted runs publish into, so a change
 # there can shift the instrumented-path cost the baseline certifies).
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
-         lib/util/guard.ml lib/util/guard.mli bench/*.ml
+         lib/util/guard.ml lib/util/guard.mli
+         lib/util/rng.ml lib/util/rng.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio
          lib/graph/graph.ml lib/obs/expose.ml)
 

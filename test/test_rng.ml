@@ -186,6 +186,125 @@ let test_pick () =
     check_true "member" (Array.mem (Rng.pick r arr) arr)
   done
 
+(* --- golden vectors ---
+
+   Recorded from the int64-record implementation this module replaced;
+   any change to seeding, the xoshiro step or a helper's bit extraction
+   shows up here. *)
+
+let golden_int64 =
+  [
+    ( 0,
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+        0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ] );
+    ( 1,
+      [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+        0xb27a48e29a233673L; 0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL ] );
+    ( 424242,
+      [ 0xf0a0a11c99bb8bf4L; 0x30858dbe5e6afacbL; 0x9ee0f12abe600718L; 0x74529b44f9747ffcL;
+        0x9a0f9752c482b29cL; 0xdb5d4094407e500cL; 0xa5c96f94aca5fd21L; 0xc316021ae6ef9cb0L ] );
+  ]
+
+let draws k f seed =
+  let r = Rng.create seed in
+  List.init k (fun _ -> f r)
+
+let check_int64s msg expected actual =
+  Alcotest.(check (list int64)) msg expected actual
+
+let test_golden_int64 () =
+  List.iter
+    (fun (seed, expected) ->
+      check_int64s (Printf.sprintf "int64 seed %d" seed) expected (draws 8 Rng.int64 seed))
+    golden_int64
+
+let test_golden_helpers () =
+  Alcotest.(check (list int))
+    "bits"
+    [ 0x3c282847266ee2fd; 0xc21636f979abeb2; 0x27b83c4aaf9801c6; 0x1d14a6d13e5d1fff;
+      0x2683e5d4b120aca7; 0x36d75025101f9403; 0x29725be52b297f48; 0x30c58086b9bbe72c ]
+    (draws 8 Rng.bits 424242);
+  Alcotest.(check (list int))
+    "int 1000" [ 733; 538; 398; 375; 543; 579; 408; 524 ]
+    (draws 8 (fun r -> Rng.int r 1000) 424242);
+  Alcotest.(check (list (float 0.0)))
+    "float"
+    [ 0x1.e141423933771p-1; 0x1.842c6df2f357cp-3; 0x1.3dc1e2557ccp-1; 0x1.d14a6d13e5d1ep-2;
+      0x1.341f2ea589056p-1; 0x1.b6ba812880fcap-1; 0x1.4b92df29594bfp-1; 0x1.862c0435cddf3p-1 ]
+    (draws 8 Rng.float 424242);
+  Alcotest.(check (list bool))
+    "bool" [ false; true; false; false; false; false; true; false ]
+    (draws 8 Rng.bool 424242)
+
+let test_golden_split_copy () =
+  let r = Rng.create 424242 in
+  let child = Rng.split r in
+  check_int64s "split child"
+    [ 0x77ef941bb227a648L; 0xedac9cd88b80265aL; 0x568d2b11294adc76L; 0x22052e280f41d4b2L ]
+    (List.init 4 (fun _ -> Rng.int64 child));
+  check_int64s "parent after split (two draws consumed)"
+    [ 0x9ee0f12abe600718L; 0x74529b44f9747ffcL; 0x9a0f9752c482b29cL; 0xdb5d4094407e500cL ]
+    (List.init 4 (fun _ -> Rng.int64 r));
+  let r = Rng.create 424242 in
+  ignore (Rng.int64 r);
+  let c = Rng.copy r in
+  check_int64s "copy"
+    [ 0x30858dbe5e6afacbL; 0x9ee0f12abe600718L; 0x74529b44f9747ffcL; 0x9a0f9752c482b29cL ]
+    (List.init 4 (fun _ -> Rng.int64 c))
+
+(* --- coin_pow2 --- *)
+
+(* Same result and same draw count as the float coin it replaces: after
+   the coin, both copies must produce the same next output. *)
+let test_coin_equivalence =
+  qcheck ~count:2000 "coin_pow2 = bernoulli 2^-k"
+    (fun (seed, k) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      let ca = Rng.coin_pow2 a k in
+      let cb = Rng.bernoulli b (1.0 /. float_of_int (1 lsl k)) in
+      ca = cb && Rng.int64 a = Rng.int64 b)
+    QCheck.(pair int (int_range 0 61))
+
+let test_coin_edges () =
+  (* k = 0 is the one coin that draws nothing; k outside the exact domain
+     is rejected rather than wrapped by [1 lsl k]. *)
+  let r = rng ~salt:16 () in
+  let c = Rng.copy r in
+  check_true "k=0 true" (Rng.coin_pow2 r 0);
+  check_true "k=0 draws nothing" (Rng.int64 r = Rng.int64 c);
+  List.iter
+    (fun k ->
+      match Rng.coin_pow2 r k with
+      | _ -> Alcotest.failf "coin_pow2 %d should raise" k
+      | exception Invalid_argument _ -> ())
+    [ -1; 62; 63; max_int ];
+  let hits = ref 0 and trials = 64_000 in
+  for _ = 1 to trials do
+    if Rng.coin_pow2 r 3 then incr hits
+  done;
+  check_true "k=3 mean near 1/8" (abs (!hits - (trials / 8)) < trials / 80)
+
+(* 10^5 draws of each allocation-free helper stay under a constant budget
+   ([Gc.minor_words] boxes its own result), so each draw costs 0 words. *)
+let test_draws_allocate_nothing () =
+  let r = rng ~salt:17 () in
+  let draws = 100_000 and budget = 64.0 in
+  let probe name f =
+    let acc = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to draws do
+      acc := !acc lxor f r
+    done;
+    let dw = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity !acc);
+    check_true (Printf.sprintf "%s: %d draws allocate %.0f words" name draws dw) (dw < budget)
+  in
+  probe "bits" Rng.bits;
+  probe "int" (fun r -> Rng.int r 1000);
+  probe "bool" (fun r -> Bool.to_int (Rng.bool r));
+  probe "coin_pow2" (fun r -> Bool.to_int (Rng.coin_pow2 r 5))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -208,4 +327,10 @@ let suite =
     Alcotest.test_case "subset bernoulli mean" `Slow test_subset_bernoulli_mean;
     Alcotest.test_case "subset bernoulli edges" `Quick test_subset_bernoulli_edges;
     Alcotest.test_case "pick" `Quick test_pick;
+    Alcotest.test_case "golden int64" `Quick test_golden_int64;
+    Alcotest.test_case "golden helpers" `Quick test_golden_helpers;
+    Alcotest.test_case "golden split and copy" `Quick test_golden_split_copy;
+    test_coin_equivalence;
+    Alcotest.test_case "coin_pow2 edges" `Quick test_coin_edges;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
   ]

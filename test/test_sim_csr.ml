@@ -358,11 +358,10 @@ let test_intvec () =
   Intvec.clear v;
   check_int "cleared" 0 (Intvec.length v)
 
-let test_zero_alloc_steady_state () =
-  (* The acceptance criterion behind the SIMSCALE alloc claim: once the
-     network is saturated, a flood step at jobs=1 allocates nothing (the
-     randomized protocols additionally pay the Rng's boxed int64 draws, so
-     flood is the clean probe of the kernel itself). *)
+(* The acceptance criterion behind the SIMSCALE alloc claims: once the
+   network is saturated, a step at jobs=1 allocates nothing. Flood probes
+   the kernel alone; Decay adds one coin per informed vertex per round. *)
+let check_zero_alloc_steady_state protocol =
   let g = Gen.gnm (rng ~salt:23 ()) 2000 8000 in
   let t = Sim_csr.create ~jobs:1 g ~source:0 in
   let r = Rng.create 7 in
@@ -377,11 +376,34 @@ let test_zero_alloc_steady_state () =
          words means the per-step cost is exactly zero. *)
       let w0 = Memgc.own_minor_words () in
       for _ = 1 to 50 do
-        ignore (Sim_csr.step t Sim_csr.flood r)
+        ignore (Sim_csr.step t protocol r)
       done;
       let dw = Memgc.own_minor_words () -. w0 in
-      check_true (Printf.sprintf "steady-state flood steps allocate 0 words (got %.0f)" dw)
+      check_true
+        (Printf.sprintf "steady-state %s steps allocate 0 words (got %.0f)" protocol.Sim_csr.name dw)
         (dw < 10.0))
+
+let test_zero_alloc_steady_state () = check_zero_alloc_steady_state Sim_csr.flood
+let test_zero_alloc_decay () = check_zero_alloc_steady_state Sim_csr.decay
+
+let test_decay_phase_length_range () =
+  List.iter
+    (fun k ->
+      match Sim_csr.decay_with_phase_length k with
+      | _ -> Alcotest.failf "decay_with_phase_length %d should raise" k
+      | exception Invalid_argument _ -> ())
+    [ min_int; -1; 0; 63; 64 ];
+  (* Both ends of the accepted range run: k = 1 transmits every round
+     (slot 0, probability 1); k = 62 reaches slot 61. *)
+  let g = Gen.gnm (rng ~salt:24 ()) 200 800 in
+  List.iter
+    (fun k ->
+      let o =
+        Sim_csr.run ~max_rounds:100 ~jobs:1 g ~source:0 (Sim_csr.decay_with_phase_length k)
+          (Rng.create 5)
+      in
+      check_true (Printf.sprintf "k=%d informs beyond the source" k) (o.Sim.informed_final > 1))
+    [ 1; 62 ]
 
 let suite =
   [
@@ -399,4 +421,6 @@ let suite =
     Alcotest.test_case "round limit overflow-safe" `Quick test_round_limit_overflow_safe;
     Alcotest.test_case "intvec" `Quick test_intvec;
     Alcotest.test_case "csr steady state allocates zero" `Quick test_zero_alloc_steady_state;
+    Alcotest.test_case "csr decay steady state allocates zero" `Quick test_zero_alloc_decay;
+    Alcotest.test_case "decay phase length range" `Quick test_decay_phase_length_range;
   ]
