@@ -8,21 +8,26 @@ type t = Bytes.t
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* splitmix64: used only for seeding / splitting. *)
-let splitmix_next state =
+(* splitmix64: used only for seeding / splitting. Its state advances by
+   [golden] per output and each output is [mix] of the new state; the
+   four steps are unrolled on let-bound locals so seeding boxes nothing. *)
+let golden = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let of_seed64 seed =
-  let st = ref seed in
+let[@inline] of_seed64 seed =
   let t = Bytes.create 32 in
-  for i = 0 to 3 do
-    set64 t (8 * i) (splitmix_next st)
-  done;
+  let s = Int64.add seed golden in
+  set64 t 0 (mix s);
+  let s = Int64.add s golden in
+  set64 t 8 (mix s);
+  let s = Int64.add s golden in
+  set64 t 16 (mix s);
+  set64 t 24 (mix (Int64.add s golden));
   t
 
 let create seed = of_seed64 (Int64.of_int seed)
@@ -51,7 +56,7 @@ let split t =
   (* Seed a child from two raw outputs folded through splitmix, so parent and
      child streams do not share xoshiro state. *)
   let a = next t and b = next t in
-  of_seed64 (Int64.logxor a (Int64.mul b 0x9E3779B97F4A7C15L))
+  of_seed64 (Int64.logxor a (Int64.mul b golden))
 
 let copy = Bytes.copy
 
