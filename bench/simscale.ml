@@ -1,6 +1,6 @@
 (* SIMSCALE — million-node radio simulation through the CSR engine.
 
-   Four measurements on sparse G(n,m) instances at mean degree 8 (quick:
+   Five measurements on sparse G(n,m) instances at mean degree 8 (quick:
    n = 10^5; full: n = 10^6 — see EXPERIMENTS.md for the documented
    million-node run):
 
@@ -21,7 +21,13 @@
    4. End-to-end: Decay from one source at scale n, informational
       rounds/sec and spread (gnm at mean degree 8 may strand isolated
       vertices, so near-complete spread is the check, not completion —
-      the giant component is informed within ~100 rounds at n = 10^5). *)
+      the giant component is informed within ~100 rounds at n = 10^5).
+   5. Pool dispatch: a 200-round Decay at jobs >= 2 on n = 2 range + 1
+      crosses the pool every round. Its helper domains are spawned once
+      per process and parked between calls, so the run may spawn at most
+      jobs - 1 domains in total — a deterministic gate, unlike a wall-time
+      bound. The cost of one empty dispatch (wake the helpers, wait for
+      them) is reported as an informational row. *)
 
 open Bench_common
 module Clock = Wx_obs.Clock
@@ -173,6 +179,56 @@ let run ~quick =
     ~measured:(float_of_int out.Sim.informed_final)
     (float_of_int out.Sim.informed_final >= 0.99 *. float_of_int n);
   Table.print t;
+
+  (* 5. pool dispatch: spawn count over a pool-crossing run, and the
+     wall cost of one empty parallel call *)
+  let pjobs = max 2 jobs and range = 1024 and prounds = 200 in
+  let gp = Graph.add_vertices_and_edges (Gen.gnm (rng 63) (2 * range) (8 * range)) 1 [] in
+  let spawned_c = Metrics.counter "pool.domains_spawned" in
+  let was = Metrics.is_enabled () in
+  if not was then Metrics.enable ();
+  let rounds, spawned, dispatch_dt =
+    Fun.protect
+      ~finally:(fun () -> if not was then Metrics.disable ())
+      (fun () ->
+        let before = Metrics.counter_value spawned_c in
+        let o =
+          Sim_csr.run ~max_rounds:prounds ~jobs:pjobs ~range gp ~source:0 Sim_csr.decay
+            (Rng.create 5)
+        in
+        let spawned = Metrics.counter_value spawned_c - before in
+        let (), dt =
+          timed (fun () ->
+              for _ = 1 to prounds do
+                ignore
+                  (Pool.parallel_reduce_ranges ~jobs:pjobs ~range:1 ~n:pjobs ~init:0
+                     ~map:(fun ~lo ~hi:_ -> lo)
+                     ~combine:( + ) ())
+              done)
+        in
+        (o.Sim.rounds, spawned, dt))
+  in
+  check "simscale: pool-crossing rounds spawn at most jobs - 1 domains"
+    ~instance:
+      (Printf.sprintf "decay n=%d range=%d jobs=%d, %d rounds" (Graph.n gp) range pjobs rounds)
+    ~predicted:(float_of_int (pjobs - 1))
+    ~measured:(float_of_int spawned)
+    (* The isolated vertex keeps Decay from finishing before the cap. *)
+    (rounds = prounds && spawned <= pjobs - 1);
+  let us_per_dispatch = 1e6 *. dispatch_dt /. float_of_int prounds in
+  let td = Table.create [ "pool dispatch"; "jobs"; "calls"; "us/call"; "domains spawned" ] in
+  Table.add_row td
+    [
+      "empty parallel call";
+      Table.fi pjobs;
+      Table.fi prounds;
+      Printf.sprintf "%.1f" us_per_dispatch;
+      Table.fi spawned;
+    ];
+  Table.print td;
+  record ~claim:"simscale: pool dispatch us/call (informational)"
+    ~instance:(Printf.sprintf "%d empty parallel_reduce_ranges calls, jobs=%d" prounds pjobs)
+    ~measured:us_per_dispatch true;
   verdict !ok !total
 
 let experiment =

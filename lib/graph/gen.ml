@@ -272,22 +272,31 @@ let barbell k =
 let barabasi_albert rng n m =
   if m < 1 || n <= m then invalid_arg "Gen.barabasi_albert: need n > m >= 1";
   (* Endpoint pool: each edge contributes both endpoints, so sampling the
-     pool uniformly is degree-proportional sampling. Seed with a K_{m+1}. *)
-  let pool = ref [] in
+     pool uniformly is degree-proportional sampling. Seed with a K_{m+1};
+     every later vertex adds exactly m edges, so the pool's final size is
+     known up front and it fills through a cursor. *)
+  let pool = Array.make (2 * ((m * (m + 1) / 2) + ((n - m - 1) * m))) 0 in
+  let len = ref 0 in
+  let push x =
+    pool.(!len) <- x;
+    incr len
+  in
   let es = ref [] in
+  let seed = ref [] in
   for u = 0 to m do
     for v = u + 1 to m do
       es := (u, v) :: !es;
-      pool := u :: v :: !pool
+      seed := u :: v :: !seed
     done
   done;
-  let pool_arr = ref (Array.of_list !pool) in
+  (* Newest-first: the order every pinned graph was drawn against. *)
+  List.iter push !seed;
   for v = m + 1 to n - 1 do
     let chosen = Hashtbl.create m in
     let attempts = ref 0 in
     while Hashtbl.length chosen < m && !attempts < 50 * m do
       incr attempts;
-      let target = (!pool_arr).(Rng.int rng (Array.length !pool_arr)) in
+      let target = pool.(Rng.int rng !len) in
       if target <> v then Hashtbl.replace chosen target ()
     done;
     (* Fallback for pathological pools: link to arbitrary distinct earlier
@@ -301,7 +310,8 @@ let barabasi_albert rng n m =
     List.iter
       (fun t ->
         es := (v, t) :: !es;
-        pool_arr := Array.append !pool_arr [| v; t |])
+        push v;
+        push t)
       fresh
   done;
   Graph.of_edges n !es

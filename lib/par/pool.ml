@@ -1,18 +1,27 @@
-(* Domain pool: chunked index-range stealing over stdlib Domain + Atomic.
+(* Domain pool: chunked index-range stealing over stdlib Domain + Atomic,
+   run by a persistent crew of helper domains.
 
    Work distribution is dynamic (domains race on an atomic chunk cursor),
    but the combine tree is static: per-chunk results land in a slot array
    and the calling domain folds them in chunk order. Determinism therefore
-   never depends on which domain ran which chunk.
+   never depends on which domain ran which chunk, nor on how many domains
+   took part.
+
+   The crew: helper domains are spawned on first use, grow to the largest
+   [jobs - 1] any call asked for, and park on a condition variable between
+   calls, so a parallel call costs one wake-up and one wait instead of
+   [jobs - 1] domain spawns and joins. One call owns the crew at a time; a
+   call that finds it taken (a task that itself calls the pool, or a call
+   from another domain) runs every chunk on its own domain.
 
    Instrumentation: while Wx_obs metrics or tracing is on, every chunk's
    latency lands in a per-domain histogram shard, the gaps between chunks
    feed a claim-wait timer, and each chunk becomes a Chrome-trace slice on
    the track of the worker slot that ran it (tid 0 = the calling domain,
-   tids 1..jobs-1 = spawned workers) — so load imbalance across --jobs
-   settings is visible both as p99 numbers and in chrome://tracing. All of
-   it is gated on one boolean computed per parallel_reduce call; with both
-   systems off the hot loop is untouched. *)
+   tids 1.. = crew helpers) — so load imbalance across --jobs settings is
+   visible both as p99 numbers and in chrome://tracing. All of it is gated
+   on one boolean computed per parallel_reduce call; with both systems off
+   the hot loop is untouched. *)
 
 module Metrics = Wx_obs.Metrics
 module Trace_export = Wx_obs.Trace_export
@@ -38,8 +47,8 @@ let join_t = Metrics.timer "pool.join_wait"
 
 (* Per-worker / per-chunk allocation attribution (live only when Memgc is
    also enabled): each worker observes its own Gc.counters delta, so the
-   histogram's DLS shards ARE the per-domain merge — a shard outlives its
-   domain and snapshot sums them after the joins. *)
+   histogram's DLS shards ARE the per-domain merge — a helper keeps its
+   shard across runs and snapshot sums them. *)
 let worker_minor_h = Metrics.histogram "pool.worker_minor_words"
 let chunk_minor_h = Metrics.histogram "pool.chunk_minor_words"
 
@@ -122,27 +131,27 @@ let util () =
   u
 
 (* Fold one run's per-slot arrays into the global accumulator. [seq] runs
-   have one slot and by construction no idle tail. Called with the workers
-   already joined, so the distinct-slot writes are stable. *)
-let util_record ~seq ~jobs ~run_span ~busy ~spans ~chunks ~idle_tail =
+   have one slot and by construction no idle tail. Called once the run's
+   helpers have reported done, so the distinct-slot writes are stable. *)
+let util_record ~seq ~slots ~run_span ~busy ~spans ~chunks ~idle_tail =
   Mutex.lock util_lock;
-  if Array.length !util_slots < jobs then begin
+  if Array.length !util_slots < slots then begin
     let grown =
-      Array.init jobs (fun i ->
+      Array.init slots (fun i ->
           if i < Array.length !util_slots then !util_slots.(i)
           else { a_busy = 0; a_span = 0; a_chunks = 0 })
     in
     util_slots := grown
   end;
-  for tid = 0 to jobs - 1 do
+  for tid = 0 to slots - 1 do
     let a = !util_slots.(tid) in
     a.a_busy <- a.a_busy + busy.(tid);
     a.a_span <- a.a_span + spans.(tid);
     a.a_chunks <- a.a_chunks + chunks.(tid)
   done;
   if seq then incr util_seq_runs else incr util_runs;
-  util_capacity := !util_capacity + (jobs * run_span);
-  util_busy := !util_busy + Array.fold_left ( + ) 0 (Array.sub busy 0 jobs);
+  util_capacity := !util_capacity + (slots * run_span);
+  util_busy := !util_busy + Array.fold_left ( + ) 0 (Array.sub busy 0 slots);
   util_idle_tail := !util_idle_tail + idle_tail;
   if idle_tail > !util_max_idle_tail then util_max_idle_tail := idle_tail;
   if Array.length !util_slot_gauges < Array.length !util_slots then begin
@@ -192,6 +201,117 @@ let resolve_jobs jobs =
   | Some _ -> invalid_arg "Pool.parallel_reduce: jobs must be >= 1"
   | None -> default_jobs ()
 
+(* ---- the crew ----
+
+   Helper [i] (1-based) runs worker slot [i]. It parks on [wake] until the
+   generation moves past the last one it saw, runs the published [job] if
+   the new generation engaged it, then decrements [pending] and signals
+   [finished]. [busy] admits one owner, which alone reads and writes
+   [size] and [capped] and publishes generations; every other field is
+   read and written under [lock]. A generation cannot be superseded while
+   an engaged helper is still on it (the owner waits for [pending = 0]
+   before releasing [busy]), so no engaged helper can miss its
+   generation. Parked helpers block in [Condition.wait]: an idle crew
+   costs no CPU. *)
+
+type crew = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  finished : Condition.t;
+  mutable size : int; (* helpers spawned so far *)
+  mutable capped : bool; (* a spawn failed: the runtime is out of domains *)
+  mutable generation : int;
+  mutable engaged : int; (* helpers 1..engaged run the current generation *)
+  mutable pending : int; (* engaged helpers not yet done *)
+  mutable job : int -> unit; (* must not raise *)
+}
+
+let crew =
+  {
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    finished = Condition.create ();
+    size = 0;
+    capped = false;
+    generation = 0;
+    engaged = 0;
+    pending = 0;
+    job = ignore;
+  }
+
+let busy = Atomic.make false
+
+(* Called with [crew.lock] held; never returns. *)
+let rec park slot seen =
+  while crew.generation = seen do
+    Condition.wait crew.wake crew.lock
+  done;
+  let generation = crew.generation in
+  if slot <= crew.engaged then begin
+    let job = crew.job in
+    Mutex.unlock crew.lock;
+    job slot;
+    Mutex.lock crew.lock;
+    crew.pending <- crew.pending - 1;
+    if crew.pending = 0 then Condition.signal crew.finished
+  end;
+  park slot generation
+
+(* Owner only. The generation a helper starts from is read here, before
+   the domain runs: reading it inside the new domain could see the very
+   generation it is being spawned for and sleep through it. *)
+let grow want =
+  Mutex.lock crew.lock;
+  let seen = crew.generation in
+  Mutex.unlock crew.lock;
+  while crew.size < want && not crew.capped do
+    let slot = crew.size + 1 in
+    match
+      Domain.spawn (fun () ->
+          Mutex.lock crew.lock;
+          park slot seen)
+    with
+    | (_ : unit Domain.t) ->
+        crew.size <- slot;
+        Metrics.incr spawned_c
+    | exception Failure _ -> crew.capped <- true
+  done
+
+(* Publish [job] to up to [helpers] helpers and return how many took it.
+   0 means the caller runs alone: the crew is owned by another call, or no
+   helper could be spawned. A positive answer must be paired with
+   [await]. *)
+let engage ~helpers job =
+  if helpers <= 0 || not (Atomic.compare_and_set busy false true) then 0
+  else begin
+    if crew.size < helpers then grow helpers;
+    let k = min helpers crew.size in
+    if k = 0 then Atomic.set busy false
+    else begin
+      Mutex.lock crew.lock;
+      crew.job <- job;
+      crew.engaged <- k;
+      crew.pending <- k;
+      crew.generation <- crew.generation + 1;
+      Condition.broadcast crew.wake;
+      Mutex.unlock crew.lock
+    end;
+    k
+  end
+
+(* Wait for the [k] helpers [engage] returned, then release the crew. The
+   lock hand-off publishes every helper write to the caller. *)
+let await k =
+  if k > 0 then begin
+    Mutex.lock crew.lock;
+    while crew.pending > 0 do
+      Condition.wait crew.finished crew.lock
+    done;
+    crew.job <- ignore;
+    Mutex.unlock crew.lock;
+    Atomic.set busy false
+  end
+
 (* Shared instrumented core. [ntasks] tasks indexed [0, ntasks); results
    land in a slot array indexed by task id and are folded in id order, so
    determinism never depends on which domain ran which task. [order]
@@ -216,8 +336,8 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
     let now () = if instrumented then Clock.now_ns () else 0 in
     let own_words () = if memgc_on then Memgc.own_minor_words () else 0.0 in
     (* Per-run utilization state, one slot per worker tid. Distinct slots
-       are written only by their owner; the caller reads them after the
-       joins. Sized by [jobs] (not ntasks), so the allocation is a
+       are written only by their owner; the caller reads them after
+       [await]. Sized by [jobs] (not ntasks), so the allocation is a
        deterministic function of the call shape — the alloc gate depends
        on that. Empty when uninstrumented: no cost, and run_task never
        touches them on that path. *)
@@ -268,7 +388,7 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
           (if span > 0 then 100.0 *. float_of_int busy_a.(0) /. float_of_int span else 0.0);
         Metrics.observe util_slot_chunks_h (float_of_int chunks_a.(0));
         Metrics.observe_ns util_idle_tail_t 0;
-        util_record ~seq:true ~jobs:1 ~run_span:span ~busy:busy_a ~spans:spans_a
+        util_record ~seq:true ~slots:1 ~run_span:span ~busy:busy_a ~spans:spans_a
           ~chunks:chunks_a ~idle_tail:0
       end;
       !acc
@@ -276,7 +396,6 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
     else begin
       if instrumented then begin
         Metrics.incr runs_c;
-        Metrics.add spawned_c (jobs - 1);
         Metrics.set jobs_g (float_of_int jobs)
       end;
       let t_run0 = now () in
@@ -322,18 +441,18 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
         done;
         (* Finish stamp / slot span for the utilization summary: read once
            per worker exit, outside the chunk loop. The caller consumes
-           these after the joins. *)
+           these after [await]. *)
         if instrumented then begin
           let t_fin = Clock.now_ns () in
           finish_a.(tid) <- t_fin;
           spans_a.(tid) <- t_fin - t_start
         end;
-        (* Per-worker attribution: the worker's OWN minor-word delta,
-           observed from the worker domain itself so it lands in that
-           domain's histogram shard (merged at snapshot after joins).
-           Spawned workers also credit the delta to Memgc's foreign
-           accumulator — the caller's post-join Memgc.read depends on it —
-           and that credit happens-before the join that publishes it. *)
+        (* Per-worker attribution: the worker's OWN minor-word delta for
+           this run, observed from the worker domain itself so it lands in
+           that domain's histogram shard (merged at snapshot). Helpers also
+           credit the delta to Memgc's foreign accumulator — the caller's
+           Memgc.read after the run depends on it — and that credit
+           happens-before the [await] that publishes it. *)
         let w_delta = if memgc_on then Memgc.own_minor_words () -. w_start else 0.0 in
         (* Round, don't truncate: Gc.minor_words deltas are integral in
            practice, but if a runtime ever reports fractional words the
@@ -351,10 +470,20 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
               :: (if mem then [ ("minor_words", Json.Float w_delta) ] else []))
             ()
       in
-      let domains = Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1))) in
-      worker 0;
+      (* Helpers must report done whatever happens, or the crew wedges:
+         anything [worker] lets escape becomes this run's failure. *)
+      let job tid =
+        match worker tid with
+        | () -> ()
+        | exception e -> ignore (Atomic.compare_and_set failure None (Some e))
+      in
+      let helpers = engage ~helpers:(jobs - 1) job in
+      job 0;
       let t_drain = now () in
-      Array.iter Domain.join domains;
+      await helpers;
+      (* Slots that ran: the instruments below cover these only, so a run
+         the busy crew left to its caller reports one slot, not [jobs]. *)
+      let slots = helpers + 1 in
       if instrumented then begin
         let t_joined = Clock.now_ns () in
         (* Caller-side wait for stragglers after its own queue ran dry: the
@@ -363,10 +492,10 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
         Trace_export.slice ~tid:0 ~name:"join" ~t0_ns:t_drain ~dur_ns:(t_joined - t_drain) ();
         Trace_export.slice ~tid:0 ~name:"parallel_reduce" ~t0_ns:t_run0
           ~dur_ns:(t_joined - t_run0) ~args:trace_args ();
-        (* Utilization summary for this run. The joins above published the
-           workers' slot writes, so the arrays are stable here. *)
+        (* Utilization summary for this run. [await] published the
+           helpers' slot writes, so the arrays are stable here. *)
         let fin_min = ref max_int and fin_max = ref min_int in
-        for tid = 0 to jobs - 1 do
+        for tid = 0 to slots - 1 do
           if finish_a.(tid) < !fin_min then fin_min := finish_a.(tid);
           if finish_a.(tid) > !fin_max then fin_max := finish_a.(tid);
           Metrics.observe util_busy_frac_h
@@ -381,21 +510,21 @@ let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
            renders as a staircase in chrome://tracing / wx prof. *)
         if Trace_export.is_enabled () then begin
           Trace_export.counter ~name:"pool.active_workers" ~t_ns:t_run0
-            [ ("active", float_of_int jobs) ];
-          let fins = Array.sub finish_a 0 jobs in
+            [ ("active", float_of_int slots) ];
+          let fins = Array.sub finish_a 0 slots in
           Array.sort compare fins;
           Array.iteri
             (fun i t ->
               Trace_export.counter ~name:"pool.active_workers" ~t_ns:t
-                [ ("active", float_of_int (jobs - i - 1)) ])
+                [ ("active", float_of_int (slots - i - 1)) ])
             fins
         end;
-        util_record ~seq:false ~jobs ~run_span:(t_joined - t_run0) ~busy:busy_a
+        util_record ~seq:false ~slots ~run_span:(t_joined - t_run0) ~busy:busy_a
           ~spans:spans_a ~chunks:chunks_a ~idle_tail
       end;
       (match Atomic.get failure with Some e -> raise e | None -> ());
-      (* All tasks completed (no failure), so every slot is filled; the
-         joins above publish the workers' writes to this domain. *)
+      (* All tasks completed (no failure), so every slot is filled; [await]
+         published the helpers' writes to this domain. *)
       let acc = ref init in
       for c = 0 to ntasks - 1 do
         match results.(c) with

@@ -7,12 +7,25 @@
     {2 Execution model}
 
     A call to {!parallel_reduce} splits the index range [0, n) into
-    fixed-size chunks. Worker domains (the caller plus [jobs - 1] spawned
-    domains) claim chunks by a single [Atomic.fetch_and_add] on a shared
-    cursor — cheap dynamic load balancing for irregular per-index work.
-    Each chunk is folded locally with [combine]; the per-chunk results are
-    stored into a slot array and finally folded {e in chunk order} by the
-    calling domain.
+    fixed-size chunks. Worker slots (the caller plus up to [jobs - 1]
+    helper domains) claim chunks by a single [Atomic.fetch_and_add] on a
+    shared cursor — cheap dynamic load balancing for irregular per-index
+    work. Each chunk is folded locally with [combine]; the per-chunk
+    results are stored into a slot array and finally folded {e in chunk
+    order} by the calling domain.
+
+    The helpers are a persistent crew: each is spawned the first time a
+    call needs it, the crew grows to the largest [jobs - 1] requested and
+    never shrinks, and between calls every helper is parked (blocked on a
+    condition variable, not spinning). A call wakes the helpers it needs,
+    runs slot 0 itself and waits until they report done, so a round-by-
+    round caller such as the radio engine pays a wake-up per call rather
+    than [jobs - 1] domain spawns and joins. One call owns the crew at a
+    time. A call that finds it owned — a [map] that itself calls the pool,
+    or a call from another domain — runs every chunk on its own domain; so
+    does a call made after the runtime refused a spawn, with whatever
+    helpers exist. By the determinism contract below the answer is the
+    same in every case.
 
     {!parallel_reduce_weighted} is the work-stealing variant for loads the
     fixed-size splitter cannot balance: the caller supplies a per-index
@@ -40,15 +53,21 @@
     (gap between a worker finishing one chunk and claiming the next),
     [pool.join_wait] (caller-side wait for stragglers after its own queue
     ran dry — the load-imbalance signal), plus [pool.runs], [pool.chunks],
-    [pool.claims_empty], [pool.domains_spawned] and the [pool.jobs] gauge.
+    [pool.claims_empty], the [pool.jobs] gauge, and [pool.domains_spawned]
+    — helper domains actually spawned: at most the largest [jobs - 1]
+    ever requested, however many calls run.
     Weighted runs additionally count [pool.runs_weighted] and
     [pool.units_split] (extra work units the splitter created beyond one
     per index).
     While [Wx_obs.Trace_export] is enabled, each chunk additionally becomes
     a Chrome-trace slice on the track of the worker slot that ran it
-    (tid 0 = calling domain, tids 1..jobs-1 = spawned workers), with
-    [worker]/[join]/[parallel_reduce] envelope slices. With both systems
-    off the hot loop performs no clock reads (assertable via
+    (tid 0 = calling domain, tid [i] = crew helper [i]), with
+    [worker]/[join]/[parallel_reduce] envelope slices; [join] is the
+    caller's wait for its helpers. Per-run instruments cover only the
+    slots that ran: a call left to its caller reports one slot. Helpers
+    credit their own per-run minor words to [Wx_obs.Memgc], so a
+    caller's allocation reading includes the work its helpers did. With
+    both systems off the hot loop performs no clock reads (assertable via
     [Wx_obs.Clock.read_count]).
 
     {2 Utilization}
@@ -85,7 +104,7 @@ val util : unit -> util
     slot array if no instrumented run happened since {!reset_util}). *)
 
 val reset_util : unit -> unit
-(** Clear the cross-run utilization accumulator. Call between joined
+(** Clear the cross-run utilization accumulator. Call between
     parallel sections, like [Metrics.reset]. *)
 
 val recommended_jobs : unit -> int

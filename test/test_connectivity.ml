@@ -60,6 +60,56 @@ let test_barabasi_albert_validation () =
   Alcotest.check_raises "m >= n" (Invalid_argument "Gen.barabasi_albert: need n > m >= 1")
     (fun () -> ignore (Gen.barabasi_albert r 3 3))
 
+(* The generator before its endpoint pool was preallocated: one
+   [Array.append] per edge, quadratic in n. Kept as the oracle that the
+   linear version draws the same graph. *)
+let barabasi_albert_quadratic rng n m =
+  let pool = ref [] and es = ref [] in
+  for u = 0 to m do
+    for v = u + 1 to m do
+      es := (u, v) :: !es;
+      pool := u :: v :: !pool
+    done
+  done;
+  let pool_arr = ref (Array.of_list !pool) in
+  for v = m + 1 to n - 1 do
+    let chosen = Hashtbl.create m and attempts = ref 0 in
+    while Hashtbl.length chosen < m && !attempts < 50 * m do
+      incr attempts;
+      let target = !pool_arr.(Wx_util.Rng.int rng (Array.length !pool_arr)) in
+      if target <> v then Hashtbl.replace chosen target ()
+    done;
+    let u = ref 0 in
+    while Hashtbl.length chosen < m do
+      if !u <> v then Hashtbl.replace chosen !u ();
+      incr u
+    done;
+    List.iter
+      (fun t ->
+        es := (v, t) :: !es;
+        pool_arr := Array.append !pool_arr [| v; t |])
+      (Hashtbl.fold (fun t () acc -> t :: acc) chosen [])
+  done;
+  Graph.of_edges n !es
+
+let test_barabasi_albert_matches_quadratic () =
+  List.iter
+    (fun (n, m, salt) ->
+      check_true
+        (Printf.sprintf "n=%d m=%d salt=%d" n m salt)
+        (Graph.equal
+           (Gen.barabasi_albert (rng ~salt ()) n m)
+           (barabasi_albert_quadratic (rng ~salt ()) n m)))
+    [ (2, 1, 0); (5, 4, 1); (12, 2, 17); (50, 2, 171); (120, 3, 2); (300, 1, 3); (300, 2, 4);
+      (300, 5, 5) ]
+
+let test_barabasi_albert_linear () =
+  let t0 = Unix.gettimeofday () in
+  let g = Gen.barabasi_albert (rng ~salt:173 ()) 100_000 2 in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int "n" 100_000 (Graph.n g);
+  check_true (Printf.sprintf "n = 10^5 builds in under 1 s (took %.2f s)" dt) (dt < 1.0)
+
 let suite =
   [
     Alcotest.test_case "st path" `Quick test_st_path;
@@ -72,4 +122,7 @@ let suite =
     Alcotest.test_case "is_k_edge_connected" `Quick test_is_k_edge_connected;
     Alcotest.test_case "barabasi-albert shape" `Quick test_barabasi_albert_shape;
     Alcotest.test_case "barabasi-albert validation" `Quick test_barabasi_albert_validation;
+    Alcotest.test_case "barabasi-albert = quadratic oracle" `Quick
+      test_barabasi_albert_matches_quadratic;
+    Alcotest.test_case "barabasi-albert builds 10^5 in 1 s" `Quick test_barabasi_albert_linear;
   ]

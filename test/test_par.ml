@@ -355,6 +355,69 @@ let test_work_totals_job_independent () =
   ignore (Measure.beta_exact ~jobs:1 g);
   check_int "work frozen while metrics disabled" before (Work.count Work.sets_scored)
 
+(* ---- the persistent crew ---- *)
+
+let sum_to n = n * (n - 1) / 2
+
+let test_crew_spawns_once () =
+  with_metrics (fun () ->
+      let spawned = Metrics.counter "pool.domains_spawned" in
+      let before = Metrics.counter_value spawned in
+      for k = 1 to 200 do
+        check_int (Printf.sprintf "call %d" k) (sum_to 64)
+          (Pool.parallel_reduce ~jobs:4 ~n:64 ~init:0 ~map:Fun.id ~combine:( + ) ())
+      done;
+      (* At most the three helpers jobs:4 needs, and none if an earlier
+         test already grew the crew; spawning per call would show 600. *)
+      check_true "helpers spawned once, not per call"
+        (Metrics.counter_value spawned - before <= 3))
+
+let test_nested_call_runs_on_caller () =
+  (* Every outer task calls the pool while the outer run owns the crew:
+     the inner calls must run on their own domain, not wait for it. *)
+  let n = 24 in
+  let got =
+    Pool.parallel_reduce ~jobs:4 ~n ~init:[]
+      ~map:(fun i ->
+        [ Pool.parallel_reduce ~jobs:4 ~n:(i + 1) ~init:0 ~map:Fun.id ~combine:( + ) () ])
+      ~combine:( @ ) ()
+  in
+  Alcotest.(check (list int)) "nested sums" (List.init n (fun i -> sum_to (i + 1))) got
+
+let test_crew_survives_failure () =
+  for _ = 1 to 3 do
+    (match
+       Pool.parallel_reduce ~jobs:4 ~n:200 ~init:0
+         ~map:(fun i -> if i mod 50 = 7 then failwith "boom" else i)
+         ~combine:( + ) ()
+     with
+    | _ -> Alcotest.fail "expected the task exception to re-raise"
+    | exception Failure m -> check_true "original exception" (m = "boom"));
+    check_int "next call on the same crew" (sum_to 200)
+      (Pool.parallel_reduce ~jobs:4 ~n:200 ~init:0 ~map:Fun.id ~combine:( + ) ())
+  done
+
+let test_concurrent_callers () =
+  (* Two domains race for the crew on every call; whichever loses runs
+     alone. Both must see the sequential fold every time. *)
+  let n = 300 and calls = 100 in
+  let expected = List.init n Fun.id in
+  let caller () =
+    let ok = ref 0 in
+    for _ = 1 to calls do
+      if
+        Pool.parallel_reduce ~jobs:4 ~chunk:7 ~n ~init:[] ~map:(fun i -> [ i ])
+          ~combine:( @ ) ()
+        = expected
+      then incr ok
+    done;
+    !ok
+  in
+  let other = Domain.spawn caller in
+  let mine = caller () in
+  check_int "this domain" calls mine;
+  check_int "the other domain" calls (Domain.join other)
+
 (* ---- per-worker busy/idle utilization ---- *)
 
 (* A deterministic-shape workload: every index sleeps, so each claimed
@@ -477,6 +540,10 @@ let suite =
     Alcotest.test_case "reduce matches fold" `Quick test_reduce_matches_fold;
     Alcotest.test_case "for covers every index once" `Quick test_parallel_for_covers_each_index_once;
     Alcotest.test_case "worker exception propagates" `Quick test_worker_exception_propagates;
+    Alcotest.test_case "crew spawns once, not per call" `Quick test_crew_spawns_once;
+    Alcotest.test_case "nested call runs on its caller" `Quick test_nested_call_runs_on_caller;
+    Alcotest.test_case "crew survives a failed run" `Quick test_crew_survives_failure;
+    Alcotest.test_case "concurrent callers get the fold" `Quick test_concurrent_callers;
     Alcotest.test_case "weighted reduce preserves fold order" `Quick
       test_weighted_reduce_order_is_sequential;
     Alcotest.test_case "weighted reduce splits cover ranges" `Quick

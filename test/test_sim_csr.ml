@@ -14,6 +14,7 @@ module Ref = Reference_radio
 module Rng = Wx_util.Rng
 module Intvec = Wx_util.Intvec
 module Memgc = Wx_obs.Memgc
+module Metrics = Wx_obs.Metrics
 open Common
 
 let check_outcomes_equal ctx (a : Sim.outcome) (b : Sim.outcome) =
@@ -254,6 +255,26 @@ let test_jobs_invariance () =
     (fun jobs -> check_outcomes_equal (Printf.sprintf "jobs %d" jobs) base (run jobs))
     [ 2; 4; 7 ]
 
+(* One pool dispatch per round: a long run must reuse the pool's parked
+   helper rather than spawn one per round. n = 2 range + 1 cuts three
+   ranges, so every jobs-2 step crosses the pool with one helper; the
+   isolated vertex keeps Decay from finishing before the cap. *)
+let test_rounds_reuse_one_helper () =
+  let range = 64 in
+  let g = Graph.add_vertices_and_edges (Gen.gnm (rng ~salt:5 ()) (2 * range) (8 * range)) 1 [] in
+  let run jobs =
+    Sim_csr.run ~max_rounds:200 ~jobs ~range g ~source:0 Sim_csr.decay (Rng.create 77)
+  in
+  let base = run 1 in
+  check_int "runs to the cap" 200 base.Sim.rounds;
+  let spawned = Metrics.counter "pool.domains_spawned" in
+  Metrics.enable ();
+  let before = Metrics.counter_value spawned in
+  let par = Fun.protect ~finally:Metrics.disable (fun () -> run 2) in
+  check_true "at most one domain spawned over 200 rounds"
+    (Metrics.counter_value spawned - before <= 1);
+  check_outcomes_equal "jobs 2" base par
+
 (* --- CSR layout invariants --- *)
 
 let test_csr_structure () =
@@ -412,6 +433,7 @@ let suite =
     test_equivalence_qcheck;
     Alcotest.test_case "replayed schedule = reference" `Quick test_replay_matches_reference;
     Alcotest.test_case "jobs invariance on gnm(3000)" `Slow test_jobs_invariance;
+    Alcotest.test_case "rounds reuse one pool helper" `Quick test_rounds_reuse_one_helper;
     Alcotest.test_case "csr layout structure" `Quick test_csr_structure;
     Alcotest.test_case "inform seeds extra sources" `Quick test_inform_seeding;
     Alcotest.test_case "gnm invariants" `Quick test_gnm_invariants;
