@@ -374,15 +374,23 @@ let test_crew_spawns_once () =
 
 let test_nested_call_runs_on_caller () =
   (* Every outer task calls the pool while the outer run owns the crew:
-     the inner calls must run on their own domain, not wait for it. *)
-  let n = 24 in
-  let got =
-    Pool.parallel_reduce ~jobs:4 ~n ~init:[]
-      ~map:(fun i ->
-        [ Pool.parallel_reduce ~jobs:4 ~n:(i + 1) ~init:0 ~map:Fun.id ~combine:( + ) () ])
-      ~combine:( @ ) ()
-  in
-  Alcotest.(check (list int)) "nested sums" (List.init n (fun i -> sum_to (i + 1))) got
+     the inner calls must run on their own domain, not wait for it. Under
+     metrics, the inner runs report the one slot that ran: a slot counted
+     but never run would leave a zero finish stamp and an idle tail the
+     size of the monotonic clock. *)
+  with_metrics (fun () ->
+      Pool.reset_util ();
+      let n = 24 in
+      let got =
+        Pool.parallel_reduce ~jobs:4 ~n ~init:[]
+          ~map:(fun i ->
+            [ Pool.parallel_reduce ~jobs:4 ~n:(i + 1) ~init:0 ~map:Fun.id ~combine:( + ) () ])
+          ~combine:( @ ) ()
+      in
+      Alcotest.(check (list int)) "nested sums" (List.init n (fun i -> sum_to (i + 1))) got;
+      let u = Pool.util () in
+      check_true "idle tails are real durations" (u.Pool.u_max_idle_tail_ns < 1_000_000_000);
+      check_true "busy never exceeds capacity" (u.Pool.u_busy_ns <= u.Pool.u_capacity_ns))
 
 let test_crew_survives_failure () =
   for _ = 1 to 3 do
