@@ -34,44 +34,12 @@ let list_experiments () =
       Printf.printf "%-9s %-55s %s\n" e.id e.title e.claim)
     Runner.experiments
 
-(* Same resolution as bin/wx.ml: the --expose flag wins, else WX_EXPOSE;
-   a bind failure warns and the run continues unexposed. *)
-let start_expose flag =
-  let port =
-    match flag with
-    | Some p -> Some p
-    | None -> (
-        match Sys.getenv_opt "WX_EXPOSE" with
-        | None | Some "" -> None
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some p when p >= 0 -> Some p
-            | _ ->
-                Printf.eprintf
-                  "warning: WX_EXPOSE=%S is not a port number; exposition disabled\n%!" s;
-                None))
-  in
-  match port with
-  | None -> ()
-  | Some port -> (
-      Metrics.enable ();
-      match Wx_obs.Expose.start ~port () with
-      | Ok srv ->
-          Printf.eprintf "[expose] serving http://127.0.0.1:%d/metrics (and /json)\n%!"
-            (Wx_obs.Expose.port srv);
-          at_exit (fun () -> Wx_obs.Expose.stop srv)
-      | Error msg ->
-          Printf.eprintf "warning: --expose: cannot bind %s; continuing without exposition\n%!"
-            msg)
-
-let main experiment_id quick listing skip_micro json jobs repeats expose =
+let main experiment_id quick listing skip_micro json jobs repeats =
   (match jobs with Some n -> Pool.set_default_jobs n | None -> ());
   Printf.printf "wireless-expanders experiment harness (seed %d, jobs %d)\n"
     Wx_bench.Bench_common.seed (Pool.default_jobs ());
   if listing then (list_experiments (); 0)
   else begin
-    Wx_obs.Expose.install_sigusr1_dump ();
-    start_expose expose;
     let collect = json <> None in
     if collect then begin
       Metrics.enable ();
@@ -133,20 +101,12 @@ let repeats_arg =
   in
   Arg.(value & opt int 1 & info [ "repeats"; "r" ] ~docv:"K" ~doc)
 
-let expose_arg =
-  let doc =
-    "Serve the live metrics registry over localhost HTTP on $(docv) while the experiments \
-     run (0 picks an ephemeral port; $(b,WX_EXPOSE)=PORT does the same). GET /metrics for \
-     Prometheus text, /json for a snapshot; attach with $(b,wx top PORT)."
-  in
-  Arg.(value & opt (some int) None & info [ "expose" ] ~docv:"PORT" ~doc)
-
 let cmd =
   let doc = "Reproduce every quantitative claim of 'Wireless Expanders' (SPAA 2018)" in
   let info = Cmd.info "wireless-expanders-bench" ~doc in
   Cmd.v info
     Term.(
       const main $ experiment_arg $ quick_arg $ list_arg $ skip_micro_arg $ json_arg $ jobs_arg
-      $ repeats_arg $ expose_arg)
+      $ repeats_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -24,26 +24,21 @@
      wx bench history gate [--soft]            trend gate: newest entry vs the
                                                preceding window, diff's rule
                                                per metric; exit 0/1/2
-     wx prof [--out F] [--folded F] [--alloc] -- <cmd> ...
-                                               run under Chrome tracing, print
+     wx prof [--out F] [--alloc] -- <cmd> ...  run under Chrome tracing, print
                                                the hottest spans (by self time,
-                                               or self-allocation with --alloc),
-                                               optionally emit collapsed stacks;
+                                               or self-allocation with --alloc);
                                                exit status follows the inner cmd
      wx prof diff OLD.trace NEW.trace          differential profile: per-span
                                                self-time/alloc deltas,
                                                regressions first; exit 0/1/2
-     wx top ADDR                               attach dashboard for a running
-                                               --expose endpoint (live rates,
-                                               pool busy/idle, coverage/ETA)
 
    Every measurement subcommand takes --json (machine-readable NDJSON
    events on stdout, human text on stderr), --metrics (collect the Wx_obs
    registry and report it at exit; also enabled by WX_METRICS=1),
    --jobs N (worker domains for the parallel expansion measures; WX_JOBS
    sets the default) and --expose PORT (serve the live registry over
-   localhost HTTP — Prometheus text on /metrics, JSON on /json; WX_EXPOSE
-   sets the default; kill -USR1 dumps a one-shot snapshot either way).
+   localhost HTTP as Prometheus text on /metrics; WX_EXPOSE sets the
+   default).
 
    Families are the names from Constructions.Families (cycle, grid, torus,
    hypercube, random-4-regular, margulis, ...), plus "cplus" and "chain". *)
@@ -156,9 +151,6 @@ let run_cmd name json metrics jobs expose f =
   (match jobs with Some n -> Par.Pool.set_default_jobs n | None -> ());
   let obs = { json; metrics } in
   if json || metrics then Obs.Metrics.enable ();
-  (* Attach-without-the-flag escape hatch: `kill -USR1 <pid>` dumps a
-     one-shot snapshot whether or not exposition is on. *)
-  Obs.Expose.install_sigusr1_dump ();
   let expose_srv =
     match expose_port expose with
     | None -> None
@@ -169,7 +161,7 @@ let run_cmd name json metrics jobs expose f =
         end;
         match Obs.Expose.start ~port () with
         | Ok srv ->
-            Printf.eprintf "[expose] serving http://127.0.0.1:%d/metrics (and /json)\n%!"
+            Printf.eprintf "[expose] serving http://127.0.0.1:%d/metrics\n%!"
               (Obs.Expose.port srv);
             (* A bound port must not outlive an interrupted run: stop on
                every exit path, including the signal one below (the handler
@@ -182,10 +174,6 @@ let run_cmd name json metrics jobs expose f =
             None)
   in
   if json then begin
-    (* Progress heartbeats write free-form lines to stderr; under --json
-       stderr carries the human rendering of the run, so suppress them even
-       if WX_PROGRESS=1 is set. *)
-    Obs.Progress.disable ();
     Obs.Sink.install (Obs.Sink.make ~fmt:Obs.Sink.Ndjson stdout);
     exit_cleanly_on_signals ()
   end;
@@ -1120,11 +1108,11 @@ let print_hottest ~alloc ~top =
     (if alloc then "allocation" else "time");
   T.print t
 
-let cmd_prof out folded top alloc rest inner_group =
+let cmd_prof out top alloc rest inner_group =
   match rest with
   | [] ->
       Printf.eprintf
-        "usage: wx prof [--out FILE] [--folded FILE] [--top K] [--alloc] -- <subcommand> [args]\n\
+        "usage: wx prof [--out FILE] [--top K] [--alloc] -- <subcommand> [args]\n\
          (the '--' keeps the inner command's own flags out of prof's)\n";
       2
   | _ ->
@@ -1140,33 +1128,19 @@ let cmd_prof out folded top alloc rest inner_group =
       let argv = Array.of_list ("wx" :: rest) in
       let code = Cmdliner.Cmd.eval' ~argv inner_group in
       Obs.Trace_export.write out;
-      let folded_note =
-        match folded with
-        | None -> ""
-        | Some fpath -> (
-            match Obs.Prof.rows_of_json (Obs.Trace_export.to_json ()) with
-            | Error m ->
-                Printf.eprintf "prof: --folded skipped: %s\n" m;
-                ""
-            | Ok rows ->
-                Out_channel.with_open_text fpath (fun oc ->
-                    Out_channel.output_string oc (Obs.Prof.folded rows));
-                Printf.sprintf " and %s (collapsed stacks; feed to flamegraph.pl or speedscope)"
-                  fpath)
-      in
       (* A failed inner command still gets its artifacts (the partial trace
          often shows where it died) but not the span table — the spans of an
          aborted run rank noise — and prof's exit status is the inner one,
          so `wx prof -- cmd` gates exactly like `wx cmd` in scripts. *)
       if code = 0 then begin
         print_hottest ~alloc ~top;
-        Printf.printf "\nwrote %s (load in chrome://tracing or ui.perfetto.dev)%s\n" out
-          folded_note
+        Printf.printf "\nwrote %s (load in chrome://tracing, ui.perfetto.dev or speedscope)\n"
+          out
       end
       else
         Printf.eprintf
-          "prof: inner command failed (exit %d); wrote %s%s; hottest-span table suppressed\n"
-          code out folded_note;
+          "prof: inner command failed (exit %d); wrote %s; hottest-span table suppressed\n"
+          code out;
       code
 
 (* Differential profile over two trace files: where did the self time go
@@ -1230,154 +1204,6 @@ let cmd_prof_diff tolerance min_delta_ms top soft old_path new_path =
         else 1
       end
 
-(* ---- top (attach dashboard) ---- *)
-
-(* `wx top ADDR` polls an exposition endpoint's /json page and renders a
-   live dashboard: per-kind work rates with sparkline history, pool
-   busy/idle attribution, and the progress gauges the heartbeat publishes.
-   Rates are computed client-side from successive polls (same delta
-   arithmetic the server uses for /metrics), so `wx top` never perturbs the
-   server-side scrape window another monitor may be using. *)
-
-let parse_addr addr =
-  match String.rindex_opt addr ':' with
-  | Some i ->
-      let host = String.sub addr 0 i in
-      let port = String.sub addr (i + 1) (String.length addr - i - 1) in
-      ((if host = "" then "127.0.0.1" else host), int_of_string_opt port)
-  | None -> ("127.0.0.1", int_of_string_opt addr)
-
-let top_num = function
-  | Some (J.Int n) -> float_of_int n
-  | Some (J.Float v) -> v
-  | _ -> Float.nan
-
-let top_rate r = if Float.is_finite r && r >= 0.0 then Printf.sprintf "%.3g/s" r else "-"
-
-let top_eta s =
-  if not (Float.is_finite s) || s < 0.0 then "-"
-  else if s < 90.0 then Printf.sprintf "%.1fs" s
-  else if s < 5400.0 then Printf.sprintf "%.1fm" (s /. 60.0)
-  else Printf.sprintf "%.1fh" (s /. 3600.0)
-
-(* One rendered frame. [history] accumulates per-kind rate series across
-   polls (capped, oldest dropped) for the sparkline column; [prev] carries
-   the previous poll's (timestamp, work totals) for the rate deltas. *)
-let top_frame ~host ~port ~history ~prev j now =
-  let buf = Buffer.create 1024 in
-  let uptime = top_num (J.member "uptime_s" j) in
-  let build = J.member "build" j in
-  let commit =
-    match Option.bind build (fun b -> Option.bind (J.member "commit" b) J.to_string_opt) with
-    | Some c -> "  commit " ^ String.sub c 0 (min 10 (String.length c))
-    | None -> ""
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "wx top — %s:%d  up %s%s\n" host port (top_eta uptime) commit);
-  let work =
-    match J.member "work" j with
-    | Some (J.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) -> match v with J.Int n -> Some (k, n) | _ -> None)
-          kvs
-    | _ -> []
-  in
-  let rates = Obs.Expose.scrape_rates ~prev:!prev ~now_ns:now ~work in
-  prev := Some (now, work);
-  List.iter
-    (fun (kind, r) ->
-      let h = Option.value ~default:[] (Hashtbl.find_opt history kind) @ [ r ] in
-      let h = if List.length h > 32 then List.tl h else h in
-      Hashtbl.replace history kind h)
-    rates;
-  if work <> [] then begin
-    Buffer.add_string buf
-      (Printf.sprintf "\n  %-24s %12s %10s  %s\n" "work kind" "total" "rate" "history");
-    List.iter
-      (fun (kind, total) ->
-        let r = match List.assoc_opt kind rates with Some r -> r | None -> Float.nan in
-        let h = Option.value ~default:[] (Hashtbl.find_opt history kind) in
-        Buffer.add_string buf
-          (Printf.sprintf "  %-24s %12d %10s  %s\n" kind total (top_rate r)
-             (Ledger.sparkline h)))
-      work
-  end;
-  let gauges =
-    match Option.bind (J.member "metrics" j) (J.member "gauges") with
-    | Some (J.Obj kvs) -> kvs
-    | _ -> []
-  in
-  let g name = top_num (List.assoc_opt name gauges) in
-  let busy = g "pool.util.busy_pct" in
-  if Float.is_finite busy then begin
-    let slot_prefix = "pool.util.slot_busy_pct." in
-    let plen = String.length slot_prefix in
-    let slots =
-      List.sort compare
-        (List.filter_map
-           (fun (k, v) ->
-             if String.length k > plen && String.sub k 0 plen = slot_prefix then
-               Option.map
-                 (fun i -> (i, top_num (Some v)))
-                 (int_of_string_opt (String.sub k plen (String.length k - plen)))
-             else None)
-           gauges)
-    in
-    Buffer.add_string buf (Printf.sprintf "\n  pool busy %5.1f%%" busy);
-    if slots <> [] then
-      Buffer.add_string buf
-        ("  per-slot "
-        ^ String.concat " "
-            (List.map (fun (i, v) -> Printf.sprintf "%d:%.0f%%" i v) slots));
-    Buffer.add_char buf '\n'
-  end;
-  let cov = g "progress.coverage_pct" in
-  let prate = g "progress.units_per_s" in
-  if Float.is_finite cov || Float.is_finite prate then
-    Buffer.add_string buf
-      (Printf.sprintf "  progress %s  %s  eta %s\n"
-         (if Float.is_finite cov then Printf.sprintf "%5.1f%%" cov else "-")
-         (top_rate prate)
-         (top_eta (g "progress.eta_s")));
-  Buffer.contents buf
-
-let cmd_top addr interval_ms frames once =
-  match parse_addr addr with
-  | _, None ->
-      Printf.eprintf "top: cannot parse %S (expected PORT or HOST:PORT)\n" addr;
-      2
-  | host, Some port ->
-      let frames = if once then 1 else frames in
-      let interval_s = Float.max 0.05 (float_of_int interval_ms /. 1000.0) in
-      let tty = (try Unix.isatty Unix.stdout with Unix.Unix_error _ -> false) in
-      let history : (string, float list) Hashtbl.t = Hashtbl.create 8 in
-      let prev = ref None in
-      exit_cleanly_on_signals ();
-      let rec loop i =
-        match Obs.Expose.http_get ~host ~port ~path:"/json" with
-        | Error msg ->
-            Printf.eprintf "top: %s:%d: %s\n" host port msg;
-            1
-        | Ok body -> (
-            match J.of_string_opt body with
-            | None ->
-                Printf.eprintf "top: malformed JSON from %s:%d\n" host port;
-                1
-            | Some j ->
-                let frame = top_frame ~host ~port ~history ~prev j (Obs.Clock.now_ns ()) in
-                (* On a TTY in follow mode, repaint in place; piped (or
-                   --once), append plain frames. *)
-                if tty && frames <> 1 then print_string "\x1b[H\x1b[2J";
-                print_string frame;
-                flush stdout;
-                if frames > 0 && i + 1 >= frames then 0
-                else begin
-                  Unix.sleepf interval_s;
-                  loop (i + 1)
-                end)
-      in
-      loop 0
-
 (* ---- cmdliner wiring ---- *)
 
 open Cmdliner
@@ -1409,8 +1235,7 @@ let expose_arg =
   let doc =
     "Serve the live metrics registry over localhost HTTP on $(docv) (0 picks an ephemeral \
      port; $(b,WX_EXPOSE)=PORT does the same). GET /metrics returns Prometheus text \
-     exposition, /json a snapshot; attach with $(b,wx top PORT). Never perturbs computed \
-     values, witnesses, or the allocation gate."
+     exposition. Never perturbs computed values, witnesses, or the allocation gate."
   in
   Arg.(value & opt (some int) None & info [ "expose" ] ~docv:"PORT" ~doc)
 
@@ -1619,29 +1444,6 @@ let bench_cmd =
              longitudinal history")
     [ bench_record_cmd; bench_diff_cmd; bench_util_cmd; bench_history_cmd ]
 
-let top_cmd =
-  let addr =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"ADDR" ~doc:"Endpoint to attach to: PORT or HOST:PORT.")
-  in
-  let interval =
-    Arg.(value & opt int 1000
-         & info [ "interval-ms"; "i" ] ~docv:"MS" ~doc:"Poll interval (default 1000).")
-  in
-  let frames =
-    Arg.(value & opt int 0
-         & info [ "frames" ] ~docv:"K" ~doc:"Stop after K frames (default: until interrupted).")
-  in
-  let once =
-    Arg.(value & flag
-         & info [ "once" ] ~doc:"Render a single frame and exit (shorthand for --frames 1).")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Attach to a running --expose endpoint: live work rates with sparkline history, \
-             pool busy/idle attribution, coverage/ETA")
-    Term.(const cmd_top $ addr $ interval $ frames $ once)
-
 let base_cmds =
   [
     info_cmd; expansion_cmd; spokesmen_cmd; broadcast_cmd; core_cmd; arboricity_cmd;
@@ -1682,12 +1484,6 @@ let prof_cmd =
     Arg.(value & opt string "wx-trace.json"
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Chrome trace-event destination.")
   in
-  let folded =
-    Arg.(value & opt (some string) None
-         & info [ "folded" ] ~docv:"FILE"
-             ~doc:"Also write collapsed stacks (one $(b,frame;frame;leaf self_us) line per \
-                   stack) for flamegraph.pl or speedscope.")
-  in
   let top =
     Arg.(value & opt int 12
          & info [ "top"; "k" ] ~docv:"K" ~doc:"Rows in the hottest-spans table.")
@@ -1711,13 +1507,13 @@ let prof_cmd =
      for a prof subcommand). *)
   Cmd.group
     ~default:
-      Term.(const (fun out folded top alloc rest -> cmd_prof out folded top alloc rest inner_group)
-            $ out $ folded $ top $ alloc $ rest)
+      Term.(const (fun out top alloc rest -> cmd_prof out top alloc rest inner_group)
+            $ out $ top $ alloc $ rest)
     (Cmd.info "prof"
-       ~doc:"Run a wx subcommand under Chrome tracing (write the trace, collapsed stacks and \
-             the hottest spans), or diff two traces")
+       ~doc:"Run a wx subcommand under Chrome tracing (write the trace and the hottest \
+             spans), or diff two traces")
     [ prof_diff_cmd ]
 
 let () =
   let doc = "wireless-expanders command-line tool" in
-  exit (Cmd.eval' (Cmd.group (Cmd.info "wx" ~doc) (base_cmds @ [ top_cmd; bench_cmd; prof_cmd ])))
+  exit (Cmd.eval' (Cmd.group (Cmd.info "wx" ~doc) (base_cmds @ [ bench_cmd; prof_cmd ])))

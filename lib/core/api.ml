@@ -72,7 +72,6 @@ module Obs = struct
   module Metrics = Wx_obs.Metrics
   module Memgc = Wx_obs.Memgc
   module Work = Wx_obs.Work
-  module Progress = Wx_obs.Progress
   module Span = Wx_obs.Span
   module Sink = Wx_obs.Sink
   module Report = Wx_obs.Report

@@ -7,7 +7,6 @@ module Pool = Wx_par.Pool
 module Metrics = Wx_obs.Metrics
 module Span = Wx_obs.Span
 module Work = Wx_obs.Work
-module Progress = Wx_obs.Progress
 
 let m_sets_scored = Metrics.counter "expansion.sets_scored"
 let m_sampled_sets = Metrics.counter "expansion.sampled_sets"
@@ -290,16 +289,8 @@ let wireless_scorer g inc =
    min + lex tiebreak is order-independent, and the pool combines unit
    results in (shard, part) order. *)
 
-(* Progress heartbeat granularity: shards tick once per this many scored
-   sets (a power of two, so the hot-loop test is one [land]); the remainder
-   is flushed when the shard finishes. Coarse enough that a disabled run
-   pays one bool load per batch, fine enough that the heartbeat stays live
-   on slow (wireless) scorers. *)
-let progress_batch = 4096
-
-let min_over_shards name ?(progress_total = 0) ?(prune = true) ?jobs g kmax make_scorer =
+let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
   let n = Graph.n g in
-  let task = Progress.start ~units:"sets" ~label:name ~total:progress_total () in
   (* Shared incumbent, read by every unit's pruning test. Stored as a
      boxed float Atomic: OCaml ints cannot hold the bit pattern of every
      double, and the box only allocates on publication — which the CAS
@@ -337,7 +328,6 @@ let min_over_shards name ?(progress_total = 0) ?(prune = true) ?jobs g kmax make
         done;
         prev_len := len;
         incr scored;
-        if !scored land (progress_batch - 1) = 0 then Progress.tick task progress_batch;
         let v = sc.score buf ~len in
         if
           (not !have)
@@ -372,9 +362,7 @@ let min_over_shards name ?(progress_total = 0) ?(prune = true) ?jobs g kmax make
     sc.flush ();
     if !scored > 0 then begin
       Metrics.add m_sets_scored !scored;
-      Work.add Work.sets_scored !scored;
-      let rem = !scored land (progress_batch - 1) in
-      if rem > 0 then Progress.tick task rem
+      Work.add Work.sets_scored !scored
     end;
     if !cut > 0 then begin
       Metrics.add m_subtrees_pruned !cut;
@@ -416,14 +404,10 @@ let min_over_shards name ?(progress_total = 0) ?(prune = true) ?jobs g kmax make
       unit_body a ~blo:(lo part) ~bhi:(lo (part + 1)) ~self:(part = 0)
     end
   in
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Progress.finish task)
-      (fun () ->
-        Pool.parallel_reduce_weighted ?jobs ~n ~weight:shard_weight ~init:None ~map
-          ~combine:better_opt ())
-  in
-  match result with
+  match
+    Pool.parallel_reduce_weighted ?jobs ~n ~weight:shard_weight ~init:None ~map
+      ~combine:better_opt ()
+  with
   | Some w -> w
   | None -> invalid_arg (name ^ ": no feasible sets")
 
@@ -432,9 +416,8 @@ let min_over_shards name ?(progress_total = 0) ?(prune = true) ?jobs g kmax make
 let min_over_sets name ?(work_limit = 1 lsl 24) ?prune ?jobs g kmax make_scorer =
   let n = Graph.n g in
   if n = 0 || kmax = 0 then invalid_arg (name ^ ": no feasible sets");
-  let count = count_sets_le name g kmax in
-  check_work name count work_limit;
-  min_over_shards name ~progress_total:count ?prune ?jobs g kmax make_scorer
+  check_work name (count_sets_le name g kmax) work_limit;
+  min_over_shards name ?prune ?jobs g kmax make_scorer
 
 (* ---- sampled minima, sharded by sample block ----
 
@@ -571,11 +554,7 @@ let beta_w_exact ?alpha ?(work_limit = 1 lsl 26) ?prune ?jobs g =
       let n = Graph.n g in
       if n = 0 || kmax = 0 then invalid_arg "Measure.beta_w_exact: no feasible sets";
       check_wireless_work "Measure.beta_w_exact" g kmax work_limit;
-      (* The heartbeat counts outer sets; the admitted Gray work bounds the
-         subset count, so this is safe to compute after the guard. *)
-      let progress_total = try Combi.subsets_count_le n kmax with Combi.Overflow -> 0 in
-      min_over_shards "Measure.beta_w_exact" ~progress_total ?prune ?jobs g kmax
-        (wireless_scorer g))
+      min_over_shards "Measure.beta_w_exact" ?prune ?jobs g kmax (wireless_scorer g))
 
 (* Largest sampled |S| for which the inner 2^|S| maximisation is viable;
    matches the default [inner_work_limit] of 2^22 Gray-code steps. *)

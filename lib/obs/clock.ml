@@ -7,7 +7,7 @@
 
 (* Test hook mirroring Memgc.gc_read_count: a plain atomic bumped on every
    monotonic read, so tests can assert "zero clock reads while disabled" on
-   hot paths (the pool's chunk loop, Work/Progress fast paths). Always live —
+   hot paths (the pool's chunk loop, the Work fast path). Always live —
    one fetch-and-add per read is far below clock_gettime's own cost. *)
 let reads = Atomic.make 0
 let read_count () = Atomic.get reads

@@ -1,13 +1,12 @@
 (* Pull-based exposition server: the live Metrics/Work registry over
-   localhost HTTP/1.0, in two formats.
+   localhost HTTP/1.0 as Prometheus text.
 
    Architecture: one dedicated server domain blocks in select() on the
    listening socket and a self-pipe; [stop] writes the pipe, so shutdown
    never depends on waking an accept() by closing its fd under it (the
    at_exit hook on wx's signal-exit path calls [stop] too, which is why it
    must be race-free and idempotent). Requests are handled one at a time on
-   the server domain — scraping is a per-second affair, and serialized
-   handling keeps the scrape-delta rate state single-writer without locks.
+   the server domain — scraping is a per-second affair.
 
    Perturbation-free contract: serving reads counters and gauges through
    atomic loads and merges histogram shards under the hardened
@@ -21,12 +20,8 @@
    sanitized ('.' and anything outside [A-Za-z0-9_] become '_') and
    prefixed "wx_" unless already so prefixed; histograms and timers render
    as summaries (quantile samples + _sum/_count) with _min/_max gauges on
-   the side; per-kind units/sec derive from the Work deltas between
-   successive /metrics scrapes, so two interleaved scrapers will see each
-   other's windows (documented — run one scraper, or use /json and derive
-   rates client-side as `wx top` does). *)
-
-type scrape_prev = int * (string * int) list (* now_ns at scrape, Work.totals *)
+   the side. Rates are the scraper's business: it derives them from the
+   monotone wx_work_* counters. *)
 
 type t = {
   sock : Unix.file_descr;
@@ -35,7 +30,6 @@ type t = {
   stop_w : Unix.file_descr;
   started_ns : int;
   stopped : bool Atomic.t;
-  mutable prev : scrape_prev option; (* server-domain only *)
   mutable dom : unit Domain.t option;
 }
 
@@ -52,8 +46,6 @@ let uptime_s t = Clock.ns_to_s (Clock.now_ns () - t.started_ns)
    the probe non-monotone across the reset. *)
 let scrapes_c = Metrics.counter "expose.scrapes"
 let scrape_total : int Atomic.t = Atomic.make 0
-let uptime_g = Metrics.gauge "wx.uptime_seconds"
-let build_info_g = Metrics.gauge "wx.build_info"
 
 (* Captured once per process, on first render: capture_provenance shells
    out to git, which must not run at library-init time. *)
@@ -122,18 +114,7 @@ let add_summary buf name fields =
   add_typed buf (name ^ "_max") "gauge";
   add_sample buf (name ^ "_max") (prom_float (get "max"))
 
-(* Gauges the exposition surface synthesizes itself (build info with its
-   labels, uptime): published into the registry first so the JSON snapshot
-   carries the same series, then skipped by the generic gauge loop below to
-   keep each Prometheus metric family single-sourced. *)
-let synthesized = [ "wx.build_info"; "wx.uptime_seconds" ]
-
-let publish_process_gauges ~uptime_s =
-  Metrics.set build_info_g 1.0;
-  Metrics.set uptime_g uptime_s
-
-let prometheus_page ?(rates = []) ~uptime_s () =
-  publish_process_gauges ~uptime_s;
+let prometheus_page ~uptime_s () =
   let snap = Metrics.snapshot () in
   let section name = Option.fold ~none:[] ~some:obj_fields (Json.member name snap) in
   let buf = Buffer.create 4096 in
@@ -164,62 +145,13 @@ let prometheus_page ?(rates = []) ~uptime_s () =
     (section "counters");
   List.iter
     (fun (k, v) ->
-      if not (List.mem k synthesized) then begin
-        let name = prom_name k in
-        add_typed buf name "gauge";
-        add_sample buf name (prom_float (num_of v))
-      end)
+      let name = prom_name k in
+      add_typed buf name "gauge";
+      add_sample buf name (prom_float (num_of v)))
     (section "gauges");
   List.iter (fun (k, v) -> add_summary buf (prom_name k) (obj_fields v)) (section "histograms");
   List.iter (fun (k, v) -> add_summary buf (prom_name k) (obj_fields v)) (section "timers");
-  if rates <> [] then begin
-    add_typed buf "wx_work_units_per_second" "gauge";
-    List.iter
-      (fun (kind, r) ->
-        add_sample buf
-          (Printf.sprintf "wx_work_units_per_second{kind=\"%s\"}" (prom_label_value kind))
-          (prom_float r))
-      rates
-  end;
   Buffer.contents buf
-
-(* ---- JSON rendering ---- *)
-
-let json_page ~uptime_s () =
-  publish_process_gauges ~uptime_s;
-  let commit, dirty = commit_and_dirty () in
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.String "wx-expose/1");
-         ("uptime_s", Json.Float uptime_s);
-         ( "build",
-           Json.Obj
-             (("commit", Json.String commit) :: ("dirty", Json.Bool dirty)
-             :: List.filter_map
-                  (fun (k, v) -> if k = "git_commit" then None else Some (k, Json.String v))
-                  (Lazy.force build_info)) );
-         ("work", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) (Work.totals ())));
-         ("metrics", Metrics.snapshot ());
-       ])
-
-(* ---- scrape-delta rates ---- *)
-
-let scrape_rates ~prev ~now_ns ~work =
-  match prev with
-  | None -> []
-  | Some (t0, before) ->
-      let dt = Clock.ns_to_s (now_ns - t0) in
-      if dt <= 0.0 then []
-      else
-        List.map
-          (fun (kind, n1) ->
-            let n0 = match List.assoc_opt kind before with Some n -> n | None -> 0 in
-            (* A Metrics.reset between scrapes makes the delta negative;
-               0/s is the honest rendering of "the window straddled a
-               reset", not a negative rate. *)
-            (kind, Float.max 0.0 (float_of_int (n1 - n0) /. dt)))
-          work
 
 (* ---- HTTP plumbing ---- *)
 
@@ -238,39 +170,48 @@ let respond conn ~status ~ctype body =
     (Printf.sprintf "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
        status ctype (String.length body) body)
 
-let route t path =
-  match path with
-  | "/metrics" ->
-      Atomic.incr scrape_total;
-      Metrics.incr scrapes_c;
-      let now_ns = Clock.now_ns () in
-      let work = Work.totals () in
-      let rates = scrape_rates ~prev:t.prev ~now_ns ~work in
-      t.prev <- Some (now_ns, work);
-      Some
-        ( "text/plain; version=0.0.4; charset=utf-8",
-          prometheus_page ~rates ~uptime_s:(uptime_s t) () )
-  | "/" | "/json" | "/metrics.json" ->
-      Atomic.incr scrape_total;
-      Metrics.incr scrapes_c;
-      Some ("application/json", json_page ~uptime_s:(uptime_s t) () ^ "\n")
-  | _ -> None
+(* ---- the request line ----
+
+   Only the first line matters: "METHOD target [version]", ended by CR or
+   LF (a bare-LF client and a CRLF client are the same client). The query
+   string is dropped, so a Prometheus [params:] scrape config still hits
+   /metrics. A method token (upper-case letters) other than GET is a 405;
+   anything else that is not "GET /..." is a 400. Pure and total. *)
+
+let request_path req =
+  let eol =
+    match (String.index_opt req '\r', String.index_opt req '\n') with
+    | Some i, Some j -> min i j
+    | Some i, None | None, Some i -> i
+    | None, None -> String.length req
+  in
+  let is_method m = m <> "" && String.for_all (fun c -> c >= 'A' && c <= 'Z') m in
+  match String.split_on_char ' ' (String.sub req 0 eol) with
+  | "GET" :: target :: _ when String.length target > 0 && target.[0] = '/' -> (
+      match String.index_opt target '?' with
+      | Some q -> Ok (String.sub target 0 q)
+      | None -> Ok target)
+  | m :: _ :: _ when m <> "GET" && is_method m -> Error `Method_not_allowed
+  | _ -> Error `Bad_request
 
 let handle t conn =
   Unix.setsockopt_float conn Unix.SO_RCVTIMEO 2.0;
   Unix.setsockopt_float conn Unix.SO_SNDTIMEO 2.0;
   let buf = Bytes.create 2048 in
   let n = try Unix.read conn buf 0 (Bytes.length buf) with Unix.Unix_error _ -> 0 in
-  if n > 0 then begin
-    let req = Bytes.sub_string buf 0 n in
-    let first_line = List.hd (String.split_on_char '\r' req) in
-    match String.split_on_char ' ' first_line with
-    | "GET" :: path :: _ -> (
-        match route t path with
-        | Some (ctype, body) -> respond conn ~status:"200 OK" ~ctype body
-        | None -> respond conn ~status:"404 Not Found" ~ctype:"text/plain" "not found\n")
-    | _ -> respond conn ~status:"400 Bad Request" ~ctype:"text/plain" "bad request\n"
-  end
+  if n > 0 then
+    match request_path (Bytes.sub_string buf 0 n) with
+    | Ok "/metrics" ->
+        Atomic.incr scrape_total;
+        Metrics.incr scrapes_c;
+        respond conn ~status:"200 OK" ~ctype:"text/plain; version=0.0.4; charset=utf-8"
+          (prometheus_page ~uptime_s:(uptime_s t) ())
+    | Ok _ -> respond conn ~status:"404 Not Found" ~ctype:"text/plain" "not found\n"
+    | Error `Method_not_allowed ->
+        respond conn ~status:"405 Method Not Allowed" ~ctype:"text/plain"
+          "method not allowed\n"
+    | Error `Bad_request ->
+        respond conn ~status:"400 Bad Request" ~ctype:"text/plain" "bad request\n"
 
 let rec serve t =
   match Unix.select [ t.sock; t.stop_r ] [] [] (-1.0) with
@@ -319,7 +260,6 @@ let start ?(host = "127.0.0.1") ~port () =
         stop_w;
         started_ns = Clock.now_ns ();
         stopped = Atomic.make false;
-        prev = None;
         dom = None;
       }
     in
@@ -339,81 +279,4 @@ let stop t =
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       [ t.sock; t.stop_r; t.stop_w ]
-  end
-
-(* ---- client ---- *)
-
-let http_get ~host ~port ~path =
-  match
-    let addr = resolve_host host in
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.0;
-        Unix.setsockopt_float sock Unix.SO_SNDTIMEO 5.0;
-        Unix.connect sock (Unix.ADDR_INET (addr, port));
-        write_all sock
-          (Printf.sprintf "GET %s HTTP/1.0\r\nHost: %s\r\nConnection: close\r\n\r\n" path host);
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 4096 in
-        let rec drain () =
-          let n = Unix.read sock chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-          end
-        in
-        drain ();
-        Buffer.contents buf)
-  with
-  | resp -> (
-      (* Split headers from body at the first blank line; demand a 200. *)
-      let sep = "\r\n\r\n" in
-      let split_at i = String.sub resp (i + String.length sep) (String.length resp - i - String.length sep) in
-      let rec find i =
-        if i + String.length sep > String.length resp then None
-        else if String.sub resp i (String.length sep) = sep then Some i
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> Error "malformed HTTP response (no header terminator)"
-      | Some i -> (
-          match String.split_on_char ' ' (List.hd (String.split_on_char '\r' resp)) with
-          | _ :: "200" :: _ -> Ok (split_at i)
-          | _ :: code :: _ -> Error (Printf.sprintf "HTTP %s" code)
-          | _ -> Error "malformed HTTP status line"))
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s:%d: %s" host port (Unix.error_message e))
-  | exception Exit -> Error "connection closed mid-write"
-
-(* ---- on-signal introspection ---- *)
-
-let sigusr1_installed = ref false
-
-let install_sigusr1_dump () =
-  if not !sigusr1_installed then begin
-    sigusr1_installed := true;
-    try
-      Sys.set_signal Sys.sigusr1
-        (Sys.Signal_handle
-           (fun _ ->
-             let fields =
-               [
-                 ("ts_epoch_s", Json.Float (Clock.epoch_s ()));
-                 ("work", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) (Work.totals ())));
-                 ("snapshot", Metrics.snapshot ());
-               ]
-             in
-             if Sink.active () then begin
-               Sink.event "metrics.sigusr1" fields;
-               (* The sink batches; a signal-triggered dump must land now —
-                  the operator is watching the stream. *)
-               Sink.flush_installed ()
-             end
-             else
-               prerr_endline
-                 (Json.to_string
-                    (Json.Obj (("event", Json.String "metrics.sigusr1") :: fields)))))
-    with Invalid_argument _ | Sys_error _ -> ()
   end

@@ -4,16 +4,17 @@
     Every other layer of the observability stack is post-hoc — reports,
     traces and ledgers exist only after the process exits. [Expose] serves
     the {e live} registry so an operator can attach to a long broadcast or
-    expansion run without killing it:
+    expansion run without killing it. It serves one page:
 
     - [GET /metrics] — Prometheus text exposition (version 0.0.4):
       registry counters and gauges, histogram/timer quantile summaries,
-      a labeled [wx_build_info] gauge, [wx_uptime_seconds], and per-kind
-      [wx_work_units_per_second] gauges derived from the {!Work} deltas
-      between successive scrapes of this endpoint.
-    - [GET /json] (also [/] and [/metrics.json]) — a JSON snapshot reusing
-      the {!Json} codec: schema ["wx-expose/1"], uptime, build provenance,
-      work totals and the full {!Metrics.snapshot}.
+      a labeled [wx_build_info] gauge, [wx_uptime_seconds] and the
+      [wx_expose_scrapes] counter. A query string is ignored. Work rates
+      are left to the scraper, which derives them from the monotone
+      [wx_work_*] counters.
+
+    Any other path is a 404, a method other than [GET] a 405, and a
+    request line that does not parse a 400.
 
     The server runs on its own dedicated domain, so scrapes never block
     pool workers or the main computation; {!Metrics.snapshot} is hardened
@@ -45,43 +46,13 @@ val stop : t -> unit
 val uptime_s : t -> float
 (** Seconds since [start] returned this server. *)
 
-(** {2 Renderers}
+val prometheus_page : uptime_s:float -> unit -> string
+(** The [/metrics] page for the current registry, exported so tests can
+    check well-formedness without a socket. *)
 
-    Pure page builders over the live registry, exported so tests can check
-    well-formedness and text/JSON agreement without a socket. Both publish
-    the [wx.uptime_seconds] and [wx.build_info] gauges into the default
-    registry before snapshotting, so the two surfaces stay in sync. *)
-
-val prometheus_page : ?rates:(string * float) list -> uptime_s:float -> unit -> string
-(** Prometheus text exposition of the current registry. [rates] adds one
-    [wx_work_units_per_second{kind="..."}] gauge sample per entry (the
-    server passes scrape-delta rates; tests pass synthetic ones). *)
-
-val json_page : uptime_s:float -> unit -> string
-(** Compact one-line JSON snapshot (schema ["wx-expose/1"]). *)
-
-val scrape_rates :
-  prev:(int * (string * int) list) option ->
-  now_ns:int ->
-  work:(string * int) list ->
-  (string * float) list
-(** Per-kind units/sec between two {!Work.totals} readings [prev]
-    (timestamp, totals) and [now_ns]/[work]; [[]] when [prev] is [None]
-    (first scrape) or the interval is empty. Deltas gone negative (a
-    {!Metrics.reset} landed between scrapes) clamp to [0.]. *)
-
-(** {2 Client} *)
-
-val http_get : host:string -> port:int -> path:string -> (string, string) result
-(** Minimal HTTP/1.0 GET returning the response body on a 200, used by
-    [wx top] and the test suite (5s socket timeouts; never raises). *)
-
-(** {2 On-signal introspection} *)
-
-val install_sigusr1_dump : unit -> unit
-(** Install (once per process) a SIGUSR1 handler that dumps a one-shot
-    ["metrics.sigusr1"] event — epoch timestamp, {!Work.totals} and the
-    full {!Metrics.snapshot} — to the installed NDJSON {!Sink} (flushed
-    immediately), or to stderr as one NDJSON line when no sink is
-    installed. Gives processes started without [--expose] a way to be
-    inspected: [kill -USR1 <pid>]. No-op on platforms without SIGUSR1. *)
+val request_path : string -> (string, [ `Bad_request | `Method_not_allowed ]) result
+(** Decode the request line of a raw request: the first line, ended by CR
+    or LF, must read ["GET /path"] with an optional version. Returns the
+    path with any [?query] dropped. A non-[GET] method token (upper-case
+    letters) is [`Method_not_allowed]; anything else is [`Bad_request].
+    Never raises. *)

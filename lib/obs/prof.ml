@@ -1,5 +1,5 @@
-(* Offline analysis of Chrome-trace files: span profiles, differential
-   profiling, and collapsed-stack (flamegraph) export.
+(* Offline analysis of Chrome-trace files: span profiles and differential
+   profiling.
 
    Trace_export writes timelines; this module reads them back as data.
    The ledger's trend gate can say "e2 regressed 30% on wall since last
@@ -10,14 +10,13 @@
    arg tagged by Span/Pool. Slices on one track nest by time
    containment (a span's children, the chunks inside a worker
    envelope), so a single pass over each track with an interval stack
-   recovers the parent stacks, and from those both the per-span SELF
-   costs (total minus children — the number that localizes a
-   regression, since child cost ranks on its own row) and the collapsed
-   "root;child;leaf value" lines flamegraph.pl / speedscope consume.
+   recovers each slice's parent, and from that the per-span SELF costs
+   (total minus children — the number that localizes a regression, since
+   child cost ranks on its own row).
 
    Everything here is pure data -> data and deterministic for fixed
-   input files: aggregation is by name in sorted order, folded lines
-   are sorted, and the diff orders by regression first. *)
+   input files: aggregation is by name in sorted order, and the diff
+   orders by regression first. *)
 
 type row = {
   r_name : string;
@@ -101,18 +100,11 @@ let eps_us = 0.002
 
 let contained ~inner:(t0, t1) ~outer:(u0, u1) = t0 >= u0 -. eps_us && t1 <= u1 +. eps_us
 
-type node = {
-  row : row;
-  stack : string list;  (* leaf first, thread root last *)
-  mutable child_dur_us : float;
-  mutable child_minor : float;
-}
-
-let thread_root tid = if tid = 0 then "main" else Printf.sprintf "worker-%d" tid
+type node = { row : row; mutable child_dur_us : float; mutable child_minor : float }
 
 (* One pass per track: rows sorted by (start asc, duration desc) visit
    parents before their children, and an interval stack recovers the
-   ancestry. Returns every slice with its stack and child rollups. *)
+   ancestry. Returns every slice with its child rollups. *)
 let nest rows =
   let by_tid = Hashtbl.create 8 in
   List.iter
@@ -131,7 +123,6 @@ let nest rows =
             | c -> c)
           (Hashtbl.find by_tid tid)
       in
-      let root = thread_root tid in
       let out = ref [] and stack = ref [] in
       List.iter
         (fun r ->
@@ -147,10 +138,7 @@ let nest rows =
             | _ -> ()
           in
           unwind ();
-          let parent_stack = match !stack with [] -> [ root ] | top :: _ -> top.stack in
-          let n =
-            { row = r; stack = r.r_name :: parent_stack; child_dur_us = 0.0; child_minor = 0.0 }
-          in
+          let n = { row = r; child_dur_us = 0.0; child_minor = 0.0 } in
           (match !stack with
           | top :: _ ->
               top.child_dur_us <- top.child_dur_us +. r.r_dur_us;
@@ -206,28 +194,6 @@ let profile rows =
          match compare b.a_self_us a.a_self_us with
          | 0 -> compare a.a_name b.a_name
          | c -> c)
-
-(* ---- folded stacks ---- *)
-
-(* flamegraph.pl / speedscope input: one "frame;frame;leaf value" line
-   per distinct stack, value = SELF microseconds rounded to int (the
-   tools sum identical lines, we pre-merge). Lines are sorted, so the
-   output is a deterministic function of the trace. *)
-let folded rows =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let self_us = Float.max 0.0 (n.row.r_dur_us -. n.child_dur_us) in
-      let path = String.concat ";" (List.rev n.stack) in
-      let prev = try Hashtbl.find tbl path with Not_found -> 0.0 in
-      Hashtbl.replace tbl path (prev +. self_us))
-    (nest rows);
-  let lines =
-    Hashtbl.fold
-      (fun path v acc -> Printf.sprintf "%s %d" path (int_of_float (Float.round v)) :: acc)
-      tbl []
-  in
-  String.concat "\n" (List.sort compare lines) ^ if lines = [] then "" else "\n"
 
 (* ---- differential profile ---- *)
 

@@ -1,14 +1,12 @@
-(** Offline analysis of Chrome-trace files: aggregate span profiles,
-    differential profiling ([wx prof diff]) and collapsed-stack
-    (flamegraph) export ([wx prof --folded]).
+(** Offline analysis of Chrome-trace files: aggregate span profiles and
+    differential profiling ([wx prof diff]).
 
     {!Trace_export} writes timelines; this module reads them back. A
     trace's complete ("X") slices nest by time containment per track
     (tid), so one interval-stack pass per track recovers each slice's
-    parent stack; from those come per-span SELF costs (total minus
-    children — the number that localizes a regression) and the
-    ["frame;frame;leaf value"] lines flamegraph.pl / speedscope
-    consume. All outputs are deterministic for fixed input files. *)
+    parent; from that come per-span SELF costs (total minus children —
+    the number that localizes a regression). All outputs are
+    deterministic for fixed input files. *)
 
 type row = {
   r_name : string;
@@ -40,12 +38,6 @@ val profile : row list -> agg list
 (** Aggregate slices by name after containment nesting, sorted by self
     time descending (ties by name). Self = duration minus directly
     contained children, clamped at 0. *)
-
-val folded : row list -> string
-(** Collapsed-stack rendering: one ["root;…;leaf self_us"] line per
-    distinct stack (integer microseconds, identical stacks pre-merged),
-    sorted, trailing newline; [""] for an empty trace. Stacks are
-    rooted at the track name ([main] / [worker-N]). *)
 
 (** {2 Differential profile} *)
 

@@ -61,9 +61,8 @@ let util_slot_chunks_h = Metrics.histogram "pool.util.slot_chunks"
 let util_idle_tail_t = Metrics.timer "pool.util.idle_tail"
 
 (* Live utilization gauges: cumulative busy percent of pool capacity, plus
-   one gauge per worker slot, so the /metrics endpoint and `wx top` can
-   show busy/idle attribution mid-run instead of waiting for the bench
-   report. Slot gauges are registered lazily as the accumulator grows
+   one gauge per worker slot, so the /metrics endpoint can show busy/idle
+   attribution mid-run instead of waiting for the bench report. Slot gauges are registered lazily as the accumulator grows
    (registration is idempotent and this is the once-per-run cold path). *)
 let util_busy_pct_g = Metrics.gauge "pool.util.busy_pct"
 let util_slot_gauges : Metrics.gauge array ref = ref [||]

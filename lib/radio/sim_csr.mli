@@ -49,7 +49,7 @@ val create : ?jobs:int -> ?range:int -> Wx_graph.Graph.t -> source:int -> t
     {!Wx_par.Pool.default_jobs} (a [jobs]-independent result either way);
     [range] (default 16384) is the shard granularity. When [--metrics] is
     on, sets the [csr.n] / [csr.m] / [csr.bytes] footprint gauges (last
-    create wins), observable via [/metrics] and [wx top]. *)
+    create wins), observable via [/metrics]. *)
 
 val step : t -> protocol -> Wx_util.Rng.t -> int
 (** Execute one round; returns the newly-informed count. The scan runs

@@ -2,8 +2,8 @@
 # End-to-end CLI checks for the perf-trajectory tooling: exit-status
 # contracts that the unit suite cannot see because they live in wx's
 # cmdliner wiring — prof propagating the inner command's failure, the
-# history append/show/gate loop on a real report, prof diff / --folded on
-# real traces, the bench gates failing when they should (the
+# history append/show/gate loop on a real report, prof diff on real
+# traces, the bench gates failing when they should (the
 # WX_BENCH_*_HANDICAP hooks), broadcast's protocol and option surface. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
 # wx-bench report.
 set -u
@@ -39,14 +39,8 @@ check "failed prof still writes the trace" 0 $?
 "$WX" prof >/dev/null 2>&1
 check "prof with no inner command is a usage error" 2 $?
 
-# ---- folded export ----
-"$WX" prof --out "$tmp/a.trace" --folded "$tmp/a.folded" -- core 64 >/dev/null 2>&1
-check "prof --folded" 0 $?
-# Every folded line is "frame(;frame)* <integer>", rooted at a track name.
-awk '!/^(main|worker-[0-9]+)(;[^ ]+)* [0-9]+$/ { exit 1 }' "$tmp/a.folded"
-check "folded lines are well-formed collapsed stacks" 0 $?
-
 # ---- prof diff ----
+"$WX" prof --out "$tmp/a.trace" -- core 64 >/dev/null 2>&1
 "$WX" prof --out "$tmp/b.trace" -- core 256 >/dev/null 2>&1
 "$WX" prof diff "$tmp/a.trace" "$tmp/a.trace" >/dev/null 2>&1
 check "prof diff of a trace against itself is clean" 0 $?
@@ -186,11 +180,6 @@ if [ "$up" -eq 0 ]; then
 
   grep -q '^wx_build_info{' "$tmp/scrape1.txt"
   check "build info gauge is exposed" 0 $?
-
-  "$WX" top --once "$EPORT" >"$tmp/top.out" 2>&1
-  check "wx top --once renders a frame" 0 $?
-  grep -q "wx top" "$tmp/top.out"
-  check "top frame carries the header" 0 $?
 
   # A second process asking for the same port must warn and keep going.
   "$WX" info cycle 16 --expose "$EPORT" >/dev/null 2>"$tmp/bind.err"

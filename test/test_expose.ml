@@ -1,15 +1,63 @@
-(* The live ops surface: Prometheus text well-formedness, JSON/text
-   agreement, the HTTP round trip on an ephemeral port, scraping while the
-   pool is hot (the concurrent-snapshot contract), scrape-delta rates, and
-   the SIGUSR1 one-shot dump. *)
+(* The live ops surface: Prometheus text well-formedness, agreement of
+   the page with the registry snapshot, the request-line decoder, the HTTP
+   round trip on an ephemeral port, and scraping while the pool is hot
+   (the concurrent-snapshot contract). *)
 
 module Expose = Wx_obs.Expose
 module Metrics = Wx_obs.Metrics
 module Json = Wx_obs.Json
-module Sink = Wx_obs.Sink
-module Progress = Wx_obs.Progress
 module Pool = Wx_par.Pool
 open Common
+
+(* Minimal HTTP/1.0 client: sends [request] verbatim (default a GET of
+   [path]) and returns the status code and body. Never raises. *)
+let http_request ~port ?request path =
+  let request =
+    Option.value request
+      ~default:(Printf.sprintf "GET %s HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n" path)
+  in
+  match
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 5.0;
+        Unix.setsockopt_float sock Unix.SO_SNDTIMEO 5.0;
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        ignore (Unix.write_substring sock request 0 (String.length request));
+        let buf = Buffer.create 4096 in
+        let chunk = Bytes.create 4096 in
+        let rec drain () =
+          let n = Unix.read sock chunk 0 (Bytes.length chunk) in
+          if n > 0 then begin
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+          end
+        in
+        drain ();
+        Buffer.contents buf)
+  with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | resp -> (
+      let sep = "\r\n\r\n" in
+      let rec find i =
+        if i + 4 > String.length resp then None
+        else if String.sub resp i 4 = sep then Some i
+        else find (i + 1)
+      in
+      match (find 0, String.split_on_char ' ' resp) with
+      | Some i, _ :: code :: _ -> (
+          match int_of_string_opt code with
+          | Some c -> Ok (c, String.sub resp (i + 4) (String.length resp - i - 4))
+          | None -> Error "malformed HTTP status line")
+      | _ -> Error "malformed HTTP response")
+
+(* A GET that must answer 200; the body, or the failure as text. *)
+let http_get ~port ~path =
+  match http_request ~port path with
+  | Ok (200, body) -> Ok body
+  | Ok (code, _) -> Error (Printf.sprintf "HTTP %d" code)
+  | Error _ as e -> e
 
 let with_metrics f =
   Metrics.enable ();
@@ -80,14 +128,13 @@ let test_prometheus_well_formed () =
       Metrics.add c 7;
       Metrics.set g Float.nan;
       List.iter (Metrics.observe h) [ 1.0; 2.0; 400.0 ];
-      let page = Expose.prometheus_page ~rates:[ ("sets_scored", 123.5) ] ~uptime_s:1.5 () in
+      let page = Expose.prometheus_page ~uptime_s:1.5 () in
       check_prometheus_grammar page;
       let lines = String.split_on_char '\n' page in
       let has needle = List.exists (fun l -> l = needle) lines in
       check_true "counter sample" (has "wx_test_expose_count 7");
       check_true "NaN gauge renders as NaN literal" (has "wx_test_expose_gap NaN");
       check_true "summary count" (has "wx_test_expose_sizes_count 3");
-      check_true "rate sample" (has "wx_work_units_per_second{kind=\"sets_scored\"} 123.5");
       check_true "uptime gauge" (has "wx_uptime_seconds 1.5");
       check_true "build info labeled"
         (List.exists
@@ -107,9 +154,9 @@ let test_prometheus_well_formed () =
         (List.length types)
         (List.length (List.sort_uniq compare types)))
 
-(* The text and JSON surfaces render the same registry: every counter and
-   gauge in the snapshot must appear in the text page with the same value
-   (modulo name sanitization). *)
+(* The text page renders the registry: every counter and gauge in the
+   snapshot must appear in it with the same value (modulo name
+   sanitization). *)
 let test_json_text_agreement () =
   with_metrics (fun () ->
       let c = Metrics.counter "test.expose.agree" in
@@ -117,10 +164,7 @@ let test_json_text_agreement () =
       Metrics.add c 42;
       Metrics.set g 2.5;
       let text = Expose.prometheus_page ~uptime_s:0.5 () in
-      let json = Json.of_string (Expose.json_page ~uptime_s:0.5 ()) in
-      check_true "schema"
-        (Option.bind (Json.member "schema" json) Json.to_string_opt = Some "wx-expose/1");
-      let metrics = Option.get (Json.member "metrics" json) in
+      let metrics = Metrics.snapshot () in
       let lines = String.split_on_char '\n' text in
       let sanitize name =
         let s =
@@ -157,26 +201,52 @@ let test_json_text_agreement () =
       check_section "counters" (fun v -> Json.to_float_opt v);
       check_section "gauges" (fun v ->
           (* NaN gauges agree by definition (both render a missing-value
-             spelling); synthesized families are emitted with labels. *)
+             spelling). *)
           match Json.to_float_opt v with
           | Some f when Float.is_finite f -> Some f
           | _ -> None))
 
-let test_scrape_rates () =
-  let t0 = 0 and t1 = 2_000_000_000 in
-  check_true "first scrape has no rates"
-    (Expose.scrape_rates ~prev:None ~now_ns:t1 ~work:[ ("sets", 100) ] = []);
-  let rates =
-    Expose.scrape_rates
-      ~prev:(Some (t0, [ ("sets", 100); ("gray", 40) ]))
-      ~now_ns:t1
-      ~work:[ ("sets", 300); ("gray", 10); ("fresh", 50) ]
+(* The request line, decoded without a socket. *)
+let test_request_path_pinned () =
+  let check name want req =
+    Alcotest.(check bool) name true (Expose.request_path req = want)
   in
-  check_float "positive delta over 2s" 100.0 (List.assoc "sets" rates);
-  check_float "negative delta (reset) clamps to zero" 0.0 (List.assoc "gray" rates);
-  check_float "kind absent from prev counts from zero" 25.0 (List.assoc "fresh" rates);
-  check_true "empty interval yields nothing"
-    (Expose.scrape_rates ~prev:(Some (t1, [])) ~now_ns:t1 ~work:[ ("sets", 1) ] = [])
+  check "CRLF GET" (Ok "/metrics") "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n";
+  check "query string dropped" (Ok "/metrics") "GET /metrics?x=1 HTTP/1.0\r\n\r\n";
+  check "bare LF, no version" (Ok "/metrics") "GET /metrics\n";
+  check "unterminated line" (Ok "/json") "GET /json";
+  check "HEAD is 405" (Error `Method_not_allowed) "HEAD /metrics HTTP/1.0\r\n\r\n";
+  check "POST is 405" (Error `Method_not_allowed) "POST /metrics HTTP/1.1\r\n";
+  check "empty request" (Error `Bad_request) "";
+  check "method alone" (Error `Bad_request) "GET\r\n";
+  check "relative target" (Error `Bad_request) "GET metrics HTTP/1.0\r\n";
+  check "lower-case method" (Error `Bad_request) "get /metrics HTTP/1.0\r\n";
+  check "target on the second line" (Error `Bad_request) "GET\n/metrics"
+
+(* Arbitrary bytes, half drawn from request-line syntax: the decoder never
+   raises, and answers Ok only for a "GET /..." line whose path carries no
+   query, separator or line break. *)
+let arbitrary_request =
+  let fragments =
+    [ "GET"; "HEAD"; "POST"; "get"; " "; "/"; "/metrics"; "?"; "x=1"; "\r"; "\n"; "\r\n";
+      "HTTP/1.0"; "" ]
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 8)
+           (oneof [ oneofl fragments; map (String.make 1) char ])))
+
+let prop_request_path req =
+  match Expose.request_path req with
+  | exception _ -> false
+  | Error (`Bad_request | `Method_not_allowed) -> true
+  | Ok path ->
+      String.length req >= 4
+      && String.sub req 0 4 = "GET "
+      && String.length path > 0
+      && path.[0] = '/'
+      && not (String.exists (fun c -> c = '?' || c = ' ' || c = '\r' || c = '\n') path)
 
 let test_http_roundtrip () =
   with_metrics (fun () ->
@@ -189,49 +259,45 @@ let test_http_roundtrip () =
             (fun () ->
               let port = Expose.port srv in
               check_true "ephemeral port assigned" (port > 0);
-              (match Expose.http_get ~host:"127.0.0.1" ~port ~path:"/metrics" with
+              (match http_get ~port ~path:"/metrics" with
               | Error msg -> Alcotest.failf "GET /metrics: %s" msg
               | Ok body ->
                   check_prometheus_grammar body;
                   check_true "instrument visible over HTTP"
                     (List.mem "wx_test_expose_http 3" (String.split_on_char '\n' body)));
-              (match Expose.http_get ~host:"127.0.0.1" ~port ~path:"/json" with
-              | Error msg -> Alcotest.failf "GET /json: %s" msg
-              | Ok body -> (
-                  match Json.of_string_opt (String.trim body) with
-                  | None -> Alcotest.failf "malformed JSON body: %s" body
-                  | Some j ->
-                      check_true "schema over HTTP"
-                        (Option.bind (Json.member "schema" j) Json.to_string_opt
-                        = Some "wx-expose/1")));
+              (match http_get ~port ~path:"/metrics?x=1" with
+              | Error msg -> Alcotest.failf "GET /metrics?x=1: %s" msg
+              | Ok body -> check_prometheus_grammar body);
               (* The scrape counter is monotone across scrapes. *)
               let scrapes () =
-                match Expose.http_get ~host:"127.0.0.1" ~port ~path:"/json" with
-                | Error msg -> Alcotest.failf "GET /json: %s" msg
+                match http_get ~port ~path:"/metrics" with
+                | Error msg -> Alcotest.failf "GET /metrics: %s" msg
                 | Ok body ->
-                    Option.get
-                      (Json.to_int_opt
-                         (Option.get
-                            (Json.member "expose.scrapes"
-                               (Option.get
-                                  (Json.member "counters"
-                                     (Option.get
-                                        (Json.member "metrics"
-                                           (Json.of_string (String.trim body)))))))))
+                    List.find_map
+                      (fun l ->
+                        match split_sample l with
+                        | Some ("wx_expose_scrapes", v) -> int_of_string_opt v
+                        | _ -> None)
+                      (String.split_on_char '\n' body)
+                    |> Option.get
               in
               let s1 = scrapes () in
               let s2 = scrapes () in
               check_true "scrape counter monotone" (s2 > s1);
-              check_true "unknown path is a clean 404"
-                (match Expose.http_get ~host:"127.0.0.1" ~port ~path:"/nope" with
-                | Error _ -> true
-                | Ok _ -> false));
+              let status ?request path =
+                match http_request ~port ?request path with
+                | Ok (code, _) -> code
+                | Error msg -> Alcotest.failf "request %s: %s" path msg
+              in
+              check_int "unknown path is a clean 404" 404 (status "/nope");
+              check_int "/json is gone" 404 (status "/json");
+              check_int "HEAD is a 405" 405
+                (status ~request:"HEAD /metrics HTTP/1.0\r\n\r\n" "/metrics");
+              check_int "garbage is a 400" 400 (status ~request:"\x00\x01\r\n\r\n" "-"));
           (* Idempotent stop: the Fun.protect above already stopped it. *)
           Expose.stop srv;
           check_true "connection refused after stop"
-            (match
-               Expose.http_get ~host:"127.0.0.1" ~port:(Expose.port srv) ~path:"/metrics"
-             with
+            (match http_get ~port:(Expose.port srv) ~path:"/metrics" with
             | Error _ -> true
             | Ok _ -> false))
 
@@ -245,15 +311,24 @@ let test_concurrent_scrape_during_pool_run () =
       let h = Metrics.histogram "test.expose.hot" in
       let stop = Atomic.make false in
       let pages = Atomic.make 0 in
+      let exited = Atomic.make false in
       let scraper =
         Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              let page = Expose.prometheus_page ~uptime_s:0.1 () in
-              check_prometheus_grammar page;
-              ignore (Json.of_string (Expose.json_page ~uptime_s:0.1 ()));
-              Atomic.incr pages
-            done)
+            Fun.protect
+              ~finally:(fun () -> Atomic.set exited true)
+              (fun () ->
+                while not (Atomic.get stop) do
+                  let page = Expose.prometheus_page ~uptime_s:0.1 () in
+                  check_prometheus_grammar page;
+                  Atomic.incr pages
+                done))
       in
+      (* Start the pool only once the scraper is rendering: on a loaded
+         machine the new domain can otherwise first run after the whole
+         reduction is over. *)
+      while Atomic.get pages = 0 && not (Atomic.get exited) do
+        Domain.cpu_relax ()
+      done;
       let n = 20_000 in
       let got =
         Pool.parallel_reduce ~jobs:4 ~chunk:64 ~n ~init:0
@@ -288,98 +363,15 @@ let test_pool_util_gauges () =
       check_true "slot 0 gauge" (List.mem_assoc "pool.util.slot_busy_pct.0" gauges);
       check_true "slot 1 gauge" (List.mem_assoc "pool.util.slot_busy_pct.1" gauges))
 
-(* The heartbeat publishes its state as gauges on the printing path, and
-   the ETA guard yields NaN — never inf — while the rate is zero. *)
-let test_progress_gauges () =
-  with_metrics (fun () ->
-      Progress.enable ();
-      Fun.protect ~finally:Progress.disable
-        (fun () ->
-          let t = Progress.start ~units:"sets" ~label:"test" ~total:1000 () in
-          (* Cross the 1s print interval so the elected tick publishes. *)
-          Unix.sleepf 1.05;
-          Progress.tick t 0;
-          let g name =
-            Option.bind
-              (Json.member "gauges" (Metrics.snapshot ()))
-              (Json.member name)
-            |> Fun.flip Option.bind Json.to_float_opt
-          in
-          (match g "progress.eta_s" with
-          | Some eta -> check_true "zero-rate ETA is NaN, not inf" (Float.is_nan eta)
-          | None -> Alcotest.fail "progress.eta_s gauge missing");
-          (match g "progress.units_per_s" with
-          | Some r -> check_true "zero-done rate is NaN" (Float.is_nan r)
-          | None -> Alcotest.fail "progress.units_per_s gauge missing");
-          Unix.sleepf 1.05;
-          Progress.tick t 400;
-          (match g "progress.coverage_pct" with
-          | Some pct -> check_float "coverage" 40.0 pct
-          | None -> Alcotest.fail "progress.coverage_pct gauge missing");
-          (match g "progress.eta_s" with
-          | Some eta -> check_true "positive rate gives a finite ETA" (Float.is_finite eta)
-          | None -> Alcotest.fail "progress.eta_s gauge missing");
-          Progress.finish t))
-
-let test_sigusr1_dump () =
-  with_metrics (fun () ->
-      let c = Metrics.counter "test.expose.sig" in
-      Metrics.add c 5;
-      Expose.install_sigusr1_dump ();
-      let path = Filename.temp_file "wx_expose_sig" ".ndjson" in
-      Fun.protect ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out path in
-          Sink.install (Sink.make oc);
-          Fun.protect
-            ~finally:(fun () ->
-              Sink.uninstall ();
-              close_out oc)
-            (fun () ->
-              Unix.kill (Unix.getpid ()) Sys.sigusr1;
-              (* Signal handlers run at the next safepoint; allocate a
-                 little to reach one, then give the sink a beat. *)
-              ignore (Sys.opaque_identity (Array.make 64 0));
-              Unix.sleepf 0.05);
-          let ic = open_in path in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
-          let dump =
-            List.find_map
-              (fun l ->
-                match Json.of_string_opt l with
-                | Some j
-                  when Option.bind (Json.member "event" j) Json.to_string_opt
-                       = Some "metrics.sigusr1" ->
-                    Some j
-                | _ -> None)
-              !lines
-          in
-          match dump with
-          | None -> Alcotest.fail "no metrics.sigusr1 event reached the sink"
-          | Some j ->
-              let counters =
-                Option.bind (Json.member "snapshot" j) (Json.member "counters")
-              in
-              check_true "snapshot captures the registry"
-                (Option.bind counters (Json.member "test.expose.sig")
-                 |> Option.map Json.to_int_opt
-                = Some (Some 5))))
-
 let suite =
   [
     Alcotest.test_case "prometheus page is well-formed" `Quick test_prometheus_well_formed;
     Alcotest.test_case "json and text surfaces agree" `Quick test_json_text_agreement;
-    Alcotest.test_case "scrape-delta rates" `Quick test_scrape_rates;
+    Alcotest.test_case "request line: pinned cases" `Quick test_request_path_pinned;
+    qcheck ~count:1000 "request line: hostile bytes" prop_request_path arbitrary_request;
     Alcotest.test_case "http round trip on an ephemeral port" `Quick test_http_roundtrip;
     Alcotest.test_case "scraping races a hot pool safely" `Slow
       test_concurrent_scrape_during_pool_run;
     Alcotest.test_case "pool runs publish live utilization gauges" `Quick
       test_pool_util_gauges;
-    Alcotest.test_case "progress gauges and the NaN ETA guard" `Slow test_progress_gauges;
-    Alcotest.test_case "SIGUSR1 dumps a one-shot snapshot" `Quick test_sigusr1_dump;
   ]

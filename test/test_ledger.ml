@@ -3,7 +3,7 @@
    round-trips with malformed-line reporting, trend-gate verdicts on
    synthetic histories (wall / alloc / rate postures, floor, insufficient
    history, series absent from the newest entry), sparklines, and the Prof trace analysis — containment
-   nesting, folded stacks, differential profiles. *)
+   nesting and differential profiles. *)
 
 module Json = Wx_obs.Json
 module Report = Wx_obs.Report
@@ -353,29 +353,6 @@ let test_prof_profile () =
   (* Metadata events are skipped, not mistaken for slices. *)
   check_int "three slices aggregated" 3 (List.length ps)
 
-let test_prof_folded () =
-  match Prof.rows_of_json (trace_doc ()) with
-  | Error m -> Alcotest.failf "rows: %s" m
-  | Ok rows ->
-      let f = Prof.folded rows in
-      let lines = String.split_on_char '\n' (String.trim f) in
-      check_int "one line per distinct stack" 3 (List.length lines);
-      check_true "ends with newline" (String.length f > 0 && f.[String.length f - 1] = '\n');
-      check_true "nested stack present" (List.mem "main;outer;inner 40" lines);
-      check_true "self, not total, at the root" (List.mem "main;outer 60" lines);
-      check_true "worker track rooted by name" (List.mem "worker-1;chunk 30" lines);
-      (* Every line is "frames value" with an integer value. *)
-      List.iter
-        (fun l ->
-          match String.rindex_opt l ' ' with
-          | None -> Alcotest.failf "no value in %S" l
-          | Some i -> (
-              match int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1)) with
-              | Some _ -> ()
-              | None -> Alcotest.failf "non-integer value in %S" l))
-        lines;
-      check_true "empty trace folds to empty" (Prof.folded [] = "")
-
 let test_prof_diff () =
   let old_ = profile_of (trace_doc ()) in
   let new_ = profile_of (trace_doc ~outer_dur:100000.0 ~inner_dur:90000.0 ()) in
@@ -431,7 +408,6 @@ let suite =
     Alcotest.test_case "series absent from the newest entry" `Quick test_gate_absent_newest;
     Alcotest.test_case "sparkline rendering" `Quick test_sparkline;
     Alcotest.test_case "prof: containment profile" `Quick test_prof_profile;
-    Alcotest.test_case "prof: folded stacks" `Quick test_prof_folded;
     Alcotest.test_case "prof: differential profile" `Quick test_prof_diff;
     Alcotest.test_case "prof: malformed traces rejected" `Quick test_prof_rejects;
   ]

@@ -467,12 +467,11 @@ let test_util_attribution () =
         (Array.fold_left (fun acc s -> acc + s.Pool.s_chunks) 0 u.Pool.u_slots))
 
 (* The zero-cost contract, now assertable: an uninstrumented pool run may
-   not touch the monotonic clock at all (Metrics, tracing and progress all
-   off — the only Clock.now_ns calls are behind the instrumented flag). *)
+   not touch the monotonic clock at all (Metrics and tracing both off —
+   the only Clock.now_ns calls are behind the instrumented flag). *)
 let test_no_clock_reads_while_disabled () =
   Metrics.disable ();
   Wx_obs.Trace_export.disable ();
-  Wx_obs.Progress.disable ();
   (* Warm the pool separately: domain spawn paths are not part of the
      contract, steady-state runs are. *)
   ignore (Pool.parallel_reduce ~jobs:4 ~n:32 ~init:0 ~map:Fun.id ~combine:( + ) ());
@@ -486,27 +485,6 @@ let test_no_clock_reads_while_disabled () =
       let before = Wx_obs.Clock.read_count () in
       ignore (Pool.parallel_reduce ~jobs:4 ~n:256 ~init:0 ~map:Fun.id ~combine:( + ) ());
       check_true "instrumented run reads the clock" (Wx_obs.Clock.read_count () > before))
-
-(* ---- live progress: reporting must never perturb results ---- *)
-
-let test_progress_identical_results () =
-  let module Progress = Wx_obs.Progress in
-  let g = Gen.gnp (rng ~salt:78 ()) 11 0.35 in
-  let base = Measure.beta_w_exact ~jobs:1 g in
-  check_true "progress off by default" (not (Progress.is_enabled ()));
-  Progress.enable ();
-  Fun.protect ~finally:Progress.disable (fun () ->
-      List.iter
-        (fun jobs ->
-          check_witnessed
-            (Printf.sprintf "beta_w with progress jobs=%d" jobs)
-            base
-            (Measure.beta_w_exact ~jobs g))
-        [ 1; 4 ]);
-  (* Once disabled again, ticking the shared dummy task stays inert. *)
-  let t = Progress.start ~label:"idle" ~total:100 () in
-  Progress.tick t 50;
-  Progress.finish t
 
 (* ---- metrics under concurrency ---- *)
 
@@ -568,7 +546,6 @@ let suite =
     Alcotest.test_case "work totals job-independent" `Quick test_work_totals_job_independent;
     Alcotest.test_case "utilization attribution deterministic" `Quick test_util_attribution;
     Alcotest.test_case "no clock reads while disabled" `Quick test_no_clock_reads_while_disabled;
-    Alcotest.test_case "progress never perturbs results" `Quick test_progress_identical_results;
     Alcotest.test_case "counters race-free" `Quick test_counters_race_free;
     Alcotest.test_case "histogram shards merge" `Quick test_histogram_shards_merge;
   ]
