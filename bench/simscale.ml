@@ -22,12 +22,14 @@
       rounds/sec and spread (gnm at mean degree 8 may strand isolated
       vertices, so near-complete spread is the check, not completion —
       the giant component is informed within ~100 rounds at n = 10^5).
-   5. Pool dispatch: a 200-round Decay at jobs >= 2 on n = 2 range + 1
-      crosses the pool every round. Its helper domains are spawned once
-      per process and parked between calls, so the run may spawn at most
-      jobs - 1 domains in total — a deterministic gate, unlike a wall-time
-      bound. The cost of one empty dispatch (wake the helpers, wait for
-      them) is reported as an informational row. *)
+   5. Pool dispatch: 200 flood rounds at jobs >= 2 on a fully-informed
+      network of n = 2 range + 1 vertices gather every round, and so cross
+      the pool every round (Decay's rounds push, serially, and never
+      reach the pool). Its helper domains are spawned once per process and
+      parked between calls, so the run may spawn at most jobs - 1 domains
+      in total — a deterministic gate, unlike a wall-time bound. The cost
+      of one empty dispatch (wake the helpers, wait for them) is reported
+      as an informational row. *)
 
 open Bench_common
 module Clock = Wx_obs.Clock
@@ -183,20 +185,25 @@ let run ~quick =
   (* 5. pool dispatch: spawn count over a pool-crossing run, and the
      wall cost of one empty parallel call *)
   let pjobs = max 2 jobs and range = 1024 and prounds = 200 in
-  let gp = Graph.add_vertices_and_edges (Gen.gnm (rng 63) (2 * range) (8 * range)) 1 [] in
-  let spawned_c = Metrics.counter "pool.domains_spawned" in
+  let gp = Gen.gnm (rng 63) ((2 * range) + 1) (8 * range) in
+  let spawned_c = Metrics.counter "pool.domains_spawned" and runs_c = Metrics.counter "pool.runs" in
   let was = Metrics.is_enabled () in
   if not was then Metrics.enable ();
-  let rounds, spawned, dispatch_dt =
+  let rounds, crossings, spawned, dispatch_dt =
     Fun.protect
       ~finally:(fun () -> if not was then Metrics.disable ())
       (fun () ->
-        let before = Metrics.counter_value spawned_c in
-        let o =
-          Sim_csr.run ~max_rounds:prounds ~jobs:pjobs ~range gp ~source:0 Sim_csr.decay
-            (Rng.create 5)
-        in
+        let before = Metrics.counter_value spawned_c and runs0 = Metrics.counter_value runs_c in
+        let st = Sim_csr.create ~jobs:pjobs ~range gp ~source:0 in
+        for v = 0 to Graph.n gp - 1 do
+          Sim_csr.inform st v
+        done;
+        let r = Rng.create 5 in
+        for _ = 1 to prounds do
+          ignore (Sim_csr.step st Sim_csr.flood r)
+        done;
         let spawned = Metrics.counter_value spawned_c - before in
+        let crossings = Metrics.counter_value runs_c - runs0 in
         let (), dt =
           timed (fun () ->
               for _ = 1 to prounds do
@@ -206,15 +213,16 @@ let run ~quick =
                      ~combine:( + ) ())
               done)
         in
-        (o.Sim.rounds, spawned, dt))
+        (Sim_csr.round st, crossings, spawned, dt))
   in
   check "simscale: pool-crossing rounds spawn at most jobs - 1 domains"
     ~instance:
-      (Printf.sprintf "decay n=%d range=%d jobs=%d, %d rounds" (Graph.n gp) range pjobs rounds)
+      (Printf.sprintf "saturated flood n=%d range=%d jobs=%d, %d rounds" (Graph.n gp) range pjobs
+         rounds)
     ~predicted:(float_of_int (pjobs - 1))
     ~measured:(float_of_int spawned)
-    (* The isolated vertex keeps Decay from finishing before the cap. *)
-    (rounds = prounds && spawned <= pjobs - 1);
+    (* Every round must reach the pool, or the gate would hold vacuously. *)
+    (rounds = prounds && crossings >= prounds && spawned <= pjobs - 1);
   let us_per_dispatch = 1e6 *. dispatch_dt /. float_of_int prounds in
   let td = Table.create [ "pool dispatch"; "jobs"; "calls"; "us/call"; "domains spawned" ] in
   Table.add_row td

@@ -94,9 +94,10 @@ let gnm rng n m =
     invalid_arg "Gen.gnm: m exceeds the simple-graph maximum";
   (* Rejection-sample m distinct edges: O(m) expected draws for the sparse
      regime this exists for (m = O(n)), vs gnp's O(n²) coin flips. Keys
-     pack as min·n + max, which stays within native int for n ≤ 2^31. *)
+     pack as min·n + max, which stays within native int for n ≤ 2^31.
+     Accepted pairs go straight into a flat endpoint array. *)
   let seen = Hashtbl.create (2 * m) in
-  let es = ref [] in
+  let ends = Array.make (2 * m) 0 in
   let have = ref 0 in
   while !have < m do
     let u = Rng.int rng n and v = Rng.int rng n in
@@ -104,12 +105,13 @@ let gnm rng n m =
       let key = if u < v then (u * n) + v else (v * n) + u in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
-        es := (u, v) :: !es;
+        ends.(2 * !have) <- u;
+        ends.((2 * !have) + 1) <- v;
         incr have
       end
     end
   done;
-  Graph.of_edges n !es
+  Graph.of_edge_array n ends
 
 let random_regular_config rng n d =
   if d >= n || d < 1 then invalid_arg "Gen.random_regular_config: need 1 <= d < n";
@@ -121,12 +123,17 @@ let random_regular_config rng n d =
      worth the repair loop at n = 10^6+. *)
   let stubs = Array.init (n * d) (fun i -> i / d) in
   Rng.shuffle rng stubs;
-  let es = ref [] in
+  (* Compact the non-loop pairs to the front, in place. *)
+  let k = ref 0 in
   for i = 0 to (n * d / 2) - 1 do
     let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
-    if u <> v then es := (u, v) :: !es
+    if u <> v then begin
+      stubs.(2 * !k) <- u;
+      stubs.((2 * !k) + 1) <- v;
+      incr k
+    end
   done;
-  Graph.of_edges n !es
+  Graph.of_edge_array ~edges:!k n stubs
 
 let random_regular rng n d =
   if d >= n || d < 1 then invalid_arg "Gen.random_regular: need 1 <= d < n";

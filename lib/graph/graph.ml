@@ -8,18 +8,17 @@ type t = { n : int; m : int; offsets : int array; adjacency : int array }
    scatter the half-edges into unsorted rows of [scratch], then walk v
    ascending and append v to the row of each of its neighbours — every row
    of [adjacency] comes out sorted — and finally drop adjacent duplicates
-   in one compaction pass. *)
-let of_edges n edges =
-  if n < 0 then invalid_arg "Graph.of_edges: negative n";
+   in one compaction pass. [who] names the caller in error messages. *)
+let build who n ends k =
+  if n < 0 then invalid_arg (who ^ ": negative n");
   let offsets = Array.make (n + 1) 0 in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edges: endpoint out of range";
-      if u = v then invalid_arg "Graph.of_edges: self-loop";
-      offsets.(u + 1) <- offsets.(u + 1) + 1;
-      offsets.(v + 1) <- offsets.(v + 1) + 1)
-    edges;
+  for i = 0 to k - 1 do
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (who ^ ": endpoint out of range");
+    if u = v then invalid_arg (who ^ ": self-loop");
+    offsets.(u + 1) <- offsets.(u + 1) + 1;
+    offsets.(v + 1) <- offsets.(v + 1) + 1
+  done;
   for v = 0 to n - 1 do
     offsets.(v + 1) <- offsets.(v + 1) + offsets.(v)
   done;
@@ -30,11 +29,11 @@ let of_edges n edges =
     dst.(cursor.(row)) <- x;
     cursor.(row) <- cursor.(row) + 1
   in
-  List.iter
-    (fun (u, v) ->
-      push u v scratch;
-      push v u scratch)
-    edges;
+  for i = 0 to k - 1 do
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    push u v scratch;
+    push v u scratch
+  done;
   Array.blit offsets 0 cursor 0 n;
   let adjacency = Array.make len 0 in
   for v = 0 to n - 1 do
@@ -58,6 +57,24 @@ let of_edges n edges =
   done;
   let adjacency = if !k = len then adjacency else Array.sub adjacency 0 !k in
   { n; m = !k / 2; offsets; adjacency }
+
+let of_edge_array ?edges n ends =
+  let k =
+    match edges with
+    | None when Array.length ends mod 2 = 0 -> Array.length ends / 2
+    | Some k when k >= 0 && 2 * k <= Array.length ends -> k
+    | _ -> invalid_arg "Graph.of_edge_array: bad edge count"
+  in
+  build "Graph.of_edge_array" n ends k
+
+let of_edges n edges =
+  let ends = Array.make (2 * List.length edges) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      ends.(2 * i) <- u;
+      ends.((2 * i) + 1) <- v)
+    edges;
+  build "Graph.of_edges" n ends (Array.length ends / 2)
 
 let n g = g.n
 let m g = g.m

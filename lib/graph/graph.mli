@@ -5,14 +5,24 @@
     2m), with row [v] at [adjacency.(offsets.(v) .. offsets.(v+1) - 1)]
     sorted ascending. Membership tests are O(log deg), and the radio engine
     and the expansion kernels walk the rows with no per-vertex pointer
-    chase. Build graphs with {!Builder} or {!of_edges}. *)
+    chase. Build graphs with {!Builder}, {!of_edges} or {!of_edge_array}. *)
 
 type t
 
 val of_edges : int -> (int * int) list -> t
 (** [of_edges n edges] builds the graph on [n] vertices in O(n + |edges|).
     Duplicate edges (in either orientation) are collapsed; a negative [n],
-    self-loops and out-of-range endpoints raise [Invalid_argument]. *)
+    self-loops and out-of-range endpoints raise [Invalid_argument]. A thin
+    wrapper over {!of_edge_array}. *)
+
+val of_edge_array : ?edges:int -> int -> int array -> t
+(** [of_edge_array ?edges n ends] is {!of_edges} over the flat endpoint
+    array [ends]: edge [i] joins [ends.(2i)] and [ends.(2i+1)], for
+    [i < edges] (default: all of [ends], which must then have even
+    length). Generators that draw endpoints into an array build through
+    it with no per-edge tuple or list cell. [ends] is only read. Raises
+    [Invalid_argument] as {!of_edges} does, and when [edges] is negative
+    or needs more than [Array.length ends] endpoints. *)
 
 val n : t -> int
 (** Number of vertices. *)

@@ -33,8 +33,8 @@ val rounds_simulated : kind
 val draws : kind
 
 val vertex_scans : kind
-(** ["radio.vertex_scans"]: receiver-scan slots examined by a radio round
-    kernel (one unit per vertex per round) — the
+(** ["radio.vertex_scans"]: vertex slots a radio round resolves (one unit
+    per vertex per round, whichever kernel, push or gather, runs) — the
     denominator-free throughput axis of the SIMSCALE experiment. *)
 
 val add : kind -> int -> unit

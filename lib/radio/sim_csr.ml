@@ -1,27 +1,46 @@
 (* The radio engine: synchronous rounds over a Graph.t, walked directly
    as the flat CSR layout it is.
 
-   Each round a protocol's fill marks the transmitters, then a receiver
-   scan (a gather) counts, for every vertex, the transmitting neighbors
-   straight off its adjacency row, early-exiting at 2 (the model cannot
-   distinguish "two" from "many"). Gather has two properties a
-   transmitter-side scatter lacks: each vertex's result is computed from
-   reads only, so the scan shards over domains by contiguous vertex ranges
-   with no write contention (each shard writes informed/since for its own
-   vertices only), and a saturated network costs O(1) per vertex instead
-   of O(m) per round.
+   Each round a protocol's fill marks the transmitters, then one of two
+   kernels resolves who hears what. The choice is made once per round,
+   from the transmit set alone:
+
+   - Push (a scatter), when the transmitters' degree sum is at most the
+     remaining 2m - sum. It walks each transmitter's row, saturates a
+     per-vertex hear count at 2 (the model cannot distinguish "two" from
+     "many"), and then resolves only the vertices it touched. Serial; its
+     cost is the transmitters' degree sum, so a sparse round (Decay has
+     ~2/k of the informed set transmit) never reads the silent vertices'
+     rows. On bcast-decay-128k (random 8-regular, n = 2^17) the scan time
+     fell 0.30 -> ~0.11 s per broadcast (2-vCPU VM).
+   - Gather, otherwise. For every vertex count the transmitting neighbors
+     straight off its adjacency row, early-exiting at 2. Each vertex's
+     result is computed from reads only, so the scan shards over domains
+     by contiguous vertex ranges with no write contention (each shard
+     writes informed/since for its own vertices only), and a saturated
+     network costs O(1) per vertex, where a push re-walks all 2m edges
+     (60-70x slower on saturated G(n, 4n) rounds).
+
+   Fills that mark transmitters one by one (every protocol but flood,
+   and every data-driven fill through [transmit]) also append them to a
+   transmitter list, which is what the rule sums and the push walks, and
+   the next round clears exactly those bytes. Flood's fill is a wholesale
+   [Bytes.blit] of the informed set that keeps no list; its rounds always
+   gather and are cleared by one [Bytes.fill].
 
    Determinism: protocols draw from the single Rng stream sequentially in
-   ascending vertex order before the scan starts, and shard results are
-   packed ints summed in range order by the pool
-   (Pool.parallel_reduce_ranges cuts ranges by n alone). Outcomes are
-   therefore bit-identical at any --jobs (regression-tested against an
-   independent reference simulator in test/test_sim_csr.ml).
+   ascending vertex order before the round is resolved, and gather shard
+   results are packed ints summed in range order by the pool
+   (Pool.parallel_reduce_ranges cuts ranges by n alone). Which kernel
+   runs depends on the transmit set alone, and both compute the same
+   per-vertex rule. Outcomes are therefore bit-identical at any --jobs
+   (regression-tested against an independent reference simulator in
+   test/test_sim_csr.ml).
 
    Allocation: all per-vertex state lives in preallocated Bytes/int
-   arrays, the scan is a pair of top-level tail-recursive loops with int
+   arrays, both kernels are top-level tail-recursive loops with int
    accumulators, and per-round results are packed into immediate ints —
-   at jobs = 1 a steady-state flood step allocates zero minor words (the
+   at jobs = 1 a steady-state step allocates zero minor words (the
    SIMSCALE bench asserts this under Memgc). *)
 
 module Graph = Wx_graph.Graph
@@ -41,6 +60,13 @@ type t = {
   informed : Bytes.t; (* '\001' iff informed *)
   transmit : Bytes.t; (* '\001' iff transmitting this round; scratch *)
   since : int array; (* round informed, -1 if not *)
+  txs : int array; (* this round's transmitters, [0, ntx), each once *)
+  mutable ntx : int;
+  mutable listed : bool; (* false iff a fill set [transmit] wholesale (flood) *)
+  hear : Bytes.t; (* push scratch: heard transmitters, saturating at 2; zero between rounds *)
+  touched : int array;
+      (* push scratch: vertices whose hear count left 0, plus one spare slot
+         for the branch-free push's unconditional write once all n are in *)
   mutable informed_count : int;
   mutable round : int;
   mutable collisions : int;
@@ -80,6 +106,11 @@ let create ?jobs ?(range = 16384) graph ~source =
     informed;
     transmit = Bytes.make n '\000';
     since;
+    txs = Array.make n 0;
+    ntx = 0;
+    listed = true;
+    hear = Bytes.make n '\000';
+    touched = Array.make (n + 1) 0;
     informed_count = 1;
     round = 0;
     collisions = 0;
@@ -108,16 +139,26 @@ let informed_set t =
   done;
   s
 
+(* Mark [v] as a transmitter and append it to the list, once per round;
+   returns the new list length. The distributed fills below call it with
+   the list length in a local, unchecked. *)
+let[@inline] mark transmit txs ntx v =
+  if Bytes.unsafe_get transmit v = '\001' then ntx
+  else begin
+    Bytes.unsafe_set transmit v '\001';
+    Array.unsafe_set txs ntx v;
+    ntx + 1
+  end
+
 (* The one checked write into the transmit scratch: fills whose transmit
    set comes from data (a replayed schedule, a solver's choice) go through
-   here; the distributed fills below write the bytes directly and pay
-   nothing. *)
+   here. *)
 let transmit t v =
   if v < 0 || v >= t.n || Bytes.get t.informed v = '\000' then
     invalid_arg "Sim_csr.transmit: transmitter without the message";
-  Bytes.unsafe_set t.transmit v '\001'
+  t.ntx <- mark t.transmit t.txs t.ntx v
 
-(* ---- the round scan ----
+(* ---- the round kernels ----
 
    Top-level tail-recursive loops (not local closures) so a jobs=1 step
    performs no closure allocation. Results pack as
@@ -135,7 +176,7 @@ let rec count_tx transmit nbrs i stop acc =
     count_tx transmit nbrs (i + 1) stop
       (acc + Char.code (Bytes.unsafe_get transmit (Array.unsafe_get nbrs i)))
 
-(* Receiver scan over vertices [w, hi): a transmitter hears nothing; a
+(* Gather: receiver scan over vertices [w, hi): a transmitter hears nothing; a
    silent vertex hearing >= 2 is a collision event (informed or not); a
    silent uninformed vertex hearing exactly 1 joins the informed set.
    Writes touch only informed/since slots inside [w, hi), so concurrent
@@ -158,13 +199,90 @@ let rec scan offsets nbrs informed transmit since round hi w acc =
     else scan offsets nbrs informed transmit since round hi (w + 1) acc
   end
 
+(* Push, first half: walk row [i, stop) of one transmitter, raising each
+   neighbor's hear count towards 2 and appending the vertices it lifts off
+   0 to [touched]; returns the new touched length. Branch-free: with h the
+   old count, h + 1 - h/2 is the new one and 1 - (h + 1)/2 is 1 iff h = 0
+   (a branch on h, which is random per neighbor, mispredicts often enough
+   to double the kernel's cost). [w] is written at [nt] whether or not it
+   is kept, so [touched] needs n + 1 slots. *)
+let rec push_row hear touched nbrs i stop nt =
+  if i >= stop then nt
+  else begin
+    let w = Array.unsafe_get nbrs i in
+    let h = Char.code (Bytes.unsafe_get hear w) in
+    Bytes.unsafe_set hear w (Char.unsafe_chr (h + 1 - (h lsr 1)));
+    Array.unsafe_set touched nt w;
+    push_row hear touched nbrs (i + 1) stop (nt + 1 - ((h + 1) lsr 1))
+  end
+
+let rec push_rows offsets nbrs hear touched txs ntx j nt =
+  if j >= ntx then nt
+  else begin
+    let u = Array.unsafe_get txs j in
+    push_rows offsets nbrs hear touched txs ntx (j + 1)
+      (push_row hear touched nbrs (Array.unsafe_get offsets u) (Array.unsafe_get offsets (u + 1)) nt)
+  end
+
+(* Push, second half: the gather's per-vertex rule over the touched
+   vertices only, zeroing their hear counts for the next push. An
+   untouched vertex heard nobody, which the gather's rule ignores too.
+   With bytes as 0/1 flags and h in {1, 2}: a silent vertex collides iff
+   h = 2 and joins iff h = 1 and it is uninformed; only the join, which
+   writes [since], is a branch. *)
+let rec resolve hear touched informed transmit since round nt j acc =
+  if j >= nt then acc
+  else begin
+    let w = Array.unsafe_get touched j in
+    let h = Char.code (Bytes.unsafe_get hear w) in
+    Bytes.unsafe_set hear w '\000';
+    let silent = 1 - Char.code (Bytes.unsafe_get transmit w) in
+    let newly = silent land h land (1 - Char.code (Bytes.unsafe_get informed w)) in
+    if newly = 1 then begin
+      Bytes.unsafe_set informed w '\001';
+      Array.unsafe_set since w round
+    end;
+    resolve hear touched informed transmit since round nt (j + 1)
+      (acc + (silent land (h lsr 1)) + (newly lsl 31))
+  end
+
+(* Degree sum of the listed transmitters [j, ntx), cut short once it
+   passes [cap]. *)
+let rec degree_sum offsets txs ntx cap j acc =
+  if j >= ntx || acc > cap then acc
+  else begin
+    let u = Array.unsafe_get txs j in
+    degree_sum offsets txs ntx cap (j + 1)
+      (acc + Array.unsafe_get offsets (u + 1) - Array.unsafe_get offsets u)
+  end
+
+let m_push_rounds = Metrics.counter "radio.push_rounds"
+
+(* Undo the previous fill: byte by byte down its list, or in one pass
+   after a wholesale fill. *)
+let clear_transmit t =
+  if t.listed then
+    for j = 0 to t.ntx - 1 do
+      Bytes.unsafe_set t.transmit (Array.unsafe_get t.txs j) '\000'
+    done
+  else Bytes.fill t.transmit 0 t.n '\000';
+  t.ntx <- 0;
+  t.listed <- true
+
 let step t protocol rng =
-  Bytes.fill t.transmit 0 t.n '\000';
+  clear_transmit t;
   protocol.fill t rng;
   t.round <- t.round + 1;
   let offsets = Graph.offsets t.graph and nbrs = Graph.adjacency t.graph in
+  let m = Graph.m t.graph in
   let packed =
-    if t.jobs <= 1 || t.n <= t.range then
+    (* Push iff sum <= 2m - sum, i.e. sum <= m. *)
+    if t.listed && degree_sum offsets t.txs t.ntx m 0 0 <= m then begin
+      Metrics.incr m_push_rounds;
+      let nt = push_rows offsets nbrs t.hear t.touched t.txs t.ntx 0 0 in
+      resolve t.hear t.touched t.informed t.transmit t.since t.round nt 0 0
+    end
+    else if t.jobs <= 1 || t.n <= t.range then
       scan offsets nbrs t.informed t.transmit t.since t.round t.n 0 0
     else
       Pool.parallel_reduce_ranges ~jobs:t.jobs ~range:t.range ~n:t.n ~init:0
@@ -182,28 +300,53 @@ let step t protocol rng =
 
    Each fill draws from the rng for informed vertices in ascending vertex
    order, and decides from local knowledge only: whether the vertex holds
-   the message, when it got it, the round number and n. *)
+   the message, when it got it, the round number and n. All but flood
+   mark through [mark], keeping the transmitter list. *)
 
 let m_coin_flips = Metrics.counter "radio.decay.coin_flips"
 let m_transmit_decisions = Metrics.counter "radio.decay.transmit_decisions"
 
 let phase_length n = Wx_util.Floatx.log2i_ceil (max 2 n) + 1
 
-let flood = { name = "flood"; fill = (fun t _rng -> Bytes.blit t.informed 0 t.transmit 0 t.n) }
+let flood =
+  {
+    name = "flood";
+    fill =
+      (fun t _rng ->
+        Bytes.blit t.informed 0 t.transmit 0 t.n;
+        t.listed <- false);
+  }
+
+(* Decay's slot [x mod k] without a division: with M = floor(2^31 / k) + 1,
+   [x - k * ((x * M) lsr 31)] is exact while [x * k < 2^31]. Write
+   M = (2^31 + e) / k with 1 <= e <= k: then x * M / 2^31 = x / k + x * e
+   / (k * 2^31), and the excess stays under 1/k while x * e < 2^31, too
+   little to carry x / k (whose fraction is at most (k - 1) / k) over the
+   next integer. [x * M] stays below 2^62 on that range. *)
+let slot_magic k = ((1 lsl 31) / k) + 1
+let slot_limit k = ((1 lsl 31) - 1) / k
+let[@inline] fast_slot k magic x = x - (k * ((x * magic) lsr 31))
+let phase_slot k x = if x <= slot_limit k then fast_slot k (slot_magic k) x else x mod k
 
 let decay_fill k t rng =
   let round = t.round in
-  let informed = t.informed and transmit = t.transmit and since = t.since in
+  let informed = t.informed and transmit = t.transmit and since = t.since and txs = t.txs in
+  (* Every vertex's x = round - since lies in [0, round], so one test
+     covers the whole fill. *)
+  let fast = round <= slot_limit k and magic = slot_magic k in
+  let ntx0 = t.ntx in
+  let ntx = ref ntx0 in
   for v = 0 to t.n - 1 do
     if Bytes.unsafe_get informed v = '\001' then begin
-      let slot = (round - Array.unsafe_get since v) mod k in
-      Metrics.incr m_coin_flips;
-      if Rng.coin_pow2 rng slot then begin
-        Metrics.incr m_transmit_decisions;
-        Bytes.unsafe_set transmit v '\001'
-      end
+      let x = round - Array.unsafe_get since v in
+      let slot = if fast then fast_slot k magic x else x mod k in
+      if Rng.coin_pow2 rng slot then ntx := mark transmit txs !ntx v
     end
-  done
+  done;
+  t.ntx <- !ntx;
+  (* One coin per informed vertex. *)
+  Metrics.add m_coin_flips t.informed_count;
+  Metrics.add m_transmit_decisions (!ntx - ntx0)
 
 (* Each [fill] applies [decay_fill] in full: a partial application would
    allocate a curried closure on every call. *)
@@ -221,16 +364,16 @@ let decay_globally_phased =
       (fun t rng ->
         let k = phase_length t.n in
         let slot = t.round mod k in
-        let informed = t.informed and transmit = t.transmit in
+        let informed = t.informed and transmit = t.transmit and txs = t.txs in
+        let ntx0 = t.ntx in
+        let ntx = ref ntx0 in
         for v = 0 to t.n - 1 do
-          if Bytes.unsafe_get informed v = '\001' then begin
-            Metrics.incr m_coin_flips;
-            if Rng.coin_pow2 rng slot then begin
-              Metrics.incr m_transmit_decisions;
-              Bytes.unsafe_set transmit v '\001'
-            end
-          end
-        done);
+          if Bytes.unsafe_get informed v = '\001' then
+            if Rng.coin_pow2 rng slot then ntx := mark transmit txs !ntx v
+        done;
+        t.ntx <- !ntx;
+        Metrics.add m_coin_flips t.informed_count;
+        Metrics.add m_transmit_decisions (!ntx - ntx0));
   }
 
 let uniform p =
@@ -239,11 +382,13 @@ let uniform p =
     name = Printf.sprintf "uniform-%.2f" p;
     fill =
       (fun t rng ->
-        let informed = t.informed and transmit = t.transmit in
+        let informed = t.informed and transmit = t.transmit and txs = t.txs in
+        let ntx = ref t.ntx in
         for v = 0 to t.n - 1 do
           if Bytes.unsafe_get informed v = '\001' then
-            if Rng.bernoulli rng p then Bytes.unsafe_set transmit v '\001'
-        done);
+            if Rng.bernoulli rng p then ntx := mark transmit txs !ntx v
+        done;
+        t.ntx <- !ntx);
   }
 
 (* ---- drivers ---- *)
@@ -279,7 +424,7 @@ let run_until ?max_rounds ?jobs ?range ?on_round g ~source protocol rng ~stop =
       let info =
         {
           Sim.index = t.round;
-          transmitters = count_ones t.transmit t.n 0 0;
+          transmitters = (if t.listed then t.ntx else count_ones t.transmit t.n 0 0);
           newly_informed = newly;
           informed_total = t.informed_count;
           collisions_this_round = t.collisions - coll_before;

@@ -7,11 +7,20 @@
     from silence — the engine counts such collision events but never
     reveals them to protocols. A transmitter hears nothing.
 
-    Each round scans all vertices (a {e gather}), counting transmitting
-    neighbors off the graph's flat CSR rows ({!Wx_graph.Graph.offsets},
-    {!Wx_graph.Graph.adjacency}) with an early exit at 2. Per-vertex
-    state lives in preallocated [Bytes]/int arrays and the scan is sharded
-    across {!Wx_par.Pool} domains by contiguous vertex ranges.
+    Each round picks one of two kernels over the graph's flat CSR rows
+    ({!Wx_graph.Graph.offsets}, {!Wx_graph.Graph.adjacency}), from the
+    transmit set alone. When the transmitters' degree sum is at most the
+    remaining [2m - sum], a serial {e push} walks each transmitter's row,
+    counts hears per neighbor saturating at 2, and resolves only the
+    vertices it touched. Otherwise a {e gather} scans every vertex,
+    counting transmitting neighbors off its row with an early exit at 2,
+    sharded across {!Wx_par.Pool} domains by contiguous vertex ranges.
+    {!flood} marks its transmitters wholesale and always gathers.
+
+    Per-vertex state, all preallocated by {!create}: [informed] and
+    [transmit] bytes, [since] ints, the round's transmitter list (n ints),
+    and the push's scratch — a hear-count byte and a touched list (n ints)
+    — 3n bytes plus 3n words in all.
 
     {2 Protocols}
 
@@ -26,16 +35,18 @@
     {2 Determinism}
 
     Protocol randomness is drawn sequentially (ascending vertex order)
-    before the scan, and shard results are packed ints summed in range
-    order, so outcomes are bit-identical at any [jobs].
+    before the round is resolved, both kernels apply the same per-vertex
+    rule, and gather shard results are packed ints summed in range order,
+    so outcomes are bit-identical at any [jobs].
 
     {2 Cost}
 
-    A steady-state [step] at [jobs = 1] allocates zero minor words (flood;
-    randomized protocols pay only the Rng's boxed draws), and a saturated
-    network costs O(1) per vertex per round. Every step credits
-    {!Wx_obs.Work.vertex_scans} (n units) and {!Wx_obs.Work.rounds_simulated}
-    (one unit). *)
+    A steady-state [step] at [jobs = 1] allocates zero minor words. A
+    push round costs the transmitters' degree sum; a gather round costs
+    O(n + m) and a saturated network O(1) per vertex. Every step credits
+    {!Wx_obs.Work.vertex_scans} (n units, whichever kernel runs) and
+    {!Wx_obs.Work.rounds_simulated} (one unit); with metrics on, a push
+    round also counts in [radio.push_rounds]. *)
 
 type t
 (** Mutable simulation state over one graph. *)
@@ -52,9 +63,10 @@ val create : ?jobs:int -> ?range:int -> Wx_graph.Graph.t -> source:int -> t
     create wins), observable via [/metrics]. *)
 
 val step : t -> protocol -> Wx_util.Rng.t -> int
-(** Execute one round; returns the newly-informed count. The scan runs
-    sequentially when [jobs <= 1] or the instance fits one range —
-    bypassing the pool keeps the steady-state step allocation-free. *)
+(** Execute one round; returns the newly-informed count. A push round
+    always runs on the caller; a gather runs sequentially when
+    [jobs <= 1] or the instance fits one range — bypassing the pool keeps
+    the steady-state step allocation-free. *)
 
 val inform : t -> int -> unit
 (** Seed an extra source: mark the vertex informed as of the current
@@ -100,6 +112,12 @@ val decay : protocol
     phases of {!phase_length} rounds; an informed processor in slot [i] of
     a phase (slots counted from 0, relative to the round it got the
     message) transmits with probability [2^{-i}]. *)
+
+val phase_slot : int -> int -> int
+(** [phase_slot k x] is [x mod k] for [x >= 0] and [1 <= k <= 62]: Decay's
+    slot, [x] rounds after a vertex was informed. Computed by
+    multiply-shift while [x * k < 2^31] (the range it is exact on) and by
+    [mod] beyond; {!decay} uses the same arithmetic inline. *)
 
 val decay_with_phase_length : int -> protocol
 (** [decay_with_phase_length k] is Decay with an explicit phase length [k]

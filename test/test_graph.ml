@@ -27,6 +27,19 @@ let test_of_edges_rejects_negative_n () =
   Alcotest.check_raises "negative n" (Invalid_argument "Graph.of_edges: negative n") (fun () ->
       ignore (Graph.of_edges (-1) []))
 
+let test_of_edge_array_rejects () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  raises "Graph.of_edge_array: bad edge count" (fun () -> Graph.of_edge_array 3 [| 0; 1; 2 |]);
+  raises "Graph.of_edge_array: bad edge count" (fun () ->
+      Graph.of_edge_array ~edges:2 3 [| 0; 1; 2 |]);
+  raises "Graph.of_edge_array: bad edge count" (fun () -> Graph.of_edge_array ~edges:(-1) 3 [||]);
+  raises "Graph.of_edge_array: self-loop" (fun () -> Graph.of_edge_array 3 [| 0; 1; 2; 2 |]);
+  raises "Graph.of_edge_array: endpoint out of range" (fun () -> Graph.of_edge_array 3 [| 0; 3 |]);
+  raises "Graph.of_edge_array: negative n" (fun () -> Graph.of_edge_array (-1) [||]);
+  (* Endpoints past [edges] are never read, even invalid ones. *)
+  check_true "prefix only"
+    (Graph.equal triangle (Graph.of_edge_array ~edges:3 3 [| 0; 1; 1; 2; 2; 0; 5; 5 |]))
+
 let test_neighbors_sorted () =
   let g = Graph.of_edges 5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   check_true "sorted" (Graph.neighbors g 2 = [| 0; 1; 3; 4 |])
@@ -247,6 +260,15 @@ let qcheck_tests =
   [
     qcheck ~count:300 "of_edges = adjacency-matrix oracle" of_edges_matches_matrix
       arbitrary_edge_list;
+    qcheck ~count:300 "of_edge_array = of_edges"
+      (fun (n, es) ->
+        let ends = Array.of_list (List.concat_map (fun (u, v) -> [ u; v ]) es) in
+        let g = Graph.of_edges n es in
+        (* A trailing junk pair past [~edges] must be ignored. *)
+        Graph.equal g (Graph.of_edge_array n ends)
+        && Graph.equal g
+             (Graph.of_edge_array ~edges:(List.length es) n (Array.append ends [| -1; -1 |])))
+      arbitrary_edge_list;
     qcheck ~count:50 "handshake: sum deg = 2m"
       (fun g ->
         let total = ref 0 in
@@ -280,6 +302,7 @@ let suite =
     Alcotest.test_case "reject self-loop" `Quick test_of_edges_rejects_self_loop;
     Alcotest.test_case "reject out of range" `Quick test_of_edges_rejects_out_of_range;
     Alcotest.test_case "reject negative n" `Quick test_of_edges_rejects_negative_n;
+    Alcotest.test_case "of_edge_array rejects" `Quick test_of_edge_array_rejects;
     Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
     Alcotest.test_case "mem_edge" `Quick test_mem_edge;
     Alcotest.test_case "degrees" `Quick test_degrees;

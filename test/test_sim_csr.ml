@@ -255,25 +255,165 @@ let test_jobs_invariance () =
     (fun jobs -> check_outcomes_equal (Printf.sprintf "jobs %d" jobs) base (run jobs))
     [ 2; 4; 7 ]
 
-(* One pool dispatch per round: a long run must reuse the pool's parked
-   helper rather than spawn one per round. n = 2 range + 1 cuts three
-   ranges, so every jobs-2 step crosses the pool with one helper; the
-   isolated vertex keeps Decay from finishing before the cap. *)
+(* Both kernels against the reference. A run seeds about 70% of the
+   vertices, then cycles three kinds of round through the checked
+   [transmit]: every informed vertex (the seeded set's degree sum exceeds
+   m, so these gather), each informed vertex with probability 1/4 (either
+   side of the rule), and the lowest informed vertex alone (one row, at
+   most m, so these push). Decisions are a pure hash of (salt, round, v),
+   so the engine's fill and the reference's decision function share no
+   stream. [radio.push_rounds] shows which kernel ran. *)
+let mixed_decision ~salt ~n ~informed round v =
+  match round mod 3 with
+  | 0 -> true
+  | 1 -> Hashtbl.hash (salt, round, v) land 3 = 0
+  | _ ->
+      let rec lowest w = if informed w then w else lowest (w + 1) in
+      v = lowest 0 && v < n
+
+let mixed_cap = 60
+
+let run_mixed ~jobs ~range g ~salt seeds =
+  let n = Graph.n g in
+  let fill t _rng =
+    let round = Sim_csr.round t and informed = Sim_csr.is_informed t in
+    for v = 0 to n - 1 do
+      if informed v && mixed_decision ~salt ~n ~informed round v then Sim_csr.transmit t v
+    done
+  in
+  let protocol = { Sim_csr.name = "mixed"; fill } in
+  let st = Sim_csr.create ~jobs ~range g ~source:0 in
+  List.iter (Sim_csr.inform st) seeds;
+  let history = Intvec.create () and r = Rng.create 0 in
+  while (not (Sim_csr.all_informed st)) && Sim_csr.round st < mixed_cap do
+    ignore (Sim_csr.step st protocol r);
+    Intvec.push history (Sim_csr.informed_count st)
+  done;
+  {
+    Sim.rounds = Sim_csr.round st;
+    completed = Sim_csr.all_informed st;
+    informed_final = Sim_csr.informed_count st;
+    collisions = Sim_csr.collisions st;
+    frontier_history = Intvec.to_array history;
+  }
+
+let test_kernels_qcheck =
+  qcheck ~count:80 "push and gather = reference on random transmit sets"
+    (fun (g, salt) ->
+      let n = Graph.n g in
+      let seeds = List.filter (fun v -> v = 0 || Hashtbl.hash (salt, -1, v) mod 10 < 7)
+          (List.init n Fun.id) in
+      let degsum = List.fold_left (fun acc v -> acc + Graph.degree g v) 0 seeds in
+      QCheck.assume (degsum > Graph.m g);
+      let reference =
+        Ref.run ~sources:(List.tl seeds) ~max_rounds:mixed_cap g ~source:0
+          (fun (s : Ref.state) v _ ->
+            mixed_decision ~salt ~n ~informed:(fun w -> s.Ref.informed.(w)) s.Ref.round v)
+          (Rng.create 0)
+      in
+      let push_rounds = Metrics.counter "radio.push_rounds" in
+      List.for_all
+        (fun jobs ->
+          Metrics.enable ();
+          let before = Metrics.counter_value push_rounds in
+          let o = Fun.protect ~finally:Metrics.disable (fun () ->
+              run_mixed ~jobs ~range:3 g ~salt seeds) in
+          let push = Metrics.counter_value push_rounds - before in
+          o = reference && (o.Sim.rounds < 3 || (push > 0 && push < o.Sim.rounds)))
+        [ 1; 4 ])
+    QCheck.(pair (arbitrary_graph ~lo:2 ~hi:32) (int_range 0 1_000_000))
+
+(* A push that touches every vertex: on K_n two transmitters reach all n
+   vertices, and the second row keeps writing at the touched list's spare
+   slot after all n are in. The outcome must match the reference. (A
+   missing spare slot is an unchecked write past the array, which this
+   test exercises but cannot observe reliably; the full major collection
+   at least walks the heap it would corrupt.) *)
+let test_push_touches_every_vertex () =
+  List.iter
+    (fun n ->
+      let g = Gen.complete n in
+      let both t _ =
+        Sim_csr.transmit t 0;
+        Sim_csr.transmit t 1
+      in
+      let st = Sim_csr.create ~jobs:1 g ~source:0 in
+      Sim_csr.inform st 1;
+      let r = Rng.create 0 in
+      for _ = 1 to 3 do
+        ignore (Sim_csr.step st { Sim_csr.name = "both"; fill = both } r)
+      done;
+      let reference =
+        Ref.run ~sources:[ 1 ] ~max_rounds:3 g ~source:0 (fun _ v _ -> v < 2) (Rng.create 0)
+      in
+      check_int (Printf.sprintf "K_%d collisions" n) reference.Sim.collisions
+        (Sim_csr.collisions st);
+      check_int (Printf.sprintf "K_%d informed" n) reference.Sim.informed_final
+        (Sim_csr.informed_count st);
+      Gc.full_major ())
+    [ 4; 5; 12; 64 ]
+
+(* The kernel choice in numbers: a Decay broadcast pushes every round,
+   flood on a saturated network gathers every round. *)
+let test_kernel_choice () =
+  let g = Gen.random_regular_config (rng ~salt:41 ()) 2000 8 in
+  let push_rounds = Metrics.counter "radio.push_rounds" in
+  let pushes f =
+    Metrics.enable ();
+    let before = Metrics.counter_value push_rounds in
+    let rounds = Fun.protect ~finally:Metrics.disable f in
+    (Metrics.counter_value push_rounds - before, rounds)
+  in
+  let push, rounds =
+    pushes (fun () ->
+        (Sim_csr.run ~jobs:1 g ~source:0 Sim_csr.decay (Rng.create 3)).Sim.rounds)
+  in
+  check_true "decay completes" (rounds > 0);
+  check_int "every decay round pushes" rounds push;
+  let push, rounds =
+    pushes (fun () ->
+        let t = Sim_csr.create ~jobs:1 g ~source:0 in
+        for v = 0 to Graph.n g - 1 do
+          Sim_csr.inform t v
+        done;
+        for _ = 1 to 10 do
+          ignore (Sim_csr.step t Sim_csr.flood (Rng.create 3))
+        done;
+        Sim_csr.round t)
+  in
+  check_int "saturated flood ran" 10 rounds;
+  check_int "saturated flood never pushes" 0 push
+
+(* One pool dispatch per round: a long run of dense rounds must reuse the
+   pool's parked helper rather than spawn one per round. Flood over a
+   network made fully informed with [inform] transmits from every vertex,
+   so every round gathers (a Decay round has too few transmitters to
+   gather, and a push never touches the pool). n = 2 range + 1 cuts three
+   ranges, so every jobs-2 step crosses the pool with one helper. *)
 let test_rounds_reuse_one_helper () =
   let range = 64 in
-  let g = Graph.add_vertices_and_edges (Gen.gnm (rng ~salt:5 ()) (2 * range) (8 * range)) 1 [] in
+  let g = Gen.gnm (rng ~salt:5 ()) ((2 * range) + 1) (8 * range) in
   let run jobs =
-    Sim_csr.run ~max_rounds:200 ~jobs ~range g ~source:0 Sim_csr.decay (Rng.create 77)
+    let t = Sim_csr.create ~jobs ~range g ~source:0 in
+    for v = 0 to Graph.n g - 1 do
+      Sim_csr.inform t v
+    done;
+    let r = Rng.create 77 in
+    for _ = 1 to 200 do
+      ignore (Sim_csr.step t Sim_csr.flood r)
+    done;
+    (Sim_csr.round t, Sim_csr.collisions t)
   in
   let base = run 1 in
-  check_int "runs to the cap" 200 base.Sim.rounds;
-  let spawned = Metrics.counter "pool.domains_spawned" in
+  check_int "runs 200 rounds" 200 (fst base);
+  let spawned = Metrics.counter "pool.domains_spawned" and runs = Metrics.counter "pool.runs" in
   Metrics.enable ();
-  let before = Metrics.counter_value spawned in
+  let spawned0 = Metrics.counter_value spawned and runs0 = Metrics.counter_value runs in
   let par = Fun.protect ~finally:Metrics.disable (fun () -> run 2) in
+  check_true "every round crosses the pool" (Metrics.counter_value runs - runs0 >= 200);
   check_true "at most one domain spawned over 200 rounds"
-    (Metrics.counter_value spawned - before <= 1);
-  check_outcomes_equal "jobs 2" base par
+    (Metrics.counter_value spawned - spawned0 <= 1);
+  check_true "jobs 2 = jobs 1" (base = par)
 
 (* --- CSR layout invariants --- *)
 
@@ -310,6 +450,55 @@ let test_gnm_invariants () =
        ignore (Gen.gnm (rng ()) 4 7);
        false
      with Invalid_argument _ -> true)
+
+(* The two sparse generators before they drew into a flat endpoint array:
+   the same draws, consed into an edge list for Graph.of_edges. Kept as
+   the oracle that the array versions build the same rows from the same
+   stream. *)
+let gnm_list rng n m =
+  let seen = Hashtbl.create (2 * m) and es = ref [] and have = ref 0 in
+  while !have < m do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then begin
+      let key = if u < v then (u * n) + v else (v * n) + u in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        es := (u, v) :: !es;
+        incr have
+      end
+    end
+  done;
+  Graph.of_edges n !es
+
+let random_regular_config_list rng n d =
+  let stubs = Array.init (n * d) (fun i -> i / d) in
+  Rng.shuffle rng stubs;
+  let es = ref [] in
+  for i = 0 to (n * d / 2) - 1 do
+    let u = stubs.(2 * i) and v = stubs.((2 * i) + 1) in
+    if u <> v then es := (u, v) :: !es
+  done;
+  Graph.of_edges n !es
+
+let test_generators_match_list_versions () =
+  let same name gen oracle salt =
+    let ra = rng ~salt () and rb = rng ~salt () in
+    check_true (name ^ ": same rows") (Graph.equal (gen ra) (oracle rb));
+    check_true (name ^ ": same next draw") (Rng.int64 ra = Rng.int64 rb)
+  in
+  List.iter
+    (fun (n, m, salt) ->
+      same (Printf.sprintf "gnm n=%d m=%d" n m) (fun r -> Gen.gnm r n m)
+        (fun r -> gnm_list r n m) salt)
+    [ (2, 1, 0); (5, 10, 1); (40, 60, 2); (300, 900, 3); (1000, 4000, 4); (2000, 1, 5) ];
+  List.iter
+    (fun (n, d, salt) ->
+      same
+        (Printf.sprintf "random_regular_config n=%d d=%d" n d)
+        (fun r -> Gen.random_regular_config r n d)
+        (fun r -> random_regular_config_list r n d)
+        salt)
+    [ (2, 1, 6); (5, 2, 7); (10, 9, 8); (300, 3, 9); (1000, 8, 10); (4096, 6, 11) ]
 
 let test_gnm_deterministic () =
   let a = Gen.gnm (Rng.create 5) 200 600 and b = Gen.gnm (Rng.create 5) 200 600 in
@@ -407,6 +596,22 @@ let check_zero_alloc_steady_state protocol =
 let test_zero_alloc_steady_state () = check_zero_alloc_steady_state Sim_csr.flood
 let test_zero_alloc_decay () = check_zero_alloc_steady_state Sim_csr.decay
 
+(* Decay's division-free slot at the top of its multiply-shift range
+   (x * k < 2^31), and past it where [mod] takes over. *)
+let test_phase_slot_top_of_range () =
+  for k = 1 to 62 do
+    let top = ((1 lsl 31) - 1) / k in
+    for x = max 0 (top - 4096) to top + 4096 do
+      if Sim_csr.phase_slot k x <> x mod k then
+        Alcotest.failf "phase_slot %d %d = %d, want %d" k x (Sim_csr.phase_slot k x) (x mod k)
+    done
+  done
+
+let test_phase_slot_qcheck =
+  qcheck ~count:2000 "phase_slot k x = x mod k"
+    (fun (k, x) -> Sim_csr.phase_slot k x = x mod k)
+    QCheck.(pair (int_range 1 62) (oneof [ int_bound 100_000; int_bound (1 lsl 33) ]))
+
 let test_decay_phase_length_range () =
   List.iter
     (fun k ->
@@ -431,6 +636,9 @@ let suite =
     Alcotest.test_case "golden pins on all families" `Slow test_golden_pins;
     Alcotest.test_case "csr = reference on all families" `Slow test_equivalence_on_families;
     test_equivalence_qcheck;
+    test_kernels_qcheck;
+    Alcotest.test_case "decay pushes, saturated flood gathers" `Quick test_kernel_choice;
+    Alcotest.test_case "push touching every vertex" `Quick test_push_touches_every_vertex;
     Alcotest.test_case "replayed schedule = reference" `Quick test_replay_matches_reference;
     Alcotest.test_case "jobs invariance on gnm(3000)" `Slow test_jobs_invariance;
     Alcotest.test_case "rounds reuse one pool helper" `Quick test_rounds_reuse_one_helper;
@@ -438,6 +646,8 @@ let suite =
     Alcotest.test_case "inform seeds extra sources" `Quick test_inform_seeding;
     Alcotest.test_case "gnm invariants" `Quick test_gnm_invariants;
     Alcotest.test_case "gnm deterministic" `Quick test_gnm_deterministic;
+    Alcotest.test_case "array generators = list versions" `Quick
+      test_generators_match_list_versions;
     Alcotest.test_case "random_regular_config invariants" `Quick
       test_random_regular_config_invariants;
     Alcotest.test_case "round limit overflow-safe" `Quick test_round_limit_overflow_safe;
@@ -445,4 +655,6 @@ let suite =
     Alcotest.test_case "csr steady state allocates zero" `Quick test_zero_alloc_steady_state;
     Alcotest.test_case "csr decay steady state allocates zero" `Quick test_zero_alloc_decay;
     Alcotest.test_case "decay phase length range" `Quick test_decay_phase_length_range;
+    Alcotest.test_case "phase slot at the top of its range" `Quick test_phase_slot_top_of_range;
+    test_phase_slot_qcheck;
   ]
