@@ -259,26 +259,32 @@ let test_jobs_invariance () =
    vertices, then cycles three kinds of round through the checked
    [transmit]: every informed vertex (the seeded set's degree sum exceeds
    m, so these gather), each informed vertex with probability 1/4 (either
-   side of the rule), and the lowest informed vertex alone (one row, at
-   most m, so these push). Decisions are a pure hash of (salt, round, v),
-   so the engine's fill and the reference's decision function share no
-   stream. [radio.push_rounds] shows which kernel ran. *)
-let mixed_decision ~salt ~n ~informed round v =
+   side of the rule), and the source alone (one row, at most m, so these
+   push). Decisions are a pure hash of (salt, round, v), so the engine's
+   fill and the reference's decision function share no stream.
+   [radio.push_rounds] shows which kernel ran. *)
+let mixed_decision ~salt round v =
   match round mod 3 with
   | 0 -> true
   | 1 -> Hashtbl.hash (salt, round, v) land 3 = 0
-  | _ ->
-      let rec lowest w = if informed w then w else lowest (w + 1) in
-      v = lowest 0 && v < n
+  | _ -> v = 0
 
 let mixed_cap = 60
+
+(* [f ()] with metrics on, and the push rounds it ran. *)
+let pushes_during f =
+  let push_rounds = Metrics.counter "radio.push_rounds" in
+  Metrics.enable ();
+  let before = Metrics.counter_value push_rounds in
+  let x = Fun.protect ~finally:Metrics.disable f in
+  (Metrics.counter_value push_rounds - before, x)
 
 let run_mixed ~jobs ~range g ~salt seeds =
   let n = Graph.n g in
   let fill t _rng =
-    let round = Sim_csr.round t and informed = Sim_csr.is_informed t in
     for v = 0 to n - 1 do
-      if informed v && mixed_decision ~salt ~n ~informed round v then Sim_csr.transmit t v
+      if Sim_csr.is_informed t v && mixed_decision ~salt (Sim_csr.round t) v then
+        Sim_csr.transmit t v
     done
   in
   let protocol = { Sim_csr.name = "mixed"; fill } in
@@ -300,25 +306,21 @@ let run_mixed ~jobs ~range g ~salt seeds =
 let test_kernels_qcheck =
   qcheck ~count:80 "push and gather = reference on random transmit sets"
     (fun (g, salt) ->
-      let n = Graph.n g in
-      let seeds = List.filter (fun v -> v = 0 || Hashtbl.hash (salt, -1, v) mod 10 < 7)
-          (List.init n Fun.id) in
+      let seeds =
+        List.filter
+          (fun v -> v = 0 || Hashtbl.hash (salt, -1, v) mod 10 < 7)
+          (List.init (Graph.n g) Fun.id)
+      in
       let degsum = List.fold_left (fun acc v -> acc + Graph.degree g v) 0 seeds in
       QCheck.assume (degsum > Graph.m g);
       let reference =
         Ref.run ~sources:(List.tl seeds) ~max_rounds:mixed_cap g ~source:0
-          (fun (s : Ref.state) v _ ->
-            mixed_decision ~salt ~n ~informed:(fun w -> s.Ref.informed.(w)) s.Ref.round v)
+          (fun (s : Ref.state) v _ -> mixed_decision ~salt s.Ref.round v)
           (Rng.create 0)
       in
-      let push_rounds = Metrics.counter "radio.push_rounds" in
       List.for_all
         (fun jobs ->
-          Metrics.enable ();
-          let before = Metrics.counter_value push_rounds in
-          let o = Fun.protect ~finally:Metrics.disable (fun () ->
-              run_mixed ~jobs ~range:3 g ~salt seeds) in
-          let push = Metrics.counter_value push_rounds - before in
+          let push, o = pushes_during (fun () -> run_mixed ~jobs ~range:3 g ~salt seeds) in
           o = reference && (o.Sim.rounds < 3 || (push > 0 && push < o.Sim.rounds)))
         [ 1; 4 ])
     QCheck.(pair (arbitrary_graph ~lo:2 ~hi:32) (int_range 0 1_000_000))
@@ -357,21 +359,14 @@ let test_push_touches_every_vertex () =
    flood on a saturated network gathers every round. *)
 let test_kernel_choice () =
   let g = Gen.random_regular_config (rng ~salt:41 ()) 2000 8 in
-  let push_rounds = Metrics.counter "radio.push_rounds" in
-  let pushes f =
-    Metrics.enable ();
-    let before = Metrics.counter_value push_rounds in
-    let rounds = Fun.protect ~finally:Metrics.disable f in
-    (Metrics.counter_value push_rounds - before, rounds)
-  in
   let push, rounds =
-    pushes (fun () ->
+    pushes_during (fun () ->
         (Sim_csr.run ~jobs:1 g ~source:0 Sim_csr.decay (Rng.create 3)).Sim.rounds)
   in
   check_true "decay completes" (rounds > 0);
   check_int "every decay round pushes" rounds push;
   let push, rounds =
-    pushes (fun () ->
+    pushes_during (fun () ->
         let t = Sim_csr.create ~jobs:1 g ~source:0 in
         for v = 0 to Graph.n g - 1 do
           Sim_csr.inform t v
