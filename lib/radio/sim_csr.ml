@@ -11,8 +11,9 @@
      "many"), and then resolves only the vertices it touched. Serial; its
      cost is the transmitters' degree sum, so a sparse round (Decay has
      ~2/k of the informed set transmit) never reads the silent vertices'
-     rows. On bcast-decay-128k (random 8-regular, n = 2^17) the scan time
-     fell 0.30 -> ~0.11 s per broadcast (2-vCPU VM).
+     rows. On bcast-decay-128k (random 8-regular, n = 2^17, seed 1,
+     2-vCPU VM) the round time outside the fill fell 0.27 -> 0.09 s per
+     broadcast, medians of three traced runs each.
    - Gather, otherwise. For every vertex count the transmitting neighbors
      straight off its adjacency row, early-exiting at 2. Each vertex's
      result is computed from reads only, so the scan shards over domains
