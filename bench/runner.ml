@@ -45,32 +45,23 @@ type outcome = {
   metrics : Json.t;  (** Null when metrics collection is off *)
 }
 
-(* Reduce the pool's nanosecond accumulator to the report's utilization
-   block. Undefined fractions (no capacity / an idle slot span) encode as
-   0.0 rather than NaN: the JSON layer writes NaN as null, which the
-   defensive decoder would reject. *)
+(* Reduce the pool's nanosecond total to the report's utilization block.
+   An experiment with no instrumented pool run gets no block. An undefined
+   fraction (no capacity) encodes as 0.0 rather than NaN: the JSON layer
+   writes NaN as null, which the defensive decoder would reject. *)
 let util_of_pool (u : Pool.util) : Report.util option =
-  if u.Pool.u_runs = 0 && u.Pool.u_seq_runs = 0 then None
+  if u.Pool.u_runs = 0 && u.Pool.u_capacity_ns = 0 then None
   else
-    let frac busy span = if span > 0 then float_of_int busy /. float_of_int span else 0.0 in
     Some
       {
         Report.ut_runs = u.Pool.u_runs;
-        ut_seq_runs = u.Pool.u_seq_runs;
-        ut_busy_frac = frac u.Pool.u_busy_ns u.Pool.u_capacity_ns;
+        ut_busy_frac =
+          (if u.Pool.u_capacity_ns > 0 then
+             float_of_int u.Pool.u_busy_ns /. float_of_int u.Pool.u_capacity_ns
+           else 0.0);
         ut_idle_tail_ms =
           (if u.Pool.u_runs = 0 then 0.0
            else Clock.ns_to_ms u.Pool.u_idle_tail_ns /. float_of_int u.Pool.u_runs);
-        ut_max_idle_tail_ms = Clock.ns_to_ms u.Pool.u_max_idle_tail_ns;
-        ut_slots =
-          Array.to_list
-            (Array.map
-               (fun s ->
-                 {
-                   Report.us_busy_frac = frac s.Pool.s_busy_ns s.Pool.s_span_ns;
-                   us_chunks = s.Pool.s_chunks;
-                 })
-               u.Pool.u_slots);
       }
 
 (* Testing hook for the regression gate itself: WX_BENCH_HANDICAP_MS adds a

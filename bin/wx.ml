@@ -15,8 +15,6 @@
                                                deterministic allocation gate
                                                (--alloc-only) and a noise-aware
                                                throughput gate (--rate-only)
-     wx bench util REPORT.json                 pool-utilization summary of one
-                                               report (busy fractions, idle tail)
      wx bench history append REPORT.json       digest a report into the perf-
                                                trajectory ledger (dedup by commit)
      wx bench history show [--metric M] [-e E] entries + per-experiment series
@@ -202,8 +200,10 @@ let cmd_info obs family size seed =
     end
     else None
   in
-  let degeneracy = Arboricity.degeneracy g and arb = Densest.arboricity_exact g in
-  say obs "degeneracy: %d; arboricity (exact, flow): %d\n" degeneracy arb;
+  (* The exact arboricity is one flow per anchor vertex; [wx arboricity]
+     answers it, [info] stays linear-time. *)
+  let degeneracy = Arboricity.degeneracy g in
+  say obs "degeneracy: %d\n" degeneracy;
   event obs "graph.info"
     ([
        ("family", J.String family);
@@ -216,7 +216,6 @@ let cmd_info obs family size seed =
        ("connected", J.Bool connected);
        ("bipartite", J.Bool bipartite);
        ("degeneracy", J.Int degeneracy);
-       ("arboricity", J.Int arb);
      ]
     @ match diameter with Some d -> [ ("diameter", J.Int d) ] | None -> []);
   0
@@ -454,7 +453,8 @@ let cmd_arboricity obs family size seed =
   say obs "max density |E(U)|/(|U|−1) = %d/%d = %.3f at |U| = %d\n" num den
     (float_of_int num /. float_of_int den)
     (Util.Bitset.cardinal u);
-  let exact = Densest.arboricity_exact g in
+  (* Densest.arboricity_exact is this ceiling over the same flow. *)
+  let exact = if Graph.n g <= 1 || Graph.m g = 0 then 0 else (num + den - 1) / den in
   let peel = Arboricity.lower_bound_peeling g and degen = Arboricity.degeneracy g in
   say obs "exact arboricity: %d\n" exact;
   say obs "peeling lower bound: %d, degeneracy upper-ish bound: %d\n" peel degen;
@@ -723,61 +723,6 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
       end
       else if soft then Printf.eprintf "(--soft: reporting only, not failing)\n";
       code
-
-(* Per-experiment pool-utilization summary of a single report: how busy each
-   worker slot was and how long the idle tail ran. Exit 2 on a malformed
-   report, 0 otherwise (a report with no util blocks is not an error — it
-   may predate wx-bench/4 or have been recorded with Metrics off). *)
-let cmd_bench_util obs path =
-  match Report.load path with
-  | Error m ->
-      Printf.eprintf "bench util: malformed report: %s\n" m;
-      2
-  | Ok r ->
-      say obs "report: %s\n" (provenance_line r);
-      let with_util =
-        List.filter_map
-          (fun (e : Report.entry) ->
-            match e.Report.util with Some u -> Some (e, u) | None -> None)
-          r.Report.entries
-      in
-      if with_util = [] then begin
-        say obs
-          "no utilization blocks in %s (pre-wx-bench/4 report, or recorded with metrics off)\n"
-          path;
-        0
-      end
-      else begin
-        let t =
-          T.create
-            [
-              "experiment"; "pool runs"; "seq runs"; "busy frac"; "idle tail ms";
-              "max tail ms"; "per-slot busy"; "per-slot chunks";
-            ]
-        in
-        List.iter
-          (fun ((e : Report.entry), (u : Report.util)) ->
-            T.add_row t
-              [
-                e.Report.id;
-                T.fi u.Report.ut_runs;
-                T.fi u.Report.ut_seq_runs;
-                T.ff ~dec:3 u.Report.ut_busy_frac;
-                T.ff ~dec:2 u.Report.ut_idle_tail_ms;
-                T.ff ~dec:2 u.Report.ut_max_idle_tail_ms;
-                String.concat " "
-                  (List.map
-                     (fun (s : Report.util_slot) -> T.ff ~dec:2 s.Report.us_busy_frac)
-                     u.Report.ut_slots);
-                String.concat " "
-                  (List.map
-                     (fun (s : Report.util_slot) -> T.fi s.Report.us_chunks)
-                     u.Report.ut_slots);
-              ])
-          with_util;
-        say obs "%s" (T.render t);
-        0
-      end
 
 (* ---- bench history (perf-trajectory ledger) ---- *)
 
@@ -1146,8 +1091,7 @@ let cmd_prof out top alloc rest inner_group =
 (* Differential profile over two trace files: where did the self time go
    between OLD and NEW? Exit codes mirror bench diff: 0 clean (or --soft),
    1 a span regressed beyond both thresholds, 2 not a readable trace. *)
-let cmd_prof_diff tolerance min_delta_ms top soft old_path new_path =
-  let min_delta_us = 1e3 *. min_delta_ms in
+let cmd_prof_diff top soft old_path new_path =
   match (Obs.Prof.load old_path, Obs.Prof.load new_path) with
   | Error m, _ | _, Error m ->
       Printf.eprintf "prof diff: malformed trace: %s\n" m;
@@ -1157,7 +1101,7 @@ let cmd_prof_diff tolerance min_delta_ms top soft old_path new_path =
         Obs.Prof.diff_profiles ~old_:(Obs.Prof.profile old_rows)
           ~new_:(Obs.Prof.profile new_rows)
       in
-      let regressed = Obs.Prof.pdelta_regressed ~tolerance ~min_delta_us in
+      let regressed = Obs.Prof.pdelta_regressed in
       let t =
         T.create
           [
@@ -1190,7 +1134,8 @@ let cmd_prof_diff tolerance min_delta_ms top soft old_path new_path =
       if regs = [] then begin
         Printf.printf
           "no span regressions (self-time tolerance %.0f%%, absolute floor %.1fms)\n"
-          (100.0 *. tolerance) min_delta_ms;
+          (100.0 *. Obs.Prof.default_self_tolerance)
+          (1e-3 *. Obs.Prof.default_min_delta_us);
         0
       end
       else begin
@@ -1362,14 +1307,6 @@ let bench_diff_cmd =
                  cmd_bench_diff obs alloc_only rate_only soft o n)
              $ alloc_only $ rate_only $ soft $ old_path $ new_path))
 
-let bench_util_cmd =
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"REPORT.json") in
-  Cmd.v
-    (Cmd.info "util"
-       ~doc:"Per-experiment pool-utilization summary of one wx-bench report (worker busy \
-             fractions, idle tail); exit 2 on a malformed report")
-    (with_obs "bench.util" Term.(const (fun p obs -> cmd_bench_util obs p) $ path))
-
 (* ---- bench history wiring ---- *)
 
 let ledger_arg =
@@ -1440,9 +1377,8 @@ let bench_history_cmd =
 let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
-       ~doc:"Performance-trajectory tools: record baselines, diff reports, utilization, \
-             longitudinal history")
-    [ bench_record_cmd; bench_diff_cmd; bench_util_cmd; bench_history_cmd ]
+       ~doc:"Performance-trajectory tools: record baselines, diff reports, longitudinal history")
+    [ bench_record_cmd; bench_diff_cmd; bench_history_cmd ]
 
 let base_cmds =
   [
@@ -1451,17 +1387,6 @@ let base_cmds =
   ]
 
 let prof_diff_cmd =
-  let tolerance =
-    Arg.(value & opt float Obs.Prof.default_self_tolerance
-         & info [ "tolerance"; "t" ] ~docv:"FRAC"
-             ~doc:"Relative self-time growth needed to call a span regression (default 0.25).")
-  in
-  let min_delta =
-    Arg.(value & opt float 1.0
-         & info [ "min-self" ] ~docv:"MS"
-             ~doc:"Absolute self-time growth floor in milliseconds (default 1.0); spans \
-                   gaining less never fire, however large the ratio.")
-  in
   let top =
     Arg.(value & opt int 20 & info [ "top"; "k" ] ~docv:"K" ~doc:"Rows in the delta table.")
   in
@@ -1477,7 +1402,7 @@ let prof_diff_cmd =
        ~doc:"Differential profile of two Chrome-trace files (wx prof --out): per-span \
              self-time and self-allocation deltas, regressions first; exit 1 when a span \
              regressed beyond both thresholds, 2 on a malformed trace")
-    Term.(const cmd_prof_diff $ tolerance $ min_delta $ top $ soft $ old_path $ new_path)
+    Term.(const cmd_prof_diff $ top $ soft $ old_path $ new_path)
 
 let prof_cmd =
   let out =

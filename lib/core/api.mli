@@ -20,7 +20,6 @@ module Util : sig
 end
 
 module Graph = Wx_graph.Graph
-module Builder = Wx_graph.Builder
 module Bipartite = Wx_graph.Bipartite
 module Traversal = Wx_graph.Traversal
 module Arboricity = Wx_graph.Arboricity

@@ -441,7 +441,7 @@ let min_over_sampled_sets ?jobs g kmax rng samples score =
   if samples <= 0 then invalid_arg "Measure: samples must be positive";
   let nblocks = (samples + sample_block - 1) / sample_block in
   let streams = split_streams rng nblocks in
-  let shard b =
+  let shard ~lo:b ~hi:_ =
     let r = streams.(b) in
     let best = ref None in
     let ndraws = min sample_block (samples - (b * sample_block)) in
@@ -465,7 +465,10 @@ let min_over_sampled_sets ?jobs g kmax rng samples score =
     Work.add Work.draws ndraws;
     !best
   in
-  match Pool.parallel_reduce ?jobs ~n:nblocks ~init:None ~map:shard ~combine:better_opt () with
+  match
+    Pool.parallel_reduce_ranges ?jobs ~range:1 ~n:nblocks ~init:None ~map:shard
+      ~combine:better_opt ()
+  with
   | Some w -> w
   | None -> assert false
 
@@ -568,7 +571,7 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
       if samples <= 0 then invalid_arg "Measure.beta_w_sampled: samples must be positive";
       let nblocks = (samples + sample_block - 1) / sample_block in
       let streams = split_streams rng nblocks in
-      let shard b =
+      let shard ~lo:b ~hi:_ =
         let r = streams.(b) in
         let best = ref None in
         let ndraws = min sample_block (samples - (b * sample_block)) in
@@ -594,7 +597,10 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
         Work.add Work.draws ndraws;
         !best
       in
-      match Pool.parallel_reduce ?jobs ~n:nblocks ~init:None ~map:shard ~combine:better_opt () with
+      match
+        Pool.parallel_reduce_ranges ?jobs ~range:1 ~n:nblocks ~init:None ~map:shard
+          ~combine:better_opt ()
+      with
       | Some w -> w
       | None ->
           (* Every sample hit the inner work limit: keep the historical
@@ -612,7 +618,7 @@ let profile_sizes ?jobs g kmax make_scorer =
   let n = Graph.n g in
   let out = ref [] in
   for k = kmax downto 1 do
-    let shard a =
+    let shard ~lo:a ~hi:_ =
       let inc = Nbhd.Inc.create g in
       let sc = make_scorer inc in
       let prev = Array.make k 0 in
@@ -640,7 +646,8 @@ let profile_sizes ?jobs g kmax make_scorer =
       !best
     in
     let best =
-      Pool.parallel_reduce ?jobs ~n:(n - k + 1) ~init:infinity ~map:shard ~combine:Float.min ()
+      Pool.parallel_reduce_ranges ?jobs ~range:1 ~n:(n - k + 1) ~init:infinity ~map:shard
+        ~combine:Float.min ()
     in
     out := (k, best) :: !out
   done;

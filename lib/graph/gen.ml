@@ -226,17 +226,27 @@ let random_bipartite_sdeg rng ~s ~n ~d =
 let margulis m =
   if m < 2 then invalid_arg "Gen.margulis";
   let idx x y = (((y mod m) + m) mod m * m) + (((x mod m) + m) mod m) in
-  let b = Builder.create (m * m) in
+  (* Four targets per vertex; loops are skipped and repeated edges are
+     collapsed by [of_edge_array]. *)
+  let ends = Array.make (8 * m * m) 0 in
+  let e = ref 0 in
+  let add v w =
+    if w <> v then begin
+      ends.(2 * !e) <- v;
+      ends.((2 * !e) + 1) <- w;
+      incr e
+    end
+  in
   for x = 0 to m - 1 do
     for y = 0 to m - 1 do
       let v = idx x y in
-      let targets =
-        [ idx (x + y) y; idx (x + y + 1) y; idx x (y + x); idx x (y + x + 1) ]
-      in
-      List.iter (fun w -> if w <> v then Builder.add_edge b v w) targets
+      add v (idx (x + y) y);
+      add v (idx (x + y + 1) y);
+      add v (idx x (y + x));
+      add v (idx x (y + x + 1))
     done
   done;
-  Builder.to_graph b
+  Graph.of_edge_array ~edges:!e (m * m) ends
 
 let double_cover g =
   let n = Graph.n g in

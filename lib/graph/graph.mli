@@ -5,7 +5,7 @@
     2m), with row [v] at [adjacency.(offsets.(v) .. offsets.(v+1) - 1)]
     sorted ascending. Membership tests are O(log deg), and the radio engine
     and the expansion kernels walk the rows with no per-vertex pointer
-    chase. Build graphs with {!Builder}, {!of_edges} or {!of_edge_array}. *)
+    chase. Build graphs with {!of_edges} or {!of_edge_array}. *)
 
 type t
 

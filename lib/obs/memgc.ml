@@ -21,7 +21,7 @@
      not used at all.
 
    So the global count [read] reports is [Gc.minor_words ()] on the
-   calling domain plus [foreign_minor_words]: an atomic accumulator that
+   calling domain plus [foreign]: an atomic accumulator that
    Wx_par.Pool workers add their own exact totals to as they exit (before
    the join makes those adds visible to the caller). Both components are
    live and exact, nothing is double-counted (quick_stat's merged view is
@@ -94,7 +94,6 @@ let words f = int_of_float f
    atomics stay exact where float adds could reorder. *)
 let foreign = Atomic.make 0
 let add_foreign_minor_words w = if w > 0 then ignore (Atomic.fetch_and_add foreign w)
-let foreign_minor_words () = Atomic.get foreign
 
 let read_always () =
   (* Two Gc reads: the merged-but-stale quick_stat for context fields, the

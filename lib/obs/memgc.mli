@@ -12,8 +12,9 @@
     On OCaml 5.1 [Gc.quick_stat] only reports minor allocation that a
     minor collection has already flushed, so {!read} sources its gated
     [minor_words] from the live domain-local counter ([Gc.minor_words])
-    plus {!foreign_minor_words} — an accumulator that [Wx_par.Pool]
-    workers feed their own exact totals into as they exit. The result
+    plus the words credited by {!add_foreign_minor_words} — an
+    accumulator that [Wx_par.Pool] workers feed their own exact totals
+    into as they exit. The result
     covers worker-domain allocation without waiting for a collection.
     quick_stat still sources the non-gated context fields. Use
     {!own_minor_words} (current domain only) for in-flight per-worker
@@ -42,7 +43,7 @@ val zero : counters
 
 val read : unit -> counters
 (** Cumulative counters: live [minor_words] for this domain plus
-    {!foreign_minor_words}; context fields from [Gc.quick_stat]. {!zero},
+    the words credited by {!add_foreign_minor_words}; context fields from [Gc.quick_stat]. {!zero},
     and no Gc read, while disabled. *)
 
 val diff : before:counters -> after:counters -> counters
@@ -58,8 +59,6 @@ val add_foreign_minor_words : int -> unit
 (** Credit minor words allocated on another (about-to-exit) domain, so
     {!read} on the pool-owning domain sees them. Called by [Wx_par.Pool]
     at worker exit; negative or zero amounts are ignored. *)
-
-val foreign_minor_words : unit -> int
 
 val gc_read_count : unit -> int
 (** Test hook: total Gc reads this module has performed since startup. *)

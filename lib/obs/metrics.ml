@@ -143,8 +143,8 @@ let observe h v = if Atomic.get enabled then observe_always h v
    pool's dynamic chunk stealing — can happen on a worker in one run and
    not the next; pre-touching from every worker keeps the per-run
    allocation count fixed, which the Memgc determinism gate relies on. *)
-let touch h = if Atomic.get enabled then ignore (Sys.opaque_identity (Domain.DLS.get h.h_key))
-let touch_timer t = touch t.hist
+let touch_timer t =
+  if Atomic.get enabled then ignore (Sys.opaque_identity (Domain.DLS.get t.hist.h_key))
 
 (* Timers: [start] reads the clock only when enabled and returns the raw ns
    stamp (0 when disabled); [stop] is a no-op on a 0 stamp. *)

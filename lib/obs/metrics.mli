@@ -49,14 +49,12 @@ val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 (** Record a positive value into its power-of-two bucket. *)
 
-val touch : histogram -> unit
-(** Create the calling domain's shard without recording an observation, so
-    later observes from this domain allocate nothing. Pool workers call
-    this at entry to keep per-run allocation counts deterministic under
-    dynamic chunk stealing. No-op while disabled. *)
-
 val touch_timer : timer -> unit
-(** [touch] for a timer's underlying histogram. *)
+(** Create the calling domain's shard of the timer's histogram without
+    recording an observation, so later observes from this domain allocate
+    nothing. Pool workers call this at entry to keep per-run allocation
+    counts deterministic under dynamic task stealing. No-op while
+    disabled. *)
 
 val start : unit -> int
 (** Raw monotonic stamp for manual timing; returns 0 while disabled. *)

@@ -243,11 +243,11 @@ let diff_profiles ~old_ ~new_ =
 (* A span-level regression worth flagging: self time grew beyond the
    relative tolerance AND by more than an absolute floor (tiny spans
    double all the time; 1ms of new self time is where looking starts
-   to pay). Both knobs are caller-visible in wx prof diff. *)
+   to pay). *)
 let default_self_tolerance = 0.25
 let default_min_delta_us = 1000.0
 
-let pdelta_regressed ?(tolerance = default_self_tolerance)
-    ?(min_delta_us = default_min_delta_us) d =
-  d.p_delta_self_us > min_delta_us
-  && (d.p_old_self_us <= 0.0 || d.p_new_self_us /. d.p_old_self_us > 1.0 +. tolerance)
+let pdelta_regressed d =
+  d.p_delta_self_us > default_min_delta_us
+  && (d.p_old_self_us <= 0.0
+     || d.p_new_self_us /. d.p_old_self_us > 1.0 +. default_self_tolerance)

@@ -65,7 +65,7 @@ val default_min_delta_us : float
 (** 1000 — and by at least 1ms in absolute terms; tiny spans double on
     scheduler noise alone. *)
 
-val pdelta_regressed : ?tolerance:float -> ?min_delta_us:float -> pdelta -> bool
-(** True when the span's self time grew beyond both the relative
-    tolerance and the absolute floor. Spans absent on the old side
+val pdelta_regressed : pdelta -> bool
+(** True when the span's self time grew beyond both
+    {!default_self_tolerance} and {!default_min_delta_us}. Spans absent on the old side
     regress when their new self time alone exceeds the floor. *)

@@ -12,7 +12,7 @@
    tight where the wall-time verdict must be loose. The "work" block (units
    per Wx_obs.Work kind) turns wall time into units/sec, which catches an
    experiment doing half the work in the same wall time; the "util" block
-   (pool busy fraction, per-slot busy/chunks, idle tail) is informational.
+   (pool runs, busy fraction, idle tail) is informational.
 
    [judge] is that rule, once, over two sample lists; [diff] applies it per
    experiment and the ledger's trend gate per series. *)
@@ -21,16 +21,11 @@ let schema = "wx-bench/4"
 
 (* Pool utilization summary, reduced from Wx_par.Pool.util by the bench
    runner (Report cannot depend on Wx_par — the dependency runs the other
-   way). Fractions are busy/span in [0,1]; slots are worker tids. *)
-type util_slot = { us_busy_frac : float; us_chunks : int }
-
+   way). *)
 type util = {
   ut_runs : int;  (* instrumented parallel pool runs in the experiment *)
-  ut_seq_runs : int;
   ut_busy_frac : float;  (* total busy / total capacity across runs *)
   ut_idle_tail_ms : float;  (* mean idle tail per parallel run *)
-  ut_max_idle_tail_ms : float;
-  ut_slots : util_slot list;
 }
 
 type entry = {
@@ -106,17 +101,8 @@ let util_json u =
   Json.Obj
     [
       ("runs", Json.Int u.ut_runs);
-      ("seq_runs", Json.Int u.ut_seq_runs);
       ("busy_frac", Json.Float u.ut_busy_frac);
       ("idle_tail_ms", Json.Float u.ut_idle_tail_ms);
-      ("max_idle_tail_ms", Json.Float u.ut_max_idle_tail_ms);
-      ( "slots",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [ ("busy_frac", Json.Float s.us_busy_frac); ("chunks", Json.Int s.us_chunks) ])
-             u.ut_slots) );
     ]
 
 (* Units/sec per kind against the median wall sample — derived, for humans
@@ -247,8 +233,9 @@ let entry_of_json j =
     match Json.member "util" j with
     | None -> Ok None
     | Some u ->
+        (* Reports recorded before the block shrank also carry seq_runs,
+           max_idle_tail_ms and slots; they are ignored. *)
         let* runs = int_field "runs" u in
-        let* seq_runs = int_field "seq_runs" u in
         let num name =
           let* v = field name u in
           match Json.to_float_opt v with
@@ -257,37 +244,7 @@ let entry_of_json j =
         in
         let* busy_frac = num "busy_frac" in
         let* idle_tail_ms = num "idle_tail_ms" in
-        let* max_idle_tail_ms = num "max_idle_tail_ms" in
-        let* slots =
-          match Json.member "slots" u with
-          | None -> Ok []
-          | Some sl -> (
-              match Json.to_list_opt sl with
-              | None -> Error "util.slots is not a list"
-              | Some xs ->
-                  let rec conv acc = function
-                    | [] -> Ok (List.rev acc)
-                    | s :: rest -> (
-                        match
-                          ( Option.bind (Json.member "busy_frac" s) Json.to_float_opt,
-                            Option.bind (Json.member "chunks" s) Json.to_int_opt )
-                        with
-                        | Some f, Some c ->
-                            conv ({ us_busy_frac = f; us_chunks = c } :: acc) rest
-                        | _ -> Error "util slot is malformed")
-                  in
-                  conv [] xs)
-        in
-        Ok
-          (Some
-             {
-               ut_runs = runs;
-               ut_seq_runs = seq_runs;
-               ut_busy_frac = busy_frac;
-               ut_idle_tail_ms = idle_tail_ms;
-               ut_max_idle_tail_ms = max_idle_tail_ms;
-               ut_slots = slots;
-             })
+        Ok (Some { ut_runs = runs; ut_busy_frac = busy_frac; ut_idle_tail_ms = idle_tail_ms })
   in
   Ok { id; title; claim; wall_s; alloc; work; util; holds; total; checks; metrics }
 

@@ -5,7 +5,7 @@
     A report records, per experiment, the full list of wall-time samples
     (one per repeat), an optional GC/allocation block ({!Memgc.counters}
     measured around the run), the units done per {!Work} kind, a pool
-    [util] block (busy fraction, per-slot busy/chunks, idle tail) and run
+    [util] block (pool runs, busy fraction, idle tail) and run
     provenance (git commit, hostname, jobs, seed), so a number in a
     committed baseline can always be traced back to the configuration
     that produced it. {!diff} compares two reports with {!judge} on three
@@ -18,17 +18,11 @@ val schema : string
 (** ["wx-bench/4"]. *)
 
 (** Pool utilization summary, reduced from [Wx_par.Pool.util] by the bench
-    runner (this module cannot depend on [Wx_par]). Fractions are
-    busy-time over slot span, in [0, 1]. *)
-type util_slot = { us_busy_frac : float; us_chunks : int }
-
+    runner (this module cannot depend on [Wx_par]). *)
 type util = {
   ut_runs : int;  (** instrumented parallel pool runs in the experiment *)
-  ut_seq_runs : int;
-  ut_busy_frac : float;  (** total busy / total capacity across runs *)
+  ut_busy_frac : float;  (** total busy / total capacity across runs, in [0, 1] *)
   ut_idle_tail_ms : float;  (** mean idle tail per parallel run *)
-  ut_max_idle_tail_ms : float;
-  ut_slots : util_slot list;  (** indexed by worker tid (0 = caller) *)
 }
 
 type entry = {

@@ -1,10 +1,10 @@
-(* Domain pool: chunked index-range stealing over stdlib Domain + Atomic,
-   run by a persistent crew of helper domains.
+(* Domain pool: index-range stealing over stdlib Domain + Atomic, run by a
+   persistent crew of helper domains.
 
-   Work distribution is dynamic (domains race on an atomic chunk cursor),
-   but the combine tree is static: per-chunk results land in a slot array
-   and the calling domain folds them in chunk order. Determinism therefore
-   never depends on which domain ran which chunk, nor on how many domains
+   Work distribution is dynamic (domains race on an atomic task cursor),
+   but the combine tree is static: per-task results land in a slot array
+   and the calling domain folds them in task order. Determinism therefore
+   never depends on which domain ran which task, nor on how many domains
    took part.
 
    The crew: helper domains are spawned on first use, grow to the largest
@@ -12,16 +12,16 @@
    calls, so a parallel call costs one wake-up and one wait instead of
    [jobs - 1] domain spawns and joins. One call owns the crew at a time; a
    call that finds it taken (a task that itself calls the pool, or a call
-   from another domain) runs every chunk on its own domain.
+   from another domain) runs every task on its own domain.
 
-   Instrumentation: while Wx_obs metrics or tracing is on, every chunk's
-   latency lands in a per-domain histogram shard, the gaps between chunks
-   feed a claim-wait timer, and each chunk becomes a Chrome-trace slice on
+   Instrumentation: while Wx_obs metrics or tracing is on, every task's
+   latency lands in a per-domain histogram shard, the gaps between tasks
+   feed a claim-wait timer, and each task becomes a Chrome-trace slice on
    the track of the worker slot that ran it (tid 0 = the calling domain,
    tids 1.. = crew helpers) — so load imbalance across --jobs settings is
    visible both as p99 numbers and in chrome://tracing. All of it is gated
-   on one boolean computed per parallel_reduce call; with both systems off
-   the hot loop is untouched. *)
+   on one boolean computed per call; with both systems off the hot loop is
+   untouched. *)
 
 module Metrics = Wx_obs.Metrics
 module Trace_export = Wx_obs.Trace_export
@@ -45,131 +45,33 @@ let chunk_t = Metrics.timer "pool.chunk"
 let claim_t = Metrics.timer "pool.claim_wait"
 let join_t = Metrics.timer "pool.join_wait"
 
-(* Per-worker / per-chunk allocation attribution (live only when Memgc is
-   also enabled): each worker observes its own Gc.counters delta, so the
-   histogram's DLS shards ARE the per-domain merge — a helper keeps its
-   shard across runs and snapshot sums them. *)
-let worker_minor_h = Metrics.histogram "pool.worker_minor_words"
-let chunk_minor_h = Metrics.histogram "pool.chunk_minor_words"
-
-(* Utilization instruments: per-slot busy fraction (percent of the slot's
-   own start-to-finish span spent inside chunks), chunks claimed per slot,
-   and the per-run idle tail (last worker finish minus first worker finish
-   — the straggler cost of skewed sharding). *)
-let util_busy_frac_h = Metrics.histogram "pool.util.busy_frac_pct"
-let util_slot_chunks_h = Metrics.histogram "pool.util.slot_chunks"
-let util_idle_tail_t = Metrics.timer "pool.util.idle_tail"
-
-(* Live utilization gauges: cumulative busy percent of pool capacity, plus
-   one gauge per worker slot, so the /metrics endpoint can show busy/idle
-   attribution mid-run instead of waiting for the bench report. Slot gauges are registered lazily as the accumulator grows
-   (registration is idempotent and this is the once-per-run cold path). *)
-let util_busy_pct_g = Metrics.gauge "pool.util.busy_pct"
-let util_slot_gauges : Metrics.gauge array ref = ref [||]
-
 (* ---- cross-run utilization accounting ----
 
-   The bench runner wants a per-experiment utilization summary, and one
-   parallel_reduce call is too fine a grain (an exact measure makes one
-   call, a sampled measure several). So every instrumented run folds its
-   per-slot numbers into this process-global accumulator under a mutex
-   (cold path: once per run, not per chunk); [reset_util]/[util] bracket an
-   experiment the same way [Metrics.reset]/[snapshot] do. *)
+   The bench runner and e2ebench want one utilization total per
+   experiment, and one call is too fine a grain (an exact measure makes
+   one call, a sampled measure several). So every instrumented run adds
+   its numbers to this process-global total under a mutex (cold path: once
+   per run, not per task); [reset_util]/[util] bracket an experiment the
+   same way [Metrics.reset]/[snapshot] do. *)
 
-type slot_util = { s_busy_ns : int; s_span_ns : int; s_chunks : int }
+type util = { u_runs : int; u_capacity_ns : int; u_busy_ns : int; u_idle_tail_ns : int }
 
-type util = {
-  u_runs : int;
-  u_seq_runs : int;
-  u_capacity_ns : int;
-  u_busy_ns : int;
-  u_idle_tail_ns : int;
-  u_max_idle_tail_ns : int;
-  u_slots : slot_util array;
-}
-
-type slot_acc = { mutable a_busy : int; mutable a_span : int; mutable a_chunks : int }
-
+let util_zero = { u_runs = 0; u_capacity_ns = 0; u_busy_ns = 0; u_idle_tail_ns = 0 }
 let util_lock = Mutex.create ()
-let util_slots : slot_acc array ref = ref [||]
-let util_runs = ref 0
-let util_seq_runs = ref 0
-let util_capacity = ref 0
-let util_busy = ref 0
-let util_idle_tail = ref 0
-let util_max_idle_tail = ref 0
+let util_total = ref util_zero
+let reset_util () = Mutex.protect util_lock (fun () -> util_total := util_zero)
+let util () = Mutex.protect util_lock (fun () -> !util_total)
 
-let reset_util () =
-  Mutex.lock util_lock;
-  util_slots := [||];
-  util_runs := 0;
-  util_seq_runs := 0;
-  util_capacity := 0;
-  util_busy := 0;
-  util_idle_tail := 0;
-  util_max_idle_tail := 0;
-  Mutex.unlock util_lock
-
-let util () =
-  Mutex.lock util_lock;
-  let u =
-    {
-      u_runs = !util_runs;
-      u_seq_runs = !util_seq_runs;
-      u_capacity_ns = !util_capacity;
-      u_busy_ns = !util_busy;
-      u_idle_tail_ns = !util_idle_tail;
-      u_max_idle_tail_ns = !util_max_idle_tail;
-      u_slots =
-        Array.map
-          (fun a -> { s_busy_ns = a.a_busy; s_span_ns = a.a_span; s_chunks = a.a_chunks })
-          !util_slots;
-    }
-  in
-  Mutex.unlock util_lock;
-  u
-
-(* Fold one run's per-slot arrays into the global accumulator. [seq] runs
-   have one slot and by construction no idle tail. Called once the run's
-   helpers have reported done, so the distinct-slot writes are stable. *)
-let util_record ~seq ~slots ~run_span ~busy ~spans ~chunks ~idle_tail =
-  Mutex.lock util_lock;
-  if Array.length !util_slots < slots then begin
-    let grown =
-      Array.init slots (fun i ->
-          if i < Array.length !util_slots then !util_slots.(i)
-          else { a_busy = 0; a_span = 0; a_chunks = 0 })
-    in
-    util_slots := grown
-  end;
-  for tid = 0 to slots - 1 do
-    let a = !util_slots.(tid) in
-    a.a_busy <- a.a_busy + busy.(tid);
-    a.a_span <- a.a_span + spans.(tid);
-    a.a_chunks <- a.a_chunks + chunks.(tid)
-  done;
-  if seq then incr util_seq_runs else incr util_runs;
-  util_capacity := !util_capacity + (slots * run_span);
-  util_busy := !util_busy + Array.fold_left ( + ) 0 (Array.sub busy 0 slots);
-  util_idle_tail := !util_idle_tail + idle_tail;
-  if idle_tail > !util_max_idle_tail then util_max_idle_tail := idle_tail;
-  if Array.length !util_slot_gauges < Array.length !util_slots then begin
-    let old = !util_slot_gauges in
-    util_slot_gauges :=
-      Array.init (Array.length !util_slots) (fun i ->
-          if i < Array.length old then old.(i)
-          else Metrics.gauge (Printf.sprintf "pool.util.slot_busy_pct.%d" i))
-  end;
-  Array.iteri
-    (fun i a ->
-      if a.a_span > 0 then
-        Metrics.set !util_slot_gauges.(i)
-          (100.0 *. float_of_int a.a_busy /. float_of_int a.a_span))
-    !util_slots;
-  if !util_capacity > 0 then
-    Metrics.set util_busy_pct_g
-      (100.0 *. float_of_int !util_busy /. float_of_int !util_capacity);
-  Mutex.unlock util_lock
+let util_record ~runs ~capacity ~busy ~idle_tail =
+  Mutex.protect util_lock (fun () ->
+      let u = !util_total in
+      util_total :=
+        {
+          u_runs = u.u_runs + runs;
+          u_capacity_ns = u.u_capacity_ns + capacity;
+          u_busy_ns = u.u_busy_ns + busy;
+          u_idle_tail_ns = u.u_idle_tail_ns + idle_tail;
+        })
 
 let recommended_jobs () = max 1 (min max_domains (Domain.recommended_domain_count ()))
 
@@ -197,7 +99,7 @@ let set_default_jobs n =
 let resolve_jobs jobs =
   match jobs with
   | Some j when j >= 1 -> min j max_domains
-  | Some _ -> invalid_arg "Pool.parallel_reduce: jobs must be >= 1"
+  | Some _ -> invalid_arg "Pool: jobs must be >= 1"
   | None -> default_jobs ()
 
 (* ---- the crew ----
@@ -314,250 +216,194 @@ let await k =
 (* Shared instrumented core. [ntasks] tasks indexed [0, ntasks); results
    land in a slot array indexed by task id and are folded in id order, so
    determinism never depends on which domain ran which task. [order]
-   permutes the {e claim} sequence only (the work-stealing paths hand out
-   heavy units first); it never affects the combine order. *)
+   permutes the {e claim} sequence only (the weighted path hands out heavy
+   units first); it never affects the combine order. *)
 let run_tasks ~jobs ~ntasks ~order ~task ~init ~combine ~trace_args =
-  begin
-    let jobs = min jobs ntasks in
-    (* One flag for the whole call: observe/slice below self-gate on their
-       own system's flag, so a trace-only run skips histogram writes and a
-       metrics-only run skips slice pushes — but an uninstrumented run pays
-       for neither clock reads nor the checks inside them. *)
-    let instrumented = Metrics.is_enabled () || Trace_export.is_enabled () in
-    (* [memgc_on] alone obliges workers to credit their minor words to
-       Memgc's foreign accumulator at exit — Memgc.read on the caller is
-       domain-local, so without that credit worker allocation would vanish
-       from the bench alloc gate. Richer attribution (histograms, trace
-       args) additionally needs a sink, hence [mem]. With Memgc off no Gc
-       read happens at all. *)
-    let memgc_on = Memgc.is_enabled () in
-    let mem = instrumented && memgc_on in
-    let now () = if instrumented then Clock.now_ns () else 0 in
-    let own_words () = if memgc_on then Memgc.own_minor_words () else 0.0 in
-    (* Per-run utilization state, one slot per worker tid. Distinct slots
-       are written only by their owner; the caller reads them after
-       [await]. Sized by [jobs] (not ntasks), so the allocation is a
-       deterministic function of the call shape — the alloc gate depends
-       on that. Empty when uninstrumented: no cost, and run_task never
-       touches them on that path. *)
-    let busy_a = if instrumented then Array.make jobs 0 else [||] in
-    let spans_a = if instrumented then Array.make jobs 0 else [||] in
-    let chunks_a = if instrumented then Array.make jobs 0 else [||] in
-    let finish_a = if instrumented then Array.make jobs 0 else [||] in
-    (* Timed wrapper shared by both paths: [tid] is the worker slot (0 =
-       calling domain), [t_claim] the stamp just after the task was
-       claimed. Trace/metric names keep the historical "chunk" vocabulary —
-       a task IS a chunk on the chunked path, and a finer work unit on the
-       weighted one. *)
-    let run_task ~tid ~t_claim c =
-      let w0 = if mem then Memgc.own_minor_words () else 0.0 in
-      let r = task c in
-      if instrumented then begin
-        let t_done = Clock.now_ns () in
-        let dw = if mem then Memgc.own_minor_words () -. w0 else 0.0 in
-        (* Busy time = time inside chunks, on the stamps already taken for
-           the chunk timer — utilization adds no clock reads here. *)
-        busy_a.(tid) <- busy_a.(tid) + (t_done - t_claim);
-        chunks_a.(tid) <- chunks_a.(tid) + 1;
-        Metrics.incr chunks_c;
-        Metrics.observe_ns chunk_t (t_done - t_claim);
-        if mem then Metrics.observe chunk_minor_h dw;
-        Trace_export.slice ~tid ~name:"chunk" ~t0_ns:t_claim ~dur_ns:(t_done - t_claim)
-          ~args:
-            (("chunk", Json.Int c)
-            :: (if mem then [ ("minor_words", Json.Float dw) ] else []))
-          ()
-      end;
-      r
-    in
-    if jobs <= 1 then begin
-      if instrumented then begin
-        Metrics.incr seq_runs_c;
-        Metrics.set jobs_g 1.0
-      end;
-      let t_seq0 = now () in
-      let acc = ref init in
-      for c = 0 to ntasks - 1 do
-        acc := combine !acc (run_task ~tid:0 ~t_claim:(now ()) c)
-      done;
-      if instrumented then begin
-        let span = Clock.now_ns () - t_seq0 in
-        spans_a.(0) <- span;
-        Metrics.observe util_busy_frac_h
-          (if span > 0 then 100.0 *. float_of_int busy_a.(0) /. float_of_int span else 0.0);
-        Metrics.observe util_slot_chunks_h (float_of_int chunks_a.(0));
-        Metrics.observe_ns util_idle_tail_t 0;
-        util_record ~seq:true ~slots:1 ~run_span:span ~busy:busy_a ~spans:spans_a
-          ~chunks:chunks_a ~idle_tail:0
-      end;
-      !acc
-    end
-    else begin
-      if instrumented then begin
-        Metrics.incr runs_c;
-        Metrics.set jobs_g (float_of_int jobs)
-      end;
-      let t_run0 = now () in
-      let results = Array.make ntasks None in
-      let cursor = Atomic.make 0 in
-      let failure = Atomic.make None in
-      let worker tid =
-        (* Pre-create this domain's histogram shards: otherwise a worker
-           that loses every chunk race allocates fewer shards than one that
-           claims work, and total allocation would vary run to run. *)
-        if instrumented then begin
-          Metrics.touch_timer claim_t;
-          Metrics.touch_timer chunk_t;
-          Metrics.touch chunk_minor_h;
-          Metrics.touch worker_minor_h
-        end;
-        let t_start = now () in
-        let w_start = own_words () in
-        let t_prev = ref t_start in
-        let continue_ = ref true in
-        while !continue_ do
-          (* The cursor hands out {e claim slots}; [order] maps a slot to
-             the task it carries (identity on the chunked path, LPT order
-             on the weighted one). Results land in [results.(c)] keyed by
-             task id, so the permutation is invisible to the combine. *)
-          let u = Atomic.fetch_and_add cursor 1 in
-          if u >= ntasks || Atomic.get failure <> None then begin
-            if instrumented && u >= ntasks then Metrics.incr empty_claims_c;
-            continue_ := false
-          end
-          else begin
-            let c = match order with None -> u | Some o -> Array.unsafe_get o u in
-            let t_claim = now () in
-            if instrumented then Metrics.observe_ns claim_t (t_claim - !t_prev);
-            match run_task ~tid ~t_claim c with
-            | r ->
-                results.(c) <- Some r;
-                t_prev := now ()
-            | exception e ->
-                ignore (Atomic.compare_and_set failure None (Some e));
-                continue_ := false
-          end
-        done;
-        (* Finish stamp / slot span for the utilization summary: read once
-           per worker exit, outside the chunk loop. The caller consumes
-           these after [await]. *)
-        if instrumented then begin
-          let t_fin = Clock.now_ns () in
-          finish_a.(tid) <- t_fin;
-          spans_a.(tid) <- t_fin - t_start
-        end;
-        (* Per-worker attribution: the worker's OWN minor-word delta for
-           this run, observed from the worker domain itself so it lands in
-           that domain's histogram shard (merged at snapshot). Helpers also
-           credit the delta to Memgc's foreign accumulator — the caller's
-           Memgc.read after the run depends on it — and that credit
-           happens-before the [await] that publishes it. *)
-        let w_delta = if memgc_on then Memgc.own_minor_words () -. w_start else 0.0 in
-        (* Round, don't truncate: Gc.minor_words deltas are integral in
-           practice, but if a runtime ever reports fractional words the
-           nearest int keeps the pool credit reconciled with the
-           per-worker histogram sum instead of drifting low. *)
-        if memgc_on && tid > 0 then
-          Memgc.add_foreign_minor_words (int_of_float (Float.round w_delta));
-        if mem then Metrics.observe worker_minor_h w_delta;
-        if instrumented && tid > 0 then
-          let t_exit = Clock.now_ns () in
-          Trace_export.slice ~tid ~name:"worker" ~t0_ns:t_start ~dur_ns:(t_exit - t_start)
-            ~args:
-              (("chunks", Json.Int chunks_a.(tid))
-              :: ("busy_ms", Json.Float (Clock.ns_to_ms busy_a.(tid)))
-              :: (if mem then [ ("minor_words", Json.Float w_delta) ] else []))
-            ()
-      in
-      (* Helpers must report done whatever happens, or the crew wedges:
-         anything [worker] lets escape becomes this run's failure. *)
-      let job tid =
-        match worker tid with
-        | () -> ()
-        | exception e -> ignore (Atomic.compare_and_set failure None (Some e))
-      in
-      let helpers = engage ~helpers:(jobs - 1) job in
-      job 0;
-      let t_drain = now () in
-      await helpers;
-      (* Slots that ran: the instruments below cover these only, so a run
-         the busy crew left to its caller reports one slot, not [jobs]. *)
-      let slots = helpers + 1 in
-      if instrumented then begin
-        let t_joined = Clock.now_ns () in
-        (* Caller-side wait for stragglers after its own queue ran dry: the
-           aggregate signal that chunks are too coarse for this job count. *)
-        Metrics.observe_ns join_t (t_joined - t_drain);
-        Trace_export.slice ~tid:0 ~name:"join" ~t0_ns:t_drain ~dur_ns:(t_joined - t_drain) ();
-        Trace_export.slice ~tid:0 ~name:"parallel_reduce" ~t0_ns:t_run0
-          ~dur_ns:(t_joined - t_run0) ~args:trace_args ();
-        (* Utilization summary for this run. [await] published the
-           helpers' slot writes, so the arrays are stable here. *)
-        let fin_min = ref max_int and fin_max = ref min_int in
-        for tid = 0 to slots - 1 do
-          if finish_a.(tid) < !fin_min then fin_min := finish_a.(tid);
-          if finish_a.(tid) > !fin_max then fin_max := finish_a.(tid);
-          Metrics.observe util_busy_frac_h
-            (if spans_a.(tid) > 0 then
-               100.0 *. float_of_int busy_a.(tid) /. float_of_int spans_a.(tid)
-             else 0.0);
-          Metrics.observe util_slot_chunks_h (float_of_int chunks_a.(tid))
-        done;
-        let idle_tail = max 0 (!fin_max - !fin_min) in
-        Metrics.observe_ns util_idle_tail_t idle_tail;
-        (* Counter track stepping down at each worker finish: the idle tail
-           renders as a staircase in chrome://tracing / wx prof. *)
-        if Trace_export.is_enabled () then begin
-          Trace_export.counter ~name:"pool.active_workers" ~t_ns:t_run0
-            [ ("active", float_of_int slots) ];
-          let fins = Array.sub finish_a 0 slots in
-          Array.sort compare fins;
-          Array.iteri
-            (fun i t ->
-              Trace_export.counter ~name:"pool.active_workers" ~t_ns:t
-                [ ("active", float_of_int (slots - i - 1)) ])
-            fins
-        end;
-        util_record ~seq:false ~slots ~run_span:(t_joined - t_run0) ~busy:busy_a
-          ~spans:spans_a ~chunks:chunks_a ~idle_tail
-      end;
-      (match Atomic.get failure with Some e -> raise e | None -> ());
-      (* All tasks completed (no failure), so every slot is filled; [await]
-         published the helpers' writes to this domain. *)
-      let acc = ref init in
-      for c = 0 to ntasks - 1 do
-        match results.(c) with
-        | Some r -> acc := combine !acc r
-        | None -> assert false
-      done;
-      !acc
-    end
+  let jobs = min jobs ntasks in
+  (* One flag for the whole call: observe/slice below self-gate on their
+     own system's flag, so a trace-only run skips histogram writes and a
+     metrics-only run skips slice pushes — but an uninstrumented run pays
+     for neither clock reads nor the checks inside them. *)
+  let instrumented = Metrics.is_enabled () || Trace_export.is_enabled () in
+  (* [memgc_on] alone obliges helpers to credit their minor words to
+     Memgc's foreign accumulator at exit — Memgc.read on the caller is
+     domain-local, so without that credit helper allocation would vanish
+     from the bench alloc gate. Per-task trace args additionally need a
+     sink, hence [mem]. With Memgc off no Gc read happens at all. *)
+  let memgc_on = Memgc.is_enabled () in
+  let mem = instrumented && memgc_on in
+  let now () = if instrumented then Clock.now_ns () else 0 in
+  (* Per-run busy time, tasks claimed and finish stamp, one slot per worker
+     tid. Distinct slots are written only by their owner; the caller reads
+     them after [await]. Sized by [jobs] (not ntasks), so the allocation is
+     a deterministic function of the call shape — the alloc gate depends
+     on that. Empty when uninstrumented: no cost, and run_task never
+     touches them on that path. *)
+  let busy_a = if instrumented then Array.make jobs 0 else [||] in
+  let chunks_a = if instrumented then Array.make jobs 0 else [||] in
+  let finish_a = if instrumented then Array.make jobs 0 else [||] in
+  (* Timed wrapper shared by both paths: [tid] is the worker slot (0 =
+     calling domain), [t_claim] the stamp just after the task was claimed.
+     Trace/metric names keep the historical "chunk" vocabulary. *)
+  let run_task ~tid ~t_claim c =
+    let w0 = if mem then Memgc.own_minor_words () else 0.0 in
+    let r = task c in
+    if instrumented then begin
+      let t_done = Clock.now_ns () in
+      let dw = if mem then Memgc.own_minor_words () -. w0 else 0.0 in
+      (* Busy time = time inside tasks, on the stamps already taken for the
+         task timer — utilization adds no clock reads here. *)
+      busy_a.(tid) <- busy_a.(tid) + (t_done - t_claim);
+      chunks_a.(tid) <- chunks_a.(tid) + 1;
+      Metrics.incr chunks_c;
+      Metrics.observe_ns chunk_t (t_done - t_claim);
+      Trace_export.slice ~tid ~name:"chunk" ~t0_ns:t_claim ~dur_ns:(t_done - t_claim)
+        ~args:
+          (("chunk", Json.Int c) :: (if mem then [ ("minor_words", Json.Float dw) ] else []))
+        ()
+    end;
+    r
+  in
+  if jobs <= 1 then begin
+    if instrumented then begin
+      Metrics.incr seq_runs_c;
+      Metrics.set jobs_g 1.0
+    end;
+    let t_seq0 = now () in
+    let acc = ref init in
+    for c = 0 to ntasks - 1 do
+      acc := combine !acc (run_task ~tid:0 ~t_claim:(now ()) c)
+    done;
+    (* A sequential run adds capacity and busy time but no run and, by
+       construction, no idle tail. *)
+    if instrumented then
+      util_record ~runs:0 ~capacity:(Clock.now_ns () - t_seq0) ~busy:busy_a.(0) ~idle_tail:0;
+    !acc
   end
-
-let parallel_reduce ?jobs ?(chunk = 1) ~n ~init ~map ~combine () =
-  if chunk < 1 then invalid_arg "Pool.parallel_reduce: chunk must be >= 1";
-  if n < 0 then invalid_arg "Pool.parallel_reduce: n must be >= 0";
-  if n = 0 then init
   else begin
-    let nchunks = (n + chunk - 1) / chunk in
-    let jobs = min (resolve_jobs jobs) nchunks in
-    (* Left fold of [map] over one chunk's indices — the innermost loop of
-       every exact measure, so no per-index allocation beyond [map]'s own. *)
-    let task c =
-      let lo = c * chunk in
-      let hi = min n (lo + chunk) in
-      let acc = ref (map lo) in
-      for i = lo + 1 to hi - 1 do
-        acc := combine !acc (map i)
+    if instrumented then begin
+      Metrics.incr runs_c;
+      Metrics.set jobs_g (float_of_int jobs)
+    end;
+    let t_run0 = now () in
+    let results = Array.make ntasks None in
+    let cursor = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let worker tid =
+      (* Pre-create this domain's histogram shards: otherwise a worker that
+         loses every task race allocates fewer shards than one that claims
+         work, and total allocation would vary run to run. *)
+      if instrumented then begin
+        Metrics.touch_timer claim_t;
+        Metrics.touch_timer chunk_t
+      end;
+      let t_start = now () in
+      let w_start = if memgc_on then Memgc.own_minor_words () else 0.0 in
+      let t_prev = ref t_start in
+      let continue_ = ref true in
+      while !continue_ do
+        (* The cursor hands out {e claim slots}; [order] maps a slot to the
+           task it carries (identity on the range path, LPT order on the
+           weighted one). Results land in [results.(c)] keyed by task id,
+           so the permutation is invisible to the combine. *)
+        let u = Atomic.fetch_and_add cursor 1 in
+        if u >= ntasks || Atomic.get failure <> None then begin
+          if instrumented && u >= ntasks then Metrics.incr empty_claims_c;
+          continue_ := false
+        end
+        else begin
+          let c = match order with None -> u | Some o -> Array.unsafe_get o u in
+          let t_claim = now () in
+          if instrumented then Metrics.observe_ns claim_t (t_claim - !t_prev);
+          match run_task ~tid ~t_claim c with
+          | r ->
+              results.(c) <- Some r;
+              t_prev := now ()
+          | exception e ->
+              ignore (Atomic.compare_and_set failure None (Some e));
+              continue_ := false
+        end
       done;
-      !acc
+      if instrumented then finish_a.(tid) <- Clock.now_ns ();
+      (* Helpers credit their own minor-word delta for this run to Memgc's
+         foreign accumulator — the caller's Memgc.read after the run
+         depends on it — and that credit happens-before the [await] that
+         publishes it. Round, don't truncate: a fractional delta must not
+         drift the credit low. *)
+      let w_delta = if memgc_on then Memgc.own_minor_words () -. w_start else 0.0 in
+      if memgc_on && tid > 0 then
+        Memgc.add_foreign_minor_words (int_of_float (Float.round w_delta));
+      if instrumented && tid > 0 then
+        let t_exit = Clock.now_ns () in
+        Trace_export.slice ~tid ~name:"worker" ~t0_ns:t_start ~dur_ns:(t_exit - t_start)
+          ~args:
+            (("chunks", Json.Int chunks_a.(tid))
+            :: ("busy_ms", Json.Float (Clock.ns_to_ms busy_a.(tid)))
+            :: (if mem then [ ("minor_words", Json.Float w_delta) ] else []))
+          ()
     in
-    run_tasks ~jobs ~ntasks:nchunks ~order:None ~task ~init ~combine
-      ~trace_args:[ ("n", Json.Int n); ("chunks", Json.Int nchunks); ("jobs", Json.Int jobs) ]
+    (* Helpers must report done whatever happens, or the crew wedges:
+       anything [worker] lets escape becomes this run's failure. *)
+    let job tid =
+      match worker tid with
+      | () -> ()
+      | exception e -> ignore (Atomic.compare_and_set failure None (Some e))
+    in
+    let helpers = engage ~helpers:(jobs - 1) job in
+    job 0;
+    let t_drain = now () in
+    await helpers;
+    if instrumented then begin
+      (* Slots that ran: a run the busy crew left to its caller counts one
+         slot, not [jobs]. [await] published the helpers' slot writes. *)
+      let slots = helpers + 1 in
+      let t_joined = Clock.now_ns () in
+      (* Caller-side wait for stragglers after its own queue ran dry: the
+         aggregate signal that tasks are too coarse for this job count. *)
+      Metrics.observe_ns join_t (t_joined - t_drain);
+      Trace_export.slice ~tid:0 ~name:"join" ~t0_ns:t_drain ~dur_ns:(t_joined - t_drain) ();
+      Trace_export.slice ~tid:0 ~name:"parallel_reduce" ~t0_ns:t_run0
+        ~dur_ns:(t_joined - t_run0) ~args:trace_args ();
+      (* Idle tail: last worker finish minus first worker finish, the
+         straggler cost of skewed sharding. *)
+      let fins = Array.sub finish_a 0 slots in
+      Array.sort compare fins;
+      let idle_tail = max 0 (fins.(slots - 1) - fins.(0)) in
+      (* Counter track stepping down at each worker finish: the idle tail
+         renders as a staircase in chrome://tracing / wx prof. *)
+      if Trace_export.is_enabled () then begin
+        Trace_export.counter ~name:"pool.active_workers" ~t_ns:t_run0
+          [ ("active", float_of_int slots) ];
+        Array.iteri
+          (fun i t ->
+            Trace_export.counter ~name:"pool.active_workers" ~t_ns:t
+              [ ("active", float_of_int (slots - i - 1)) ])
+          fins
+      end;
+      util_record ~runs:1
+        ~capacity:(slots * (t_joined - t_run0))
+        ~busy:(Array.fold_left ( + ) 0 (Array.sub busy_a 0 slots))
+        ~idle_tail
+    end;
+    (match Atomic.get failure with Some e -> raise e | None -> ());
+    (* All tasks completed (no failure), so every slot is filled; [await]
+       published the helpers' writes to this domain. *)
+    let acc = ref init in
+    for c = 0 to ntasks - 1 do
+      match results.(c) with
+      | Some r -> acc := combine !acc r
+      | None -> assert false
+    done;
+    !acc
   end
 
-let parallel_reduce_weighted ?jobs ?(oversubscribe = 8) ~n ~weight ~init ~map ~combine () =
-  if oversubscribe < 1 then invalid_arg "Pool.parallel_reduce_weighted: oversubscribe must be >= 1";
+(* The weighted splitter's oversubscription: enough units that the
+   heaviest index still leaves this many claimable pieces per worker on
+   average — the idle tail is one oversized trailing unit, so the split
+   bounds it by [total / (jobs * oversubscribe)]. *)
+let oversubscribe = 8
+
+let parallel_reduce_weighted ?jobs ~n ~weight ~init ~map ~combine () =
   if n < 0 then invalid_arg "Pool.parallel_reduce_weighted: n must be >= 0";
   if n = 0 then init
   else begin
@@ -570,10 +416,6 @@ let parallel_reduce_weighted ?jobs ?(oversubscribe = 8) ~n ~weight ~init ~map ~c
           x)
     in
     let total = Array.fold_left ( +. ) 0.0 w in
-    (* Target unit weight: enough units that the heaviest still leaves
-       [oversubscribe] claimable pieces per worker on average — PR 6's
-       utilization data showed the idle tail is exactly one oversized
-       trailing chunk, so the split bounds the tail by [total/slots]. *)
     let slots = jobs * oversubscribe in
     let target = total /. float_of_int slots in
     let parts =
@@ -633,6 +475,3 @@ let parallel_reduce_ranges ?jobs ?(range = 16384) ~n ~init ~map ~combine () =
     run_tasks ~jobs ~ntasks ~order:None ~task ~init ~combine
       ~trace_args:[ ("n", Json.Int n); ("ranges", Json.Int ntasks); ("jobs", Json.Int jobs) ]
   end
-
-let parallel_for ?jobs ?chunk ~n f =
-  parallel_reduce ?jobs ?chunk ~n ~init:() ~map:f ~combine:(fun () () -> ()) ()

@@ -44,10 +44,18 @@ check "prof with no inner command is a usage error" 2 $?
 "$WX" prof --out "$tmp/b.trace" -- core 256 >/dev/null 2>&1
 "$WX" prof diff "$tmp/a.trace" "$tmp/a.trace" >/dev/null 2>&1
 check "prof diff of a trace against itself is clean" 0 $?
-"$WX" prof diff --soft --min-self 0 --tolerance 0 "$tmp/a.trace" "$tmp/b.trace" >/dev/null 2>&1
+# core 256 spends tens of milliseconds more self time than core 64: a real
+# regression, which --soft reports without failing.
+"$WX" prof diff "$tmp/a.trace" "$tmp/b.trace" >/dev/null 2>&1
+check "prof diff flags a real self-time regression" 1 $?
+"$WX" prof diff --soft "$tmp/a.trace" "$tmp/b.trace" >/dev/null 2>&1
 check "prof diff --soft never fails on regressions" 0 $?
 "$WX" prof diff "$tmp/a.trace" /dev/null >/dev/null 2>&1
 check "prof diff on a non-trace exits 2" 2 $?
+
+# ---- info answers on large graphs ----
+"$WX" info path 30000 >/dev/null 2>&1
+check "info on a 30000-vertex path exits 0" 0 $?
 
 # ---- bench history ----
 L="$tmp/ledger.ndjson"

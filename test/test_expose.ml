@@ -302,7 +302,7 @@ let test_http_roundtrip () =
             | Ok _ -> false))
 
 (* Scrapes racing live pool workers: a dedicated domain hammers the
-   renderers while a 4-job parallel_reduce observes histograms. Every page
+   renderers while a 4-job pool reduction observes histograms. Every page
    must stay well-formed (the hardened Metrics.merged contract) and the
    reduction's value must be exactly the sequential one — exposition never
    perturbs results. *)
@@ -331,10 +331,14 @@ let test_concurrent_scrape_during_pool_run () =
       done;
       let n = 20_000 in
       let got =
-        Pool.parallel_reduce ~jobs:4 ~chunk:64 ~n ~init:0
-          ~map:(fun i ->
-            Metrics.observe h (float_of_int ((i mod 11) + 1));
-            i)
+        Pool.parallel_reduce_ranges ~jobs:4 ~range:64 ~n ~init:0
+          ~map:(fun ~lo ~hi ->
+            let acc = ref 0 in
+            for i = lo to hi - 1 do
+              Metrics.observe h (float_of_int ((i mod 11) + 1));
+              acc := !acc + i
+            done;
+            !acc)
           ~combine:( + ) ()
       in
       Atomic.set stop true;
@@ -348,20 +352,33 @@ let test_concurrent_scrape_during_pool_run () =
            (Printf.sprintf "wx_test_expose_hot_count %d" n)
            (String.split_on_char '\n' page)))
 
-(* Pool runs under an enabled registry publish live utilization gauges. *)
-let test_pool_util_gauges () =
+(* Pool runs under an enabled registry publish their run counters and
+   timers; the utilization total is the bench report's, not a gauge. *)
+let test_pool_publishes_counters () =
   with_metrics (fun () ->
-      Pool.reset_util ();
       ignore
-        (Pool.parallel_reduce ~jobs:2 ~chunk:32 ~n:4096 ~init:0 ~map:Fun.id ~combine:( + ) ());
-      let gauges =
-        match Json.member "gauges" (Metrics.snapshot ()) with
-        | Some (Json.Obj kvs) -> kvs
-        | _ -> []
+        (Pool.parallel_reduce_ranges ~jobs:2 ~range:32 ~n:4096 ~init:0
+           ~map:(fun ~lo ~hi:_ -> lo)
+           ~combine:( + ) ());
+      let snap = Metrics.snapshot () in
+      let names section =
+        match Json.member section snap with Some (Json.Obj kvs) -> List.map fst kvs | _ -> []
       in
-      check_true "cumulative busy gauge" (List.mem_assoc "pool.util.busy_pct" gauges);
-      check_true "slot 0 gauge" (List.mem_assoc "pool.util.slot_busy_pct.0" gauges);
-      check_true "slot 1 gauge" (List.mem_assoc "pool.util.slot_busy_pct.1" gauges))
+      check_true "run counter" (List.mem "pool.runs" (names "counters"));
+      check_true "jobs gauge" (List.mem "pool.jobs" (names "gauges"));
+      check_true "join-wait timer" (List.mem "pool.join_wait" (names "timers"));
+      List.iter
+        (fun section ->
+          List.iter
+            (fun name ->
+              check_true
+                (Printf.sprintf "no %s %s" section name)
+                (not (String.starts_with ~prefix:"pool.util." name)))
+            (names section))
+        [ "counters"; "gauges"; "histograms"; "timers" ];
+      List.iter
+        (fun name -> check_true ("no " ^ name) (not (List.mem name (names "histograms"))))
+        [ "pool.worker_minor_words"; "pool.chunk_minor_words" ])
 
 let suite =
   [
@@ -372,6 +389,6 @@ let suite =
     Alcotest.test_case "http round trip on an ephemeral port" `Quick test_http_roundtrip;
     Alcotest.test_case "scraping races a hot pool safely" `Slow
       test_concurrent_scrape_during_pool_run;
-    Alcotest.test_case "pool runs publish live utilization gauges" `Quick
-      test_pool_util_gauges;
+    Alcotest.test_case "pool runs publish counters, not utilization gauges" `Quick
+      test_pool_publishes_counters;
   ]

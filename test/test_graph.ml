@@ -1,5 +1,4 @@
 module Graph = Wx_graph.Graph
-module Builder = Wx_graph.Builder
 module Gen = Wx_graph.Gen
 module Bitset = Wx_util.Bitset
 open Common
@@ -165,7 +164,24 @@ let test_gen_margulis () =
   let g = Gen.margulis 5 in
   check_int "n" 25 (Graph.n g);
   check_true "bounded degree" (Graph.max_degree g <= 8);
-  check_true "connected" (Wx_graph.Traversal.is_connected g)
+  check_true "connected" (Wx_graph.Traversal.is_connected g);
+  (* Pinned against the definition: every vertex (x, y) joined to its four
+     targets, loops dropped, duplicates collapsed. *)
+  for m = 2 to 20 do
+    let idx x y = (((y mod m) + m) mod m * m) + (((x mod m) + m) mod m) in
+    let es = ref [] in
+    for x = 0 to m - 1 do
+      for y = 0 to m - 1 do
+        let v = idx x y in
+        List.iter
+          (fun w -> if w <> v then es := (v, w) :: !es)
+          [ idx (x + y) y; idx (x + y + 1) y; idx x (y + x); idx x (y + x + 1) ]
+      done
+    done;
+    check_true
+      (Printf.sprintf "margulis %d = definition" m)
+      (Graph.equal (Gen.margulis m) (Graph.of_edges (m * m) !es))
+  done
 
 let test_gen_bipartite_sdeg () =
   let r = rng ~salt:33 () in
@@ -181,26 +197,6 @@ let test_double_cover () =
   (* Triangle's double cover is the 6-cycle: connected, 2-regular. *)
   check_true "regular" (Graph.is_regular g = Some 2);
   check_true "connected" (Wx_graph.Traversal.is_connected g)
-
-(* --- builder --- *)
-
-let test_builder () =
-  let b = Builder.create 3 in
-  Builder.add_edge b 0 1;
-  Builder.add_edge b 1 0;
-  check_int "dedup" 1 (Builder.edge_count b);
-  check_true "mem" (Builder.mem_edge b 0 1);
-  let v = Builder.add_vertex b in
-  check_int "new vertex" 3 v;
-  Builder.add_edge b 3 0;
-  let g = Builder.to_graph b in
-  check_int "n" 4 (Graph.n g);
-  check_int "m" 2 (Graph.m g)
-
-let test_builder_rejects_self_loop () =
-  let b = Builder.create 3 in
-  Alcotest.check_raises "loop" (Invalid_argument "Builder.add_edge: self-loop") (fun () ->
-      Builder.add_edge b 1 1)
 
 (* Edge lists on n <= 24 vertices with repeats and both orientations. *)
 let arbitrary_edge_list =
@@ -326,7 +322,5 @@ let suite =
     Alcotest.test_case "gen margulis" `Quick test_gen_margulis;
     Alcotest.test_case "gen bipartite sdeg" `Quick test_gen_bipartite_sdeg;
     Alcotest.test_case "double cover" `Quick test_double_cover;
-    Alcotest.test_case "builder" `Quick test_builder;
-    Alcotest.test_case "builder rejects loop" `Quick test_builder_rejects_self_loop;
   ]
   @ qcheck_tests

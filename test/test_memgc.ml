@@ -10,6 +10,7 @@ module Metrics = Wx_obs.Metrics
 module Memgc = Wx_obs.Memgc
 module Span = Wx_obs.Span
 module Pool = Wx_par.Pool
+module Trace_export = Wx_obs.Trace_export
 open Common
 
 (* Every test leaves both systems disabled so the rest of the suite keeps
@@ -100,8 +101,8 @@ let test_disabled_is_free () =
       check_float "own words is zero" 0.0 (Memgc.own_minor_words ());
       Span.with_ ~name:"test.memgc.disabled" (fun () -> burn 50);
       let sum =
-        Pool.parallel_reduce ~jobs:2 ~n:64 ~init:0
-          ~map:(fun i -> ignore (Sys.opaque_identity (Bytes.create 64)); i)
+        Pool.parallel_reduce_ranges ~jobs:2 ~range:1 ~n:64 ~init:0
+          ~map:(fun ~lo ~hi:_ -> ignore (Sys.opaque_identity (Bytes.create 64)); lo)
           ~combine:( + ) ()
       in
       check_int "pool still correct" (64 * 63 / 2) sum;
@@ -110,80 +111,89 @@ let test_disabled_is_free () =
       | [ s ] -> check_int "span records no words while disabled" 0 s.Span.minor_words
       | _ -> Alcotest.fail "span missing"))
 
+(* Trace args carry the attribution: each chunk slice its own minor-word
+   delta, each helper's worker slice the delta of its whole run. *)
 let test_pool_worker_attribution () =
-  with_memgc ~metrics:true (fun () ->
-      let sum =
-        Pool.parallel_reduce ~jobs:2 ~chunk:8 ~n:64 ~init:0
-          ~map:(fun i -> ignore (Sys.opaque_identity (Bytes.create 1024)); i)
-          ~combine:( + ) ()
-      in
-      check_int "reduce correct under attribution" (64 * 63 / 2) sum;
-      let snap = Metrics.snapshot () in
-      let hist name =
-        match Json.member "histograms" snap with
-        | Some hs -> Json.member name hs
-        | None -> None
-      in
-      let stats name =
-        match hist name with
-        | Some h ->
-            ( Option.get (Json.to_int_opt (Option.get (Json.member "count" h))),
-              Option.get (Json.to_float_opt (Option.get (Json.member "sum" h))) )
-        | None -> Alcotest.failf "histogram %s missing" name
-      in
-      let wcount, wsum = stats "pool.worker_minor_words" in
-      let ccount, csum = stats "pool.chunk_minor_words" in
-      check_int "one observation per worker slot" 2 wcount;
-      check_int "one observation per chunk" 8 ccount;
-      (* 64 iterations x one 1KiB block each, split across chunks/workers. *)
-      check_true "chunks account for the map's allocation"
-        (csum >= float_of_int (64 * block_words));
-      check_true "workers cover their chunks" (wsum >= csum *. 0.99))
+  with_memgc (fun () ->
+      Trace_export.reset ();
+      Trace_export.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Trace_export.disable ();
+          Trace_export.reset ())
+        (fun () ->
+          let sum =
+            Pool.parallel_reduce_ranges ~jobs:2 ~range:8 ~n:64 ~init:0
+              ~map:(fun ~lo ~hi ->
+                let acc = ref 0 in
+                for i = lo to hi - 1 do
+                  ignore (Sys.opaque_identity (Bytes.create 1024));
+                  acc := !acc + i
+                done;
+                !acc)
+              ~combine:( + ) ()
+          in
+          check_int "reduce correct under attribution" (64 * 63 / 2) sum;
+          let events =
+            match Json.member "traceEvents" (Trace_export.to_json ()) with
+            | Some (Json.List evs) -> evs
+            | _ -> Alcotest.fail "no traceEvents list"
+          in
+          let words name =
+            List.filter_map
+              (fun ev ->
+                if Json.member "name" ev <> Some (Json.String name) then None
+                else
+                  let w = Option.bind (Json.member "args" ev) (Json.member "minor_words") in
+                  let tid = Option.bind (Json.member "tid" ev) Json.to_int_opt in
+                  match (Option.bind w Json.to_float_opt, tid) with
+                  | Some w, Some tid -> Some (tid, w)
+                  | _ -> Alcotest.failf "%s slice without minor_words" name)
+              events
+          in
+          let chunks = words "chunk" and workers = words "worker" in
+          check_int "one slice per chunk" 8 (List.length chunks);
+          (* 64 iterations x one 1KiB block each, split across chunks. *)
+          let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 chunks in
+          check_true "chunks account for the map's allocation"
+            (total >= float_of_int (64 * block_words));
+          List.iter
+            (fun (tid, w) ->
+              let own =
+                List.fold_left (fun acc (t, c) -> if t = tid then acc +. c else acc) 0.0 chunks
+              in
+              check_true "workers cover their chunks" (w >= own *. 0.99))
+            workers))
 
-let test_pool_credit_matches_worker_histogram () =
-  (* Regression for the worker-exit credit: spawned workers push their
-     minor-word delta into Memgc's foreign accumulator with a {e rounded}
-     conversion (a truncating one drifts low against the per-worker
-     histogram). Reconciliation: the histogram records every worker's
-     delta including the caller domain (tid 0), the foreign accumulator
-     only the spawned ones — so (hist sum − foreign credit) must be tid
-     0's share: non-negative and bounded by the caller's own delta, with
-     half a word of rounding slack per spawned worker. *)
-  with_memgc ~metrics:true (fun () ->
-      let jobs = 4 in
-      let foreign0 = Memgc.foreign_minor_words () in
-      let own0 = Memgc.own_minor_words () in
+(* Memgc.read is domain-local, so a caller's reading sees its helpers'
+   allocation only through the credit each helper pushes at exit. Tasks
+   sleep so that the helpers take their share of the work. *)
+let test_pool_credit_covers_helpers () =
+  with_memgc (fun () ->
+      let n = 32 in
+      let g0 = Memgc.read () in
       let sum =
-        Pool.parallel_reduce ~jobs ~chunk:4 ~n:128 ~init:0
-          ~map:(fun i -> ignore (Sys.opaque_identity (Bytes.create 512)); i)
+        Pool.parallel_reduce_ranges ~jobs:4 ~range:1 ~n ~init:0
+          ~map:(fun ~lo ~hi:_ ->
+            Unix.sleepf 0.001;
+            ignore (Sys.opaque_identity (Bytes.create 1024));
+            lo)
           ~combine:( + ) ()
       in
-      let own_delta = Memgc.own_minor_words () -. own0 in
-      let foreign_delta = float_of_int (Memgc.foreign_minor_words () - foreign0) in
-      check_int "reduce correct" (128 * 127 / 2) sum;
-      let snap = Metrics.snapshot () in
-      let wcount, wsum =
-        match Json.member "histograms" snap with
-        | Some hs -> (
-            match Json.member "pool.worker_minor_words" hs with
-            | Some h ->
-                ( Option.get (Json.to_int_opt (Option.get (Json.member "count" h))),
-                  Option.get (Json.to_float_opt (Option.get (Json.member "sum" h))) )
-            | None -> Alcotest.fail "worker histogram missing")
-        | None -> Alcotest.fail "no histograms"
-      in
-      check_int "one observation per worker" jobs wcount;
-      let slack = 0.5 *. float_of_int (jobs - 1) in
-      let tid0_share = wsum -. foreign_delta in
-      check_true "credit never exceeds the histogram" (tid0_share >= -.slack);
-      check_true "histogram minus credit is the caller domain's share"
-        (tid0_share <= own_delta +. slack))
+      let g1 = Memgc.read () in
+      check_int "reduce correct" (n * (n - 1) / 2) sum;
+      check_true "caller's reading covers every task's block"
+        ((Memgc.diff ~before:g0 ~after:g1).Memgc.minor_words >= n * block_words))
 
 let test_delta_determinism () =
   with_memgc (fun () ->
       let workload () =
-        Pool.parallel_reduce ~jobs:2 ~chunk:8 ~n:256 ~init:0
-          ~map:(fun i -> ignore (Sys.opaque_identity (Bytes.create 256)); i)
+        Pool.parallel_reduce_ranges ~jobs:2 ~range:8 ~n:256 ~init:0
+          ~map:(fun ~lo ~hi ->
+            for _ = lo to hi - 1 do
+              ignore (Sys.opaque_identity (Bytes.create 256))
+            done;
+            lo)
           ~combine:( + ) ()
       in
       let measure () =
@@ -240,8 +250,8 @@ let suite =
     Alcotest.test_case "counters monotone, diff sane" `Quick test_monotone_and_diff;
     Alcotest.test_case "disabled mode performs zero Gc reads" `Quick test_disabled_is_free;
     Alcotest.test_case "pool attributes worker allocation" `Quick test_pool_worker_attribution;
-    Alcotest.test_case "pool credit reconciles with worker histogram" `Quick
-      test_pool_credit_matches_worker_histogram;
+    Alcotest.test_case "pool credit covers helper allocation" `Quick
+      test_pool_credit_covers_helpers;
     Alcotest.test_case "deltas deterministic over identical work" `Quick test_delta_determinism;
     Alcotest.test_case "major-cycle alarm fires" `Quick test_alarm;
     Alcotest.test_case "counters codec round trip" `Quick test_codec;

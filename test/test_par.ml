@@ -1,6 +1,6 @@
 (* The Wx_par domain pool and the determinism contract of the parallel
    expansion measures: pool reductions must equal the sequential fold on
-   adversarial chunk geometries, exact measures must report byte-identical
+   adversarial range geometries, exact measures must report byte-identical
    values and witnesses at any job count, sampled measures must be a pure
    function of the seed, and the metrics registry must not lose updates
    under concurrent increments. *)
@@ -17,47 +17,78 @@ open Common
 
 (* ---- pool semantics ---- *)
 
+(* The indices of one slice, for append-into-a-list oracles. *)
+let slice ~lo ~hi = List.init (hi - lo) (fun k -> lo + k)
+
 let test_reduce_order_is_sequential () =
   (* combine = list append with [] neutral: the result is exactly the index
-     sequence, so any reordering, dropped chunk or double-claimed chunk
-     shows up verbatim. Chunk sizes straddle every boundary case: unit,
-     non-dividing, equal to n, larger than n. *)
+     sequence, so any reordering, dropped slice or double-claimed slice
+     shows up verbatim. Range sizes straddle every boundary case: unit,
+     non-dividing, equal to n, larger than n. Every slice must also sit on
+     its fixed boundary, whatever the job count. *)
   List.iter
-    (fun (n, chunk) ->
+    (fun (n, range) ->
       let expected = List.init n Fun.id in
       List.iter
         (fun jobs ->
+          (* Alcotest's assertion log is not domain-safe: workers only
+             count violations, the calling domain asserts. *)
+          let off_boundary = Atomic.make 0 in
           let got =
-            Pool.parallel_reduce ~jobs ~chunk ~n ~init:[] ~map:(fun i -> [ i ])
+            Pool.parallel_reduce_ranges ~jobs ~range ~n ~init:[]
+              ~map:(fun ~lo ~hi ->
+                if lo mod range <> 0 || hi <> min n (lo + range) then Atomic.incr off_boundary;
+                slice ~lo ~hi)
               ~combine:(fun a b -> a @ b) ()
           in
-          Alcotest.(check (list int))
-            (Printf.sprintf "n=%d chunk=%d jobs=%d" n chunk jobs)
-            expected got)
+          let name = Printf.sprintf "n=%d range=%d jobs=%d" n range jobs in
+          Alcotest.(check (list int)) name expected got;
+          check_int (name ^ " slices on boundaries") 0 (Atomic.get off_boundary))
         [ 1; 2; 3; 8 ])
     [ (0, 1); (1, 1); (7, 1); (7, 3); (7, 7); (7, 100); (64, 5); (100, 1); (100, 17) ]
+
+let sum_slice ~lo ~hi =
+  let acc = ref 0 in
+  for i = lo to hi - 1 do
+    acc := !acc + i
+  done;
+  !acc
 
 let test_reduce_matches_fold () =
   let n = 1000 in
   let expected = n * (n - 1) / 2 in
   List.iter
-    (fun (jobs, chunk) ->
+    (fun (jobs, range) ->
       check_int
-        (Printf.sprintf "sum jobs=%d chunk=%d" jobs chunk)
+        (Printf.sprintf "sum jobs=%d range=%d" jobs range)
         expected
-        (Pool.parallel_reduce ~jobs ~chunk ~n ~init:0 ~map:Fun.id ~combine:( + ) ()))
+        (Pool.parallel_reduce_ranges ~jobs ~range ~n ~init:0 ~map:sum_slice ~combine:( + ) ()))
     [ (1, 1); (2, 7); (8, 13); (4, 1000); (3, 999); (8, 1) ]
 
-let test_parallel_for_covers_each_index_once () =
+(* [f i] for every i in [0, n), one index per task: the pool as a parallel
+   loop. *)
+let parallel_iter ~jobs ~n f =
+  Pool.parallel_reduce_ranges ~jobs ~range:1 ~n ~init:()
+    ~map:(fun ~lo ~hi:_ -> f lo)
+    ~combine:(fun () () -> ())
+    ()
+
+let test_ranges_cover_each_index_once () =
   let n = 257 in
   let hits = Array.make n 0 in
-  Pool.parallel_for ~jobs:4 ~chunk:3 ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  Pool.parallel_reduce_ranges ~jobs:4 ~range:3 ~n ~init:()
+    ~map:(fun ~lo ~hi ->
+      for i = lo to hi - 1 do
+        hits.(i) <- hits.(i) + 1
+      done)
+    ~combine:(fun () () -> ())
+    ();
   Array.iteri (fun i h -> check_int (Printf.sprintf "index %d" i) 1 h) hits
 
 let test_worker_exception_propagates () =
   match
-    Pool.parallel_reduce ~jobs:4 ~n:100 ~init:0
-      ~map:(fun i -> if i = 57 then failwith "boom" else i)
+    Pool.parallel_reduce_ranges ~jobs:4 ~range:1 ~n:100 ~init:0
+      ~map:(fun ~lo ~hi:_ -> if lo = 57 then failwith "boom" else lo)
       ~combine:( + ) ()
   with
   | _ -> Alcotest.fail "expected the worker exception to re-raise"
@@ -68,8 +99,8 @@ let test_worker_exception_propagates () =
 let test_weighted_reduce_order_is_sequential () =
   (* Same append-into-a-list oracle as the plain reduction, but across the
      splitting geometries: heavily skewed weights force one index into
-     many units, zero weights collapse to single units, and every
-     (jobs, oversubscribe) pair exercises a different LPT claim order.
+     many units, zero weights collapse to single units, and every job
+     count exercises a different split and LPT claim order.
      Each index's parts cover it exactly once, so the folded result must
      still be the exact index sequence. *)
   let weights =
@@ -83,7 +114,7 @@ let test_weighted_reduce_order_is_sequential () =
   List.iter
     (fun (wname, weight) ->
       List.iter
-        (fun (jobs, oversubscribe) ->
+        (fun jobs ->
           List.iter
             (fun n ->
               let hits = Array.make (max n 1) 0 in
@@ -91,7 +122,7 @@ let test_weighted_reduce_order_is_sequential () =
                  count violations, the calling domain asserts. *)
               let bad_parts = Atomic.make 0 in
               let got =
-                Pool.parallel_reduce_weighted ~jobs ~oversubscribe ~n ~weight ~init:[]
+                Pool.parallel_reduce_weighted ~jobs ~n ~weight ~init:[]
                   ~map:(fun i ~part ~parts ->
                     if not (0 <= part && part < parts) then Atomic.incr bad_parts;
                     (* Cover index i on part 0 only: the contract says the
@@ -105,13 +136,13 @@ let test_weighted_reduce_order_is_sequential () =
               in
               check_int "part in range" 0 (Atomic.get bad_parts);
               Alcotest.(check (list int))
-                (Printf.sprintf "%s n=%d jobs=%d over=%d" wname n jobs oversubscribe)
+                (Printf.sprintf "%s n=%d jobs=%d" wname n jobs)
                 (List.init n Fun.id) got;
               for i = 0 to n - 1 do
                 check_int (Printf.sprintf "%s part-0 of %d seen once" wname i) 1 hits.(i)
               done)
             [ 0; 1; 7; 64 ])
-        [ (1, 1); (2, 8); (4, 8); (8, 3) ])
+        [ 1; 2; 4; 8 ])
     weights
 
 let test_weighted_reduce_splits_cover_ranges () =
@@ -143,18 +174,18 @@ let test_weighted_reduce_splits_cover_ranges () =
     [ 1; 2; 4; 8 ]
 
 let test_weighted_reduce_rejects_bad_args () =
-  let run ?oversubscribe ?(weight = fun _ -> 1.0) () =
+  let run ~n ~weight =
     ignore
-      (Pool.parallel_reduce_weighted ~jobs:2 ?oversubscribe ~n:4 ~weight ~init:0
+      (Pool.parallel_reduce_weighted ~jobs:2 ~n ~weight ~init:0
          ~map:(fun i ~part:_ ~parts:_ -> i)
          ~combine:( + ) ())
   in
-  Alcotest.check_raises "oversubscribe 0"
-    (Invalid_argument "Pool.parallel_reduce_weighted: oversubscribe must be >= 1")
-    (fun () -> run ~oversubscribe:0 ());
+  Alcotest.check_raises "negative n"
+    (Invalid_argument "Pool.parallel_reduce_weighted: n must be >= 0")
+    (fun () -> run ~n:(-1) ~weight:(fun _ -> 1.0));
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Pool.parallel_reduce_weighted: weights must be >= 0")
-    (fun () -> run ~weight:(fun i -> if i = 3 then -1.0 else 1.0) ())
+    (fun () -> run ~n:4 ~weight:(fun i -> if i = 3 then -1.0 else 1.0))
 
 (* ---- exact measures: values and witnesses identical at any job count ---- *)
 
@@ -359,13 +390,18 @@ let test_work_totals_job_independent () =
 
 let sum_to n = n * (n - 1) / 2
 
+(* sum_to n through the pool, one index per task. *)
+let pool_sum ~jobs n =
+  Pool.parallel_reduce_ranges ~jobs ~range:1 ~n ~init:0 ~map:(fun ~lo ~hi:_ -> lo)
+    ~combine:( + ) ()
+
 let test_crew_spawns_once () =
   with_metrics (fun () ->
       let spawned = Metrics.counter "pool.domains_spawned" in
       let before = Metrics.counter_value spawned in
       for k = 1 to 200 do
         check_int (Printf.sprintf "call %d" k) (sum_to 64)
-          (Pool.parallel_reduce ~jobs:4 ~n:64 ~init:0 ~map:Fun.id ~combine:( + ) ())
+          (pool_sum ~jobs:4 64)
       done;
       (* At most the three helpers jobs:4 needs, and none if an earlier
          test already grew the crew; spawning per call would show 600. *)
@@ -382,27 +418,26 @@ let test_nested_call_runs_on_caller () =
       Pool.reset_util ();
       let n = 24 in
       let got =
-        Pool.parallel_reduce ~jobs:4 ~n ~init:[]
-          ~map:(fun i ->
-            [ Pool.parallel_reduce ~jobs:4 ~n:(i + 1) ~init:0 ~map:Fun.id ~combine:( + ) () ])
+        Pool.parallel_reduce_ranges ~jobs:4 ~range:1 ~n ~init:[]
+          ~map:(fun ~lo ~hi:_ -> [ pool_sum ~jobs:4 (lo + 1) ])
           ~combine:( @ ) ()
       in
       Alcotest.(check (list int)) "nested sums" (List.init n (fun i -> sum_to (i + 1))) got;
       let u = Pool.util () in
-      check_true "idle tails are real durations" (u.Pool.u_max_idle_tail_ns < 1_000_000_000);
+      check_true "idle tails are real durations" (u.Pool.u_idle_tail_ns < 1_000_000_000);
       check_true "busy never exceeds capacity" (u.Pool.u_busy_ns <= u.Pool.u_capacity_ns))
 
 let test_crew_survives_failure () =
   for _ = 1 to 3 do
     (match
-       Pool.parallel_reduce ~jobs:4 ~n:200 ~init:0
-         ~map:(fun i -> if i mod 50 = 7 then failwith "boom" else i)
+       Pool.parallel_reduce_ranges ~jobs:4 ~range:1 ~n:200 ~init:0
+         ~map:(fun ~lo ~hi:_ -> if lo mod 50 = 7 then failwith "boom" else lo)
          ~combine:( + ) ()
      with
     | _ -> Alcotest.fail "expected the task exception to re-raise"
     | exception Failure m -> check_true "original exception" (m = "boom"));
     check_int "next call on the same crew" (sum_to 200)
-      (Pool.parallel_reduce ~jobs:4 ~n:200 ~init:0 ~map:Fun.id ~combine:( + ) ())
+      (pool_sum ~jobs:4 200)
   done
 
 let test_concurrent_callers () =
@@ -414,8 +449,7 @@ let test_concurrent_callers () =
     let ok = ref 0 in
     for _ = 1 to calls do
       if
-        Pool.parallel_reduce ~jobs:4 ~chunk:7 ~n ~init:[] ~map:(fun i -> [ i ])
-          ~combine:( @ ) ()
+        Pool.parallel_reduce_ranges ~jobs:4 ~range:7 ~n ~init:[] ~map:slice ~combine:( @ ) ()
         = expected
       then incr ok
     done;
@@ -429,42 +463,35 @@ let test_concurrent_callers () =
 (* ---- per-worker busy/idle utilization ---- *)
 
 (* A deterministic-shape workload: every index sleeps, so each claimed
-   chunk contributes measurable busy time and the per-slot chunk counts
-   must add up to the chunk count exactly. *)
+   task contributes measurable busy time. *)
 let test_util_attribution () =
   with_metrics (fun () ->
-      Pool.reset_util ();
       let n = 8 in
-      let sum =
-        Pool.parallel_reduce ~jobs:4 ~chunk:1 ~n ~init:0
-          ~map:(fun i ->
+      let sleepy ~jobs =
+        Pool.reset_util ();
+        Pool.parallel_reduce_ranges ~jobs ~range:1 ~n ~init:0
+          ~map:(fun ~lo ~hi:_ ->
             Unix.sleepf 0.002;
-            i)
+            lo)
           ~combine:( + ) ()
       in
-      check_int "reduce correct under util accounting" (n * (n - 1) / 2) sum;
+      check_int "reduce correct under util accounting" (n * (n - 1) / 2) (sleepy ~jobs:4);
       let u = Pool.util () in
       check_int "one parallel run" 1 u.Pool.u_runs;
-      check_int "no sequential runs" 0 u.Pool.u_seq_runs;
-      check_int "chunks conserved" n
-        (Array.fold_left (fun acc s -> acc + s.Pool.s_chunks) 0 u.Pool.u_slots);
-      (* 8 sleeping chunks of ~2ms: at least half must show up as busy. *)
+      (* 8 sleeping tasks of ~2ms: at least half must show up as busy. *)
       check_true "busy time attributed" (u.Pool.u_busy_ns > 8_000_000);
       check_true "busy never exceeds capacity" (u.Pool.u_busy_ns <= u.Pool.u_capacity_ns);
-      Array.iter
-        (fun s -> check_true "slot busy within its span" (s.Pool.s_busy_ns <= s.Pool.s_span_ns))
-        u.Pool.u_slots;
       check_true "idle tail non-negative" (u.Pool.u_idle_tail_ns >= 0);
-      check_true "max tail >= mean tail"
-        (u.Pool.u_max_idle_tail_ns * u.Pool.u_runs >= u.Pool.u_idle_tail_ns);
-      (* jobs:1 takes the sequential path and lands in the other bucket. *)
-      Pool.reset_util ();
-      ignore (Pool.parallel_reduce ~jobs:1 ~n ~init:0 ~map:Fun.id ~combine:( + ) ());
+      check_true "idle tail within the run" (u.Pool.u_idle_tail_ns <= u.Pool.u_capacity_ns);
+      (* jobs:1 takes the sequential path: it adds capacity and busy time,
+         but no run and no idle tail. *)
+      ignore (sleepy ~jobs:1);
       let u = Pool.util () in
-      check_int "sequential run recorded" 1 u.Pool.u_seq_runs;
       check_int "no parallel runs" 0 u.Pool.u_runs;
-      check_int "caller slot owns every chunk" n
-        (Array.fold_left (fun acc s -> acc + s.Pool.s_chunks) 0 u.Pool.u_slots))
+      check_true "sequential busy time attributed" (u.Pool.u_busy_ns > 8_000_000);
+      check_true "sequential busy never exceeds capacity"
+        (u.Pool.u_busy_ns <= u.Pool.u_capacity_ns);
+      check_int "sequential run has no idle tail" 0 u.Pool.u_idle_tail_ns)
 
 (* The zero-cost contract, now assertable: an uninstrumented pool run may
    not touch the monotonic clock at all (Metrics and tracing both off —
@@ -474,16 +501,16 @@ let test_no_clock_reads_while_disabled () =
   Wx_obs.Trace_export.disable ();
   (* Warm the pool separately: domain spawn paths are not part of the
      contract, steady-state runs are. *)
-  ignore (Pool.parallel_reduce ~jobs:4 ~n:32 ~init:0 ~map:Fun.id ~combine:( + ) ());
+  ignore (pool_sum ~jobs:4 32);
   let before = Wx_obs.Clock.read_count () in
-  let sum = Pool.parallel_reduce ~jobs:4 ~n:256 ~init:0 ~map:Fun.id ~combine:( + ) () in
+  let sum = pool_sum ~jobs:4 256 in
   let after = Wx_obs.Clock.read_count () in
   check_int "reduce still correct" (256 * 255 / 2) sum;
   check_int "zero clock reads while disabled" 0 (after - before);
   (* And the same run under metrics does read the clock. *)
   with_metrics (fun () ->
       let before = Wx_obs.Clock.read_count () in
-      ignore (Pool.parallel_reduce ~jobs:4 ~n:256 ~init:0 ~map:Fun.id ~combine:( + ) ());
+      ignore (pool_sum ~jobs:4 256);
       check_true "instrumented run reads the clock" (Wx_obs.Clock.read_count () > before))
 
 (* ---- metrics under concurrency ---- *)
@@ -492,7 +519,7 @@ let test_counters_race_free () =
   with_metrics (fun () ->
       let c = Metrics.counter "test.par.counter" in
       let tasks = 32 and per = 10_000 in
-      Pool.parallel_for ~jobs:8 ~n:tasks (fun _ ->
+      parallel_iter ~jobs:8 ~n:tasks (fun _ ->
           for _ = 1 to per do
             Metrics.incr c
           done);
@@ -504,7 +531,7 @@ let test_histogram_shards_merge () =
   with_metrics (fun () ->
       let h = Metrics.histogram "test.par.hist" in
       let tasks = 16 and per = 500 in
-      Pool.parallel_for ~jobs:4 ~n:tasks (fun _ ->
+      parallel_iter ~jobs:4 ~n:tasks (fun _ ->
           for _ = 1 to per do
             Metrics.observe h 4.0
           done);
@@ -524,7 +551,7 @@ let suite =
   [
     Alcotest.test_case "reduce preserves fold order" `Quick test_reduce_order_is_sequential;
     Alcotest.test_case "reduce matches fold" `Quick test_reduce_matches_fold;
-    Alcotest.test_case "for covers every index once" `Quick test_parallel_for_covers_each_index_once;
+    Alcotest.test_case "ranges cover every index once" `Quick test_ranges_cover_each_index_once;
     Alcotest.test_case "worker exception propagates" `Quick test_worker_exception_propagates;
     Alcotest.test_case "crew spawns once, not per call" `Quick test_crew_spawns_once;
     Alcotest.test_case "nested call runs on its caller" `Quick test_nested_call_runs_on_caller;

@@ -37,20 +37,8 @@ let entry ?(holds = 1) ?(total = 1) ?alloc ?(work = []) ?util id wall_s =
     metrics = Json.Null;
   }
 
-(* A plausible two-slot utilization block for round-trip tests. *)
-let some_util =
-  {
-    Report.ut_runs = 4;
-    ut_seq_runs = 1;
-    ut_busy_frac = 0.82;
-    ut_idle_tail_ms = 3.5;
-    ut_max_idle_tail_ms = 9.25;
-    ut_slots =
-      [
-        { Report.us_busy_frac = 0.9; us_chunks = 17 };
-        { Report.us_busy_frac = 0.74; us_chunks = 15 };
-      ];
-  }
+(* A plausible utilization block for round-trip tests. *)
+let some_util = { Report.ut_runs = 4; ut_busy_frac = 0.82; ut_idle_tail_ms = 3.5 }
 
 let report ?(quick = true) ?(jobs = 2) ?(repeats = 3) entries =
   Report.make ~provenance:[ ("git_commit", "deadbeef"); ("hostname", "testhost") ] ~seed:20180218
@@ -64,6 +52,21 @@ let test_median () =
   check_float "even" 2.5 (Report.median [ 4.0; 1.0; 2.0; 3.0 ]);
   check_float "min" 1.0 (Report.min_sample [ 3.0; 1.0; 2.0 ]);
   check_float "max" 3.0 (Report.max_sample [ 3.0; 1.0; 2.0 ])
+
+(* A one-entry report's JSON with field [name] of that entry mapped by [f]. *)
+let with_entry_field name f = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (function
+             | "experiments", Json.List [ Json.Obj ekvs ] ->
+                 ( "experiments",
+                   Json.List
+                     [ Json.Obj (List.map (fun (k, v) -> (k, if k = name then f v else v)) ekvs) ]
+                 )
+             | kv -> kv)
+           kvs)
+  | _ -> assert false
 
 let test_round_trip () =
   let r =
@@ -84,6 +87,29 @@ let test_round_trip () =
     | exception Json.Parse_error m -> Alcotest.failf "parse: %s" m
   in
   check_true "round trip preserves everything" (decoded = r);
+  (* Reports recorded while the util block also carried seq_runs,
+     max_idle_tail_ms and per-slot rows still decode, to the same block. *)
+  let with_old_util_members =
+    with_entry_field "util"
+      (function
+        | Json.Obj u ->
+            Json.Obj
+              (u
+              @ [
+                  ("seq_runs", Json.Int 1);
+                  ("max_idle_tail_ms", Json.Float 9.25);
+                  ( "slots",
+                    Json.List
+                      [ Json.Obj [ ("busy_frac", Json.Float 0.9); ("chunks", Json.Int 17) ] ] );
+                ])
+        | v -> v)
+      (Report.to_json (report [ entry ~util:some_util "e1" [ 1.0 ] ]))
+  in
+  (match Report.of_json with_old_util_members with
+  | Ok { Report.entries = [ e ]; _ } ->
+      check_true "older util block decodes" (e.Report.util = Some some_util)
+  | Ok _ -> Alcotest.fail "older util block: wrong entries"
+  | Error m -> Alcotest.failf "older util block: %s" m);
   (* Spot-check the schema marker actually written. *)
   match Json.member "schema" (Report.to_json r) with
   | Some (Json.String s) -> check_true "schema is wx-bench/4" (s = Report.schema)
@@ -110,27 +136,7 @@ let test_malformed () =
     Report.to_json (report [ entry "e1" [ 1.0 ] ])
   in
   (* Surgical corruption: empty the sample list. *)
-  let corrupted =
-    match base with
-    | Json.Obj kvs ->
-        Json.Obj
-          (List.map
-             (function
-               | "experiments", Json.List [ Json.Obj ekvs ] ->
-                   ( "experiments",
-                     Json.List
-                       [
-                         Json.Obj
-                           (List.map
-                              (function
-                                | "wall_s", _ -> ("wall_s", Json.List [])
-                                | kv -> kv)
-                              ekvs);
-                       ] )
-               | kv -> kv)
-             kvs)
-    | _ -> assert false
-  in
+  let corrupted = with_entry_field "wall_s" (fun _ -> Json.List []) base in
   reject "empty wall_s" corrupted;
   (match Report.load "/nonexistent/definitely-not-here.json" with
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
@@ -430,10 +436,10 @@ let test_catapult_well_formed () =
   with_trace (fun () ->
       (* Real pool run on two domains so worker tracks exist. *)
       let sum =
-        Wx_par.Pool.parallel_reduce ~jobs:2 ~n:64 ~init:0
-          ~map:(fun i ->
+        Wx_par.Pool.parallel_reduce_ranges ~jobs:2 ~range:1 ~n:64 ~init:0
+          ~map:(fun ~lo ~hi:_ ->
             ignore (Sys.opaque_identity (List.init 100 Fun.id));
-            i)
+            lo)
           ~combine:( + ) ()
       in
       check_int "reduce still correct under tracing" (64 * 63 / 2) sum;
