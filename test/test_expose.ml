@@ -389,6 +389,5 @@ let suite =
     Alcotest.test_case "http round trip on an ephemeral port" `Quick test_http_roundtrip;
     Alcotest.test_case "scraping races a hot pool safely" `Slow
       test_concurrent_scrape_during_pool_run;
-    Alcotest.test_case "pool runs publish counters, not utilization gauges" `Quick
-      test_pool_publishes_counters;
+    Alcotest.test_case "pool runs publish no util gauges" `Quick test_pool_publishes_counters;
   ]

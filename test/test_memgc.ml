@@ -250,8 +250,7 @@ let suite =
     Alcotest.test_case "counters monotone, diff sane" `Quick test_monotone_and_diff;
     Alcotest.test_case "disabled mode performs zero Gc reads" `Quick test_disabled_is_free;
     Alcotest.test_case "pool attributes worker allocation" `Quick test_pool_worker_attribution;
-    Alcotest.test_case "pool credit covers helper allocation" `Quick
-      test_pool_credit_covers_helpers;
+    Alcotest.test_case "pool credit covers helper allocs" `Quick test_pool_credit_covers_helpers;
     Alcotest.test_case "deltas deterministic over identical work" `Quick test_delta_determinism;
     Alcotest.test_case "major-cycle alarm fires" `Quick test_alarm;
     Alcotest.test_case "counters codec round trip" `Quick test_codec;
