@@ -21,14 +21,21 @@ let create_gen rng ~copies ~s bip =
   let root = 0 in
   let s_base i = 1 + (i * per_copy) in
   let n_base i = s_base i + s_cnt in
-  let es = ref [] in
+  (* s_cnt root edges, copies·m core edges, (copies − 1)·s_cnt relay edges. *)
+  let ends = Array.make (2 * copies * (s_cnt + Bipartite.m bip)) 0 in
+  let e = ref 0 in
+  let add u v =
+    ends.(2 * !e) <- u;
+    ends.((2 * !e) + 1) <- v;
+    incr e
+  in
   (* Root to all of S¹. *)
   for u = 0 to s_cnt - 1 do
-    es := (root, s_base 0 + u) :: !es
+    add root (s_base 0 + u)
   done;
   (* Core edges per copy. *)
   for i = 0 to copies - 1 do
-    Bipartite.iter_edges bip (fun u w -> es := (s_base i + u, n_base i + w) :: !es)
+    Bipartite.iter_edges bip (fun u w -> add (s_base i + u) (n_base i + w))
   done;
   (* Relays: rtᵢ sampled from Nⁱ; connected to all of Sⁱ⁺¹. *)
   let relays =
@@ -36,10 +43,10 @@ let create_gen rng ~copies ~s bip =
   in
   for i = 0 to copies - 2 do
     for u = 0 to s_cnt - 1 do
-      es := (relays.(i), s_base (i + 1) + u) :: !es
+      add relays.(i) (s_base (i + 1) + u)
     done
   done;
-  let graph = Graph.of_edges total !es in
+  let graph = Graph.of_edge_array total ends in
   {
     graph;
     root;
@@ -60,22 +67,28 @@ let create_random rng ~copies ~s =
   let core = Core_graph.create s in
   let template = Core_graph.bip core in
   let n_cnt = Bipartite.n_count template in
-  let deg = (2 * s) - 1 in
-  let es = ref [] in
+  let deg = min ((2 * s) - 1) n_cnt in
+  let ends = Array.make (2 * ((s * deg) + n_cnt)) 0 in
+  let e = ref 0 in
+  let add u w =
+    ends.(2 * !e) <- u;
+    ends.((2 * !e) + 1) <- w;
+    incr e
+  in
   let covered = Array.make n_cnt false in
   for u = 0 to s - 1 do
     Array.iter
       (fun w ->
         covered.(w) <- true;
-        es := (u, w) :: !es)
-      (Rng.sample_without_replacement rng n_cnt (min deg n_cnt))
+        add u w)
+      (Rng.sample_without_replacement rng n_cnt deg)
   done;
   (* Keep the layer isolated-free (the core graph has min degree 1): give
      each uncovered N-vertex one random S-neighbor. *)
   for w = 0 to n_cnt - 1 do
-    if not covered.(w) then es := (Rng.int rng s, w) :: !es
+    if not covered.(w) then add (Rng.int rng s) w
   done;
-  create_gen rng ~copies ~s (Bipartite.of_edges ~s ~n:n_cnt !es)
+  create_gen rng ~copies ~s (Bipartite.of_edge_array ~edges:!e ~s ~n:n_cnt ends)
 
 let diameter_estimate t = (2 * t.copies) + 1
 let total_vertices t = Graph.n t.graph

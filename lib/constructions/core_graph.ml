@@ -27,18 +27,22 @@ let create s =
     acc := !acc + size.(v)
   done;
   let n_total = !acc in
-  (* Edges: leaf s+j (S-vertex j) to every block on its root path. *)
-  let es = ref [] in
+  (* Edges: leaf s+j (S-vertex j) to every block on its root path, whose
+     sizes 1, 2, ..., s sum to 2s - 1. *)
+  let ends = Array.make (2 * s * ((2 * s) - 1)) 0 in
+  let k = ref 0 in
   for j = 0 to s - 1 do
     let v = ref (s + j) in
     while !v >= 1 do
       for r = 0 to size.(!v) - 1 do
-        es := (j, offset.(!v) + r) :: !es
+        ends.(2 * !k) <- j;
+        ends.((2 * !k) + 1) <- offset.(!v) + r;
+        incr k
       done;
       v := !v / 2
     done
   done;
-  { s; levels; bip = Bipartite.of_edges ~s ~n:n_total !es; offset; size }
+  { s; levels; bip = Bipartite.of_edge_array ~s ~n:n_total ends; offset; size }
 
 let s t = t.s
 let n_size t = Bipartite.n_count t.bip

@@ -11,13 +11,15 @@ let create ~s ~delta ~beta =
   let n = s * beta in
   (* v_i covers the cyclic window [i·β, i·β + ∆); consecutive windows
      overlap in ∆ − β positions. *)
-  let es = ref [] in
+  let ends = Array.make (2 * s * delta) 0 in
   for i = 0 to s - 1 do
     for r = 0 to delta - 1 do
-      es := (i, ((i * beta) + r) mod n) :: !es
+      let e = (i * delta) + r in
+      ends.(2 * e) <- i;
+      ends.((2 * e) + 1) <- ((i * beta) + r) mod n
     done
   done;
-  { s; delta; beta; bip = Bipartite.of_edges ~s ~n !es }
+  { s; delta; beta; bip = Bipartite.of_edge_array ~s ~n ends }
 
 let bip t = t.bip
 let s t = t.s

@@ -14,27 +14,25 @@ type t = {
   achieved_beta : float;
 }
 
-let blow_up_n core k =
-  if k < 1 then invalid_arg "Gen_core.blow_up_n: k must be >= 1";
+(* Every core edge (u, w) becomes k edges [(su u c, sn w c)], c < k. *)
+let blow_up core k ~s_mult ~n_mult su sn =
   let b = Core_graph.bip core in
-  let s = Bipartite.s_count b and n = Bipartite.n_count b in
-  let es = ref [] in
+  let ends = Array.make (2 * k * Bipartite.m b) 0 and e = ref 0 in
   Bipartite.iter_edges b (fun u w ->
       for c = 0 to k - 1 do
-        es := (u, (w * k) + c) :: !es
+        ends.(2 * !e) <- su u c;
+        ends.((2 * !e) + 1) <- sn w c;
+        incr e
       done);
-  Bipartite.of_edges ~s ~n:(n * k) !es
+  Bipartite.of_edge_array ~s:(Bipartite.s_count b * s_mult) ~n:(Bipartite.n_count b * n_mult) ends
+
+let blow_up_n core k =
+  if k < 1 then invalid_arg "Gen_core.blow_up_n: k must be >= 1";
+  blow_up core k ~s_mult:1 ~n_mult:k (fun u _ -> u) (fun w c -> (w * k) + c)
 
 let blow_up_s core k =
   if k < 1 then invalid_arg "Gen_core.blow_up_s: k must be >= 1";
-  let b = Core_graph.bip core in
-  let s = Bipartite.s_count b and n = Bipartite.n_count b in
-  let es = ref [] in
-  Bipartite.iter_edges b (fun u w ->
-      for c = 0 to k - 1 do
-        es := ((u * k) + c, w) :: !es
-      done);
-  Bipartite.of_edges ~s:(s * k) ~n !es
+  blow_up core k ~s_mult:k ~n_mult:1 (fun u c -> (u * k) + c) (fun w _ -> w)
 
 let e = Float.exp 1.0
 

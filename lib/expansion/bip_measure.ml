@@ -17,7 +17,7 @@ let exact_max_unique ?(work_limit = 1 lsl 24) t =
   let elts = Array.init s (fun i -> i) in
   let best = ref 0 in
   let best_set = ref (Bitset.create s) in
-  Nbhd.Bip.iter_gray_unique t elts (fun s' count ->
+  Nbhd.Bip.iter_gray t elts (fun s' _ count ->
       Metrics.incr m_bip_sets;
       if count > !best then begin
         best := count;
@@ -51,14 +51,15 @@ let wireless_expansion_exact ?work_limit t =
   let m, _ = exact_max_unique ?work_limit t in
   float_of_int m /. float_of_int (Bipartite.s_count t)
 
+(* [iter_candidates consider] calls [consider s' cov] with [cov] the
+   covered count of [s']; the first strict minimum of cov/|S'| wins. *)
 let min_expansion_generic t iter_candidates =
   let s = Bipartite.s_count t in
   let best = ref infinity in
   let best_set = ref (Bitset.create s) in
-  iter_candidates (fun s' ->
+  iter_candidates (fun s' cov ->
       let k = Bitset.cardinal s' in
       if k > 0 then begin
-        let cov = Bitset.cardinal (Nbhd.Bip.covered t s') in
         let v = float_of_int cov /. float_of_int k in
         if v < !best then begin
           best := v;
@@ -71,12 +72,14 @@ let ordinary_expansion_min_exact ?(work_limit = 1 lsl 24) t =
   let s = Bipartite.s_count t in
   if s > 30 || 1 lsl s > work_limit then
     raise (Too_large (Printf.sprintf "Bip_measure.ordinary_expansion_min_exact: 2^%d subsets" s));
-  let full = Bitset.full s in
-  min_expansion_generic t (fun consider -> Bitset.iter_subsets full consider)
+  let elts = Array.init s (fun i -> i) in
+  min_expansion_generic t (fun consider ->
+      Nbhd.Bip.iter_gray t elts (fun s' cov _ -> consider s' cov))
 
 let ordinary_expansion_min_sampled rng ~samples t =
   let s = Bipartite.s_count t in
   min_expansion_generic t (fun consider ->
+      let consider s' = consider s' (Bitset.cardinal (Nbhd.Bip.covered t s')) in
       for u = 0 to s - 1 do
         consider (Bitset.of_list s [ u ])
       done;

@@ -195,32 +195,43 @@ module Bip = struct
     let cnt = counts t s' in
     Array.fold_left (fun acc c -> if c = 1 then acc + 1 else acc) 0 cnt
 
-  let iter_gray_unique t elts f =
+  let iter_gray t elts f =
     let k = Array.length elts in
-    if k > 30 then invalid_arg "Nbhd.Bip.iter_gray_unique: too many elements";
+    if k > 30 then invalid_arg "Nbhd.Bip.iter_gray: too many elements";
     let cnt = Array.make (Bipartite.n_count t) 0 in
-    let uniq = ref 0 in
+    let cov = ref 0 and uniq = ref 0 in
     let buf = Bitset.create (Bipartite.s_count t) in
     let flip u =
-      (* Toggle S-vertex [u]; update per-N counts and the unique counter. *)
+      (* Toggle S-vertex [u]; update per-N counts and both counters. *)
+      let row = Bipartite.neighbors_s t u in
       if Bitset.mem buf u then begin
         Bitset.remove_inplace buf u;
-        Array.iter
-          (fun w ->
-            if cnt.(w) = 1 then decr uniq else if cnt.(w) = 2 then incr uniq;
-            cnt.(w) <- cnt.(w) - 1)
-          (Bipartite.neighbors_s t u)
+        for i = 0 to Array.length row - 1 do
+          let w = row.(i) in
+          let c = cnt.(w) in
+          if c = 1 then begin
+            decr cov;
+            decr uniq
+          end
+          else if c = 2 then incr uniq;
+          cnt.(w) <- c - 1
+        done
       end
       else begin
         Bitset.add_inplace buf u;
-        Array.iter
-          (fun w ->
-            if cnt.(w) = 0 then incr uniq else if cnt.(w) = 1 then decr uniq;
-            cnt.(w) <- cnt.(w) + 1)
-          (Bipartite.neighbors_s t u)
+        for i = 0 to Array.length row - 1 do
+          let w = row.(i) in
+          let c = cnt.(w) in
+          if c = 0 then begin
+            incr cov;
+            incr uniq
+          end
+          else if c = 1 then decr uniq;
+          cnt.(w) <- c + 1
+        done
       end
     in
-    f buf !uniq;
+    f buf !cov !uniq;
     let total = 1 lsl k in
     for i = 1 to total - 1 do
       let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
@@ -231,6 +242,6 @@ module Bip = struct
         go 0
       in
       flip elts.(bit);
-      f buf !uniq
+      f buf !cov !uniq
     done
 end

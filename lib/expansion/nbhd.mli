@@ -116,11 +116,12 @@ module Bip : sig
   val unique_count : Bipartite.t -> Bitset.t -> int
   (** [cardinal (unique t s')] without materializing the set. *)
 
-  val iter_gray_unique : Bipartite.t -> int array -> (Bitset.t -> int -> unit) -> unit
-  (** [iter_gray_unique t elts f] enumerates every subset [S′] of the given
-      S-vertices in Gray-code order, maintaining the unique-coverage count
-      incrementally (O(deg) per step instead of O(m)), and calls
-      [f s' count] for each. The bitset is a reused buffer. Requires
-      [Array.length elts <= 30]. This is the kernel of exact wireless
-      expansion. *)
+  val iter_gray : Bipartite.t -> int array -> (Bitset.t -> int -> int -> unit) -> unit
+  (** [iter_gray t elts f] enumerates every subset [S′] of the given
+      S-vertices in Gray-code order (the order of {!Bitset.iter_subsets}),
+      maintaining per-N counts incrementally (O(deg) per step instead of
+      O(m)), and calls [f s' covered unique] for each, with
+      [covered = |covered t s'|] and [unique = unique_count t s']. The
+      bitset is a reused buffer. Requires [Array.length elts <= 30]. This
+      is the kernel of the exact bipartite measures. *)
 end

@@ -39,8 +39,10 @@ let exact g =
     !best
   end
 
-(* Min-degree peeling. Returns the vertex removal order and, per step, the
-   number of edges and vertices remaining before the removal. *)
+(* Min-degree peeling, lowest index first among equal degrees. A binary
+   heap holds one key deg·n + v per degree a vertex has had. Degrees only
+   fall, so a vertex's stale keys are larger than its current one and
+   surface only after it is peeled, to be skipped. O(m log n). *)
 let peel g =
   let n = Graph.n g in
   let deg = Array.init n (Graph.degree g) in
@@ -50,13 +52,19 @@ let peel g =
   let remaining_edges = Array.make n 0 in
   let remaining_vertices = Array.make n 0 in
   let m = ref (Graph.m g) in
+  let heap = Wx_util.Pq.create_min () in
+  let push v = Wx_util.Pq.push heap ((deg.(v) * n) + v) v in
+  for v = 0 to n - 1 do
+    push v
+  done;
+  let rec next () =
+    match Wx_util.Pq.pop heap with
+    | Some (_, v) when not removed.(v) -> v
+    | Some _ -> next ()
+    | None -> assert false
+  in
   for step = 0 to n - 1 do
-    (* Linear-scan min-degree extraction: O(n²) total, fine at our sizes. *)
-    let v = ref (-1) in
-    for u = 0 to n - 1 do
-      if (not removed.(u)) && (!v = -1 || deg.(u) < deg.(!v)) then v := u
-    done;
-    let v = !v in
+    let v = next () in
     remaining_edges.(step) <- !m;
     remaining_vertices.(step) <- n - step;
     degeneracy := max !degeneracy deg.(v);
@@ -65,7 +73,8 @@ let peel g =
     Graph.iter_neighbors g v (fun w ->
         if not removed.(w) then begin
           deg.(w) <- deg.(w) - 1;
-          decr m
+          decr m;
+          push w
         end)
   done;
   (order, remaining_edges, remaining_vertices, !degeneracy)

@@ -15,6 +15,13 @@ val exact : Graph.t -> int
 (** Exact arboricity [max_U ⌈|E(U)|/(|U|−1)⌉] by subset enumeration.
     Exponential; requires [n ≤ 20]. *)
 
+val peel : Graph.t -> int array * int array * int array * int
+(** Min-degree peeling, the lowest-index vertex first among equal degrees:
+    [(order, remaining_edges, remaining_vertices, degeneracy)], where step
+    [i] removes [order.(i)] from a graph of [remaining_vertices.(i)]
+    vertices and [remaining_edges.(i)] edges, and [degeneracy] is the
+    largest degree seen at removal. O(m log n). *)
+
 val lower_bound_peeling : Graph.t -> int
 (** Arboricity lower bound via the degeneracy-ordering densest-subgraph
     2-approximation: returns [max ⌈density⌉] over the peeling suffixes.

@@ -8,9 +8,16 @@
 
 type t
 
+val of_edge_array : ?edges:int -> s:int -> n:int -> int array -> t
+(** [of_edge_array ~s ~n ends] reads edge [i] as S-vertex [ends.(2i)] to
+    N-vertex [ends.(2i+1)]; [edges] (default [Array.length ends / 2])
+    reads only the first [edges] pairs. Duplicates collapsed; range
+    errors raise. O(s + n + m) by counting-sort transposes, with every row
+    sorted ascending. *)
+
 val of_edges : s:int -> n:int -> (int * int) list -> t
 (** [of_edges ~s ~n edges] where each [(u, w)] connects S-vertex [u] to
-    N-vertex [w]. Duplicates collapsed; range errors raise. *)
+    N-vertex [w]; the list form of {!of_edge_array}. *)
 
 val s_count : t -> int
 val n_count : t -> int

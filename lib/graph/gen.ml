@@ -216,12 +216,17 @@ let random_regular rng n d =
 
 let random_bipartite_sdeg rng ~s ~n ~d =
   if d > n then invalid_arg "Gen.random_bipartite_sdeg: d > n";
-  let es = ref [] in
+  let ends = Array.make (2 * s * d) 0 in
   for u = 0 to s - 1 do
     let nbrs = Rng.sample_without_replacement rng n d in
-    Array.iter (fun w -> es := (u, w) :: !es) nbrs
+    Array.iteri
+      (fun i w ->
+        let e = (u * d) + i in
+        ends.(2 * e) <- u;
+        ends.((2 * e) + 1) <- w)
+      nbrs
   done;
-  Bipartite.of_edges ~s ~n !es
+  Bipartite.of_edge_array ~s ~n ends
 
 let margulis m =
   if m < 2 then invalid_arg "Gen.margulis";
@@ -258,7 +263,7 @@ let double_cover g =
 let bipartite_matching rng n =
   if n < 1 then invalid_arg "Gen.bipartite_matching";
   let perm = Rng.permutation rng n in
-  Bipartite.of_edges ~s:n ~n (List.init n (fun i -> (i, perm.(i))))
+  Bipartite.of_edge_array ~s:n ~n (Array.init (2 * n) (fun i -> if i land 1 = 0 then i / 2 else perm.(i / 2)))
 
 let lollipop clique tail =
   if clique < 3 || tail < 1 then invalid_arg "Gen.lollipop";

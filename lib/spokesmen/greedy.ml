@@ -1,39 +1,60 @@
 module Bitset = Wx_util.Bitset
 module Bipartite = Wx_graph.Bipartite
 
-(* Incremental objective state: per-N coverage counts and the current
-   number of uniquely covered vertices. *)
-type state = { cnt : int array; mutable uniq : int; chosen : Bitset.t }
+(* Incremental objective state: per-N coverage counts, the current number
+   of uniquely covered vertices, and per-S marginal gains. A count c of
+   N-vertex w contributes to each S-neighbor's add gain +1 at c = 0 and -1
+   at c = 1, and to its remove gain -1 at c = 1 and +1 at c = 2, so the
+   gains move only when a count crosses 0/1/2. *)
+type state = {
+  cnt : int array;
+  mutable uniq : int;
+  chosen : Bitset.t;
+  add_gain : int array;
+  remove_gain : int array;
+}
 
 let make_state t =
-  { cnt = Array.make (Bipartite.n_count t) 0; uniq = 0; chosen = Bitset.create (Bipartite.s_count t) }
+  let s = Bipartite.s_count t in
+  {
+    cnt = Array.make (Bipartite.n_count t) 0;
+    uniq = 0;
+    chosen = Bitset.create s;
+    add_gain = Array.init s (Bipartite.deg_s t);
+    remove_gain = Array.make s 0;
+  }
 
-let gain_of_add t st u =
-  Array.fold_left
-    (fun acc w ->
-      match st.cnt.(w) with 0 -> acc + 1 | 1 -> acc - 1 | _ -> acc)
-    0 (Bipartite.neighbors_s t u)
+let add_part c = match c with 0 -> 1 | 1 -> -1 | _ -> 0
+let remove_part c = match c with 1 -> -1 | 2 -> 1 | _ -> 0
 
-let gain_of_remove t st u =
-  Array.fold_left
-    (fun acc w ->
-      match st.cnt.(w) with 1 -> acc - 1 | 2 -> acc + 1 | _ -> acc)
-    0 (Bipartite.neighbors_s t u)
+(* Move cnt.(w) from [c] to [c'] and shift its S-neighbors' gains. *)
+let set_count t st w c c' =
+  st.cnt.(w) <- c';
+  if c <= 2 || c' <= 2 then begin
+    let da = add_part c' - add_part c and dr = remove_part c' - remove_part c in
+    Array.iter
+      (fun x ->
+        st.add_gain.(x) <- st.add_gain.(x) + da;
+        st.remove_gain.(x) <- st.remove_gain.(x) + dr)
+      (Bipartite.neighbors_n t w)
+  end
 
 let apply_add t st u =
   Bitset.add_inplace st.chosen u;
   Array.iter
     (fun w ->
-      (match st.cnt.(w) with 0 -> st.uniq <- st.uniq + 1 | 1 -> st.uniq <- st.uniq - 1 | _ -> ());
-      st.cnt.(w) <- st.cnt.(w) + 1)
+      let c = st.cnt.(w) in
+      (match c with 0 -> st.uniq <- st.uniq + 1 | 1 -> st.uniq <- st.uniq - 1 | _ -> ());
+      set_count t st w c (c + 1))
     (Bipartite.neighbors_s t u)
 
 let apply_remove t st u =
   Bitset.remove_inplace st.chosen u;
   Array.iter
     (fun w ->
-      (match st.cnt.(w) with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
-      st.cnt.(w) <- st.cnt.(w) - 1)
+      let c = st.cnt.(w) in
+      (match c with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
+      set_count t st w c (c - 1))
     (Bipartite.neighbors_s t u)
 
 let greedy_pass t st =
@@ -42,25 +63,24 @@ let greedy_pass t st =
   while !continue_ do
     let best_u = ref (-1) and best_g = ref 0 in
     for u = 0 to s - 1 do
-      if not (Bitset.mem st.chosen u) then begin
-        let g = gain_of_add t st u in
-        if g > !best_g then begin
-          best_g := g;
-          best_u := u
-        end
+      if st.add_gain.(u) > !best_g && not (Bitset.mem st.chosen u) then begin
+        best_g := st.add_gain.(u);
+        best_u := u
       end
     done;
     if !best_u >= 0 then apply_add t st !best_u else continue_ := false
   done
 
+(* Visits the chosen vertices in ascending order; removing u changes no
+   membership ahead of it. *)
 let removal_pass t st =
   let changed = ref false in
-  Bitset.iter
-    (fun u -> if gain_of_remove t st u > 0 then begin
-         apply_remove t st u;
-         changed := true
-       end)
-    (Bitset.copy st.chosen);
+  for u = 0 to Bipartite.s_count t - 1 do
+    if Bitset.mem st.chosen u && st.remove_gain.(u) > 0 then begin
+      apply_remove t st u;
+      changed := true
+    end
+  done;
   !changed
 
 let solve t =

@@ -6,60 +6,90 @@ type trace = { s_uni : Bitset.t; n_uni : Bitset.t; steps : int }
 let run t =
   let s = Bipartite.s_count t and n = Bipartite.n_count t in
   let s_tmp = Bitset.full s and n_tmp = Bitset.full n in
+  (* live.(w) = |Γ(w, Stmp)|, decremented as S-vertices leave Stmp. *)
+  let live = Array.init n (Bipartite.deg_n t) in
+  let n_left = ref n in
   (* Isolated N-vertices can never be covered; exclude them up front (the
      paper's framework assumes minimum degree 1, so this only widens the
      procedure's domain — the γ/∆ guarantee then counts coverable N). *)
   for w = 0 to n - 1 do
-    if Bipartite.deg_n t w = 0 then Bitset.remove_inplace n_tmp w
+    if live.(w) = 0 then begin
+      Bitset.remove_inplace n_tmp w;
+      decr n_left
+    end
   done;
   let s_uni = Bitset.create s and n_uni = Bitset.create n in
+  (* Γ(v, Stmp) in gv.(0 .. ng-1), ascending; Qv in qv.(0 .. nq-1). A
+     vertex u joins Qv once per step (stamp.(u) = step) and hits.(u)
+     counts its neighbours in Γ(v, Stmp). *)
+  let gv = Array.make s 0 and qv = Array.make n 0 in
+  let stamp = Array.make n 0 and hits = Array.make n 0 in
   let steps = ref 0 in
-  (* Γ(v, Stmp) as a sorted list of live S-neighbors. *)
-  let live_nbrs v =
-    Array.to_list (Array.of_seq
-      (Seq.filter (Bitset.mem s_tmp) (Array.to_seq (Bipartite.neighbors_n t v))))
-  in
-  while not (Bitset.is_empty n_tmp) do
+  while !n_left > 0 do
     incr steps;
-    (* v ∈ Ntmp minimizing |Γ(v, Stmp)|. Invariant (I4) guarantees ≥ 1. *)
+    let step = !steps in
+    (* v ∈ Ntmp minimizing |Γ(v, Stmp)|, lowest index on ties. Invariant
+       (I4) guarantees ≥ 1. *)
     let v = ref (-1) and vdeg = ref max_int in
-    Bitset.iter
-      (fun w ->
-        let d = List.length (live_nbrs w) in
-        if d < !vdeg then begin
-          v := w;
-          vdeg := d
+    for w = 0 to n - 1 do
+      if live.(w) < !vdeg && Bitset.mem n_tmp w then begin
+        v := w;
+        vdeg := live.(w)
+      end
+    done;
+    let ng = ref 0 in
+    Array.iter
+      (fun x ->
+        if Bitset.mem s_tmp x then begin
+          gv.(!ng) <- x;
+          incr ng
         end)
-      n_tmp;
-    let v = !v in
-    let gv = live_nbrs v in
-    assert (gv <> []);
-    let gv_set = Bitset.of_list s gv in
-    (* Qv: N-vertices of Ntmp incident on Γ(v, Stmp); split into Q'v (same
-       live neighborhood as v) and Q''v. *)
-    let q'v = ref [] and q''v = ref [] in
-    Bitset.iter
-      (fun u ->
-        let nbrs = live_nbrs u in
-        let touches = List.exists (fun x -> Bitset.mem gv_set x) nbrs in
-        if touches then
-          if nbrs = gv then q'v := u :: !q'v else q''v := u :: !q''v)
-      n_tmp;
+      (Bipartite.neighbors_n t !v);
+    let ng = !ng in
+    assert (ng > 0);
+    (* Qv: N-vertices of Ntmp incident on Γ(v, Stmp). *)
+    let nq = ref 0 in
+    for i = 0 to ng - 1 do
+      Array.iter
+        (fun u ->
+          if Bitset.mem n_tmp u then begin
+            if stamp.(u) <> step then begin
+              stamp.(u) <- step;
+              hits.(u) <- 0;
+              qv.(!nq) <- u;
+              incr nq
+            end;
+            hits.(u) <- hits.(u) + 1
+          end)
+        (Bipartite.neighbors_s t gv.(i))
+    done;
     (* Promote one vertex w of Γ(v, Stmp); discard the others from Stmp. *)
-    let w = List.hd gv in
-    List.iter (fun x -> Bitset.remove_inplace s_tmp x) gv;
+    let w = gv.(0) in
     Bitset.add_inplace s_uni w;
-    (* Q'v moves to Nuni; neighbors of w inside Q''v leave Ntmp entirely. *)
-    List.iter
-      (fun u ->
+    (* Q'v (same live neighborhood as v: all of it inside Γ(v, Stmp) and
+       as large) moves to Nuni. *)
+    for j = 0 to !nq - 1 do
+      let u = qv.(j) in
+      if hits.(u) = ng && live.(u) = ng then begin
         Bitset.remove_inplace n_tmp u;
-        Bitset.add_inplace n_uni u)
-      !q'v;
-    List.iter
+        decr n_left;
+        Bitset.add_inplace n_uni u
+      end
+    done;
+    (* Q''v: the rest of Qv; its neighbors of w leave Ntmp entirely. Qv
+       holds every Ntmp-neighbor of w, so these are the ones still there. *)
+    Array.iter
       (fun u ->
-        if Array.exists (fun x -> x = w) (Bipartite.neighbors_n t u) then
-          Bitset.remove_inplace n_tmp u)
-      !q''v
+        if Bitset.mem n_tmp u then begin
+          Bitset.remove_inplace n_tmp u;
+          decr n_left
+        end)
+      (Bipartite.neighbors_s t w);
+    for i = 0 to ng - 1 do
+      let x = gv.(i) in
+      Bitset.remove_inplace s_tmp x;
+      Array.iter (fun y -> live.(y) <- live.(y) - 1) (Bipartite.neighbors_s t x)
+    done
   done;
   { s_uni; n_uni; steps = !steps }
 

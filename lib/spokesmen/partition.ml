@@ -36,19 +36,22 @@ let run ?restrict_n t =
   let s_tmp = Bitset.full s in
   let s_uni = Bitset.create s in
   let n_uni = Bitset.create n and n_many = Bitset.create n in
+  (* gains.(v) = gain v, shifted by [d] on each S-neighbor of an N-vertex
+     that changes class: Ntmp -> Nuni costs 1 + 2, Nuni -> Nmany gives 2
+     back. *)
+  let gains = Array.init s (fun v -> gain_of t ~n_tmp ~n_uni v) in
+  let shift w d = Array.iter (fun x -> gains.(x) <- gains.(x) + d) (Bipartite.neighbors_n t w) in
   let steps = ref 0 in
   let continue_ = ref true in
   while !continue_ && not (Bitset.is_empty s_tmp) do
-    (* Pick v ∈ Stmp of maximum gain. *)
+    (* Pick v ∈ Stmp of maximum gain, lowest index on ties. *)
     let best_v = ref (-1) and best_g = ref min_int in
-    Bitset.iter
-      (fun v ->
-        let g = gain_of t ~n_tmp ~n_uni v in
-        if g > !best_g then begin
-          best_g := g;
-          best_v := v
-        end)
-      s_tmp;
+    for v = 0 to s - 1 do
+      if gains.(v) > !best_g && Bitset.mem s_tmp v then begin
+        best_g := gains.(v);
+        best_v := v
+      end
+    done;
     if !best_g <= 0 then continue_ := false
     else begin
       incr steps;
@@ -60,11 +63,13 @@ let run ?restrict_n t =
           if Bitset.mem n_uni w then begin
             (* Preserve (P1): w now has two Suni neighbors — demote. *)
             Bitset.remove_inplace n_uni w;
-            Bitset.add_inplace n_many w
+            Bitset.add_inplace n_many w;
+            shift w 2
           end
           else if Bitset.mem n_tmp w then begin
             Bitset.remove_inplace n_tmp w;
-            Bitset.add_inplace n_uni w
+            Bitset.add_inplace n_uni w;
+            shift w (-3)
           end)
         (Bipartite.neighbors_s t v)
     end

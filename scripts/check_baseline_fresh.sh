@@ -27,13 +27,19 @@ baseline=bench/baseline.json
 # per-draw allocation lands in every alloc baseline), and the exposition
 # server (its scrape
 # handling shares the registry the counted runs publish into, so a change
-# there can shift the instrumented-path cost the baseline certifies).
+# there can shift the instrumented-path cost the baseline certifies), and
+# the Section 4 code experiments E3-E10 time: the spokesmen solvers, the
+# constructions, the bipartite build they all go through, and the claim
+# checks.
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
          lib/util/guard.ml lib/util/guard.mli
          lib/util/rng.ml lib/util/rng.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio
-         lib/graph/graph.ml lib/obs/expose.ml)
+         lib/graph/graph.ml lib/obs/expose.ml
+         lib/spokesmen lib/constructions
+         lib/graph/bipartite.ml lib/graph/bipartite.mli
+         lib/core/theorems.ml)
 
 if [ ! -f "$baseline" ]; then
   echo "error: $baseline missing" >&2

@@ -4,12 +4,15 @@
 # cmdliner wiring — prof propagating the inner command's failure, the
 # history append/show/gate loop on a real report, prof diff on real
 # traces, the bench gates failing when they should (the
-# WX_BENCH_*_HANDICAP hooks), broadcast's protocol and option surface. Run by dune (see test/dune): $1 = wx.exe, $2 = a committed
-# wx-bench report.
+# WX_BENCH_*_HANDICAP hooks), broadcast's protocol and option surface,
+# and verify-paper's claim lines against their golden copy. Run by dune
+# (see test/dune): $1 = wx.exe, $2 = a committed wx-bench report, $3 =
+# the pinned claim.check lines of `wx verify-paper --json`.
 set -u
 
 WX=$1
 REPORT=$2
+CLAIMS=$3
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -44,8 +47,8 @@ check "prof with no inner command is a usage error" 2 $?
 "$WX" prof --out "$tmp/b.trace" -- core 256 >/dev/null 2>&1
 "$WX" prof diff "$tmp/a.trace" "$tmp/a.trace" >/dev/null 2>&1
 check "prof diff of a trace against itself is clean" 0 $?
-# core 256 spends tens of milliseconds more self time than core 64: a real
-# regression, which --soft reports without failing.
+# core 256 spends about ten times core 64's self time (over 10 ms more): a
+# real regression, which --soft reports without failing.
 "$WX" prof diff "$tmp/a.trace" "$tmp/b.trace" >/dev/null 2>&1
 check "prof diff flags a real self-time regression" 1 $?
 "$WX" prof diff --soft "$tmp/a.trace" "$tmp/b.trace" >/dev/null 2>&1
@@ -56,6 +59,16 @@ check "prof diff on a non-trace exits 2" 2 $?
 # ---- info answers on large graphs ----
 "$WX" info path 30000 >/dev/null 2>&1
 check "info on a 30000-vertex path exits 0" 0 $?
+
+# ---- verify-paper claims are pinned byte for byte ----
+# Every claim.check line (claim, instance, predicted, measured, holds) at
+# the default seed. The closing metrics line is left out: its pruning
+# counters vary run to run when jobs > 1.
+"$WX" verify-paper --json 2>/dev/null | grep '"event":"claim.check"' >"$tmp/claims.ndjson"
+cmp -s "$CLAIMS" "$tmp/claims.ndjson"
+check "verify-paper claim lines match the golden copy" 0 $?
+test "$(wc -l <"$CLAIMS")" -eq 202
+check "the golden copy holds 202 claims" 0 $?
 
 # ---- bench history ----
 L="$tmp/ledger.ndjson"

@@ -43,6 +43,21 @@ let arbitrary_bipartite ~smax ~nmax =
       let r = Rng.create seed in
       return (Wx_graph.Gen.random_bipartite_sdeg r ~s ~n ~d))
 
+(* A raw bipartite edge list [(s, n, edges)]: endpoints drawn independently,
+   so small sides give repeated edges and sparse lists leave vertices of
+   either side isolated. *)
+let arbitrary_bipartite_edges ~smax ~nmax =
+  QCheck.make
+    ~print:(fun (s, n, es) ->
+      Printf.sprintf "s=%d n=%d [%s]" s n
+        (String.concat "; " (List.map (fun (u, w) -> Printf.sprintf "%d,%d" u w) es)))
+    QCheck.Gen.(
+      let* s = int_range 1 smax in
+      let* n = int_range 1 nmax in
+      let* m = int_range 0 (3 * (s + n)) in
+      let* es = list_repeat m (pair (int_bound (s - 1)) (int_bound (n - 1))) in
+      return (s, n, es))
+
 let qcheck ?(count = 100) name prop arb =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

@@ -47,6 +47,9 @@ let test_paper_lower_bound () =
 
 let qcheck_tests =
   [
+    qcheck ~count:200 "peel = linear-scan reference"
+      (fun g -> Arboricity.peel g = Reference_kernels.peel g)
+      (arbitrary_graph ~lo:0 ~hi:40);
     qcheck ~count:30 "peeling <= exact <= degeneracy"
       (fun g ->
         if Graph.n g > 14 || Graph.n g < 2 then true

@@ -76,8 +76,47 @@ let test_of_set_neighborhood_cplus () =
   let uniq = Wx_expansion.Nbhd.Bip.unique_count t (Bitset.full 3) in
   check_int "no unique for full set" 0 uniq
 
+let ends_of es =
+  let a = Array.make (2 * List.length es) 0 in
+  List.iteri
+    (fun i (u, w) ->
+      a.(2 * i) <- u;
+      a.((2 * i) + 1) <- w)
+    es;
+  a
+
+let same_as_reference ~s ~n es t =
+  let adj_s, adj_n, m = Reference_kernels.bipartite_rows ~s ~n es in
+  Bipartite.m t = m
+  && Array.for_all Fun.id (Array.mapi (fun u row -> Bipartite.neighbors_s t u = row) adj_s)
+  && Array.for_all Fun.id (Array.mapi (fun w row -> Bipartite.neighbors_n t w = row) adj_n)
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
 let qcheck_tests =
+  let arb = arbitrary_bipartite_edges ~smax:12 ~nmax:16 in
   [
+    qcheck ~count:200 "of_edges = Hashtbl reference"
+      (fun (s, n, es) -> same_as_reference ~s ~n es (Bipartite.of_edges ~s ~n es))
+      arb;
+    qcheck ~count:200 "of_edge_array = Hashtbl reference, whole and prefix"
+      (fun (s, n, es) ->
+        let k = List.length es / 2 in
+        same_as_reference ~s ~n es (Bipartite.of_edge_array ~s ~n (ends_of es))
+        && same_as_reference ~s ~n
+             (List.filteri (fun i _ -> i < k) es)
+             (Bipartite.of_edge_array ~edges:k ~s ~n (ends_of es)))
+      arb;
+    qcheck ~count:100 "out-of-range endpoints raise"
+      (fun (s, n, es) ->
+        List.for_all
+          (fun bad ->
+            let es = es @ [ bad ] in
+            raises (fun () -> Reference_kernels.bipartite_rows ~s ~n es)
+            && raises (fun () -> Bipartite.of_edges ~s ~n es)
+            && raises (fun () -> Bipartite.of_edge_array ~s ~n (ends_of es)))
+          [ (s, 0); (0, n); (-1, 0); (0, -1) ])
+      arb;
     qcheck ~count:50 "handshake both sides"
       (fun t ->
         let sum_s = ref 0 and sum_n = ref 0 in

@@ -195,6 +195,13 @@ let test_bip_sampled_max_lower_bounds_exact () =
 
 let qcheck_tests =
   [
+    qcheck ~count:150 "bipartite ordinary min exact = reference"
+      (fun (s, n, es) ->
+        let t = Bipartite.of_edges ~s ~n es in
+        let v, w = Bip_measure.ordinary_expansion_min_exact t in
+        let v', w' = Reference_kernels.ordinary_expansion_min t in
+        Float.equal v v' && Bitset.equal w w')
+      (arbitrary_bipartite_edges ~smax:12 ~nmax:16);
     qcheck ~count:25 "Obs 2.1 on random graphs"
       (fun g ->
         if Graph.n g > 10 || Graph.n g < 2 then true

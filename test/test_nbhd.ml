@@ -67,8 +67,9 @@ let test_bip_unique_full () =
 let test_gray_unique_matches_direct () =
   let elts = [| 0; 1; 2 |] in
   let count = ref 0 in
-  Nbhd.Bip.iter_gray_unique inst elts (fun s' c ->
+  Nbhd.Bip.iter_gray inst elts (fun s' cov c ->
       incr count;
+      check_int "gray covered vs direct" (Bitset.cardinal (Nbhd.Bip.covered inst s')) cov;
       check_int "gray vs direct" (Nbhd.Bip.unique_count inst s') c);
   check_int "2^3 subsets" 8 !count
 
@@ -83,9 +84,10 @@ let qcheck_tests =
           let elts = Array.init s (fun i -> i) in
           let seen = ref 0 in
           let ok = ref true in
-          Nbhd.Bip.iter_gray_unique t elts (fun s' c ->
+          Nbhd.Bip.iter_gray t elts (fun s' cov c ->
               incr seen;
-              if Nbhd.Bip.unique_count t s' <> c then ok := false);
+              if Nbhd.Bip.unique_count t s' <> c then ok := false;
+              if Bitset.cardinal (Nbhd.Bip.covered t s') <> cov then ok := false);
           !ok && !seen = 1 lsl s
         end)
       arb;

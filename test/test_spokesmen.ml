@@ -4,6 +4,7 @@ module Naive = Wx_spokesmen.Naive
 module Partition = Wx_spokesmen.Partition
 module Buckets = Wx_spokesmen.Buckets
 module Exact = Wx_spokesmen.Exact
+module Greedy = Wx_spokesmen.Greedy
 module Portfolio = Wx_spokesmen.Portfolio
 module Bounds = Wx_expansion.Bounds
 module Bipartite = Wx_graph.Bipartite
@@ -301,9 +302,43 @@ let test_portfolio_is_max_of_parts () =
   in
   check_int "portfolio = max" max_part best.Solver.covered
 
+let partition_matches_reference ?restrict_n t =
+  let st = Partition.run ?restrict_n t in
+  let s_uni, s_tmp, n_uni, n_many, n_tmp, steps = Reference_kernels.partition_run ?restrict_n t in
+  Bitset.equal st.Partition.s_uni s_uni
+  && Bitset.equal st.Partition.s_tmp s_tmp
+  && Bitset.equal st.Partition.n_uni n_uni
+  && Bitset.equal st.Partition.n_many n_many
+  && Bitset.equal st.Partition.n_tmp n_tmp
+  && st.Partition.steps = steps
+
 let qcheck_tests =
   let arb = arbitrary_bipartite ~smax:12 ~nmax:16 in
+  let raw = arbitrary_bipartite_edges ~smax:14 ~nmax:18 in
+  let of_raw (s, n, es) = Bipartite.of_edges ~s ~n es in
   [
+    qcheck ~count:1000 "naive = reference (isolated, repeated edges)"
+      (fun e ->
+        let t = of_raw e in
+        let tr = Naive.run t in
+        let s_uni, n_uni, steps = Reference_kernels.naive_run t in
+        Bitset.equal tr.Naive.s_uni s_uni && Bitset.equal tr.Naive.n_uni n_uni
+        && tr.Naive.steps = steps)
+      raw;
+    qcheck ~count:1000 "partition = reference, with and without restrict_n"
+      (fun ((_, n, es) as e) ->
+        let t = of_raw e in
+        let r = Wx_util.Rng.create (List.length es) in
+        let restrict_n = Bitset.random_subset r (Bitset.full n) 0.6 in
+        partition_matches_reference t && partition_matches_reference ~restrict_n t)
+      raw;
+    qcheck ~count:1000 "greedy and greedy-local = reference"
+      (fun e ->
+        let t = of_raw e in
+        Bitset.equal (Greedy.solve t).Solver.chosen (Reference_kernels.Greedy.solve t)
+        && Bitset.equal (Greedy.solve_with_removal t).Solver.chosen
+             (Reference_kernels.Greedy.solve_with_removal t))
+      raw;
     qcheck ~count:40 "naive guarantee γ/∆ (random)"
       (fun t ->
         if Bipartite.has_isolated t then true
