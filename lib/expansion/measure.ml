@@ -276,34 +276,54 @@ let wireless_scorer g inc =
 
    Branch-and-bound: after scoring a set S the scorer's [bound_num] gives
    a floor on the measure's numerator over every strict extension of S;
-   dividing by the largest reachable set size lower-bounds the measure
-   over the whole subtree. The subtree is cut only when that bound is
-   STRICTLY above the shared incumbent — the smallest value any unit has
-   scored so far, which only decreases toward the true minimum — so no
-   minimiser or equal-valued (tie-broken) set is ever skipped. Correctly
-   rounded float division is monotone in its real argument, so the float
-   comparison inherits the soundness of the integer inequality. Values
-   and witnesses are therefore bit-identical to the unpruned enumeration
-   at any job count; only the visit COUNT is timing-dependent (DESIGN
-   §11). Determinism of the result never rests on the incumbent: the
-   min + lex tiebreak is order-independent, and the pool combines unit
-   results in (shard, part) order. *)
+   dividing by the largest reachable set size gives a bound [lb] on the
+   measure over the whole subtree. Correctly rounded float division is
+   monotone in its real argument, so the float comparisons below inherit
+   the soundness of the integer inequality.
+
+   The cut is tie-aware because the visit order IS the tiebreak order: a
+   unit's DFS walks its sets in lexicographic pre-order (a set before its
+   extensions, which all sort after it and after everything visited so
+   far), and units in (shard, part) order cover consecutive lex intervals.
+   The shared incumbent is the best (value, unit rank) pair published so
+   far. The subtree of S is cut when
+   - [lb > v] for the incumbent's value [v]: every set in it is worse;
+   - [lb >= v] and the incumbent came from a lower-ranked unit: every set
+     in it is worse or ties a lex-smaller set, so it loses the tiebreak;
+   - [lb >=] the unit's own best so far, which was visited earlier in the
+     same DFS and is therefore lex-smaller than the whole subtree.
+   So the lex-smallest minimiser is never cut, and values and witnesses
+   are bit-identical to the unpruned enumeration at any job count; only
+   the visit COUNT is timing-dependent (DESIGN §11). Determinism of the
+   result never rests on the incumbent: the min + lex tiebreak is
+   order-independent, and the pool combines unit results in (shard, part)
+   order. *)
+
+(* The shared incumbent: a value some unit scored and that unit's rank.
+   Immutable, so one [Atomic.get] reads a consistent pair. *)
+type incumbent = { inc_v : float; inc_a : int; inc_part : int }
+
+(* Unit (a, p) ranks before unit (a', p'): it covers lex-smaller sets. *)
+let rank_lt a p a' p' = a < a' || (a = a' && p < p')
 
 let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
   let n = Graph.n g in
-  (* Shared incumbent, read by every unit's pruning test. Stored as a
-     boxed float Atomic: OCaml ints cannot hold the bit pattern of every
-     double, and the box only allocates on publication — which the CAS
-     loop attempts only on strict improvement. *)
-  let incumbent = Atomic.make infinity in
-  let rec publish v =
+  (* Read by every unit's pruning test. The box only allocates on
+     publication: on a lower value, or an equal one from a lower-ranked
+     unit. *)
+  let incumbent = Atomic.make { inc_v = infinity; inc_a = max_int; inc_part = max_int } in
+  let rec publish v a part =
     let cur = Atomic.get incumbent in
-    if v < cur && not (Atomic.compare_and_set incumbent cur v) then publish v
+    if
+      (v < cur.inc_v || (v = cur.inc_v && rank_lt a part cur.inc_a cur.inc_part))
+      && not (Atomic.compare_and_set incumbent cur { inc_v = v; inc_a = a; inc_part = part })
+    then publish v a part
   in
   let scratch = max 1 (min kmax n) in
   (* One work unit: the sub-shard of smallest-element [a] whose second
-     element lies in [blo, bhi), plus the singleton {a} iff [self]. *)
-  let unit_body a ~blo ~bhi ~self =
+     element lies in [blo, bhi), plus the singleton {a} iff [self]; [part]
+     ranks it among the shard's units. *)
+  let unit_body a ~part ~blo ~bhi ~self =
     let inc = Nbhd.Inc.create g in
     let sc = make_scorer inc in
     let prev = Array.make scratch 0 in
@@ -343,17 +363,19 @@ let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
         (* Prune decision for the subtree of strict extensions. [budget] =
            how many vertices an extension can still add; the largest
            reachable size [len + budget] is the denominator floor's mate.
-           Strict [>]: equal-valued subtrees survive so the lex tiebreak
-           sees every candidate witness it would have seen unpruned. *)
+           The three-way cut is the one argued above. *)
         prune
         && begin
-             if v < Atomic.get incumbent then publish v;
+             publish v a part;
              let budget = min (kmax - len) (n - 1 - buf.(len - 1)) in
              budget > 0
              && begin
                   let floor_num = sc.bound_num ~last:buf.(len - 1) ~budget in
                   let lb = float_of_int floor_num /. float_of_int (len + budget) in
-                  lb > Atomic.get incumbent
+                  let c = Atomic.get incumbent in
+                  (lb > c.inc_v
+                  || (lb >= c.inc_v && rank_lt c.inc_a c.inc_part a part)
+                  || lb >= best_v.(0))
                   &&
                   (incr cut;
                    true)
@@ -380,7 +402,7 @@ let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
      are consistent and partition [a+1, n). *)
   let shard_weight a = Combi.count_subsets_upto_float (n - 1 - a) (kmax - 1) in
   let map a ~part ~parts =
-    if parts = 1 then unit_body a ~blo:(a + 1) ~bhi:n ~self:true
+    if parts = 1 then unit_body a ~part ~blo:(a + 1) ~bhi:n ~self:true
     else begin
       let wgt b = Combi.count_subsets_upto_float (n - 1 - b) (kmax - 2) in
       let total = ref 0.0 in
@@ -401,7 +423,7 @@ let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
           !b
         end
       in
-      unit_body a ~blo:(lo part) ~bhi:(lo (part + 1)) ~self:(part = 0)
+      unit_body a ~part ~blo:(lo part) ~bhi:(lo (part + 1)) ~self:(part = 0)
     end
   in
   match

@@ -29,16 +29,23 @@
 
     {2 Branch-and-bound pruning}
 
-    The exact enumerations walk the subset space as a pre-order DFS and
-    cut whole subtrees whose monotone lower bound is {e strictly} worse
-    than the best value found so far — an incumbent shared across worker
-    domains, so one shard's find prunes the others. Because only
-    strictly-worse subtrees are cut and the incumbent only decreases
-    toward the true minimum, pruning changes the number of sets visited
-    (timing-dependent, observable in the [expansion.subtrees_pruned]
-    counter) but never the value or the lex-smallest witness: both stay
-    bit-identical to the unpruned enumeration, which [~prune:false]
-    selects (the reference path, and the bench's comparison baseline).
+    The exact enumerations walk the subset space as a pre-order DFS,
+    which visits sets in lexicographic order — the witness tiebreak
+    order — and split it into work units ranked by (shard, part), which
+    cover consecutive lex ranges. After scoring a set, a monotone lower
+    bound [lb] over all its extensions decides whether to cut them. The
+    cut fires when [lb] is above the incumbent (the best value any unit
+    has published, shared across worker domains, so one shard's find
+    prunes the others); when [lb] equals or exceeds the incumbent and
+    that came from a lower-ranked unit; or when [lb] equals or exceeds
+    the unit's own best so far, which was visited earlier in the same
+    DFS. A cut subtree can only hold worse sets or ties that sort after
+    a set already found, and so lose the tiebreak. Pruning therefore
+    changes the number of sets visited (timing-dependent at [jobs > 1],
+    observable in the [expansion.subtrees_pruned] counter) but never the
+    value or the lex-smallest witness: both stay bit-identical to the
+    unpruned enumeration, which [~prune:false] selects (the reference
+    path, and the bench's comparison baseline).
     DESIGN.md §11 derives the per-measure bounds. *)
 
 module Bitset = Wx_util.Bitset

@@ -20,21 +20,34 @@ let parse_ints ~expected lineno line =
       | None -> failwith (Printf.sprintf "line %d: not an integer: %S" lineno p))
     parts
 
+let max_count = 1 lsl 24
+
+(* Header counts are checked before anything is sized by them, so a
+   hostile header fails here instead of in [Array.make]. *)
+let check_count lineno what v =
+  if v < 0 then failwith (Printf.sprintf "line %d: negative %s %d" lineno what v);
+  if v > max_count then
+    failwith (Printf.sprintf "line %d: %s %d exceeds the limit %d" lineno what v max_count)
+
+let check_endpoint lineno line x bound =
+  if x < 0 || x >= bound then
+    failwith (Printf.sprintf "line %d: endpoint out of range [0, %d): %S" lineno bound line)
+
 let of_string s =
   match meaningful_lines s with
   | [] -> failwith "Graph_io.of_string: empty input"
   | (ln, header) :: rest -> begin
       match parse_ints ~expected:2 ln header with
       | [ n; m ] ->
-          if n < 0 then failwith (Printf.sprintf "line %d: negative vertex count %d" ln n);
+          check_count ln "vertex count" n;
+          check_count ln "edge count" m;
           let edges =
             List.map
               (fun (lineno, line) ->
                 match parse_ints ~expected:2 lineno line with
                 | [ u; v ] ->
-                    if u < 0 || u >= n || v < 0 || v >= n then
-                      failwith
-                        (Printf.sprintf "line %d: endpoint out of range [0, %d): %S" lineno n line);
+                    check_endpoint lineno line u n;
+                    check_endpoint lineno line v n;
                     if u = v then failwith (Printf.sprintf "line %d: self-loop %S" lineno line);
                     (u, v)
                 | _ -> assert false)
@@ -71,11 +84,17 @@ let bipartite_of_string s =
   | (ln, header) :: rest -> begin
       match parse_ints ~expected:3 ln header with
       | [ s_cnt; n_cnt; m ] ->
+          check_count ln "S count" s_cnt;
+          check_count ln "N count" n_cnt;
+          check_count ln "edge count" m;
           let edges =
             List.map
               (fun (lineno, line) ->
                 match parse_ints ~expected:2 lineno line with
-                | [ u; w ] -> (u, w)
+                | [ u; w ] ->
+                    check_endpoint lineno line u s_cnt;
+                    check_endpoint lineno line w n_cnt;
+                    (u, w)
                 | _ -> assert false)
               rest
           in

@@ -30,13 +30,20 @@
 
     {2 Determinism}
 
-    Task boundaries depend only on the inputs (never on [jobs] or on
-    scheduling), and the final fold walks tasks in index order, so the
-    result is a deterministic function of the inputs whenever [combine] is
-    associative with [init] as a neutral element. Callers that need a
-    canonical witness under ties (e.g. min-with-lexicographic-tiebreak)
-    get scheduling-independent answers at any job count, including
-    [jobs = 1].
+    What never depends on [jobs] or on scheduling is the fold: task
+    results are combined by the calling domain in [(index, part)] order.
+    The task boundaries themselves need not be job-independent.
+    {!parallel_reduce_ranges} cuts slices from [n] and [range] alone, but
+    {!parallel_reduce_weighted} splits an index into a number of parts
+    that grows with [jobs] (its target weight is the total over
+    [8 * jobs]). So anything a task counts about its own slice, such as
+    how often a unit improved its local best, may vary with the job count.
+    The result is a deterministic function of the inputs whenever
+    [combine] is associative with [init] as a neutral element and a
+    split index's parts combine to the same value as the whole index.
+    Callers that need a canonical witness under ties (e.g.
+    min-with-lexicographic-tiebreak) get scheduling-independent answers at
+    any job count, including [jobs = 1].
 
     Exceptions raised by [map]/[combine] in any worker cancel the
     remaining tasks and are re-raised in the calling domain.

@@ -93,8 +93,8 @@ let test_graph_io_edge_count_mismatch () =
 
 (* Graph_io validates what Graph.of_edges would reject, so a bad file
    fails like any other parse error: [Failure] naming the line. *)
-let expect_line_failure input line =
-  match Graph_io.of_string input with
+let expect_line_failure ?(parse = fun s -> ignore (Graph_io.of_string s)) input line =
+  match parse input with
   | _ -> Alcotest.fail "expected failure"
   | exception Failure msg ->
       check_true msg (String.starts_with ~prefix:(Printf.sprintf "line %d:" line) msg)
@@ -102,6 +102,50 @@ let expect_line_failure input line =
 let test_graph_io_self_loop () = expect_line_failure "3 2\n0 1\n# loop\n2 2\n" 4
 let test_graph_io_out_of_range () = expect_line_failure "3 1\n\n0 3\n" 3
 let test_graph_io_negative_n () = expect_line_failure "# header\n-2 0\n" 2
+
+(* Absurd header counts fail on the header line, before any array is
+   sized by them. *)
+let test_graph_io_absurd_header () =
+  expect_line_failure "1000000000000 0\n" 1;
+  expect_line_failure (Printf.sprintf "3 %d\n" max_int) 1;
+  expect_line_failure (Printf.sprintf "%d 0\n" (Graph_io.max_count + 1)) 1
+
+let bipartite_parse s = ignore (Graph_io.bipartite_of_string s)
+
+let test_bipartite_io_bad_counts () =
+  expect_line_failure ~parse:bipartite_parse "-1 2 0\n" 1;
+  expect_line_failure ~parse:bipartite_parse "2 -1 0\n" 1;
+  expect_line_failure ~parse:bipartite_parse "2 2 -1\n" 1;
+  expect_line_failure ~parse:bipartite_parse "1000000000000 2 0\n" 1;
+  expect_line_failure ~parse:bipartite_parse (Printf.sprintf "2 %d 0\n" max_int) 1
+
+let test_bipartite_io_out_of_range () =
+  expect_line_failure ~parse:bipartite_parse "2 3 2\n0 1\n2 0\n" 3;
+  expect_line_failure ~parse:bipartite_parse "2 3 1\n# w too big\n1 3\n" 3;
+  expect_line_failure ~parse:bipartite_parse "2 3 1\n0 -1\n" 2
+
+(* qcheck: hostile edge-list text — headers naming negative, absurd or
+   overflowing counts, lines of the wrong arity or of non-integers — makes
+   both parsers return or raise the documented [Failure], nothing else. *)
+let arbitrary_hostile_edge_list =
+  let token =
+    QCheck.Gen.(
+      oneof
+        [
+          map string_of_int (int_range (-3) 6);
+          oneofl
+            [ "1000000000000"; string_of_int max_int; string_of_int min_int;
+              string_of_int (Graph_io.max_count + 1); "99999999999999999999"; "x"; "0x1f";
+              "1_0"; "#"; "-" ];
+        ])
+  in
+  let line = QCheck.Gen.(map (String.concat " ") (list_size (int_range 0 4) token)) in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(map (String.concat "\n") (list_size (int_range 0 6) line))
+
+let prop_io_hostile_only_failure input =
+  let only_failure parse = match parse input with () -> true | exception Failure _ -> true in
+  only_failure (fun s -> ignore (Graph_io.of_string s)) && only_failure bipartite_parse
 
 let test_graph_io_file_roundtrip () =
   let g = Gen.torus 3 4 in
@@ -245,6 +289,11 @@ let suite =
     Alcotest.test_case "io self-loop" `Quick test_graph_io_self_loop;
     Alcotest.test_case "io endpoint out of range" `Quick test_graph_io_out_of_range;
     Alcotest.test_case "io negative n" `Quick test_graph_io_negative_n;
+    Alcotest.test_case "io absurd header" `Quick test_graph_io_absurd_header;
+    Alcotest.test_case "bipartite io bad counts" `Quick test_bipartite_io_bad_counts;
+    Alcotest.test_case "bipartite io endpoint out of range" `Quick test_bipartite_io_out_of_range;
+    qcheck ~count:500 "io hostile input raises only Failure" prop_io_hostile_only_failure
+      arbitrary_hostile_edge_list;
     Alcotest.test_case "io file roundtrip" `Quick test_graph_io_file_roundtrip;
     Alcotest.test_case "bipartite roundtrip" `Quick test_bipartite_roundtrip;
     Alcotest.test_case "cut edges" `Quick test_cut_edges;

@@ -75,25 +75,56 @@ let test_pruning_fires () =
 
 (* ---- shared-incumbent tie safety ----
 
-   The incumbent is only allowed to cut STRICTLY worse subtrees; an
-   equal-value subtree must survive so the lex tiebreak can still pick a
-   lex-smaller witness out of it. Vertex-transitive graphs (cycles,
-   hypercubes) maximise ties: every rotation of the minimiser ties, and
-   the canonical witness lives in the first shard while later shards keep
-   publishing equal incumbents around it. *)
+   Ties may be cut only where the lex tiebreak has already decided them:
+   against an equal incumbent from a lower-ranked work unit, or against
+   the unit's own earlier best. An equal-value subtree that could still
+   hold a lex-smaller witness must survive. Vertex-transitive graphs
+   (cycles, hypercubes, cliques) maximise ties: every rotation of the
+   minimiser ties, and the canonical witness lives in the first shard
+   while later shards keep publishing equal incumbents around it. *)
 
 let test_tied_minimisers_keep_lex_witness () =
+  let measures =
+    [
+      ("beta", fun ~prune ~jobs g -> Measure.beta_exact ~prune ~jobs g);
+      ("beta_u", fun ~prune ~jobs g -> Measure.beta_u_exact ~prune ~jobs g);
+      ("beta_w", fun ~prune ~jobs g -> Measure.beta_w_exact ~prune ~jobs g);
+    ]
+  in
   List.iter
     (fun g ->
-      let reference = Measure.beta_exact ~prune:false ~jobs:1 g in
       List.iter
-        (fun jobs ->
-          check_witnessed
-            (Printf.sprintf "tied witness n=%d jobs=%d" (Graph.n g) jobs)
-            reference
-            (Measure.beta_exact ~prune:true ~jobs g))
-        [ 1; 2; 4; 8 ])
+        (fun (name, exact) ->
+          let reference = exact ~prune:false ~jobs:1 g in
+          List.iter
+            (fun jobs ->
+              check_witnessed
+                (Printf.sprintf "tied %s witness n=%d jobs=%d" name (Graph.n g) jobs)
+                reference (exact ~prune:true ~jobs g))
+            [ 1; 2; 4; 8 ])
+        measures)
     [ Wx_graph.Gen.cycle 12; Wx_graph.Gen.hypercube 3; Wx_graph.Gen.complete 6 ]
+
+(* The tie cut must fire. Once a unit has scored βu = 0 no strictly
+   better set exists, so a cut that needs [bound > incumbent] can never
+   fire again; the tie-aware cut skips every later subtree, since all of
+   them lose the tiebreak. Sequential, so the count is deterministic. *)
+let test_tie_cut_fires () =
+  let g = Wx_graph.Gen.gnp (Rng.create 1) 20 0.25 in
+  let sets_scored prune =
+    Metrics.enable ();
+    Fun.protect ~finally:Metrics.disable (fun () ->
+        Metrics.reset ();
+        let w = Measure.beta_u_exact ~prune ~jobs:1 g in
+        (w, Metrics.counter_value (Metrics.counter "expansion.sets_scored")))
+  in
+  let reference, full = sets_scored false in
+  let pruned, scored = sets_scored true in
+  Alcotest.(check (float 0.0)) "beta_u is 0 on the pinned instance" 0.0 reference.Measure.value;
+  check_witnessed "tie cut keeps the lex witness" reference pruned;
+  check_true
+    (Printf.sprintf "pruned scored %d of %d sets (<= 5%%)" scored full)
+    (scored * 20 <= full)
 
 (* qcheck: on random graphs the pruned run with a cross-domain incumbent
    reports exactly the reference value and lex-smallest witness, for all
@@ -108,6 +139,29 @@ let prop_pruned_equals_unpruned g =
   check (fun ~prune ~jobs -> Measure.beta_exact ~prune ~jobs g)
   && check (fun ~prune ~jobs -> Measure.beta_u_exact ~prune ~jobs g)
   && check (fun ~prune ~jobs -> Measure.beta_w_exact ~prune ~jobs g)
+
+(* qcheck: the pruned exact measures agree with the independent
+   brute-force oracle ([Brute_oracle]) in value and lex-smallest witness
+   at jobs 1 and 4, and the oracle's own values satisfy Obs 2.1,
+   β >= βw >= βu. *)
+let prop_pruned_equals_oracle g =
+  let n = Graph.n g in
+  let agrees measure exact =
+    match Brute_oracle.min_exact measure g with
+    | None -> false
+    | Some (v, w) ->
+        List.for_all
+          (fun jobs ->
+            let r = exact ~jobs in
+            r.Measure.value = v && Bitset.equal r.Measure.witness (Bitset.of_list n w))
+          [ 1; 4 ]
+  in
+  let value m = match Brute_oracle.min_exact m g with Some (v, _) -> v | None -> nan in
+  agrees Brute_oracle.Beta (fun ~jobs -> Measure.beta_exact ~prune:true ~jobs g)
+  && agrees Brute_oracle.Beta_u (fun ~jobs -> Measure.beta_u_exact ~prune:true ~jobs g)
+  && agrees Brute_oracle.Beta_w (fun ~jobs -> Measure.beta_w_exact ~prune:true ~jobs g)
+  && value Beta >= value Beta_w
+  && value Beta_w >= value Beta_u
 
 (* ---- sampled size clamp (bugfix regression) ----
 
@@ -151,9 +205,12 @@ let suite =
     Alcotest.test_case "pruning fires on the catalog" `Quick test_pruning_fires;
     Alcotest.test_case "tied minimisers keep lex witness" `Quick
       test_tied_minimisers_keep_lex_witness;
+    Alcotest.test_case "tie cut fires once beta_u reaches 0" `Quick test_tie_cut_fires;
     qcheck ~count:30 "pruned = unpruned on random graphs (all measures)"
       prop_pruned_equals_unpruned
       (arbitrary_graph ~lo:4 ~hi:11);
+    qcheck ~count:40 "pruned = brute-force oracle, Obs 2.1 holds" prop_pruned_equals_oracle
+      (arbitrary_graph ~lo:2 ~hi:12);
     Alcotest.test_case "sampled kmax > n clamped and counted" `Quick test_sampled_kmax_clamped;
     Alcotest.test_case "sampled clamp deterministic across jobs" `Quick
       test_sampled_clamp_deterministic;
