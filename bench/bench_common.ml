@@ -38,8 +38,8 @@ let rng off = Rng.create (seed + off)
 (* ---- structured results ----
 
    Experiments print tables for humans; in parallel, every predicted vs
-   measured comparison is recorded here so the harness can write a
-   machine-readable BENCH_*.json per run. The collector is per-experiment:
+   measured comparison is recorded here so the runner can put the check
+   rows in the wx-bench/4 report. The collector is per-experiment:
    the harness drains it with [take_recorded] after each [run]. *)
 
 type check_row = {

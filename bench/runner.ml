@@ -1,11 +1,10 @@
-(* Experiment registry and repeat-aware runner.
+(* Experiment registry and repeat-aware runner behind `wx bench record`.
 
-   This used to live inside bench/main.ml, which made the experiment zoo
-   reachable only through one executable; as a library module, `wx bench
-   record` can regenerate the committed baseline and CI can rerun the exact
-   same code path. Each experiment runs [repeats] times (median-of-k is
-   what the regression gate compares), with checks drained after every
-   repeat so only one copy lands in the report. *)
+   Each experiment runs [repeats] times (median-of-k is what the regression
+   gate compares), with checks drained after every repeat so only one copy
+   lands in the report. Metrics and Memgc are enabled by the caller; every
+   run collects the metrics snapshot, work counts and pool utilization the
+   report records. *)
 
 open Bench_common
 module Clock = Wx_obs.Clock
@@ -39,10 +38,10 @@ type outcome = {
   exp : experiment;
   wall_s : float list;  (** one sample per repeat, in run order *)
   alloc : Memgc.counters option;  (** last repeat's delta; None when Memgc off *)
-  work : (string * int) list;  (** last repeat's Work deltas; [] when off *)
+  work : (string * int) list;  (** last repeat's Work deltas *)
   util : Report.util option;  (** pool utilization across all repeats *)
   checks : check_row list;
-  metrics : Json.t;  (** Null when metrics collection is off *)
+  metrics : Json.t;  (** the Metrics snapshot after the last repeat *)
 }
 
 (* Reduce the pool's nanosecond total to the report's utilization block.
@@ -91,12 +90,10 @@ let burn_minor_words w =
 
 let experiment_timer = Metrics.timer "bench.experiment"
 
-let run_one ?(repeats = 1) ~quick ~collect e =
+let run_one ?(repeats = 1) ~quick e =
   section e;
-  if collect then begin
-    Metrics.reset ();
-    Pool.reset_util ()
-  end;
+  Metrics.reset ();
+  Pool.reset_util ();
   let repeats = max 1 repeats in
   let handicap = handicap_s () in
   let alloc_handicap = alloc_handicap_words () in
@@ -122,26 +119,23 @@ let run_one ?(repeats = 1) ~quick ~collect e =
     if handicap > 0.0 then Unix.sleepf handicap;
     let wall_s = Clock.ns_to_s (Clock.now_ns () - t0) in
     wall_rev := wall_s :: !wall_rev;
-    if collect then last_work := Work.delta ~before:w0 ~after:(Work.totals ());
+    last_work := Work.delta ~before:w0 ~after:(Work.totals ());
     (* Every repeat records the same checks; keep the latest drain. *)
     last_checks := take_recorded ();
     if repeats > 1 then Printf.printf "  [%s repeat %d/%d: %.1fs]\n" e.id rep repeats wall_s
     else Printf.printf "  [%s finished in %.1fs]\n" e.id wall_s
   done;
-  let metrics = if collect then Metrics.snapshot () else Json.Null in
-  let util = if collect then util_of_pool (Pool.util ()) else None in
   {
     exp = e;
     wall_s = List.rev !wall_rev;
     alloc = !last_alloc;
     work = !last_work;
-    util;
+    util = util_of_pool (Pool.util ());
     checks = !last_checks;
-    metrics;
+    metrics = Metrics.snapshot ();
   }
 
-let entry_of_outcome o : Report.entry
-    =
+let entry_of_outcome o : Report.entry =
   let holds = List.length (List.filter (fun (c : check_row) -> c.holds) o.checks) in
   {
     Report.id = o.exp.id;
@@ -161,12 +155,15 @@ let report ~quick ~repeats outcomes =
   Report.make ~seed ~quick ~jobs:(Pool.default_jobs ()) ~repeats
     (List.map entry_of_outcome outcomes)
 
-(* Run the whole zoo (or one experiment) and build the report in one step;
-   [Error] names an unknown experiment id. *)
-let run ?only ?(repeats = 1) ~quick ~collect () =
+(* Run the whole zoo (or one experiment); [Error] names an unknown
+   experiment id and lists the valid ones. *)
+let run ?only ?(repeats = 1) ~quick () =
   match only with
   | Some id -> (
       match find id with
-      | Some e -> Ok [ run_one ~repeats ~quick ~collect e ]
-      | None -> Error (Printf.sprintf "unknown experiment %S; try --list" id))
-  | None -> Ok (List.map (run_one ~repeats ~quick ~collect) experiments)
+      | Some e -> Ok [ run_one ~repeats ~quick e ]
+      | None ->
+          Error
+            (Printf.sprintf "unknown experiment %S; valid ids: %s" id
+               (String.concat ", " (List.map (fun e -> e.id) experiments))))
+  | None -> Ok (List.map (run_one ~repeats ~quick) experiments)

@@ -11,14 +11,13 @@
                                                run the experiment zoo, write a
                                                wx-bench/4 report (baseline);
                                                refuses to overwrite sans --force
-     wx bench diff OLD.json NEW.json           noise-aware wall-time gate, a
+     wx bench diff OLD.json NEW.json           noise-aware wall-time gate and a
                                                deterministic allocation gate
-                                               (--alloc-only) and a noise-aware
-                                               throughput gate (--rate-only)
+                                               (--alloc-only)
      wx bench history append REPORT.json       digest a report into the perf-
                                                trajectory ledger (dedup by commit)
      wx bench history show [--metric M] [-e E] entries + per-experiment series
-                                               with sparklines (wall|alloc|rate)
+                                               with sparklines (wall|alloc)
      wx bench history gate [--soft]            trend gate: newest entry vs the
                                                preceding window, diff's rule
                                                per metric; exit 0/1/2
@@ -526,7 +525,7 @@ let cmd_bench_record obs quick repeats only force out =
      too — the per-experiment alloc block is what the alloc gate diffs. *)
   Obs.Metrics.enable ();
   Obs.Memgc.enable ();
-  match Wx_bench.Runner.run ?only ~repeats ~quick ~collect:true () with
+  match Wx_bench.Runner.run ?only ~repeats ~quick () with
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       1
@@ -559,7 +558,7 @@ let provenance_line (r : Report.t) =
 
 (* One line per experiment that carries a utilization block on either side:
    busy fraction and mean idle tail, old -> new, so a diff shows scheduling
-   drift (e.g. skewed sharding getting worse) next to the rate verdicts. *)
+   drift (e.g. skewed sharding getting worse) next to the verdicts. *)
 let print_util_deltas obs deltas =
   let util = function Some (e : Report.entry) -> e.Report.util | None -> None in
   let interesting =
@@ -596,11 +595,10 @@ let print_util_deltas obs deltas =
     say obs "%s" (T.render t)
   end
 
-(* Exit codes: 0 clean (or --soft), 1 regression (wall, alloc or rate by
-   default; one family only under --alloc-only / --rate-only), 2
-   malformed/unreadable report — so CI can treat "slower" and "not a
-   report" differently. *)
-let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
+(* Exit codes: 0 clean (or --soft), 1 regression (wall or alloc by
+   default; alloc only under --alloc-only), 2 malformed/unreadable report
+   — so CI can treat "slower" and "not a report" differently. *)
+let cmd_bench_diff obs alloc_only soft old_path new_path =
   match (Report.load old_path, Report.load new_path) with
   | Error m, _ | _, Error m ->
       Printf.eprintf "bench diff: malformed report: %s\n" m;
@@ -615,7 +613,7 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
         T.create
           [
             "experiment"; "old median (s)"; "new median (s)"; "ratio"; "verdict";
-            "old minor (w)"; "new minor (w)"; "alloc"; "rate ratio"; "rate";
+            "old minor (w)"; "new minor (w)"; "alloc";
           ]
       in
       let verdict_cell = function
@@ -627,7 +625,6 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
       List.iter
         (fun (d : Report.delta) ->
           let w = d.Report.wall in
-          let rate_ratio = match d.Report.rate with Some j -> j.Report.ratio | None -> Float.nan in
           T.add_row t
             [
               d.Report.d_id;
@@ -638,8 +635,6 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
               T.ff ~dec:0 (Report.minor_words d.Report.d_old);
               T.ff ~dec:0 (Report.minor_words d.Report.d_new);
               verdict_cell d.Report.alloc;
-              T.ff ~dec:2 rate_ratio;
-              verdict_cell d.Report.rate;
             ];
           event obs "bench.delta"
             ([
@@ -649,38 +644,25 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
                ("new_median_s", J.Float w.Report.new_median);
                ("ratio", J.Float w.Report.ratio);
              ]
-            @ (match d.Report.alloc with
-              | None -> []
-              | Some j ->
-                  [
-                    ("alloc_verdict", J.String (Report.verdict_name j.Report.verdict));
-                    ("old_minor_words", J.Float j.Report.old_median);
-                    ("new_minor_words", J.Float j.Report.new_median);
-                    ("alloc_ratio", J.Float j.Report.ratio);
-                  ])
             @
-            match d.Report.rate with
+            match d.Report.alloc with
             | None -> []
             | Some j ->
                 [
-                  ("rate_verdict", J.String (Report.verdict_name j.Report.verdict));
-                  ("rate_ratio", J.Float j.Report.ratio);
-                  ("rate_note", J.String j.Report.note);
+                  ("alloc_verdict", J.String (Report.verdict_name j.Report.verdict));
+                  ("old_minor_words", J.Float j.Report.old_median);
+                  ("new_minor_words", J.Float j.Report.new_median);
+                  ("alloc_ratio", J.Float j.Report.ratio);
                 ]))
         deltas;
       say obs "%s" (T.render t);
       print_util_deltas obs deltas;
-      if Report.skipped Report.Alloc deltas then
+      if Report.alloc_skipped deltas then
         Printf.eprintf
           "warning: alloc verdict skipped where a side lacks an alloc block (Memgc off); \
            wall-time verdicts are unaffected\n";
-      if Report.skipped Report.Rate deltas then
-        Printf.eprintf
-          "warning: rate verdict skipped where the sides share no work kinds (Metrics off); \
-           wall-time verdicts are unaffected\n";
       let wall_regs = Report.regressions Report.Wall deltas in
       let alloc_regs = Report.regressions Report.Alloc deltas in
-      let rate_regs = Report.regressions Report.Rate deltas in
       let report_regs regs what excuse =
         if regs <> [] then
           Printf.eprintf "%d experiment%s regressed on %s: %s%s\n" (List.length regs)
@@ -689,17 +671,9 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
             (String.concat ", " (List.map (fun (d : Report.delta) -> d.Report.d_id) regs))
             excuse
       in
-      report_regs wall_regs "wall time"
-        (if alloc_only || rate_only then " (not failing on these)" else "");
-      report_regs alloc_regs "allocation"
-        (if rate_only then " (--rate-only: not failing on these)" else "");
-      report_regs rate_regs "throughput"
-        (if alloc_only then " (--alloc-only: not failing on these)" else "");
-      let failing =
-        if alloc_only then alloc_regs
-        else if rate_only then rate_regs
-        else wall_regs @ alloc_regs @ rate_regs
-      in
+      report_regs wall_regs "wall time" (if alloc_only then " (not failing on these)" else "");
+      report_regs alloc_regs "allocation" "";
+      let failing = if alloc_only then alloc_regs else wall_regs @ alloc_regs in
       let code = if failing = [] || soft then 0 else 1 in
       (* One machine-readable summary event closes every diff: CI and the
          ledger tooling read the verdict here instead of scraping stderr. *)
@@ -708,18 +682,15 @@ let cmd_bench_diff obs alloc_only rate_only soft old_path new_path =
         [
           ("wall_regressions", ids wall_regs);
           ("alloc_regressions", ids alloc_regs);
-          ("rate_regressions", ids rate_regs);
           ("failing", ids failing);
           ("soft", J.Bool soft);
           ("exit_code", J.Int code);
         ];
       if failing = [] then begin
         let pct m = 100.0 *. (Report.rule m).Report.tolerance in
-        say obs
-          "no %sregressions (wall tolerance %.0f%%, floor %.0fms; alloc tolerance %.1f%%; rate \
-           tolerance %.0f%%)\n"
-          (if alloc_only then "allocation " else if rate_only then "throughput " else "")
-          (pct Report.Wall) (1e3 *. Report.min_wall_s) (pct Report.Alloc) (pct Report.Rate)
+        say obs "no %sregressions (wall tolerance %.0f%%, floor %.0fms; alloc tolerance %.1f%%)\n"
+          (if alloc_only then "allocation " else "")
+          (pct Report.Wall) (1e3 *. Report.min_wall_s) (pct Report.Alloc)
       end
       else if soft then Printf.eprintf "(--soft: reporting only, not failing)\n";
       code
@@ -733,11 +704,7 @@ let short_commit c = if String.length c > 10 then String.sub c 0 10 else c
 
 let metric_fmt metric v =
   if Float.is_nan v then "-"
-  else
-    match metric with
-    | Report.Wall -> T.ff ~dec:3 v
-    | Report.Alloc -> T.ff ~dec:0 v
-    | Report.Rate -> T.ff ~dec:1 v
+  else match metric with Report.Wall -> T.ff ~dec:3 v | Report.Alloc -> T.ff ~dec:0 v
 
 (* Digest one report into the ledger. A re-record at the same commit
    replaces the old entry (Ledger.append), so running this in CI on every
@@ -783,9 +750,9 @@ let cmd_history_append obs ledger_path report_path =
             ];
           0)
 
-(* Longitudinal view of one metric: a value series per experiment (per work
-   kind for rates) across every ledger entry, with a sparkline so a slow
-   drift is visible at a glance in a terminal. *)
+(* Longitudinal view of one metric: a value series per experiment across
+   every ledger entry, with a sparkline so a slow drift is visible at a
+   glance in a terminal. *)
 let cmd_history_show obs metric exp_filter ledger_path =
   match Ledger.load ledger_path with
   | Error m ->
@@ -821,24 +788,16 @@ let cmd_history_show obs metric exp_filter ledger_path =
         match exp_filter with Some id -> [ id ] | None -> Ledger.exp_ids entries
       in
       let unit_name =
-        match metric with
-        | Report.Wall -> "median wall (s)"
-        | Report.Alloc -> "minor words"
-        | Report.Rate -> "units/sec"
+        match metric with Report.Wall -> "median wall (s)" | Report.Alloc -> "minor words"
       in
-      let mt =
-        T.create [ "experiment"; "kind"; "n"; "latest"; "min"; "max"; "oldest..newest" ]
-      in
-      let add_series id kind =
-        let s =
-          Ledger.series metric ?kind:(if kind = "" then None else Some kind) ~id entries
-        in
+      let mt = T.create [ "experiment"; "n"; "latest"; "min"; "max"; "oldest..newest" ] in
+      let add_series id =
+        let s = Ledger.series metric ~id entries in
         let known = List.filter (fun v -> not (Float.is_nan v)) s in
         let latest = match List.rev known with v :: _ -> v | [] -> Float.nan in
         T.add_row mt
           [
             id;
-            (if kind = "" then "-" else kind);
             T.fi (List.length known);
             metric_fmt metric latest;
             (match known with
@@ -853,16 +812,10 @@ let cmd_history_show obs metric exp_filter ledger_path =
           [
             ("id", J.String id);
             ("metric", J.String (Report.metric_name metric));
-            ("kind", J.String kind);
             ("values", J.List (List.map (fun v -> J.Float v) s));
           ]
       in
-      List.iter
-        (fun id ->
-          match metric with
-          | Report.Rate -> List.iter (add_series id) (Ledger.rate_kinds ~id entries)
-          | Report.Wall | Report.Alloc -> add_series id "")
-        ids;
+      List.iter add_series ids;
       say obs "\n-- %s per experiment (%s) --\n%s" (Report.metric_name metric) unit_name
         (T.render mt);
       0
@@ -892,7 +845,7 @@ let cmd_history_gate obs soft ledger_path =
         ledger_path;
       let t =
         T.create
-          [ "experiment"; "metric"; "kind"; "baseline"; "latest"; "ratio"; "verdict"; "window" ]
+          [ "experiment"; "metric"; "baseline"; "latest"; "ratio"; "verdict"; "window" ]
       in
       List.iter
         (fun (tr : Ledger.trend) ->
@@ -905,7 +858,6 @@ let cmd_history_gate obs soft ledger_path =
             [
               tr.Ledger.t_exp;
               Report.metric_name tr.Ledger.t_metric;
-              (if tr.Ledger.t_kind = "" then "-" else tr.Ledger.t_kind);
               metric_fmt tr.Ledger.t_metric baseline;
               metric_fmt tr.Ledger.t_metric latest;
               (if Float.is_nan ratio then "-" else T.ff ~dec:2 ratio);
@@ -920,7 +872,6 @@ let cmd_history_gate obs soft ledger_path =
             [
               ("id", J.String tr.Ledger.t_exp);
               ("metric", J.String (Report.metric_name tr.Ledger.t_metric));
-              ("kind", J.String tr.Ledger.t_kind);
               ( "verdict",
                 match j with
                 | None -> J.Null
@@ -943,10 +894,7 @@ let cmd_history_gate obs soft ledger_path =
             J.List
               (List.map
                  (fun (tr : Ledger.trend) ->
-                   J.String
-                     (tr.Ledger.t_exp ^ "/"
-                     ^ Report.metric_name tr.Ledger.t_metric
-                     ^ if tr.Ledger.t_kind = "" then "" else "/" ^ tr.Ledger.t_kind))
+                   J.String (tr.Ledger.t_exp ^ "/" ^ Report.metric_name tr.Ledger.t_metric))
                  regs) );
           ("soft", J.Bool soft);
           ("exit_code", J.Int code);
@@ -957,9 +905,7 @@ let cmd_history_gate obs soft ledger_path =
           (String.concat ", "
              (List.map
                 (fun (tr : Ledger.trend) ->
-                  Printf.sprintf "%s (%s%s)" tr.Ledger.t_exp
-                    (Report.metric_name tr.Ledger.t_metric)
-                    (if tr.Ledger.t_kind = "" then "" else " " ^ tr.Ledger.t_kind))
+                  Printf.sprintf "%s (%s)" tr.Ledger.t_exp (Report.metric_name tr.Ledger.t_metric))
                 regs));
         if soft then Printf.eprintf "(--soft: reporting only, not failing)\n"
       end
@@ -1286,12 +1232,6 @@ let bench_diff_cmd =
                    still reported but do not affect the exit code. Lets CI run a hard alloc \
                    gate next to a soft wall-time gate.")
   in
-  let rate_only =
-    Arg.(value & flag
-         & info [ "rate-only" ]
-             ~doc:"Fail (exit 1) only on throughput regressions; wall-time and allocation \
-                   regressions are still reported but do not affect the exit code.")
-  in
   let soft =
     Arg.(value & flag
          & info [ "soft" ]
@@ -1303,9 +1243,8 @@ let bench_diff_cmd =
     (Cmd.info "diff"
        ~doc:"Compare two wx-bench reports; exit 1 on a regression, 2 on a malformed report")
     (with_obs "bench.diff"
-       Term.(const (fun alloc_only rate_only soft o n obs ->
-                 cmd_bench_diff obs alloc_only rate_only soft o n)
-             $ alloc_only $ rate_only $ soft $ old_path $ new_path))
+       Term.(const (fun alloc_only soft o n obs -> cmd_bench_diff obs alloc_only soft o n)
+             $ alloc_only $ soft $ old_path $ new_path))
 
 (* ---- bench history wiring ---- *)
 
@@ -1313,15 +1252,6 @@ let ledger_arg =
   Arg.(value & opt string default_ledger
        & info [ "ledger" ] ~docv:"FILE"
            ~doc:"Ledger file (wx-ledger/1 NDJSON, one entry per recorded commit).")
-
-let metric_conv =
-  let parse = function
-    | "wall" -> Ok Report.Wall
-    | "alloc" -> Ok Report.Alloc
-    | "rate" -> Ok Report.Rate
-    | s -> Error (`Msg (Printf.sprintf "unknown metric %S (expected wall, alloc or rate)" s))
-  in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Report.metric_name m))
 
 let bench_history_append_cmd =
   let report = Arg.(required & pos 0 (some string) None & info [] ~docv:"REPORT.json") in
@@ -1335,10 +1265,10 @@ let bench_history_append_cmd =
 
 let bench_history_show_cmd =
   let metric =
-    Arg.(value & opt metric_conv Report.Wall
+    Arg.(value
+         & opt (enum [ ("wall", Report.Wall); ("alloc", Report.Alloc) ]) Report.Wall
          & info [ "metric"; "m" ] ~docv:"METRIC"
-             ~doc:"Series to render: $(b,wall) (median seconds), $(b,alloc) (minor words) or \
-                   $(b,rate) (units/sec per work kind).")
+             ~doc:"Series to render: $(b,wall) (median seconds) or $(b,alloc) (minor words).")
   in
   let exp =
     Arg.(value & opt (some string) None
@@ -1361,9 +1291,9 @@ let bench_history_gate_cmd =
   in
   Cmd.v
     (Cmd.info "gate"
-       ~doc:"Judge the newest ledger entry against the preceding window (noise-aware wall and \
-             rate trends, deterministic alloc drift); exit 1 on a trend regression, 2 on a \
-             malformed ledger")
+       ~doc:"Judge the newest ledger entry against the preceding window (noise-aware wall \
+             trend, deterministic alloc drift); exit 1 on a trend regression, 2 on a malformed \
+             ledger")
     (with_obs "bench.history.gate"
        Term.(const (fun soft ledger obs -> cmd_history_gate obs soft ledger)
              $ soft $ ledger_arg))

@@ -54,4 +54,4 @@ let () =
   Format.printf "  chosen spokesmen: %s@."
     (Util.Bitset.to_string decay.Spokesmen.Solver.chosen);
 
-  print_endline "\nDone. See examples/radio_broadcast.exe and bench/main.exe for more."
+  print_endline "\nDone. See examples/radio_broadcast.exe and `wx bench record` for more."

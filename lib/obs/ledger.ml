@@ -7,11 +7,11 @@
    sum walks out of it. The ledger is the instrument for that: an
    append-only NDJSON file (committed at bench/ledger.ndjson) where each
    line is a compact digest of one wx-bench report — commit, dirty flag,
-   timestamp, run provenance, and per experiment the median wall, the
-   deterministic minor-word count, and the derived units/sec per work
-   kind. Digests, not reports: a report is tens of KB of samples, checks
-   and metrics snapshots; the ledger keeps only what a trend can be
-   computed from, so committing one line per PR stays cheap forever.
+   timestamp, run provenance, and per experiment the median wall and the
+   deterministic minor-word count. Digests, not reports: a report is tens
+   of KB of samples, checks and metrics snapshots; the ledger keeps only
+   what a trend can be computed from, so committing one line per PR stays
+   cheap forever.
 
    Dedup is by commit: re-appending a digest whose (non-"unknown") commit
    already appears replaces the old entry and moves it to the end — the
@@ -31,7 +31,6 @@ type exp_digest = {
   x_id : string;
   x_wall_s : float;  (* median wall of the report entry *)
   x_minor_words : float;  (* nan when the report carried no alloc block *)
-  x_rates : (string * float) list;  (* units/sec per kind at median wall *)
 }
 
 type entry = {
@@ -69,9 +68,6 @@ let digest (r : Report.t) =
             (match e.Report.alloc with
             | Some a -> float_of_int a.Memgc.minor_words
             | None -> Float.nan);
-          (* NaN rates (zero/NaN median wall) would decode as null and be
-             useless to trend over; drop them at digest time. *)
-          x_rates = List.filter (fun (_, v) -> not (Float.is_nan v)) (Report.rates e);
         })
       r.Report.entries
   in
@@ -94,12 +90,8 @@ let digest (r : Report.t) =
 let exp_json x =
   Json.Obj
     ([ ("id", Json.String x.x_id); ("wall_s", Json.Float x.x_wall_s) ]
-    @ (if Float.is_nan x.x_minor_words then []
-       else [ ("minor_words", Json.Float x.x_minor_words) ])
     @
-    match x.x_rates with
-    | [] -> []
-    | rs -> [ ("rate_per_s", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) rs)) ])
+    if Float.is_nan x.x_minor_words then [] else [ ("minor_words", Json.Float x.x_minor_words) ])
 
 let entry_to_json e =
   Json.Obj
@@ -117,7 +109,8 @@ let entry_to_json e =
 
 (* Decoding is defensive like Report's: a gate must distinguish "slower"
    from "not a ledger", so malformed input becomes [Error] naming the
-   field, never an exception. *)
+   field, never an exception. Older lines also carry a rate_per_s object
+   per experiment; it is ignored. *)
 
 let field name j = match Json.member name j with Some v -> Ok v | None -> Error ("missing " ^ name)
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
@@ -149,21 +142,7 @@ let exp_of_json j =
         | Some x -> Ok x
         | None -> Error "minor_words is not a number")
   in
-  let* rates =
-    match Json.member "rate_per_s" j with
-    | None -> Ok []
-    | Some (Json.Obj kvs) ->
-        let rec conv acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, v) :: rest -> (
-              match Json.to_float_opt v with
-              | Some x -> conv ((k, x) :: acc) rest
-              | None -> Error (Printf.sprintf "rate_per_s.%s is not a number" k))
-        in
-        conv [] kvs
-    | Some _ -> Error "rate_per_s is not an object"
-  in
-  Ok { x_id = id; x_wall_s = wall_s; x_minor_words = minor_words; x_rates = rates }
+  Ok { x_id = id; x_wall_s = wall_s; x_minor_words = minor_words }
 
 let entry_of_json j =
   let* s = str_field "schema" j in
@@ -247,28 +226,16 @@ let find_exp id e = List.find_opt (fun x -> x.x_id = id) e.l_exps
 
 (* Aligned with [entries]: NaN marks entries where the experiment (or the
    requested datum) is absent, so sparklines keep the commit axis. *)
-let series metric ?(kind = "") ~id entries =
+let series metric ~id entries =
   List.map
     (fun e ->
       match find_exp id e with
       | None -> Float.nan
-      | Some x -> (
-          match metric with
-          | Report.Wall -> x.x_wall_s
-          | Report.Alloc -> x.x_minor_words
-          | Report.Rate -> (
-              match List.assoc_opt kind x.x_rates with Some v -> v | None -> Float.nan)))
+      | Some x -> ( match metric with Report.Wall -> x.x_wall_s | Report.Alloc -> x.x_minor_words))
     entries
 
 let exp_ids entries =
   List.sort_uniq compare (List.concat_map (fun e -> List.map (fun x -> x.x_id) e.l_exps) entries)
-
-let rate_kinds ~id entries =
-  List.sort_uniq compare
-    (List.concat_map
-       (fun e ->
-         match find_exp id e with None -> [] | Some x -> List.map fst x.x_rates)
-       entries)
 
 (* ---- sparklines ---- *)
 
@@ -299,7 +266,6 @@ let sparkline xs =
 type trend = {
   t_exp : string;
   t_metric : Report.metric;
-  t_kind : string;  (* work kind for Rate; "" otherwise *)
   t_judgment : Report.judgment option;  (* None: nothing to judge, see [note] *)
   t_series : float list;  (* window-aligned, oldest..newest, NaN = missing *)
 }
@@ -322,27 +288,21 @@ let gate entries =
   match List.rev entries with
   | [] -> []
   | newest :: _ ->
-      let trend metric kind id =
-        let ser = series metric ~kind ~id entries in
+      let trend metric id =
+        let ser = series metric ~id entries in
         let prev, latest = split_newest ser in
         let judgment =
           match known prev with
           | [] -> None
           | _ when Float.is_nan latest -> None (* never judge an older value in its place *)
-          | old_ ->
-              let prev_walls, wall = split_newest (series Report.Wall ~id entries) in
-              Some
-                (Report.judge ~walls:(known prev_walls, [ wall ]) metric ~old_ ~new_:[ latest ])
+          | old_ -> Some (Report.judge metric ~old_ ~new_:[ latest ])
         in
-        { t_exp = id; t_metric = metric; t_kind = kind; t_judgment = judgment; t_series = ser }
+        { t_exp = id; t_metric = metric; t_judgment = judgment; t_series = ser }
       in
       (* Only experiments alive in the newest entry are gated: a removed
          experiment has no trajectory left to protect. *)
       List.concat_map
-        (fun x ->
-          let id = x.x_id in
-          [ trend Report.Wall "" id; trend Report.Alloc "" id ]
-          @ List.map (fun k -> trend Report.Rate k id) (rate_kinds ~id entries))
+        (fun x -> [ trend Report.Wall x.x_id; trend Report.Alloc x.x_id ])
         newest.l_exps
 
 let note t =

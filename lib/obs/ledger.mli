@@ -4,8 +4,8 @@
     baseline. The ledger is longitudinal: an append-only NDJSON file
     (committed at [bench/ledger.ndjson]) holding one compact digest per
     recorded report — commit, dirty flag, timestamp, run provenance, and
-    per experiment the median wall time, the deterministic minor-word
-    count and the derived units/sec per {!Work} kind — so drift that
+    per experiment the median wall time and the deterministic minor-word
+    count — so drift that
     stays inside every single diff's tolerance is still visible (and
     gateable) across PRs. {!gate} judges the newest entry against the
     preceding window with the diff's own rule, {!Report.judge}. *)
@@ -17,7 +17,6 @@ type exp_digest = {
   x_id : string;
   x_wall_s : float;  (** median wall of the report entry *)
   x_minor_words : float;  (** NaN when the report carried no alloc block *)
-  x_rates : (string * float) list;  (** units/sec per kind at median wall *)
 }
 
 type entry = {
@@ -34,11 +33,13 @@ type entry = {
 }
 
 val digest : Report.t -> entry
-(** Compress a full bench report into one ledger entry. NaN rates (zero
-    or undefined median wall) are dropped at digest time. *)
+(** Compress a full bench report into one ledger entry. *)
 
 val entry_to_json : entry -> Json.t
+
 val entry_of_json : Json.t -> (entry, string) result
+(** The [rate_per_s] object that older lines carry per experiment is
+    ignored. *)
 
 val load : string -> (entry list, string) result
 (** Read a ledger file, one entry per non-blank line, oldest first.
@@ -56,16 +57,13 @@ val append : entry list -> entry -> entry list
 
 (** {2 Series and rendering} *)
 
-val series : Report.metric -> ?kind:string -> id:string -> entry list -> float list
+val series : Report.metric -> id:string -> entry list -> float list
 (** The metric's value per entry, aligned with [entries] (oldest first);
-    NaN marks entries where the experiment, alloc block or rate [kind]
-    is absent, so a sparkline keeps the commit axis. *)
+    NaN marks entries where the experiment or its alloc block is absent,
+    so a sparkline keeps the commit axis. *)
 
 val exp_ids : entry list -> string list
 (** Every experiment id appearing anywhere in the ledger, sorted. *)
-
-val rate_kinds : id:string -> entry list -> string list
-(** Every work kind the experiment ever recorded a rate for, sorted. *)
 
 val sparkline : float list -> string
 (** Eight-level Unicode block rendering scaled to the series' own
@@ -77,7 +75,6 @@ val sparkline : float list -> string
 type trend = {
   t_exp : string;
   t_metric : Report.metric;
-  t_kind : string;  (** work kind for [Rate]; [""] otherwise *)
   t_judgment : Report.judgment option;
       (** [None] when the window holds no earlier value or the newest entry
           lacks the series — never a failure; {!note} says which *)
@@ -90,10 +87,9 @@ val window : int
 
 val gate : entry list -> trend list
 (** Trend verdicts over the last {!window} entries, one row per
-    (experiment in the newest entry) × metric, plus one per recorded
-    rate kind: {!Report.judge} with the series' earlier known values as
-    the old samples and the newest entry's value as the one new sample.
-    The wall series behind them decide the 50ms floor. *)
+    (experiment in the newest entry) × metric: {!Report.judge} with the
+    series' earlier known values as the old samples and the newest
+    entry's value as the one new sample. *)
 
 val note : trend -> string
 (** The judgment's note, or why there is none: ["insufficient history"]

@@ -10,9 +10,9 @@
    deterministic axis: minor-word counts are exact for a fixed seed/jobs,
    so that verdict is a plain 1% ratio with no floor and no range logic —
    tight where the wall-time verdict must be loose. The "work" block (units
-   per Wx_obs.Work kind) turns wall time into units/sec, which catches an
-   experiment doing half the work in the same wall time; the "util" block
-   (pool runs, busy fraction, idle tail) is informational.
+   per Wx_obs.Work kind) and the "util" block (pool runs, busy fraction,
+   idle tail) are a record of what each experiment counted; no verdict
+   reads them.
 
    [judge] is that rule, once, over two sample lists; [diff] applies it per
    experiment and the ledger's trend gate per series. *)
@@ -105,17 +105,6 @@ let util_json u =
       ("idle_tail_ms", Json.Float u.ut_idle_tail_ms);
     ]
 
-(* Units/sec per kind against the median wall sample — derived, for humans
-   reading the file and for the ledger's digest; the diff recomputes rates
-   per sample from [work]. *)
-let rates e =
-  let m = median e.wall_s in
-  List.map
-    (fun (k, n) -> (k, if m > 0.0 then float_of_int n /. m else Float.nan))
-    e.work
-
-let rate_json e = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (rates e))
-
 let entry_json e =
   Json.Obj
     ([
@@ -134,11 +123,7 @@ let entry_json e =
     ]
     @ (match e.work with
       | [] -> []
-      | w ->
-          [
-            ("work", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) w));
-            ("rate_per_s", rate_json e);
-          ])
+      | w -> [ ("work", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) w)) ])
     @ (match e.util with None -> [] | Some u -> [ ("util", util_json u) ])
     @ match e.alloc with None -> [] | Some a -> [ ("alloc", Memgc.to_json a) ])
 
@@ -213,8 +198,8 @@ let entry_of_json j =
         | Some c -> Ok (Some c)
         | None -> Error "alloc block is malformed")
   in
-  (* Absent when Metrics was off: work decodes as [], util as None, and the
-     diff skips the rate verdict for this entry. *)
+  (* Absent when Metrics was off: work decodes as [], util as None. Older
+     reports also carry a derived rate_per_s object; it is ignored. *)
   let* work =
     match Json.member "work" j with
     | None -> Ok []
@@ -308,26 +293,22 @@ let verdict_name = function
   | Added -> "added"
   | Removed -> "removed"
 
-type metric = Wall | Alloc | Rate
+type metric = Wall | Alloc
 
-let metric_name = function Wall -> "wall" | Alloc -> "alloc" | Rate -> "rate"
+let metric_name = function Wall -> "wall" | Alloc -> "alloc"
 
-type rule = { tolerance : float; ranged : bool; higher_is_worse : bool; floored : bool }
+type rule = { tolerance : float; ranged : bool; floored : bool }
 
 (* The one rule table, shared by `bench diff` and `bench history gate`.
    Wall time is noisy, so a regression needs both a median ratio beyond
    25% and disjoint sample ranges. Minor-word counts are deterministic per
    seed/jobs (DESIGN.md §8), so 1% is not a noise allowance — it only
-   forgives genuinely tiny drifts — and needs no range test and no floor.
-   Rates inherit wall noise through the denominator (units are
-   deterministic, the wall is not), so they take the wall posture on a
-   flipped axis. *)
+   forgives genuinely tiny drifts — and needs no range test and no floor. *)
 let rule = function
-  | Wall -> { tolerance = 0.25; ranged = true; higher_is_worse = true; floored = true }
-  | Alloc -> { tolerance = 0.01; ranged = false; higher_is_worse = true; floored = false }
-  | Rate -> { tolerance = 0.25; ranged = true; higher_is_worse = false; floored = true }
+  | Wall -> { tolerance = 0.25; ranged = true; floored = true }
+  | Alloc -> { tolerance = 0.01; ranged = false; floored = false }
 
-(* Under 50ms timer resolution dominates both the wall and the rate axis. *)
+(* Under 50ms timer resolution dominates the wall axis. *)
 let min_wall_s = 0.05
 
 type judgment = {
@@ -338,27 +319,19 @@ type judgment = {
   note : string;
 }
 
-let judge ?walls metric ~old_ ~new_ =
+let judge metric ~old_ ~new_ =
   let r = rule metric in
   let om = median old_ and nm = median new_ in
   let ratio = if om = 0.0 then if nm = 0.0 then 1.0 else Float.infinity else nm /. om in
   let omin = min_sample old_ and omax = max_sample old_ in
   let nmin = min_sample new_ and nmax = max_sample new_ in
-  let under_floor =
-    r.floored
-    &&
-    let ow, nw = Option.value walls ~default:(old_, new_) in
-    List.for_all (fun w -> w < min_wall_s) (ow @ nw)
-  in
+  let under_floor = r.floored && List.for_all (fun w -> w < min_wall_s) (old_ @ new_) in
   let up = ratio > 1.0 +. r.tolerance && ((not r.ranged) || nmin > omax) in
-  let down =
-    ratio < (if r.higher_is_worse then 1.0 -. r.tolerance else 1.0 /. (1.0 +. r.tolerance))
-    && ((not r.ranged) || nmax < omin)
-  in
+  let down = ratio < 1.0 -. r.tolerance && ((not r.ranged) || nmax < omin) in
   let verdict =
     if under_floor then Within_noise
-    else if up then if r.higher_is_worse then Regression else Improvement
-    else if down then if r.higher_is_worse then Improvement else Regression
+    else if up then Regression
+    else if down then Improvement
     else Within_noise
   in
   let note =
@@ -381,34 +354,11 @@ type delta = {
   d_new : entry option;
   wall : judgment;
   alloc : judgment option;
-  rate : judgment option;
 }
 
 let minor_words = function
   | Some ({ alloc = Some a; _ } : entry) -> float_of_int a.Memgc.minor_words
   | _ -> Float.nan
-
-(* One judgment per work kind both sides carry: every wall sample yields a
-   units/sec sample (units are per-experiment constants). Across kinds the
-   worst verdict wins — doing 30% fewer sets/sec is not excused by drawing
-   samples faster — and absent regressions any improved kind reports
-   improvement. The note names the deciding kind. *)
-let judge_rate (oe : entry) (ne : entry) =
-  let rates units e = List.map (fun w -> float_of_int units /. w) e.wall_s in
-  let judged =
-    List.filter_map
-      (fun (k, ou) ->
-        Option.map
-          (fun nu ->
-            (k, judge ~walls:(oe.wall_s, ne.wall_s) Rate ~old_:(rates ou oe) ~new_:(rates nu ne)))
-          (List.assoc_opt k ne.work))
-      oe.work
-  in
-  let pick v = List.find_opt (fun (_, j) -> j.verdict = v) judged in
-  match (pick Regression, pick Improvement, judged) with
-  | Some (k, j), _, _ | None, Some (k, j), _ | None, None, (k, j) :: _ ->
-      Some { j with note = (if j.note = "" then "" else k ^ " " ^ j.note) }
-  | None, None, [] -> None
 
 let compare_one (oe : entry) (ne : entry) =
   let wall = judge Wall ~old_:oe.wall_s ~new_:ne.wall_s in
@@ -430,7 +380,6 @@ let compare_one (oe : entry) (ne : entry) =
     d_new = Some ne;
     wall = { wall with note = wall.note ^ checks_note };
     alloc;
-    rate = judge_rate oe ne;
   }
 
 (* An experiment present on one side only: no comparison, just its median. *)
@@ -443,7 +392,6 @@ let one_sided verdict (e : entry) =
     d_new = (if verdict = Added then Some e else None);
     wall = { verdict; old_median; new_median; ratio = Float.nan; note = "" };
     alloc = None;
-    rate = None;
   }
 
 let diff ~old_ ~new_ =
@@ -455,26 +403,17 @@ let diff ~old_ ~new_ =
       (fun ne -> if find old_ ne.id = None then Some (one_sided Added ne) else None)
       new_.entries
 
-let judgment metric d =
-  match metric with Wall -> Some d.wall | Alloc -> d.alloc | Rate -> d.rate
+let judgment metric d = match metric with Wall -> Some d.wall | Alloc -> d.alloc
 
 let regressions metric deltas =
   List.filter
     (fun d -> match judgment metric d with Some j -> j.verdict = Regression | None -> false)
     deltas
 
-(* A compared pair that got no judgment on a metric it should have one for:
-   a side recorded with Memgc off (alloc), or the two sides share no work
-   kind although one carries some (rate; an experiment that counts no work
-   on either side has nothing to skip). Added/removed entries never count. *)
-let skipped metric deltas =
-  List.exists
-    (fun d ->
-      match (d.d_old, d.d_new, metric) with
-      | Some _, Some _, Alloc -> d.alloc = None
-      | Some o, Some n, Rate -> d.rate = None && (o.work <> [] || n.work <> [])
-      | _ -> false)
-    deltas
+(* A compared pair with no alloc judgment: a side recorded with Memgc off.
+   Added/removed entries never count. *)
+let alloc_skipped deltas =
+  List.exists (fun d -> d.d_old <> None && d.d_new <> None && d.alloc = None) deltas
 
 (* Configuration mismatches don't fail a diff, but a wall-time comparison
    across them is not apples-to-apples, so surface them loudly. *)

@@ -8,11 +8,11 @@
     [util] block (pool runs, busy fraction, idle tail) and run
     provenance (git commit, hostname, jobs, seed), so a number in a
     committed baseline can always be traced back to the configuration
-    that produced it. {!diff} compares two reports with {!judge} on three
+    that produced it. {!diff} compares two reports with {!judge} on two
     axes: wall time (noise-aware: a median-ratio breach {e and} disjoint
-    sample ranges), minor words (deterministic per seed/jobs, so a bare
-    1% ratio) and units/sec per work kind (the wall posture on a flipped
-    axis, the worst kind deciding the experiment). *)
+    sample ranges) and minor words (deterministic per seed/jobs, so a bare
+    1% ratio). The work counts and the util block are a record only; no
+    verdict reads them. *)
 
 val schema : string
 (** ["wx-bench/4"]. *)
@@ -52,11 +52,6 @@ type t = {
 val median : float list -> float
 (** Sample median; NaN on the empty list. *)
 
-val rates : entry -> (string * float) list
-(** Units/sec per work kind against the median wall sample — what the
-    report's derived [rate_per_s] field and the ledger digest record;
-    NaN when the median wall is zero or undefined. *)
-
 val min_sample : float list -> float
 val max_sample : float list -> float
 
@@ -78,6 +73,8 @@ val make :
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
+(** Decode a [wx-bench/4] report. The derived [rate_per_s] object that
+    older reports carry per entry is ignored. *)
 
 val load : string -> (t, string) result
 (** Read and decode a report file; [Error] on IO, parse, or schema
@@ -92,23 +89,20 @@ type verdict = Regression | Improvement | Within_noise | Added | Removed
 
 val verdict_name : verdict -> string
 
-type metric = Wall | Alloc | Rate
+type metric = Wall | Alloc
 
 val metric_name : metric -> string
 
 type rule = {
   tolerance : float;  (** relative median move needed for a verdict *)
   ranged : bool;  (** also require disjoint sample ranges *)
-  higher_is_worse : bool;  (** [false] for rates: a drop regresses *)
-  floored : bool;  (** silenced when every wall sample is under {!min_wall_s} *)
+  floored : bool;  (** silenced when every sample is under {!min_wall_s} *)
 }
 
 val rule : metric -> rule
-(** The one constant table. Wall: 25%, ranged, higher is worse, floored.
-    Alloc: 1%, no range test, higher is worse, no floor (minor words are
-    deterministic per seed/jobs). Rate: 25%, ranged, lower is worse
-    (a regression needs the new median under [1 / 1.25] of the old),
-    floored. *)
+(** The one constant table; higher is worse on both axes. Wall: 25%,
+    ranged, floored. Alloc: 1%, no range test, no floor (minor words are
+    deterministic per seed/jobs). *)
 
 val min_wall_s : float
 (** 0.05 — timer resolution dominates under 50ms. *)
@@ -121,16 +115,14 @@ type judgment = {
   note : string;  (** why, when the verdict is not a plain [Within_noise] *)
 }
 
-val judge :
-  ?walls:float list * float list -> metric -> old_:float list -> new_:float list -> judgment
+val judge : metric -> old_:float list -> new_:float list -> judgment
 (** Judge [new_] against [old_] under [rule metric]: {!Regression} when
-    the median ratio moves past the tolerance in the worse direction (and,
-    for a ranged rule, every new sample lies beyond every old one),
-    {!Improvement} for the mirror image, {!Within_noise} otherwise. A
-    floored metric is {!Within_noise} when every wall sample on both sides
-    is under {!min_wall_s}; [walls] are those (old, new) wall samples and
-    default to [(old_, new_)] themselves, which is right for [Wall]. An
-    alloc side that recorded zero words regresses on any nonzero count. *)
+    the median ratio rises past [1 + tolerance] (and, for a ranged rule,
+    every new sample lies above every old one), {!Improvement} when it
+    falls under [1 - tolerance] (every new sample below every old one),
+    {!Within_noise} otherwise. A floored metric is {!Within_noise} when
+    every sample on both sides is under {!min_wall_s}. An alloc side that
+    recorded zero words regresses on any nonzero count. *)
 
 (** {2 Diffing} *)
 
@@ -140,18 +132,12 @@ type delta = {
   d_new : entry option;  (** [None] when it was removed *)
   wall : judgment;  (** verdict [Added]/[Removed] when one side is missing *)
   alloc : judgment option;  (** [None] unless both sides carry an alloc block *)
-  rate : judgment option;
-      (** the deciding work kind's judgment, its note prefixed by the kind;
-          [None] when the sides share no work kind *)
 }
 
 val diff : old_:t -> new_:t -> delta list
 (** One delta per experiment id in either report, in old-report order with
     new-only entries appended. Wall judges the wall samples (the note also
-    flags a change in the checks that hold); alloc the minor-word counts;
-    rate turns every wall sample into a units/sec sample per shared work
-    kind, judges each kind with the wall samples deciding the floor, and
-    keeps the worst. *)
+    flags a change in the checks that hold); alloc the minor-word counts. *)
 
 val regressions : metric -> delta list -> delta list
 (** The deltas whose judgment on the metric is {!Regression}. *)
@@ -160,11 +146,10 @@ val minor_words : entry option -> float
 (** The entry's minor-word count; NaN when absent or without an alloc
     block. *)
 
-val skipped : metric -> delta list -> bool
-(** True when some compared pair (not added/removed) got no judgment on
-    the metric although it should have: an alloc block missing on a side
-    (Memgc off), or work kinds on a side but none in common (Metrics off
-    during one recording). The case a caller should warn about. *)
+val alloc_skipped : delta list -> bool
+(** True when some compared pair (not added/removed) got no alloc
+    judgment because a side lacks an alloc block (Memgc off) — the case
+    a caller should warn about. *)
 
 val compat_warnings : old_:t -> new_:t -> string list
 (** Human-readable warnings when quick mode, job count, or seed differ —

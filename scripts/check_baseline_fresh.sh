@@ -19,7 +19,7 @@ baseline=bench/baseline.json
 # its enumeration layer (including the bitset count kernels KERN's naive
 # rows and the scorers lean on, and the guard that bounds it), the
 # experiment definitions themselves, and — since the baseline carries
-# work counts, units/sec series and pool utilization (wx-bench/4) — the
+# work counts and pool utilization (wx-bench/4) — the
 # pool scheduler, the work-unit taxonomy, the radio engine and its
 # protocols (rounds and vertex scans are counted work kinds), the graph
 # layout (graph.ml: the CSR rows the radio scan and Nbhd.Inc walk), the

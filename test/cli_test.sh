@@ -7,12 +7,14 @@
 # WX_BENCH_*_HANDICAP hooks), broadcast's protocol and option surface,
 # and verify-paper's claim lines against their golden copy. Run by dune
 # (see test/dune): $1 = wx.exe, $2 = a committed wx-bench report, $3 =
-# the pinned claim.check lines of `wx verify-paper --json`.
+# the pinned claim.check lines of `wx verify-paper --json`, $4 = the
+# committed perf-trajectory ledger.
 set -u
 
 WX=$1
 REPORT=$2
 CLAIMS=$3
+LEDGER=$4
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -71,6 +73,13 @@ test "$(wc -l <"$CLAIMS")" -eq 202
 check "the golden copy holds 202 claims" 0 $?
 
 # ---- bench history ----
+# The committed ledger holds lines written while the rate gate existed
+# (they carry rate_per_s); they still decode, render and gate.
+"$WX" bench history show --ledger "$LEDGER" >/dev/null 2>&1
+check "history show on the committed ledger" 0 $?
+"$WX" bench history gate --soft --ledger "$LEDGER" >/dev/null 2>&1
+check "history gate --soft on the committed ledger" 0 $?
+
 L="$tmp/ledger.ndjson"
 "$WX" bench history append "$REPORT" --ledger "$L" >/dev/null 2>&1
 check "history append creates the ledger" 0 $?
@@ -81,8 +90,10 @@ check "one commit, one ledger line" 0 $?
 
 "$WX" bench history show --ledger "$L" >/dev/null 2>&1
 check "history show" 0 $?
-"$WX" bench history show --metric rate -e e1 --ledger "$L" >/dev/null 2>&1
-check "history show --metric rate -e" 0 $?
+"$WX" bench history show --metric alloc -e e1 --ledger "$L" >/dev/null 2>&1
+check "history show --metric alloc -e" 0 $?
+"$WX" bench history show --metric rate --ledger "$L" >/dev/null 2>&1
+check "history show has no rate metric (usage error)" 124 $?
 "$WX" bench history gate --ledger "$L" >/dev/null 2>&1
 check "history gate on a one-entry ledger is clean" 0 $?
 "$WX" bench history gate --ledger "$tmp/absent.ndjson" >/dev/null 2>&1
@@ -112,6 +123,10 @@ rec() { # rec OUT [ENV=VALUE...] -- one quick e1 record
 }
 rec "$tmp/clean.json"
 check "record clean e1" 0 $?
+"$WX" bench record -e nope --quick --repeats 1 --out "$tmp/nope.json" >/dev/null 2>"$tmp/nope.err"
+check "record of an unknown experiment exits 1" 1 $?
+grep -q "e1" "$tmp/nope.err"
+check "unknown-experiment error lists the valid ids" 0 $?
 rec "$tmp/slow.json" WX_BENCH_HANDICAP_MS=150
 check "record e1 with a wall handicap" 0 $?
 rec "$tmp/fat.json" WX_BENCH_ALLOC_HANDICAP_WORDS=200000
@@ -121,8 +136,6 @@ check "record e1 with an alloc handicap" 0 $?
 check "bench diff fails on the wall handicap" 1 $?
 "$WX" bench diff --soft "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
 check "bench diff --soft reports it without failing" 0 $?
-"$WX" bench diff --rate-only "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
-check "bench diff --rate-only fails on the wall handicap" 1 $?
 "$WX" bench diff --alloc-only "$tmp/clean.json" "$tmp/fat.json" >/dev/null 2>&1
 check "bench diff --alloc-only fails on the alloc handicap" 1 $?
 
@@ -132,6 +145,8 @@ check "a report with a bad \\u escape is malformed (exit 2)" 2 $?
 
 "$WX" bench diff --tolerance 0.1 "$tmp/clean.json" "$tmp/clean.json" >/dev/null 2>&1
 check "bench diff has no --tolerance (usage error)" 124 $?
+"$WX" bench diff --rate-only "$tmp/clean.json" "$tmp/slow.json" >/dev/null 2>&1
+check "bench diff has no --rate-only (usage error)" 124 $?
 "$WX" bench history gate --window 3 --ledger "$L.clean" >/dev/null 2>&1
 check "history gate has no --window (usage error)" 124 $?
 

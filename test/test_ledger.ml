@@ -1,9 +1,10 @@
 (* The longitudinal half of the performance-trajectory layer: the
    wx-ledger/1 digest and codec round-trip, dedup-by-commit append, file
    round-trips with malformed-line reporting, trend-gate verdicts on
-   synthetic histories (wall / alloc / rate postures, floor, insufficient
-   history, series absent from the newest entry), sparklines, and the Prof trace analysis — containment
-   nesting and differential profiles. *)
+   synthetic histories (wall / alloc postures, floor, insufficient
+   history, series absent from the newest entry), older lines that still
+   carry rate_per_s, sparklines, and the Prof trace analysis —
+   containment nesting and differential profiles. *)
 
 module Json = Wx_obs.Json
 module Report = Wx_obs.Report
@@ -14,8 +15,8 @@ open Common
 
 (* ---- synthetic ledgers ---- *)
 
-let exp_digest ?(rates = []) ?(minor = Float.nan) id wall =
-  { Ledger.x_id = id; x_wall_s = wall; x_minor_words = minor; x_rates = rates }
+let exp_digest ?(minor = Float.nan) id wall =
+  { Ledger.x_id = id; x_wall_s = wall; x_minor_words = minor }
 
 let entry ?(commit = "c0") ?(dirty = false) exps =
   {
@@ -30,23 +31,18 @@ let entry ?(commit = "c0") ?(dirty = false) exps =
   }
 
 (* A history where experiment [id]'s wall walks through [walls], one entry
-   (commit c0, c1, ...) per value; minor words and one rate kind ride
-   along when given. *)
-let history ?minors ?rates id walls =
+   (commit c0, c1, ...) per value; minor words ride along when given. *)
+let history ?minors id walls =
   List.mapi
     (fun i w ->
       let minor = match minors with Some ms -> List.nth ms i | None -> Float.nan in
-      let rates =
-        match rates with Some rs -> [ ("units", List.nth rs i) ] | None -> []
-      in
-      entry ~commit:(Printf.sprintf "c%d" i) [ exp_digest ~rates ~minor id w ])
+      entry ~commit:(Printf.sprintf "c%d" i) [ exp_digest ~minor id w ])
     walls
 
-let find_trend trends ~metric ?(kind = "") id =
+let find_trend trends ~metric id =
   match
     List.find_opt
-      (fun (t : Ledger.trend) ->
-        t.Ledger.t_exp = id && t.Ledger.t_metric = metric && t.Ledger.t_kind = kind)
+      (fun (t : Ledger.trend) -> t.Ledger.t_exp = id && t.Ledger.t_metric = metric)
       trends
   with
   | Some t -> t
@@ -89,8 +85,7 @@ let test_digest () =
   (match e.Ledger.l_exps with
   | [ x ] ->
       check_float "median wall digested" 2.0 x.Ledger.x_wall_s;
-      check_float "minor words" 1234.0 x.Ledger.x_minor_words;
-      check_float "rate = units / median wall" 50.0 (List.assoc "steps" x.Ledger.x_rates)
+      check_float "minor words" 1234.0 x.Ledger.x_minor_words
   | _ -> Alcotest.fail "one experiment digest expected");
   (* No provenance commit -> "unknown", not an error. *)
   let r2 = Report.make ~provenance:[] ~seed:1 ~quick:true ~jobs:1 ~repeats:1 [] in
@@ -102,8 +97,8 @@ let test_round_trip () =
   let e =
     entry ~commit:"feedface" ~dirty:true
       [
-        exp_digest ~rates:[ ("a", 10.5); ("b", 2e6) ] ~minor:42.0 "e1" 0.25;
-        exp_digest "e2" 1.5 (* no alloc block, no rates *);
+        exp_digest ~minor:42.0 "e1" 0.25;
+        exp_digest "e2" 1.5 (* no alloc block *);
       ]
   in
   match Ledger.entry_of_json (Ledger.entry_to_json e) with
@@ -115,9 +110,35 @@ let test_round_trip () =
       let x1 = List.hd e'.Ledger.l_exps and x2 = List.nth e'.Ledger.l_exps 1 in
       check_float "wall" 0.25 x1.Ledger.x_wall_s;
       check_float "minor" 42.0 x1.Ledger.x_minor_words;
-      check_float "rate b" 2e6 (List.assoc "b" x1.Ledger.x_rates);
-      check_true "missing minor decodes NaN" (Float.is_nan x2.Ledger.x_minor_words);
-      check_true "missing rates decode []" (x2.Ledger.x_rates = [])
+      check_true "missing minor decodes NaN" (Float.is_nan x2.Ledger.x_minor_words)
+
+(* A line as written while the rate gate existed (trimmed from the
+   committed bench/ledger.ndjson): rate_per_s decodes and is dropped. *)
+let pre_rate_removal_line =
+  {|{"schema":"wx-ledger/1","commit":"e46b8ace156664458347e8790d3cdeac9c08a780","dirty":false,"generated":"20261018T092442Z","seed":20180218,"quick":true,"jobs":2,"repeats":3,"experiments":[{"id":"e1","wall_s":0.0030167729999999999,"minor_words":164620.0,"rate_per_s":{"gray_steps":5534059.0757077178,"sets_scored":1088911.8936028664,"subtrees_pruned":502855.2032254333}},{"id":"e2","wall_s":0.0020094190000000001,"minor_words":87342.0,"rate_per_s":{"sets_scored":3879230.762722956,"subtrees_pruned":2288223.6109044454}}]}|}
+
+let test_decode_pre_rate_removal () =
+  match Ledger.entry_of_json (Json.of_string pre_rate_removal_line) with
+  | Error m -> Alcotest.failf "decode: %s" m
+  | Ok e ->
+      Alcotest.(check string) "commit" "e46b8ace156664458347e8790d3cdeac9c08a780" e.Ledger.l_commit;
+      (match e.Ledger.l_exps with
+      | [ x1; x2 ] ->
+          Alcotest.(check string) "first id" "e1" x1.Ledger.x_id;
+          check_float "e1 wall" 0.0030167729999999999 x1.Ledger.x_wall_s;
+          check_float "e1 minor" 164620.0 x1.Ledger.x_minor_words;
+          check_float "e2 minor" 87342.0 x2.Ledger.x_minor_words
+      | _ -> Alcotest.fail "two experiment digests expected");
+      (match Json.member "experiments" (Ledger.entry_to_json e) with
+      | Some (Json.List xs) ->
+          check_int "both digests re-encoded" 2 (List.length xs);
+          check_true "re-encodes without rate_per_s"
+            (List.for_all (fun x -> Json.member "rate_per_s" x = None) xs)
+      | _ -> Alcotest.fail "re-encoded line has no experiments list");
+      (* And the re-encoded line decodes to the same entry. *)
+      match Ledger.entry_of_json (Ledger.entry_to_json e) with
+      | Ok e' -> check_true "re-encoded line round-trips" (e' = e)
+      | Error m -> Alcotest.failf "re-decode: %s" m
 
 let test_codec_rejects () =
   let reject msg j =
@@ -145,7 +166,7 @@ let valid_line =
   Json.to_string
     (Ledger.entry_to_json
        (entry ~commit:"feedface"
-          [ exp_digest ~rates:[ ("a", 10.5) ] ~minor:42.0 "e1" 0.25; exp_digest "e2" 1.5 ]))
+          [ exp_digest ~minor:42.0 "e1" 0.25; exp_digest "e2" 1.5 ]))
 
 (* ---- append / file IO ---- *)
 
@@ -229,20 +250,6 @@ let test_gate_alloc () =
   check_verdict "alloc gates under the wall floor" (Some Report.Regression)
     (find_trend (Ledger.gate tiny) ~metric:Report.Alloc "e1")
 
-let test_gate_rate () =
-  (* Rates mirror the wall rule with the axis flipped: a drop below
-     1/(1+tol) of the window median AND under the window min regresses. *)
-  let rates = [ 100.0; 98.0; 102.0; 60.0 ] in
-  let l = history ~rates "e1" [ 1.0; 1.0; 1.0; 1.0 ] in
-  check_verdict "rate collapse regresses" (Some Report.Regression)
-    (find_trend (Ledger.gate l) ~metric:Report.Rate ~kind:"units" "e1");
-  let up = history ~rates:[ 100.0; 98.0; 102.0; 150.0 ] "e1" [ 1.0; 1.0; 1.0; 1.0 ] in
-  check_verdict "rate jump improves" (Some Report.Improvement)
-    (find_trend (Ledger.gate up) ~metric:Report.Rate ~kind:"units" "e1");
-  let tiny = history ~rates:[ 100.0; 100.0; 10.0 ] "e1" [ 0.001; 0.001; 0.001 ] in
-  check_verdict "rate silent under wall floor" (Some Report.Within_noise)
-    (find_trend (Ledger.gate tiny) ~metric:Report.Rate ~kind:"units" "e1")
-
 let test_gate_insufficient_and_window () =
   (* One entry: nothing to compare against; the verdict is None, never a
      failure. *)
@@ -269,24 +276,15 @@ let test_gate_insufficient_and_window () =
     (List.for_all (fun (t : Ledger.trend) -> t.Ledger.t_exp = "e1") (Ledger.gate l))
 
 let test_gate_absent_newest () =
-  (* Rate kind "k" reads 100, 101, 10 and is absent from the newest entry
-     (as is the alloc block): the series has no candidate, so it gets no
-     verdict — never an older entry's value judged in its place. *)
-  let line i ?minor rates = entry ~commit:(Printf.sprintf "c%d" i) [ exp_digest ~rates ?minor "e" 1.0 ] in
-  let l =
-    [
-      line 0 ~minor:1000.0 [ ("k", 100.0) ];
-      line 1 ~minor:1000.0 [ ("k", 101.0) ];
-      line 2 ~minor:5000.0 [ ("k", 10.0) ];
-      line 3 [];
-    ]
-  in
+  (* Minor words read 1000, 1000, 5000 and the newest entry has no alloc
+     block: the alloc series has no candidate, so it gets no verdict —
+     never an older entry's value judged in its place. *)
+  let line i ?minor () = entry ~commit:(Printf.sprintf "c%d" i) [ exp_digest ?minor "e" 1.0 ] in
+  let l = [ line 0 ~minor:1000.0 (); line 1 ~minor:1000.0 (); line 2 ~minor:5000.0 (); line 3 () ] in
   let trends = Ledger.gate l in
-  let rate = find_trend trends ~metric:Report.Rate ~kind:"k" "e" in
-  check_verdict "absent rate kind -> no verdict" None rate;
-  Alcotest.(check string) "note says why" "absent from the newest entry" (Ledger.note rate);
-  check_verdict "absent alloc block -> no verdict" None
-    (find_trend trends ~metric:Report.Alloc "e");
+  let alloc = find_trend trends ~metric:Report.Alloc "e" in
+  check_verdict "absent alloc block -> no verdict" None alloc;
+  Alcotest.(check string) "note says why" "absent from the newest entry" (Ledger.note alloc);
   check_true "no regressions" (Ledger.regressions trends = []);
   check_verdict "the wall series is still judged" (Some Report.Within_noise)
     (find_trend trends ~metric:Report.Wall "e")
@@ -396,6 +394,7 @@ let suite =
   [
     Alcotest.test_case "report digest" `Quick test_digest;
     Alcotest.test_case "wx-ledger/1 round trip" `Quick test_round_trip;
+    Alcotest.test_case "pre-rate-removal line decodes" `Quick test_decode_pre_rate_removal;
     Alcotest.test_case "malformed entries rejected" `Quick test_codec_rejects;
     qcheck ~count:500 "ledger decoder: mutated lines" prop_entry_hostile
       (arbitrary_mutation valid_line);
@@ -403,7 +402,6 @@ let suite =
     Alcotest.test_case "NDJSON file round trip" `Quick test_file_round_trip;
     Alcotest.test_case "wall trend verdicts" `Quick test_gate_wall;
     Alcotest.test_case "alloc trend verdicts" `Quick test_gate_alloc;
-    Alcotest.test_case "rate trend verdicts" `Quick test_gate_rate;
     Alcotest.test_case "insufficient history / window" `Quick test_gate_insufficient_and_window;
     Alcotest.test_case "series absent from the newest entry" `Quick test_gate_absent_newest;
     Alcotest.test_case "sparkline rendering" `Quick test_sparkline;

@@ -1,6 +1,6 @@
 (* The performance-trajectory layer: the wx-bench/4 schema round-trips
-   through Wx_obs.Json, bench-diff wall-time, allocation and throughput
-   verdicts on synthetic report pairs (pinned at the rule table's
+   through Wx_obs.Json, bench-diff wall-time and allocation verdicts on
+   synthetic report pairs (pinned at the rule table's
    boundaries), and the catapult traces Trace_export emits are well-formed
    (every event carries ph/ts/pid/tid, one track per pool worker). *)
 
@@ -114,6 +114,32 @@ let test_round_trip () =
   match Json.member "schema" (Report.to_json r) with
   | Some (Json.String s) -> check_true "schema is wx-bench/4" (s = Report.schema)
   | _ -> Alcotest.fail "no schema field"
+
+(* A report entry as written while the rate gate existed: the derived
+   rate_per_s object rides next to work. It decodes, and re-encodes
+   without it. *)
+let pre_rate_removal_report =
+  {|{"schema":"wx-bench/4","generated":"20261018T092442Z","seed":20180218,
+     "quick":true,"jobs":2,"repeats":3,
+     "provenance":{"git_commit":"e46b8ace156664458347e8790d3cdeac9c08a780"},
+     "experiments":[{"id":"e1","title":"t","claim":"c","wall_s":[0.0031,0.0030,0.0029],
+       "wall_median_s":0.0030,"wall_min_s":0.0029,"wall_max_s":0.0031,"holds":8,"total":8,
+       "checks":[],"metrics":null,"work":{"gray_steps":16695,"sets_scored":3285},
+       "rate_per_s":{"gray_steps":5534059.07,"sets_scored":1088911.89}}]}|}
+
+let test_decode_pre_rate_removal () =
+  match Report.of_json (Json.of_string pre_rate_removal_report) with
+  | Error m -> Alcotest.failf "decode: %s" m
+  | Ok ({ Report.entries = [ e ]; _ } as r) ->
+      check_true "work counts kept"
+        (e.Report.work = [ ("gray_steps", 16695); ("sets_scored", 3285) ]);
+      check_true "wall samples kept" (e.Report.wall_s = [ 0.0031; 0.0030; 0.0029 ]);
+      (match Json.member "experiments" (Report.to_json r) with
+      | Some (Json.List [ ej ]) ->
+          check_true "re-encodes work" (Json.member "work" ej <> None);
+          check_true "re-encodes without rate_per_s" (Json.member "rate_per_s" ej = None)
+      | _ -> Alcotest.fail "re-encoded report has no single entry")
+  | Ok _ -> Alcotest.fail "expected one entry"
 
 let test_malformed () =
   let reject name j =
@@ -286,19 +312,19 @@ let test_alloc_verdicts () =
   check_int "one alloc regression total" 1
     (List.length (Report.regressions Report.Alloc deltas));
   check_true "nothing skipped when both sides carry blocks"
-    (not (Report.skipped Report.Alloc deltas));
+    (not (Report.alloc_skipped deltas));
   (* Wall verdicts are independent: identical wall samples stay clean. *)
   check_true "no wall regressions" (Report.regressions Report.Wall deltas = [])
 
 let test_alloc_mixed_versions () =
   (* A side recorded with Memgc off (no alloc block): the alloc verdict is
-     skipped per entry, flagged via [skipped], and the wall verdict still
+     skipped per entry, flagged via [alloc_skipped], and the wall verdict still
      computes normally. *)
   let old_ = report [ entry "e" [ 1.0; 1.0; 1.0 ] ] in
   let new_ = report [ entry ~alloc:(minor_words 500_000) "e" [ 2.0; 2.1; 1.9 ] ] in
   let deltas = Report.diff ~old_ ~new_ in
   check_true "alloc verdict skipped" (alloc_verdict_of deltas "e" = None);
-  check_true "skip is flagged" (Report.skipped Report.Alloc deltas);
+  check_true "skip is flagged" (Report.alloc_skipped deltas);
   check_true "wall verdict still computed" (verdict_of deltas "e" = Report.Regression);
   (* The one-sided minor-word count still surfaces for the table. *)
   (match deltas with
@@ -313,113 +339,8 @@ let test_alloc_mixed_versions () =
   in
   let deltas = Report.diff ~old_:(report [ entry ~alloc:(minor_words 1) "e" [ 1.0 ] ]) ~new_:grown in
   check_true "added entry has no alloc verdict" (alloc_verdict_of deltas "fresh" = None);
-  check_true "added/removed do not count as skipped" (not (Report.skipped Report.Alloc deltas))
-
-(* ---- throughput (rate) verdicts ---- *)
-
-let rate_verdict_of deltas id =
-  match List.find_opt (fun d -> d.Report.d_id = id) deltas with
-  | Some d -> Option.map (fun j -> j.Report.verdict) d.Report.rate
-  | None -> Alcotest.failf "no delta for %s" id
-
-let rate_note (d : Report.delta) =
-  match d.Report.rate with Some j -> j.Report.note | None -> ""
-
-let test_rate_verdicts () =
-  (* Rates are derived per sample: units / wall_s. Equal work with slower
-     walls means a lower rate, so the wall and rate verdicts usually agree
-     — the interesting rows are the ones where they diverge because the
-     work count itself moved. *)
-  let w = [ ("gray_steps", 1_000_000) ] in
-  let old_ =
-    report
-      [
-        (* Work halves at identical wall: only the rate gate can see it. *)
-        entry ~work:[ ("gray_steps", 2_000_000) ] "less_work" [ 1.0; 1.05; 0.95 ];
-        (* Wall +45% with equal work: both gates fire. *)
-        entry ~work:w "reg" [ 1.0; 1.05; 0.95 ];
-        (* Rate dips 30% but sample ranges overlap: noise. *)
-        entry ~work:w "overlap" [ 1.0; 1.05; 0.95 ];
-        (* Work doubles at identical wall: a rate improvement. *)
-        entry ~work:w "imp" [ 1.0; 1.05; 0.95 ];
-        (* Everything under the 50ms wall floor: never a rate verdict firing. *)
-        entry ~work:w "tiny" [ 0.010; 0.012; 0.011 ];
-        (* No work on either side: verdict skipped, not Within_noise. *)
-        entry "nowork" [ 1.0 ];
-      ]
-  in
-  let new_ =
-    report
-      [
-        entry ~work:w "less_work" [ 1.0; 1.05; 0.95 ];
-        entry ~work:w "reg" [ 1.45; 1.40; 1.50 ];
-        entry ~work:w "overlap" [ 1.30; 1.50; 1.02 ];
-        entry ~work:[ ("gray_steps", 2_000_000) ] "imp" [ 1.0; 1.05; 0.95 ];
-        entry ~work:w "tiny" [ 0.040; 0.042; 0.041 ];
-        entry "nowork" [ 1.0 ];
-      ]
-  in
-  let deltas = Report.diff ~old_ ~new_ in
-  check_true "halved work at equal wall regresses"
-    (rate_verdict_of deltas "less_work" = Some Report.Regression);
-  check_true "the wall gate cannot see it" (verdict_of deltas "less_work" = Report.Within_noise);
-  check_true "slower wall at equal work regresses"
-    (rate_verdict_of deltas "reg" = Some Report.Regression);
-  check_true "overlapping rate ranges are noise"
-    (rate_verdict_of deltas "overlap" = Some Report.Within_noise);
-  check_true "doubled work improves" (rate_verdict_of deltas "imp" = Some Report.Improvement);
-  check_true "under the wall floor is noise"
-    (rate_verdict_of deltas "tiny" = Some Report.Within_noise);
-  check_true "no shared kinds skips the verdict" (rate_verdict_of deltas "nowork" = None);
-  (* Work-less on BOTH sides is not a skip: nothing was lost, so an
-     all-v4 diff over such entries stays warning-free. *)
-  check_true "both-sides-empty is not flagged" (not (Report.skipped Report.Rate deltas));
-  check_int "two rate regressions total" 2 (List.length (Report.regressions Report.Rate deltas));
-  (* The note names the deciding kind. *)
-  (match List.find_opt (fun d -> d.Report.d_id = "less_work") deltas with
-  | Some d ->
-      check_true "note names the kind"
-        (String.length (rate_note d) >= String.length "gray_steps"
-        && String.sub (rate_note d) 0 (String.length "gray_steps") = "gray_steps")
-  | None -> Alcotest.fail "no delta for less_work");
-  (* Self-diff: every computed rate verdict is clean. *)
-  let self = Report.diff ~old_ ~new_:old_ in
-  check_true "self diff has no rate regressions" (Report.regressions Report.Rate self = [])
-
-let test_rate_worst_kind_wins () =
-  (* Two kinds, one steady and one collapsing: the collapsing kind decides. *)
-  let old_ = report [ entry ~work:[ ("a", 1000); ("b", 1000) ] "e" [ 1.0; 1.0; 1.0 ] ] in
-  let new_ = report [ entry ~work:[ ("a", 1000); ("b", 100) ] "e" [ 1.0; 1.0; 1.0 ] ] in
-  let deltas = Report.diff ~old_ ~new_ in
-  check_true "worst kind decides" (rate_verdict_of deltas "e" = Some Report.Regression);
-  (match deltas with
-  | [ d ] -> check_true "note names the collapsing kind" (rate_note d <> "" && String.sub (rate_note d) 0 1 = "b")
-  | _ -> Alcotest.fail "expected one delta");
-  (* Kinds present on only one side are ignored (no common basis). *)
-  let old_ = report [ entry ~work:[ ("a", 1000) ] "e" [ 1.0 ] ] in
-  let new_ = report [ entry ~work:[ ("b", 1000) ] "e" [ 1.0 ] ] in
-  let deltas = Report.diff ~old_ ~new_ in
-  check_true "disjoint kind sets skip" (rate_verdict_of deltas "e" = None);
-  check_true "disjoint kind sets are a flagged skip" (Report.skipped Report.Rate deltas)
-
-let test_rate_mixed_versions () =
-  (* Old side recorded with Metrics off (no work) vs a side with work: rate
-     skipped, wall still gates, and added/removed entries never produce a
-     rate verdict. *)
-  let old_ = report [ entry "e" [ 1.0; 1.0; 1.0 ] ] in
-  let new_ = report [ entry ~work:[ ("sets_scored", 10) ] "e" [ 2.0; 2.1; 1.9 ] ] in
-  let deltas = Report.diff ~old_ ~new_ in
-  check_true "rate verdict skipped" (rate_verdict_of deltas "e" = None);
-  check_true "skip is flagged" (Report.skipped Report.Rate deltas);
-  check_true "wall verdict still computed" (verdict_of deltas "e" = Report.Regression);
-  let grown =
-    report [ entry ~work:[ ("a", 1) ] "e" [ 1.0 ]; entry ~work:[ ("a", 1) ] "fresh" [ 1.0 ] ]
-  in
-  let deltas =
-    Report.diff ~old_:(report [ entry ~work:[ ("a", 1) ] "e" [ 1.0 ] ]) ~new_:grown
-  in
-  check_true "added entry has no rate verdict" (rate_verdict_of deltas "fresh" = None);
-  check_true "added/removed do not count as skipped" (not (Report.skipped Report.Rate deltas))
+  check_true "added/removed do not count as skipped"
+    (not (Report.alloc_skipped deltas))
 
 (* ---- catapult traces ---- *)
 
@@ -503,6 +424,7 @@ let suite =
     Alcotest.test_case "median / spread helpers" `Quick test_median;
     Alcotest.test_case "wx-bench/4 round trip" `Quick test_round_trip;
     Alcotest.test_case "malformed reports rejected" `Quick test_malformed;
+    Alcotest.test_case "pre-rate-removal report decodes" `Quick test_decode_pre_rate_removal;
     Alcotest.test_case "json \\u escape needs four hex digits" `Quick test_json_bad_unicode_escape;
     qcheck ~count:1000 "json decoder: hostile strings" prop_json_hostile arbitrary_hostile_string;
     qcheck ~count:500 "report decoder: mutated reports" prop_report_hostile
@@ -511,9 +433,6 @@ let suite =
     Alcotest.test_case "diff tolerance + compat warnings" `Quick test_diff_tolerance_and_warnings;
     Alcotest.test_case "alloc verdicts on synthetic pairs" `Quick test_alloc_verdicts;
     Alcotest.test_case "alloc verdict across schema versions" `Quick test_alloc_mixed_versions;
-    Alcotest.test_case "rate verdicts on synthetic pairs" `Quick test_rate_verdicts;
-    Alcotest.test_case "rate verdict: worst kind wins" `Quick test_rate_worst_kind_wins;
-    Alcotest.test_case "rate verdict across schema versions" `Quick test_rate_mixed_versions;
     Alcotest.test_case "catapult trace well-formed" `Quick test_catapult_well_formed;
     Alcotest.test_case "trace disabled records nothing" `Quick test_trace_disabled_records_nothing;
   ]
