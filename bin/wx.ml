@@ -527,6 +527,8 @@ let cmd_bench_record obs quick repeats only force out =
   Obs.Memgc.enable ();
   match Wx_bench.Runner.run ?only ~repeats ~quick () with
   | Error msg ->
+      (* No experiment ran, so the registry holds nothing to report. *)
+      Obs.Metrics.disable ();
       Printf.eprintf "%s\n" msg;
       1
   | Ok outcomes ->

@@ -27,22 +27,21 @@ let create s =
     acc := !acc + size.(v)
   done;
   let n_total = !acc in
-  (* Edges: leaf s+j (S-vertex j) to every block on its root path, whose
-     sizes 1, 2, ..., s sum to 2s - 1. *)
-  let ends = Array.make (2 * s * ((2 * s) - 1)) 0 in
-  let k = ref 0 in
+  (* Row of S-vertex j: every block on leaf s+j's root path (sizes 1, 2,
+     ..., s, summing to 2s - 1), root first, so block offsets ascend. *)
+  let deg = (2 * s) - 1 in
+  let adjacency = Array.make (s * deg) 0 and k = ref 0 in
   for j = 0 to s - 1 do
-    let v = ref (s + j) in
-    while !v >= 1 do
-      for r = 0 to size.(!v) - 1 do
-        ends.(2 * !k) <- j;
-        ends.((2 * !k) + 1) <- offset.(!v) + r;
+    for d = 0 to levels do
+      let v = (s + j) lsr (levels - d) in
+      for r = 0 to size.(v) - 1 do
+        adjacency.(!k) <- offset.(v) + r;
         incr k
-      done;
-      v := !v / 2
+      done
     done
   done;
-  { s; levels; bip = Bipartite.of_edge_array ~s ~n:n_total ends; offset; size }
+  let offsets = Array.init (s + 1) (fun j -> j * deg) in
+  { s; levels; bip = Bipartite.of_rows ~n:n_total offsets adjacency; offset; size }
 
 let s t = t.s
 let n_size t = Bipartite.n_count t.bip

@@ -175,14 +175,12 @@ module Bip = struct
 
   let covered t s' =
     let out = Bitset.create (Bipartite.n_count t) in
-    Bitset.iter (fun u -> Array.iter (Bitset.add_inplace out) (Bipartite.neighbors_s t u)) s';
+    Bitset.iter (fun u -> Bipartite.iter_s t u (Bitset.add_inplace out)) s';
     out
 
   let counts t s' =
     let cnt = Array.make (Bipartite.n_count t) 0 in
-    Bitset.iter
-      (fun u -> Array.iter (fun w -> cnt.(w) <- cnt.(w) + 1) (Bipartite.neighbors_s t u))
-      s';
+    Bitset.iter (fun u -> Bipartite.iter_s t u (fun w -> cnt.(w) <- cnt.(w) + 1)) s';
     cnt
 
   let unique t s' =
@@ -201,13 +199,13 @@ module Bip = struct
     let cnt = Array.make (Bipartite.n_count t) 0 in
     let cov = ref 0 and uniq = ref 0 in
     let buf = Bitset.create (Bipartite.s_count t) in
+    let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
     let flip u =
       (* Toggle S-vertex [u]; update per-N counts and both counters. *)
-      let row = Bipartite.neighbors_s t u in
       if Bitset.mem buf u then begin
         Bitset.remove_inplace buf u;
-        for i = 0 to Array.length row - 1 do
-          let w = row.(i) in
+        for i = off.(u) to off.(u + 1) - 1 do
+          let w = adj.(i) in
           let c = cnt.(w) in
           if c = 1 then begin
             decr cov;
@@ -219,8 +217,8 @@ module Bip = struct
       end
       else begin
         Bitset.add_inplace buf u;
-        for i = 0 to Array.length row - 1 do
-          let w = row.(i) in
+        for i = off.(u) to off.(u + 1) - 1 do
+          let w = adj.(i) in
           let c = cnt.(w) in
           if c = 0 then begin
             incr cov;

@@ -1,98 +1,88 @@
 module Bitset = Wx_util.Bitset
 
-type t = { s : int; n : int; m : int; adj_s : int array array; adj_n : int array array }
+(* Each side in compressed sparse rows, the layout of [Graph.t]: row u of
+   side S is [adjacency_s.(offsets_s.(u) .. offsets_s.(u + 1) - 1)], its
+   N-neighbours ascending, and side N likewise. *)
+type t = {
+  offsets_s : int array;
+  adjacency_s : int array;
+  offsets_n : int array;
+  adjacency_n : int array;
+}
 
-(* O(s + n + m) and no comparison sort, the counting-sort transpose of
-   [Graph.of_edges] across the two sides: scatter the S-endpoints into N
-   rows, walk w ascending and append w to the row of each of its
-   S-neighbours — every S row comes out sorted, repeated edges adjacent —
-   keep each S row's distinct entries, then walk u ascending to fill the
-   N rows, sorted. *)
-let build who ~s ~n ends k =
-  if s < 0 || n < 0 then invalid_arg who;
-  let n_off = Array.make (n + 1) 0 and s_off = Array.make (s + 1) 0 in
-  for i = 0 to k - 1 do
-    let u = ends.(2 * i) and w = ends.((2 * i) + 1) in
-    if u < 0 || u >= s || w < 0 || w >= n then invalid_arg (who ^ ": endpoint out of range");
-    n_off.(w + 1) <- n_off.(w + 1) + 1;
-    s_off.(u + 1) <- s_off.(u + 1) + 1
-  done;
-  for w = 0 to n - 1 do
-    n_off.(w + 1) <- n_off.(w + 1) + n_off.(w)
-  done;
+(* The instance on the given S rows, which must be sorted and free of
+   repeats. The N rows are their transpose — walking u ascending leaves
+   each sorted — written into [spent], a dead array of length at least m,
+   so that no builder holds a third edge-sized array at once. *)
+let make ~n offsets_s adjacency_s spent =
+  let m = Array.length adjacency_s in
+  let offsets_n = Array.make (n + 1) 0 in
+  Array.iter (fun w -> offsets_n.(w + 1) <- offsets_n.(w + 1) + 1) adjacency_s;
+  Rows.starts offsets_n;
+  Rows.transpose ~cursor:(Array.sub offsets_n 0 n) offsets_s adjacency_s spent;
+  let adjacency_n = if Array.length spent = m then spent else Array.sub spent 0 m in
+  { offsets_s; adjacency_s; offsets_n; adjacency_n }
+
+let of_rows ~n offsets_s adjacency_s =
+  let s = Array.length offsets_s - 1 and m = Array.length adjacency_s in
+  let malformed () = invalid_arg "Bipartite.of_rows: malformed rows" in
+  if s < 0 || n < 0 || offsets_s.(0) <> 0 || offsets_s.(s) <> m then malformed ();
   for u = 0 to s - 1 do
-    s_off.(u + 1) <- s_off.(u + 1) + s_off.(u)
-  done;
-  let by_n = Array.make k 0 in
-  let cursor = Array.sub n_off 0 n in
-  for i = 0 to k - 1 do
-    let w = ends.((2 * i) + 1) in
-    by_n.(cursor.(w)) <- ends.(2 * i);
-    cursor.(w) <- cursor.(w) + 1
-  done;
-  let by_s = Array.make k 0 in
-  let cursor = Array.sub s_off 0 s in
-  for w = 0 to n - 1 do
-    for i = n_off.(w) to n_off.(w + 1) - 1 do
-      let u = by_n.(i) in
-      by_s.(cursor.(u)) <- w;
-      cursor.(u) <- cursor.(u) + 1
+    let lo = offsets_s.(u) and hi = offsets_s.(u + 1) in
+    if lo > hi || hi > m then malformed ();
+    for i = lo to hi - 1 do
+      let w = adjacency_s.(i) in
+      if w < 0 || w >= n || (i > lo && w <= adjacency_s.(i - 1)) then malformed ()
     done
   done;
-  let dn = Array.make n 0 and m = ref 0 in
-  let adj_s =
-    Array.init s (fun u ->
-        let lo = s_off.(u) and hi = s_off.(u + 1) in
-        let len = ref 0 and prev = ref (-1) in
-        for i = lo to hi - 1 do
-          let w = by_s.(i) in
-          if w <> !prev then begin
-            by_s.(lo + !len) <- w;
-            incr len;
-            prev := w;
-            dn.(w) <- dn.(w) + 1
-          end
-        done;
-        m := !m + !len;
-        Array.sub by_s lo !len)
-  in
-  let adj_n = Array.init n (fun w -> Array.make dn.(w) 0) in
-  Array.fill dn 0 n 0;
-  Array.iteri
-    (fun u row ->
-      Array.iter
-        (fun w ->
-          adj_n.(w).(dn.(w)) <- u;
-          dn.(w) <- dn.(w) + 1)
-        row)
-    adj_s;
-  { s; n; m = !m; adj_s; adj_n }
+  make ~n offsets_s adjacency_s (Array.make m 0)
 
+(* O(s + n + m) and no comparison sort: scatter the S-endpoints into N
+   rows, transpose them into S rows — sorted, repeated edges adjacent —
+   drop the repeats, and transpose back for the N rows. *)
 let of_edge_array ?edges ~s ~n ends =
+  let who = "Bipartite.of_edge_array" in
   let k =
     match edges with
     | None when Array.length ends mod 2 = 0 -> Array.length ends / 2
     | Some k when k >= 0 && 2 * k <= Array.length ends -> k
-    | _ -> invalid_arg "Bipartite.of_edge_array: bad edge count"
+    | _ -> invalid_arg (who ^ ": bad edge count")
   in
-  build "Bipartite.of_edge_array" ~s ~n ends k
+  if s < 0 || n < 0 then invalid_arg who;
+  let offsets_s = Array.make (s + 1) 0 and by_n_offsets = Array.make (n + 1) 0 in
+  for i = 0 to k - 1 do
+    let u = ends.(2 * i) and w = ends.((2 * i) + 1) in
+    if u < 0 || u >= s || w < 0 || w >= n then invalid_arg (who ^ ": endpoint out of range");
+    offsets_s.(u + 1) <- offsets_s.(u + 1) + 1;
+    by_n_offsets.(w + 1) <- by_n_offsets.(w + 1) + 1
+  done;
+  Rows.starts offsets_s;
+  Rows.starts by_n_offsets;
+  let by_n = Array.make k 0 in
+  Rows.scatter ~cursor:(Array.sub by_n_offsets 0 n) ends k ~both:false by_n;
+  let adjacency_s = Array.make k 0 in
+  Rows.transpose ~cursor:(Array.sub offsets_s 0 s) by_n_offsets by_n adjacency_s;
+  make ~n offsets_s (Rows.dedup offsets_s adjacency_s) by_n
 
-let of_edges ~s ~n edges =
-  let ends = Array.make (2 * List.length edges) 0 in
-  List.iteri
-    (fun i (u, w) ->
-      ends.(2 * i) <- u;
-      ends.((2 * i) + 1) <- w)
-    edges;
-  build "Bipartite.of_edges" ~s ~n ends (Array.length ends / 2)
+let s_count t = Array.length t.offsets_s - 1
+let n_count t = Array.length t.offsets_n - 1
+let m t = Array.length t.adjacency_s
+let deg_s t u = t.offsets_s.(u + 1) - t.offsets_s.(u)
+let deg_n t w = t.offsets_n.(w + 1) - t.offsets_n.(w)
+let offsets_s t = t.offsets_s
+let adjacency_s t = t.adjacency_s
+let offsets_n t = t.offsets_n
+let adjacency_n t = t.adjacency_n
 
-let s_count t = t.s
-let n_count t = t.n
-let m t = t.m
-let deg_s t u = Array.length t.adj_s.(u)
-let deg_n t w = Array.length t.adj_n.(w)
-let neighbors_s t u = t.adj_s.(u)
-let neighbors_n t w = t.adj_n.(w)
+let iter_s t u f =
+  for i = t.offsets_s.(u) to t.offsets_s.(u + 1) - 1 do
+    f t.adjacency_s.(i)
+  done
+
+let iter_n t w f =
+  for i = t.offsets_n.(w) to t.offsets_n.(w + 1) - 1 do
+    f t.adjacency_n.(i)
+  done
 
 let max_arr f k =
   let d = ref 0 in
@@ -101,85 +91,58 @@ let max_arr f k =
   done;
   !d
 
-let max_deg_s t = max_arr (deg_s t) t.s
-let max_deg_n t = max_arr (deg_n t) t.n
-let delta_s t = if t.s = 0 then 0.0 else float_of_int t.m /. float_of_int t.s
-let delta_n t = if t.n = 0 then 0.0 else float_of_int t.m /. float_of_int t.n
-let beta t = if t.s = 0 then 0.0 else float_of_int t.n /. float_of_int t.s
-
-let mem_edge t u w =
-  let a = t.adj_s.(u) in
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) = w then found := true else if a.(mid) < w then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+let max_deg_s t = max_arr (deg_s t) (s_count t)
+let max_deg_n t = max_arr (deg_n t) (n_count t)
+let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+let delta_s t = ratio (m t) (s_count t)
+let delta_n t = ratio (m t) (n_count t)
+let beta t = ratio (n_count t) (s_count t)
 
 let iter_edges t f =
-  for u = 0 to t.s - 1 do
-    Array.iter (fun w -> f u w) t.adj_s.(u)
+  for u = 0 to s_count t - 1 do
+    iter_s t u (f u)
   done
 
 let has_isolated t =
-  let rec go_s u = u < t.s && (deg_s t u = 0 || go_s (u + 1)) in
-  let rec go_n w = w < t.n && (deg_n t w = 0 || go_n (w + 1)) in
+  let rec go_s u = u < s_count t && (deg_s t u = 0 || go_s (u + 1)) in
+  let rec go_n w = w < n_count t && (deg_n t w = 0 || go_n (w + 1)) in
   go_s 0 || go_n 0
 
-let sub_instance t ss ns =
-  let s_map = Bitset.to_array ss in
-  let n_map = Bitset.to_array ns in
-  let n_back = Array.make t.n (-1) in
+(* The S rows [s_map] of the sorted rows [(offsets, adjacency)], each
+   entry mapped through [n_back] — the inverse of [n_map] over a universe
+   of [size] — and dropped where it maps to -1. [n_back] is increasing where
+   it keeps an entry, so the rows stay sorted and free of repeats. *)
+let filter offsets adjacency ~size s_map n_map =
+  let n_back = Array.make size (-1) in
   Array.iteri (fun i w -> n_back.(w) <- i) n_map;
-  let ends = Array.make (2 * t.m) 0 and k = ref 0 in
+  let cap = Array.fold_left (fun acc u -> acc + offsets.(u + 1) - offsets.(u)) 0 s_map in
+  let offsets_s = Array.make (Array.length s_map + 1) 0 and buf = Array.make cap 0 in
+  let k = ref 0 in
   Array.iteri
     (fun i u ->
-      Array.iter
-        (fun w ->
-          if n_back.(w) >= 0 then begin
-            ends.(2 * !k) <- i;
-            ends.((2 * !k) + 1) <- n_back.(w);
-            incr k
-          end)
-        t.adj_s.(u))
+      for j = offsets.(u) to offsets.(u + 1) - 1 do
+        let w = n_back.(adjacency.(j)) in
+        if w >= 0 then begin
+          buf.(!k) <- w;
+          incr k
+        end
+      done;
+      offsets_s.(i + 1) <- !k)
     s_map;
-  (of_edge_array ~edges:!k ~s:(Array.length s_map) ~n:(Array.length n_map) ends, s_map, n_map)
+  (make ~n:(Array.length n_map) offsets_s (Array.sub buf 0 !k) buf, s_map, n_map)
 
-let to_graph t =
-  let ends = Array.make (2 * t.m) 0 and k = ref 0 in
-  iter_edges t (fun u w ->
-      ends.(2 * !k) <- u;
-      ends.((2 * !k) + 1) <- t.s + w;
-      incr k);
-  let g = Graph.of_edge_array (t.s + t.n) ends in
-  (g, Array.init t.s (fun i -> i), Array.init t.n (fun i -> t.s + i))
+let sub_instance t ss ns =
+  filter t.offsets_s t.adjacency_s ~size:(n_count t) (Bitset.to_array ss) (Bitset.to_array ns)
 
 let of_set_neighborhood g s =
-  let n = Graph.n g in
-  let in_s = s in
   (* N = Γ⁻(S): external neighbors of S. *)
-  let nb = Bitset.create n in
+  let nb = Bitset.create (Graph.n g) in
   Bitset.iter
-    (fun v -> Graph.iter_neighbors g v (fun w -> if not (Bitset.mem in_s w) then Bitset.add_inplace nb w))
+    (fun v -> Graph.iter_neighbors g v (fun w -> if not (Bitset.mem s w) then Bitset.add_inplace nb w))
     s;
-  let s_map = Bitset.to_array s in
-  let n_map = Bitset.to_array nb in
-  let n_back = Array.make n (-1) in
-  Array.iteri (fun i w -> n_back.(w) <- i) n_map;
-  let k = Array.fold_left (fun acc v -> acc + Graph.degree g v) 0 s_map in
-  let ends = Array.make (2 * k) 0 and k = ref 0 in
-  Array.iteri
-    (fun i v ->
-      Graph.iter_neighbors g v (fun w ->
-          if n_back.(w) >= 0 then begin
-            ends.(2 * !k) <- i;
-            ends.((2 * !k) + 1) <- n_back.(w);
-            incr k
-          end))
-    s_map;
-  (of_edge_array ~edges:!k ~s:(Array.length s_map) ~n:(Array.length n_map) ends, s_map, n_map)
+  filter (Graph.offsets g) (Graph.adjacency g) ~size:(Graph.n g) (Bitset.to_array s)
+    (Bitset.to_array nb)
 
 let pp fmt t =
-  Format.fprintf fmt "bipartite(|S|=%d, |N|=%d, m=%d, δS=%.2f, δN=%.2f)" t.s t.n t.m
-    (delta_s t) (delta_n t)
+  Format.fprintf fmt "bipartite(|S|=%d, |N|=%d, m=%d, δS=%.2f, δN=%.2f)" (s_count t) (n_count t)
+    (m t) (delta_s t) (delta_n t)

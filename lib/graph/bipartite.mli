@@ -4,7 +4,10 @@
     vertex set [S] and its external neighborhood [N = Γ⁻(S)]; this module is
     that representation. Side-[S] vertices and side-[N] vertices are indexed
     independently from 0, so the same integer means different vertices on
-    different sides. *)
+    different sides. Each side is stored in compressed sparse rows, the
+    layout of {!Graph.t}: row [u] of side S is
+    [adjacency_s.(offsets_s.(u) .. offsets_s.(u+1) - 1)], sorted ascending,
+    and side N likewise. *)
 
 type t
 
@@ -15,9 +18,12 @@ val of_edge_array : ?edges:int -> s:int -> n:int -> int array -> t
     errors raise. O(s + n + m) by counting-sort transposes, with every row
     sorted ascending. *)
 
-val of_edges : s:int -> n:int -> (int * int) list -> t
-(** [of_edges ~s ~n edges] where each [(u, w)] connects S-vertex [u] to
-    N-vertex [w]; the list form of {!of_edge_array}. *)
+val of_rows : n:int -> int array -> int array -> t
+(** [of_rows ~n offsets adjacency] is the instance whose S rows are stored
+    as given, each strictly ascending in [0, n), for generators that write
+    their rows sorted: no endpoint array, no counting sort. It keeps both
+    arrays; do not mutate them. Raises [Invalid_argument] on a malformed
+    layout. *)
 
 val s_count : t -> int
 val n_count : t -> int
@@ -29,10 +35,18 @@ val deg_s : t -> int -> int
 val deg_n : t -> int -> int
 (** Degree of an N-vertex. *)
 
-val neighbors_s : t -> int -> int array
-(** N-side neighbors of an S-vertex (sorted; do not mutate). *)
+val offsets_s : t -> int array
+val adjacency_s : t -> int array
+val offsets_n : t -> int array
+val adjacency_n : t -> int array
+(** The rows themselves, laid out as above: [offsets_s] has length [s + 1],
+    [offsets_n] length [n + 1], each adjacency array length [m].
+    {b Do not mutate} — they are the instance's own storage. *)
 
-val neighbors_n : t -> int -> int array
+val iter_s : t -> int -> (int -> unit) -> unit
+val iter_n : t -> int -> (int -> unit) -> unit
+(** [iter_s t u f] calls [f] on each N-neighbour of S-vertex [u] in
+    ascending order; [iter_n] likewise from side N. *)
 
 val max_deg_s : t -> int
 val max_deg_n : t -> int
@@ -47,9 +61,6 @@ val beta : t -> float
 (** The instance's expansion measure [|N| / |S|] (the paper's normalization
     when N is exactly the neighborhood of S). *)
 
-val mem_edge : t -> int -> int -> bool
-(** [mem_edge t u w] with [u] on side S and [w] on side N. *)
-
 val iter_edges : t -> (int -> int -> unit) -> unit
 
 val has_isolated : t -> bool
@@ -60,11 +71,6 @@ val sub_instance : t -> Wx_util.Bitset.t -> Wx_util.Bitset.t -> t * int array * 
 (** [sub_instance t ss ns] is the induced bipartite graph on S-subset [ss]
     and N-subset [ns], with maps from new to old indices on each side.
     Used by the recursive procedures of Appendix A. *)
-
-val to_graph : t -> Graph.t * int array * int array
-(** Flatten to an ordinary graph: S-vertices first ([0..s-1]), then
-    N-vertices ([s..s+n-1]). Returns the graph and both index maps
-    (S-index → graph vertex, N-index → graph vertex). *)
 
 val of_set_neighborhood : Graph.t -> Wx_util.Bitset.t -> t * int array * int array
 (** [of_set_neighborhood g s] builds the paper's [G_S]: side S is the set

@@ -5,10 +5,11 @@ module Bitset = Wx_util.Bitset
 type t = { n : int; m : int; offsets : int array; adjacency : int array }
 
 (* O(n + m) and no comparison sort: count degrees (repeats included),
-   scatter the half-edges into unsorted rows of [scratch], then walk v
-   ascending and append v to the row of each of its neighbours — every row
-   of [adjacency] comes out sorted — and finally drop adjacent duplicates
-   in one compaction pass. [who] names the caller in error messages. *)
+   scatter the half-edges into unsorted rows of [scratch], transpose them
+   into [adjacency] — every row comes out sorted — and drop adjacent
+   duplicates. The graph is symmetric, so the transpose has the same row
+   starts and one cursor serves both passes. [who] names the caller in
+   error messages. *)
 let build who n ends k =
   if n < 0 then invalid_arg (who ^ ": negative n");
   let offsets = Array.make (n + 1) 0 in
@@ -19,44 +20,16 @@ let build who n ends k =
     offsets.(u + 1) <- offsets.(u + 1) + 1;
     offsets.(v + 1) <- offsets.(v + 1) + 1
   done;
-  for v = 0 to n - 1 do
-    offsets.(v + 1) <- offsets.(v + 1) + offsets.(v)
-  done;
+  Rows.starts offsets;
   let len = offsets.(n) in
   let cursor = Array.sub offsets 0 n in
   let scratch = Array.make len 0 in
-  let push row x dst =
-    dst.(cursor.(row)) <- x;
-    cursor.(row) <- cursor.(row) + 1
-  in
-  for i = 0 to k - 1 do
-    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
-    push u v scratch;
-    push v u scratch
-  done;
+  Rows.scatter ~cursor ends k ~both:true scratch;
   Array.blit offsets 0 cursor 0 n;
   let adjacency = Array.make len 0 in
-  for v = 0 to n - 1 do
-    for i = offsets.(v) to offsets.(v + 1) - 1 do
-      push scratch.(i) v adjacency
-    done
-  done;
-  let k = ref 0 and start = ref 0 in
-  for v = 0 to n - 1 do
-    let stop = offsets.(v + 1) and prev = ref (-1) in
-    for i = !start to stop - 1 do
-      let w = adjacency.(i) in
-      if w <> !prev then begin
-        adjacency.(!k) <- w;
-        incr k;
-        prev := w
-      end
-    done;
-    start := stop;
-    offsets.(v + 1) <- !k
-  done;
-  let adjacency = if !k = len then adjacency else Array.sub adjacency 0 !k in
-  { n; m = !k / 2; offsets; adjacency }
+  Rows.transpose ~cursor offsets scratch adjacency;
+  let adjacency = Rows.dedup offsets adjacency in
+  { n; m = Array.length adjacency / 2; offsets; adjacency }
 
 let of_edge_array ?edges n ends =
   let k =

@@ -33,6 +33,23 @@ let check_endpoint lineno line x bound =
   if x < 0 || x >= bound then
     failwith (Printf.sprintf "line %d: endpoint out of range [0, %d): %S" lineno bound line)
 
+(* The edge lines as a flat endpoint array, each pair checked by [check];
+   sized only once the line count matches the header's [m]. *)
+let parse_edges who m rest check =
+  let k = List.length rest in
+  if k <> m then failwith (Printf.sprintf "Graph_io.%s: header says %d edges, found %d" who m k);
+  let ends = Array.make (2 * k) 0 in
+  List.iteri
+    (fun i (lineno, line) ->
+      match parse_ints ~expected:2 lineno line with
+      | [ u; v ] ->
+          check lineno line u v;
+          ends.(2 * i) <- u;
+          ends.((2 * i) + 1) <- v
+      | _ -> assert false)
+    rest;
+  ends
+
 let of_string s =
   match meaningful_lines s with
   | [] -> failwith "Graph_io.of_string: empty input"
@@ -41,23 +58,11 @@ let of_string s =
       | [ n; m ] ->
           check_count ln "vertex count" n;
           check_count ln "edge count" m;
-          let edges =
-            List.map
-              (fun (lineno, line) ->
-                match parse_ints ~expected:2 lineno line with
-                | [ u; v ] ->
-                    check_endpoint lineno line u n;
-                    check_endpoint lineno line v n;
-                    if u = v then failwith (Printf.sprintf "line %d: self-loop %S" lineno line);
-                    (u, v)
-                | _ -> assert false)
-              rest
-          in
-          if List.length edges <> m then
-            failwith
-              (Printf.sprintf "Graph_io.of_string: header says %d edges, found %d" m
-                 (List.length edges));
-          Graph.of_edges n edges
+          Graph.of_edge_array n
+            (parse_edges "of_string" m rest (fun lineno line u v ->
+                 check_endpoint lineno line u n;
+                 check_endpoint lineno line v n;
+                 if u = v then failwith (Printf.sprintf "line %d: self-loop %S" lineno line)))
       | _ -> assert false
     end
 
@@ -87,22 +92,10 @@ let bipartite_of_string s =
           check_count ln "S count" s_cnt;
           check_count ln "N count" n_cnt;
           check_count ln "edge count" m;
-          let edges =
-            List.map
-              (fun (lineno, line) ->
-                match parse_ints ~expected:2 lineno line with
-                | [ u; w ] ->
-                    check_endpoint lineno line u s_cnt;
-                    check_endpoint lineno line w n_cnt;
-                    (u, w)
-                | _ -> assert false)
-              rest
-          in
-          if List.length edges <> m then
-            failwith
-              (Printf.sprintf "Graph_io.bipartite_of_string: header says %d edges, found %d" m
-                 (List.length edges));
-          Bipartite.of_edges ~s:s_cnt ~n:n_cnt edges
+          Bipartite.of_edge_array ~s:s_cnt ~n:n_cnt
+            (parse_edges "bipartite_of_string" m rest (fun lineno line u w ->
+                 check_endpoint lineno line u s_cnt;
+                 check_endpoint lineno line w n_cnt))
       | _ -> assert false
     end
 

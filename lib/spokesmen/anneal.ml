@@ -18,39 +18,40 @@ let solve ?steps ?(t0 = 2.0) ?cooling rng t =
   in
   (* Start from the greedy local optimum. *)
   let start = Greedy.solve_with_removal t in
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
   let cnt = Array.make (Bipartite.n_count t) 0 in
   let chosen = Bitset.copy start.Solver.chosen in
-  Bitset.iter
-    (fun u -> Array.iter (fun w -> cnt.(w) <- cnt.(w) + 1) (Bipartite.neighbors_s t u))
-    chosen;
+  Bitset.iter (fun u -> Bipartite.iter_s t u (fun w -> cnt.(w) <- cnt.(w) + 1)) chosen;
   let uniq = ref 0 in
   Array.iter (fun c -> if c = 1 then incr uniq) cnt;
   let flip_gain u =
+    let g = ref 0 in
     if Bitset.mem chosen u then
-      Array.fold_left
-        (fun acc w -> match cnt.(w) with 1 -> acc - 1 | 2 -> acc + 1 | _ -> acc)
-        0 (Bipartite.neighbors_s t u)
+      for i = off.(u) to off.(u + 1) - 1 do
+        match cnt.(adj.(i)) with 1 -> decr g | 2 -> incr g | _ -> ()
+      done
     else
-      Array.fold_left
-        (fun acc w -> match cnt.(w) with 0 -> acc + 1 | 1 -> acc - 1 | _ -> acc)
-        0 (Bipartite.neighbors_s t u)
+      for i = off.(u) to off.(u + 1) - 1 do
+        match cnt.(adj.(i)) with 0 -> incr g | 1 -> decr g | _ -> ()
+      done;
+    !g
   in
   let apply_flip u =
     if Bitset.mem chosen u then begin
       Bitset.remove_inplace chosen u;
-      Array.iter
-        (fun w ->
-          (match cnt.(w) with 1 -> decr uniq | 2 -> incr uniq | _ -> ());
-          cnt.(w) <- cnt.(w) - 1)
-        (Bipartite.neighbors_s t u)
+      for i = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(i) in
+        (match cnt.(w) with 1 -> decr uniq | 2 -> incr uniq | _ -> ());
+        cnt.(w) <- cnt.(w) - 1
+      done
     end
     else begin
       Bitset.add_inplace chosen u;
-      Array.iter
-        (fun w ->
-          (match cnt.(w) with 0 -> incr uniq | 1 -> decr uniq | _ -> ());
-          cnt.(w) <- cnt.(w) + 1)
-        (Bipartite.neighbors_s t u)
+      for i = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(i) in
+        (match cnt.(w) with 0 -> incr uniq | 1 -> decr uniq | _ -> ());
+        cnt.(w) <- cnt.(w) + 1
+      done
     end
   in
   let best = ref !uniq in

@@ -11,6 +11,7 @@ type outcome = Proved_optimal | Budget_exhausted
 
 let solve ?(node_limit = 20_000_000) t =
   let s = Bipartite.s_count t and n = Bipartite.n_count t in
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
   (* Order: high degree first tends to fix the influential vertices early. *)
   let order = Array.init s (fun i -> i) in
   Array.sort (fun a b -> compare (Bipartite.deg_s t b) (Bipartite.deg_s t a)) order;
@@ -33,44 +34,44 @@ let solve ?(node_limit = 20_000_000) t =
   let nodes = ref 0 in
   let exhausted = ref false in
   let add u =
-    Array.iter
-      (fun w ->
-        (match cnt.(w) with
-        | 0 ->
-            incr uniq;
-            if remdeg.(w) > 0 then decr potential
-            (* covered now; no longer counts as reachable-zero *)
-        | 1 -> decr uniq
-        | _ -> ());
-        cnt.(w) <- cnt.(w) + 1)
-      (Bipartite.neighbors_s t u)
+    for i = off.(u) to off.(u + 1) - 1 do
+      let w = adj.(i) in
+      (match cnt.(w) with
+      | 0 ->
+          incr uniq;
+          if remdeg.(w) > 0 then decr potential
+          (* covered now; no longer counts as reachable-zero *)
+      | 1 -> decr uniq
+      | _ -> ());
+      cnt.(w) <- cnt.(w) + 1
+    done
   in
   let undo_add u =
-    Array.iter
-      (fun w ->
-        cnt.(w) <- cnt.(w) - 1;
-        match cnt.(w) with
-        | 0 ->
-            decr uniq;
-            if remdeg.(w) > 0 then incr potential
-        | 1 -> incr uniq
-        | _ -> ())
-      (Bipartite.neighbors_s t u)
+    for i = off.(u) to off.(u + 1) - 1 do
+      let w = adj.(i) in
+      cnt.(w) <- cnt.(w) - 1;
+      match cnt.(w) with
+      | 0 ->
+          decr uniq;
+          if remdeg.(w) > 0 then incr potential
+      | 1 -> incr uniq
+      | _ -> ()
+    done
   in
   let retire u =
     (* u becomes decided: its neighbors lose one remaining degree. *)
-    Array.iter
-      (fun w ->
-        remdeg.(w) <- remdeg.(w) - 1;
-        if remdeg.(w) = 0 && cnt.(w) = 0 then decr potential)
-      (Bipartite.neighbors_s t u)
+    for i = off.(u) to off.(u + 1) - 1 do
+      let w = adj.(i) in
+      remdeg.(w) <- remdeg.(w) - 1;
+      if remdeg.(w) = 0 && cnt.(w) = 0 then decr potential
+    done
   in
   let unretire u =
-    Array.iter
-      (fun w ->
-        if remdeg.(w) = 0 && cnt.(w) = 0 then incr potential;
-        remdeg.(w) <- remdeg.(w) + 1)
-      (Bipartite.neighbors_s t u)
+    for i = off.(u) to off.(u + 1) - 1 do
+      let w = adj.(i) in
+      if remdeg.(w) = 0 && cnt.(w) = 0 then incr potential;
+      remdeg.(w) <- remdeg.(w) + 1
+    done
   in
   let record () =
     if !uniq > !best then begin

@@ -40,4 +40,4 @@ let solve_all_classes ?c t =
   Array.fold_left
     (fun acc (_, members) -> Solver.best acc (solve_class t members))
     (solve_class t (snd cs.(0)))
-    cs
+    (Array.sub cs 1 (Array.length cs - 1))

@@ -63,14 +63,15 @@ let greedy_subcover t s' =
   let n = Bipartite.n_count t in
   let covered = Bitset.create n in
   let out = Bitset.create (Bipartite.s_count t) in
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
   Bitset.iter
     (fun u ->
-      let covers_new =
-        Array.exists (fun w -> not (Bitset.mem covered w)) (Bipartite.neighbors_s t u)
+      let rec covers_new i =
+        i < off.(u + 1) && ((not (Bitset.mem covered adj.(i))) || covers_new (i + 1))
       in
-      if covers_new then begin
+      if covers_new off.(u) then begin
         Bitset.add_inplace out u;
-        Array.iter (Bitset.add_inplace covered) (Bipartite.neighbors_s t u)
+        Bipartite.iter_s t u (Bitset.add_inplace covered)
       end)
     s';
   out

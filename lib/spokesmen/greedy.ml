@@ -32,30 +32,33 @@ let set_count t st w c c' =
   st.cnt.(w) <- c';
   if c <= 2 || c' <= 2 then begin
     let da = add_part c' - add_part c and dr = remove_part c' - remove_part c in
-    Array.iter
-      (fun x ->
-        st.add_gain.(x) <- st.add_gain.(x) + da;
-        st.remove_gain.(x) <- st.remove_gain.(x) + dr)
-      (Bipartite.neighbors_n t w)
+    let off = Bipartite.offsets_n t and adj = Bipartite.adjacency_n t in
+    for i = off.(w) to off.(w + 1) - 1 do
+      let x = adj.(i) in
+      st.add_gain.(x) <- st.add_gain.(x) + da;
+      st.remove_gain.(x) <- st.remove_gain.(x) + dr
+    done
   end
 
 let apply_add t st u =
   Bitset.add_inplace st.chosen u;
-  Array.iter
-    (fun w ->
-      let c = st.cnt.(w) in
-      (match c with 0 -> st.uniq <- st.uniq + 1 | 1 -> st.uniq <- st.uniq - 1 | _ -> ());
-      set_count t st w c (c + 1))
-    (Bipartite.neighbors_s t u)
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
+  for i = off.(u) to off.(u + 1) - 1 do
+    let w = adj.(i) in
+    let c = st.cnt.(w) in
+    (match c with 0 -> st.uniq <- st.uniq + 1 | 1 -> st.uniq <- st.uniq - 1 | _ -> ());
+    set_count t st w c (c + 1)
+  done
 
 let apply_remove t st u =
   Bitset.remove_inplace st.chosen u;
-  Array.iter
-    (fun w ->
-      let c = st.cnt.(w) in
-      (match c with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
-      set_count t st w c (c - 1))
-    (Bipartite.neighbors_s t u)
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
+  for i = off.(u) to off.(u + 1) - 1 do
+    let w = adj.(i) in
+    let c = st.cnt.(w) in
+    (match c with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
+    set_count t st w c (c - 1)
+  done
 
 let greedy_pass t st =
   let s = Bipartite.s_count t in

@@ -5,6 +5,8 @@ type trace = { s_uni : Bitset.t; n_uni : Bitset.t; steps : int }
 
 let run t =
   let s = Bipartite.s_count t and n = Bipartite.n_count t in
+  let off_s = Bipartite.offsets_s t and adj_s = Bipartite.adjacency_s t in
+  let off_n = Bipartite.offsets_n t and adj_n = Bipartite.adjacency_n t in
   let s_tmp = Bitset.full s and n_tmp = Bitset.full n in
   (* live.(w) = |Γ(w, Stmp)|, decremented as S-vertices leave Stmp. *)
   let live = Array.init n (Bipartite.deg_n t) in
@@ -38,30 +40,30 @@ let run t =
       end
     done;
     let ng = ref 0 in
-    Array.iter
-      (fun x ->
-        if Bitset.mem s_tmp x then begin
-          gv.(!ng) <- x;
-          incr ng
-        end)
-      (Bipartite.neighbors_n t !v);
+    for i = off_n.(!v) to off_n.(!v + 1) - 1 do
+      let x = adj_n.(i) in
+      if Bitset.mem s_tmp x then begin
+        gv.(!ng) <- x;
+        incr ng
+      end
+    done;
     let ng = !ng in
     assert (ng > 0);
     (* Qv: N-vertices of Ntmp incident on Γ(v, Stmp). *)
     let nq = ref 0 in
     for i = 0 to ng - 1 do
-      Array.iter
-        (fun u ->
-          if Bitset.mem n_tmp u then begin
-            if stamp.(u) <> step then begin
-              stamp.(u) <- step;
-              hits.(u) <- 0;
-              qv.(!nq) <- u;
-              incr nq
-            end;
-            hits.(u) <- hits.(u) + 1
-          end)
-        (Bipartite.neighbors_s t gv.(i))
+      for j = off_s.(gv.(i)) to off_s.(gv.(i) + 1) - 1 do
+        let u = adj_s.(j) in
+        if Bitset.mem n_tmp u then begin
+          if stamp.(u) <> step then begin
+            stamp.(u) <- step;
+            hits.(u) <- 0;
+            qv.(!nq) <- u;
+            incr nq
+          end;
+          hits.(u) <- hits.(u) + 1
+        end
+      done
     done;
     (* Promote one vertex w of Γ(v, Stmp); discard the others from Stmp. *)
     let w = gv.(0) in
@@ -78,17 +80,20 @@ let run t =
     done;
     (* Q''v: the rest of Qv; its neighbors of w leave Ntmp entirely. Qv
        holds every Ntmp-neighbor of w, so these are the ones still there. *)
-    Array.iter
-      (fun u ->
-        if Bitset.mem n_tmp u then begin
-          Bitset.remove_inplace n_tmp u;
-          decr n_left
-        end)
-      (Bipartite.neighbors_s t w);
+    for j = off_s.(w) to off_s.(w + 1) - 1 do
+      let u = adj_s.(j) in
+      if Bitset.mem n_tmp u then begin
+        Bitset.remove_inplace n_tmp u;
+        decr n_left
+      end
+    done;
     for i = 0 to ng - 1 do
       let x = gv.(i) in
       Bitset.remove_inplace s_tmp x;
-      Array.iter (fun y -> live.(y) <- live.(y) - 1) (Bipartite.neighbors_s t x)
+      for j = off_s.(x) to off_s.(x + 1) - 1 do
+        let y = adj_s.(j) in
+        live.(y) <- live.(y) - 1
+      done
     done
   done;
   { s_uni; n_uni; steps = !steps }

@@ -15,15 +15,18 @@ type state = {
 }
 
 let gain_of t ~n_tmp ~n_uni v =
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
   let nt = ref 0 and nu = ref 0 in
-  Array.iter
-    (fun w ->
-      if Bitset.mem n_tmp w then incr nt else if Bitset.mem n_uni w then incr nu)
-    (Bipartite.neighbors_s t v);
+  for i = off.(v) to off.(v + 1) - 1 do
+    let w = adj.(i) in
+    if Bitset.mem n_tmp w then incr nt else if Bitset.mem n_uni w then incr nu
+  done;
   !nt - (2 * !nu)
 
 let run ?restrict_n t =
   let s = Bipartite.s_count t and n = Bipartite.n_count t in
+  let off_s = Bipartite.offsets_s t and adj_s = Bipartite.adjacency_s t in
+  let off_n = Bipartite.offsets_n t and adj_n = Bipartite.adjacency_n t in
   let n_tmp =
     match restrict_n with
     | None -> Bitset.full n
@@ -40,7 +43,12 @@ let run ?restrict_n t =
      that changes class: Ntmp -> Nuni costs 1 + 2, Nuni -> Nmany gives 2
      back. *)
   let gains = Array.init s (fun v -> gain_of t ~n_tmp ~n_uni v) in
-  let shift w d = Array.iter (fun x -> gains.(x) <- gains.(x) + d) (Bipartite.neighbors_n t w) in
+  let shift w d =
+    for i = off_n.(w) to off_n.(w + 1) - 1 do
+      let x = adj_n.(i) in
+      gains.(x) <- gains.(x) + d
+    done
+  in
   let steps = ref 0 in
   let continue_ = ref true in
   while !continue_ && not (Bitset.is_empty s_tmp) do
@@ -58,20 +66,20 @@ let run ?restrict_n t =
       let v = !best_v in
       Bitset.remove_inplace s_tmp v;
       Bitset.add_inplace s_uni v;
-      Array.iter
-        (fun w ->
-          if Bitset.mem n_uni w then begin
-            (* Preserve (P1): w now has two Suni neighbors — demote. *)
-            Bitset.remove_inplace n_uni w;
-            Bitset.add_inplace n_many w;
-            shift w 2
-          end
-          else if Bitset.mem n_tmp w then begin
-            Bitset.remove_inplace n_tmp w;
-            Bitset.add_inplace n_uni w;
-            shift w (-3)
-          end)
-        (Bipartite.neighbors_s t v)
+      for i = off_s.(v) to off_s.(v + 1) - 1 do
+        let w = adj_s.(i) in
+        if Bitset.mem n_uni w then begin
+          (* Preserve (P1): w now has two Suni neighbors — demote. *)
+          Bitset.remove_inplace n_uni w;
+          Bitset.add_inplace n_many w;
+          shift w 2
+        end
+        else if Bitset.mem n_tmp w then begin
+          Bitset.remove_inplace n_tmp w;
+          Bitset.add_inplace n_uni w;
+          shift w (-3)
+        end
+      done
     end
   done;
   Metrics.incr m_runs;
@@ -83,8 +91,7 @@ let gain t st v = gain_of t ~n_tmp:st.n_tmp ~n_uni:st.n_uni v
 let count_edges t ~from_s ~to_n =
   let acc = ref 0 in
   Bitset.iter
-    (fun v ->
-      Array.iter (fun w -> if Bitset.mem to_n w then incr acc) (Bipartite.neighbors_s t v))
+    (fun v -> Bipartite.iter_s t v (fun w -> if Bitset.mem to_n w then incr acc))
     from_s;
   !acc
 
@@ -95,23 +102,18 @@ let check_conditions t st =
   let p1 =
     Bitset.for_all
       (fun w ->
-        let c =
-          Array.fold_left
-            (fun acc u -> if Bitset.mem st.s_uni u then acc + 1 else acc)
-            0 (Bipartite.neighbors_n t w)
-        in
-        c = 1)
+        let c = ref 0 in
+        Bipartite.iter_n t w (fun u -> if Bitset.mem st.s_uni u then incr c);
+        !c = 1)
       st.n_uni
   in
   let p2 =
     Bitset.for_all
       (fun w ->
         let in_tmp = ref false and in_uni = ref false in
-        Array.iter
-          (fun u ->
+        Bipartite.iter_n t w (fun u ->
             if Bitset.mem st.s_tmp u then in_tmp := true;
-            if Bitset.mem st.s_uni u then in_uni := true)
-          (Bipartite.neighbors_n t w);
+            if Bitset.mem st.s_uni u then in_uni := true);
         !in_tmp && not !in_uni)
       st.n_tmp
   in

@@ -36,7 +36,7 @@ watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/guard.ml lib/util/guard.mli
          lib/util/rng.ml lib/util/rng.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio
-         lib/graph/graph.ml lib/obs/expose.ml
+         lib/graph/graph.ml lib/graph/rows.ml lib/obs/expose.ml
          lib/spokesmen lib/constructions
          lib/graph/bipartite.ml lib/graph/bipartite.mli
          lib/core/theorems.ml)

@@ -123,10 +123,12 @@ rec() { # rec OUT [ENV=VALUE...] -- one quick e1 record
 }
 rec "$tmp/clean.json"
 check "record clean e1" 0 $?
-"$WX" bench record -e nope --quick --repeats 1 --out "$tmp/nope.json" >/dev/null 2>"$tmp/nope.err"
+"$WX" bench record -e nope --quick --repeats 1 --out "$tmp/nope.json" >"$tmp/nope.out" 2>"$tmp/nope.err"
 check "record of an unknown experiment exits 1" 1 $?
 grep -q "e1" "$tmp/nope.err"
 check "unknown-experiment error lists the valid ids" 0 $?
+test ! -s "$tmp/nope.out"
+check "unknown-experiment error prints nothing on stdout" 0 $?
 rec "$tmp/slow.json" WX_BENCH_HANDICAP_MS=150
 check "record e1 with a wall handicap" 0 $?
 rec "$tmp/fat.json" WX_BENCH_ALLOC_HANDICAP_WORDS=200000

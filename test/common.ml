@@ -58,6 +58,23 @@ let arbitrary_bipartite_edges ~smax ~nmax =
       let* es = list_repeat m (pair (int_bound (s - 1)) (int_bound (n - 1))) in
       return (s, n, es))
 
+(* A flat endpoint array [| u0; w0; u1; w1; ... |] from an edge list. *)
+let ends_of es =
+  let a = Array.make (2 * List.length es) 0 in
+  List.iteri
+    (fun i (u, w) ->
+      a.(2 * i) <- u;
+      a.((2 * i) + 1) <- w)
+    es;
+  a
+
+(* Row [u] of one side of a bipartite graph as a fresh array, read through
+   that side's iterator ([Bipartite.iter_s] or [Bipartite.iter_n]). *)
+let bip_row iter t u =
+  let acc = ref [] in
+  iter t u (fun w -> acc := w :: !acc);
+  Array.of_list (List.rev !acc)
+
 let qcheck ?(count = 100) name prop arb =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

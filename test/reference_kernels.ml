@@ -11,17 +11,21 @@ module Bipartite = Wx_graph.Bipartite
 module Graph = Wx_graph.Graph
 module Nbhd = Wx_expansion.Nbhd
 
+(* Row [u] of side S or N, read through the iterators. *)
+let row_s t u = Common.bip_row Bipartite.iter_s t u
+let row_n t w = Common.bip_row Bipartite.iter_n t w
+
 (* Rows and m of the bipartite graph on [edges]: Hashtbl dedup, rows filled
-   in list order, then sorted. Raises like [Bipartite.of_edges]. *)
+   in list order, then sorted. Raises like [Bipartite.of_edge_array]. *)
 let bipartite_rows ~s ~n edges =
-  if s < 0 || n < 0 then invalid_arg "Bipartite.of_edges";
+  if s < 0 || n < 0 then invalid_arg "Bipartite.of_edge_array";
   let seen = Hashtbl.create (2 * List.length edges) in
   let ds = Array.make s 0 and dn = Array.make n 0 in
   let clean =
     List.filter
       (fun (u, w) ->
         if u < 0 || u >= s || w < 0 || w >= n then
-          invalid_arg "Bipartite.of_edges: endpoint out of range";
+          invalid_arg "Bipartite.of_edge_array: endpoint out of range";
         if Hashtbl.mem seen (u, w) then false
         else begin
           Hashtbl.add seen (u, w) ();
@@ -55,7 +59,7 @@ let naive_run t =
   done;
   let s_uni = Bitset.create s and n_uni = Bitset.create n in
   let steps = ref 0 in
-  let live_nbrs v = List.filter (Bitset.mem s_tmp) (Array.to_list (Bipartite.neighbors_n t v)) in
+  let live_nbrs v = List.filter (Bitset.mem s_tmp) (Array.to_list (row_n t v)) in
   while not (Bitset.is_empty n_tmp) do
     incr steps;
     let v = ref (-1) and vdeg = ref max_int in
@@ -86,7 +90,7 @@ let naive_run t =
         Bitset.add_inplace n_uni u)
       !q'v;
     List.iter
-      (fun u -> if Array.mem w (Bipartite.neighbors_n t u) then Bitset.remove_inplace n_tmp u)
+      (fun u -> if Array.mem w (row_n t u) then Bitset.remove_inplace n_tmp u)
       !q''v
   done;
   (s_uni, n_uni, !steps)
@@ -105,7 +109,7 @@ let partition_run ?restrict_n t =
     let nt = ref 0 and nu = ref 0 in
     Array.iter
       (fun w -> if Bitset.mem n_tmp w then incr nt else if Bitset.mem n_uni w then incr nu)
-      (Bipartite.neighbors_s t v);
+      (row_s t v);
     !nt - (2 * !nu)
   in
   let steps = ref 0 and continue_ = ref true in
@@ -135,7 +139,7 @@ let partition_run ?restrict_n t =
             Bitset.remove_inplace n_tmp w;
             Bitset.add_inplace n_uni w
           end)
-        (Bipartite.neighbors_s t v)
+        (row_s t v)
     end
   done;
   (s_uni, s_tmp, n_uni, n_many, n_tmp, !steps)
@@ -147,12 +151,12 @@ module Greedy = struct
   let gain_of_add t st u =
     Array.fold_left
       (fun acc w -> match st.cnt.(w) with 0 -> acc + 1 | 1 -> acc - 1 | _ -> acc)
-      0 (Bipartite.neighbors_s t u)
+      0 (row_s t u)
 
   let gain_of_remove t st u =
     Array.fold_left
       (fun acc w -> match st.cnt.(w) with 1 -> acc - 1 | 2 -> acc + 1 | _ -> acc)
-      0 (Bipartite.neighbors_s t u)
+      0 (row_s t u)
 
   let apply_add t st u =
     Bitset.add_inplace st.chosen u;
@@ -160,7 +164,7 @@ module Greedy = struct
       (fun w ->
         (match st.cnt.(w) with 0 -> st.uniq <- st.uniq + 1 | 1 -> st.uniq <- st.uniq - 1 | _ -> ());
         st.cnt.(w) <- st.cnt.(w) + 1)
-      (Bipartite.neighbors_s t u)
+      (row_s t u)
 
   let apply_remove t st u =
     Bitset.remove_inplace st.chosen u;
@@ -168,7 +172,7 @@ module Greedy = struct
       (fun w ->
         (match st.cnt.(w) with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
         st.cnt.(w) <- st.cnt.(w) - 1)
-      (Bipartite.neighbors_s t u)
+      (row_s t u)
 
   let greedy_pass t st =
     let continue_ = ref true in

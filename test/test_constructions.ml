@@ -42,8 +42,8 @@ let test_gbad_consecutive_overlap () =
   let t = Gbad.bip gb in
   (* |Γ(v_i) ∩ Γ(v_{i+1})| = ∆ − β = 2, cyclically. *)
   for i = 0 to 5 do
-    let a = Bitset.of_array 24 (Bipartite.neighbors_s t i) in
-    let b = Bitset.of_array 24 (Bipartite.neighbors_s t ((i + 1) mod 6)) in
+    let a = Bitset.of_array 24 (bip_row Bipartite.iter_s t i) in
+    let b = Bitset.of_array 24 (bip_row Bipartite.iter_s t ((i + 1) mod 6)) in
     check_int "overlap" 2 (Bitset.cardinal (Bitset.inter a b))
   done
 
@@ -51,8 +51,8 @@ let test_gbad_nonadjacent_disjoint () =
   let gb = Gbad.create ~s:8 ~delta:4 ~beta:3 in
   let t = Gbad.bip gb in
   (* Windows two apart share nothing when s·β ≥ 2∆. *)
-  let a = Bitset.of_array 24 (Bipartite.neighbors_s t 0) in
-  let b = Bitset.of_array 24 (Bipartite.neighbors_s t 2) in
+  let a = Bitset.of_array 24 (bip_row Bipartite.iter_s t 0) in
+  let b = Bitset.of_array 24 (bip_row Bipartite.iter_s t 2) in
   check_true "disjoint" (Bitset.disjoint a b)
 
 let test_gbad_unique_expansion_exact () =
@@ -141,9 +141,37 @@ let test_core_edge_rule () =
     List.iter
       (fun v ->
         let off = Core_graph.block_offset cg v in
-        check_true "adjacent to ancestor block" (Bipartite.mem_edge t j off))
+        let adjacent = ref false in
+        Bipartite.iter_s t j (fun w -> if w = off then adjacent := true);
+        check_true "adjacent to ancestor block" !adjacent)
       anc
   done
+
+(* The rows [Core_graph.create] writes directly are those of the edge
+   list "leaf j to every block on its root path" built by counting sort. *)
+let test_core_rows_match_edge_list () =
+  List.iter
+    (fun s ->
+      let cg = Core_graph.create s in
+      let es = ref [] in
+      for j = 0 to s - 1 do
+        List.iter
+          (fun v ->
+            for r = 0 to Core_graph.block_size cg v - 1 do
+              es := (j, Core_graph.block_offset cg v + r) :: !es
+            done)
+          (Core_graph.ancestors cg j)
+      done;
+      let t = Core_graph.bip cg in
+      let t' = Bipartite.of_edge_array ~s ~n:(Core_graph.n_size cg) (ends_of !es) in
+      check_int "m" (Bipartite.m t') (Bipartite.m t);
+      check_true "S rows"
+        (Bipartite.offsets_s t = Bipartite.offsets_s t'
+        && Bipartite.adjacency_s t = Bipartite.adjacency_s t');
+      check_true "N rows"
+        (Bipartite.offsets_n t = Bipartite.offsets_n t'
+        && Bipartite.adjacency_n t = Bipartite.adjacency_n t'))
+    [ 1; 2; 4; 8; 16; 32 ]
 
 let test_core_dp_max_unique_matches_brute_force () =
   List.iter
@@ -395,6 +423,7 @@ let suite =
     Alcotest.test_case "core blocks partition" `Quick test_core_blocks_partition_n;
     Alcotest.test_case "core ancestors" `Quick test_core_ancestors;
     Alcotest.test_case "core edge rule" `Quick test_core_edge_rule;
+    Alcotest.test_case "core rows = edge-list build" `Quick test_core_rows_match_edge_list;
     Alcotest.test_case "core DP max = brute" `Quick test_core_dp_max_unique_matches_brute_force;
     Alcotest.test_case "core DP witness" `Quick test_core_dp_witness_achieves_max;
     Alcotest.test_case "core DP cap 2s" `Quick test_core_dp_max_unique_cap;

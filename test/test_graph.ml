@@ -39,7 +39,7 @@ let test_of_edge_array_rejects () =
   check_true "prefix only"
     (Graph.equal triangle (Graph.of_edge_array ~edges:3 3 [| 0; 1; 1; 2; 2; 0; 5; 5 |]))
 
-let test_neighbors_sorted () =
+let test_neighbor_rows_sorted () =
   let g = Graph.of_edges 5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   check_true "sorted" (Graph.neighbors g 2 = [| 0; 1; 3; 4 |])
 
@@ -299,7 +299,7 @@ let suite =
     Alcotest.test_case "reject out of range" `Quick test_of_edges_rejects_out_of_range;
     Alcotest.test_case "reject negative n" `Quick test_of_edges_rejects_negative_n;
     Alcotest.test_case "of_edge_array rejects" `Quick test_of_edge_array_rejects;
-    Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
+    Alcotest.test_case "neighbors sorted" `Quick test_neighbor_rows_sorted;
     Alcotest.test_case "mem_edge" `Quick test_mem_edge;
     Alcotest.test_case "degrees" `Quick test_degrees;
     Alcotest.test_case "iter_edges once" `Quick test_iter_edges_once;

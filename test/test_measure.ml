@@ -172,8 +172,8 @@ let test_bip_exact_max_unique_gbad () =
 let test_bip_ordinary_expansion_exact () =
   (* Complete bipartite 3×4 as instance: every nonempty S' covers all 4. *)
   let t =
-    Bipartite.of_edges ~s:3 ~n:4
-      (List.concat_map (fun u -> List.init 4 (fun w -> (u, w))) [ 0; 1; 2 ])
+    Bipartite.of_edge_array ~s:3 ~n:4
+      (ends_of (List.concat_map (fun u -> List.init 4 (fun w -> (u, w))) [ 0; 1; 2 ]))
   in
   let v, witness = Bip_measure.ordinary_expansion_min_exact t in
   check_float "4/3" (4.0 /. 3.0) v;
@@ -197,7 +197,7 @@ let qcheck_tests =
   [
     qcheck ~count:150 "bipartite ordinary min exact = reference"
       (fun (s, n, es) ->
-        let t = Bipartite.of_edges ~s ~n es in
+        let t = Bipartite.of_edge_array ~s ~n (ends_of es) in
         let v, w = Bip_measure.ordinary_expansion_min_exact t in
         let v', w' = Reference_kernels.ordinary_expansion_min t in
         Float.equal v v' && Bitset.equal w w')

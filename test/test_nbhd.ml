@@ -48,7 +48,7 @@ let test_unique_expansion_of_set () =
 
 (* --- bipartite --- *)
 
-let inst = Bipartite.of_edges ~s:3 ~n:4 [ (0, 0); (0, 1); (1, 1); (1, 2); (2, 2); (2, 3) ]
+let inst = Bipartite.of_edge_array ~s:3 ~n:4 [| 0; 0; 0; 1; 1; 1; 1; 2; 2; 2; 2; 3 |]
 
 let test_bip_covered () =
   let s' = Bitset.of_list 3 [ 0; 2 ] in

@@ -136,7 +136,7 @@ let test_naive_nuni_unique_in_suni () =
             let c =
               Array.fold_left
                 (fun acc u -> if Bitset.mem tr.Naive.s_uni u then acc + 1 else acc)
-                0 (Bipartite.neighbors_n t w)
+                0 (bip_row Bipartite.iter_n t w)
             in
             check_int "exactly one spokesman" 1 c)
           tr.Naive.n_uni
@@ -146,7 +146,7 @@ let test_naive_nuni_unique_in_suni () =
 let test_naive_tolerates_isolated () =
   (* Isolated N-vertices are excluded rather than fatal: the coverable part
      is still handled. *)
-  let t = Bipartite.of_edges ~s:2 ~n:2 [ (0, 0) ] in
+  let t = Bipartite.of_edge_array ~s:2 ~n:2 [| 0; 0 |] in
   let tr = Naive.run t in
   check_int "covers the coverable vertex" 1 (Bitset.cardinal tr.Naive.n_uni)
 
@@ -315,7 +315,7 @@ let partition_matches_reference ?restrict_n t =
 let qcheck_tests =
   let arb = arbitrary_bipartite ~smax:12 ~nmax:16 in
   let raw = arbitrary_bipartite_edges ~smax:14 ~nmax:18 in
-  let of_raw (s, n, es) = Bipartite.of_edges ~s ~n es in
+  let of_raw (s, n, es) = Bipartite.of_edge_array ~s ~n (ends_of es) in
   [
     qcheck ~count:1000 "naive = reference (isolated, repeated edges)"
       (fun e ->
