@@ -121,8 +121,6 @@ let check_wireless_work name g kmax work_limit =
             name n kmax work_limit))
   end
 
-let max_gray_bits = Guard.max_gray_bits
-
 (* Single-set Gray enumeration guard — the shared {!Wx_util.Guard}
    contract, plus this layer's rejection counter. *)
 let check_gray_work name k work_limit =
@@ -133,7 +131,7 @@ let check_gray_work name k work_limit =
 
 (* ---- incremental scoring engine ----
 
-   The delta enumerators in [Combi] report how much of the previous subset
+   [Combi.iter_subshard_le_prune] reports how much of the previous subset
    survives each step ([kept] leading slots); an [Nbhd.Inc] arena absorbs
    the difference with O(deg) [add]/[remove] calls and answers
    |Γ⁻(S)|, |Γ¹(S)|, |S| in O(1). One arena per shard, reused across the
@@ -142,8 +140,10 @@ let check_gray_work name k work_limit =
 
    A scorer couples the arena to a measure. [score] reads the arena (and
    for the wireless measure runs the inner Gray-code maximisation) for the
-   set in the first [len] slots of the (possibly longer, reused) buffer;
-   [bound_num] is the branch-and-bound numerator floor — a lower bound on
+   set in the first [len] slots of the (possibly longer, reused) buffer,
+   and returns the measure's numerator: every measure here is that count
+   divided by [len], and returning the int keeps the hot loop from boxing
+   a float per set; [bound_num] is the branch-and-bound numerator floor — a lower bound on
    the measure's numerator over {e every} strict extension of the set just
    scored by at most [budget] vertices, all larger than [last] (so it must
    be called while the arena still holds that set); [flush] publishes any
@@ -151,14 +151,14 @@ let check_gray_work name k work_limit =
    atomic operations. *)
 
 type inc_scorer = {
-  score : int array -> len:int -> float;
+  score : int array -> len:int -> int;
   bound_num : last:int -> budget:int -> int;
   flush : unit -> unit;
 }
 
 let expansion_scorer inc =
   {
-    score = (fun _ ~len:_ -> Nbhd.Inc.expansion inc);
+    score = (fun _ ~len:_ -> Nbhd.Inc.boundary inc);
     bound_num = (fun ~last:_ ~budget -> Nbhd.Inc.boundary_floor inc ~budget);
     flush = (fun () -> ());
   }
@@ -173,94 +173,55 @@ let unique_scorer g inc =
     smax.(v) <- max (Graph.degree g v) smax.(v + 1)
   done;
   {
-    score = (fun _ ~len:_ -> Nbhd.Inc.unique_expansion inc);
+    score = (fun _ ~len:_ -> Nbhd.Inc.unique inc);
     bound_num =
       (fun ~last ~budget -> Nbhd.Inc.unique_floor inc ~budget ~max_add_degree:smax.(last + 1));
     flush = (fun () -> ());
   }
 
-(* Scratch for the count-only inner Gray kernel: per-vertex neighbor counts
-   plus mutable int fields (a boxed record, allocated once per shard, so
-   per-subset state updates allocate nothing). *)
-type gray_state = {
-  cnt : int array;
-  mutable flips : int;
-  mutable uniq : int;
-  mutable best : int;
-}
+(* Counts of the members of S sit at this sentinel while [Nbhd.gray_walk]
+   runs over S's subsets: they then never count as covered or unique,
+   which is Γ¹_S's exclusion of S without a membership test. *)
+let excluded = 3
 
-(* Max of |Γ¹_S(S')| over S' ⊆ S for S = the arena's current set (listed in
-   [elts], length >= 1), by Gray-code enumeration. Count-only: no witness,
-   no bitsets, membership tests against the arena. [st.cnt] must be
-   all-zero on entry and is re-zeroed on exit — the Gray walk over
-   [1 .. 2^len - 1] ends at the singleton {elts.(len-1)}, so one unwind
-   pass restores it in O(deg). *)
-let gray_max_unique_count g inc st elts len =
-  if len > max_gray_bits then
-    raise (Too_large "Measure: inner Gray enumeration exceeds the native-int ceiling");
-  st.uniq <- 0;
-  st.best <- 0;
-  let cnt = st.cnt and offsets = Graph.offsets g and nbrs = Graph.adjacency g in
-  let total = 1 lsl len in
-  for i = 1 to total - 1 do
-    (* The bit toggled at Gray step i is the lowest set bit of i; it is an
-       add exactly when set in gray(i) = i lxor (i lsr 1). *)
-    let bit =
-      let rec go b = if (i lsr b) land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
-    let u = Array.unsafe_get elts bit in
-    let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
-    let lo = Array.unsafe_get offsets u and hi = Array.unsafe_get offsets (u + 1) - 1 in
-    if adding then
-      for j = lo to hi do
-        let w = Array.unsafe_get nbrs j in
-        if not (Nbhd.Inc.mem inc w) then begin
-          let c = cnt.(w) in
-          if c = 0 then st.uniq <- st.uniq + 1 else if c = 1 then st.uniq <- st.uniq - 1;
-          cnt.(w) <- c + 1
-        end
-      done
-    else
-      for j = lo to hi do
-        let w = Array.unsafe_get nbrs j in
-        if not (Nbhd.Inc.mem inc w) then begin
-          let c = cnt.(w) in
-          if c = 1 then st.uniq <- st.uniq - 1 else if c = 2 then st.uniq <- st.uniq + 1;
-          cnt.(w) <- c - 1
-        end
-      done;
-    if st.uniq > st.best then st.best <- st.uniq
+(* Walk the subsets S' of S = [elts.(0 .. len-1)], calling [step i _ u]
+   with u = |Γ¹_S(S')|. [cnt] is all-zero scratch of size n, and is
+   all-zero again on return. *)
+let walk_excluding g cnt elts len step =
+  for j = 0 to len - 1 do
+    cnt.(elts.(j)) <- excluded
   done;
-  st.flips <- st.flips + (total - 1);
-  let last = elts.(len - 1) in
-  for j = offsets.(last) to offsets.(last + 1) - 1 do
-    let w = Array.unsafe_get nbrs j in
-    if not (Nbhd.Inc.mem inc w) then cnt.(w) <- 0
-  done;
-  st.best
+  Nbhd.gray_walk ~offsets:(Graph.offsets g) ~adjacency:(Graph.adjacency g) cnt elts len step;
+  for j = 0 to len - 1 do
+    cnt.(elts.(j)) <- 0
+  done
 
-let wireless_scorer g inc =
-  let st = { cnt = Array.make (Graph.n g) 0; flips = 0; uniq = 0; best = 0 } in
+let wireless_scorer g _ =
+  let cnt = Array.make (Graph.n g) 0 in
+  (* [best] is max_{S'⊆S} |Γ¹_S(S')| for the set last scored; [step] is
+     built once per shard, so scoring a set allocates no closure. *)
+  let best = ref 0 and flips = ref 0 in
+  let step _ _ u = if u > !best then best := u in
   {
     score =
       (fun idxs ~len ->
-        let m = gray_max_unique_count g inc st idxs len in
-        float_of_int m /. float_of_int len);
+        best := 0;
+        walk_excluding g cnt idxs len step;
+        flips := !flips + (1 lsl len) - 1;
+        !best);
     bound_num =
       (fun ~last:_ ~budget ->
-        (* [st.best] is max_{S'⊆S} |Γ¹_S(S')| for the set just scored. For
-           any T ⊇ S the same S' is still a candidate, and moving a vertex
-           into T removes at most that vertex itself from Γ¹_T(S') — the
-           per-N-vertex counts w.r.t. the fixed S' do not change. So
-           w(T) >= st.best - budget. *)
-        let b = st.best - budget in
+        (* For any T ⊇ S the same S' is still a candidate, and moving a
+           vertex into T removes at most that vertex itself from
+           Γ¹_T(S') — the per-N-vertex counts w.r.t. the fixed S' do not
+           change. So w(T) >= best - budget. *)
+        let b = !best - budget in
         if b > 0 then b else 0);
     flush =
       (fun () ->
-        if st.flips > 0 then begin
-          Metrics.add m_gray_flips st.flips;
-          Work.add Work.gray_steps st.flips
+        if !flips > 0 then begin
+          Metrics.add m_gray_flips !flips;
+          Work.add Work.gray_steps !flips
         end);
   }
 
@@ -299,107 +260,47 @@ let wireless_scorer g inc =
    order-independent, and the pool combines unit results in (shard, part)
    order. *)
 
-(* The shared incumbent: a value some unit scored and that unit's rank.
-   Immutable, so one [Atomic.get] reads a consistent pair. *)
-type incumbent = { inc_v : float; inc_a : int; inc_part : int }
-
-(* Unit (a, p) ranks before unit (a', p'): it covers lex-smaller sets. *)
-let rank_lt a p a' p' = a < a' || (a = a' && p < p')
-
-let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
+(* One work unit's pass: the sub-shard of smallest element [a] whose
+   second element lies in [blo, bhi), plus the singleton {a} iff [self],
+   walked by the pre-order DFS with one arena absorbing each step's delta.
+   [visit sc buf len num] sees each set (the first [len] slots of [buf])
+   and its score's numerator [num]; returning [true] cuts the set's
+   strict extensions. *)
+let drive_unit g kmax make_scorer a ~blo ~bhi ~self visit =
   let n = Graph.n g in
-  (* Read by every unit's pruning test. The box only allocates on
-     publication: on a lower value, or an equal one from a lower-ranked
-     unit. *)
-  let incumbent = Atomic.make { inc_v = infinity; inc_a = max_int; inc_part = max_int } in
-  let rec publish v a part =
-    let cur = Atomic.get incumbent in
-    if
-      (v < cur.inc_v || (v = cur.inc_v && rank_lt a part cur.inc_a cur.inc_part))
-      && not (Atomic.compare_and_set incumbent cur { inc_v = v; inc_a = a; inc_part = part })
-    then publish v a part
-  in
-  let scratch = max 1 (min kmax n) in
-  (* One work unit: the sub-shard of smallest-element [a] whose second
-     element lies in [blo, bhi), plus the singleton {a} iff [self]; [part]
-     ranks it among the shard's units. *)
-  let unit_body a ~part ~blo ~bhi ~self =
-    let inc = Nbhd.Inc.create g in
-    let sc = make_scorer inc in
-    let prev = Array.make scratch 0 in
-    let prev_len = ref 0 in
-    let scored = ref 0 in
-    let cut = ref 0 in
-    let improvements = ref 0 in
-    let have = ref false in
-    (* 1-slot float array: improvements store without boxing, so the only
-       timing-dependent allocation in a pruned run is incumbent boxes. *)
-    let best_v = Array.make 1 infinity in
-    let best_w = Array.make scratch 0 in
-    let best_len = ref 0 in
-    Combi.iter_subshard_le_prune n kmax a ~blo ~bhi ~self (fun buf ~len ~kept ->
-        for j = !prev_len - 1 downto kept do
-          Nbhd.Inc.remove inc prev.(j)
-        done;
-        for j = kept to len - 1 do
-          let v = buf.(j) in
-          Nbhd.Inc.add inc v;
-          prev.(j) <- v
-        done;
-        prev_len := len;
-        incr scored;
-        let v = sc.score buf ~len in
-        if
-          (not !have)
-          || v < best_v.(0)
-          || (v = best_v.(0) && lex_less_arr_len buf len best_w !best_len)
-        then begin
-          have := true;
-          incr improvements;
-          best_v.(0) <- v;
-          Array.blit buf 0 best_w 0 len;
-          best_len := len
-        end;
-        (* Prune decision for the subtree of strict extensions. [budget] =
-           how many vertices an extension can still add; the largest
-           reachable size [len + budget] is the denominator floor's mate.
-           The three-way cut is the one argued above. *)
-        prune
-        && begin
-             publish v a part;
-             let budget = min (kmax - len) (n - 1 - buf.(len - 1)) in
-             budget > 0
-             && begin
-                  let floor_num = sc.bound_num ~last:buf.(len - 1) ~budget in
-                  let lb = float_of_int floor_num /. float_of_int (len + budget) in
-                  let c = Atomic.get incumbent in
-                  (lb > c.inc_v
-                  || (lb >= c.inc_v && rank_lt c.inc_a c.inc_part a part)
-                  || lb >= best_v.(0))
-                  &&
-                  (incr cut;
-                   true)
-                end
-           end);
-    sc.flush ();
-    if !scored > 0 then begin
-      Metrics.add m_sets_scored !scored;
-      Work.add Work.sets_scored !scored
-    end;
-    if !cut > 0 then begin
-      Metrics.add m_subtrees_pruned !cut;
-      Work.add work_subtrees_pruned !cut
-    end;
-    if !improvements > 0 then Metrics.add m_improvements !improvements;
-    if !have then
-      Some { value = best_v.(0); witness = Bitset.of_array n (Array.sub best_w 0 !best_len) }
-    else None
-  in
-  (* Steal weights: |shard a| = Σ_{j<=kmax-1} C(n-a-1, j) subsets. The
-     pool splits heavy shards into [parts] units; the split point between
-     parts is by cumulative second-element weight, recomputed identically
-     by every unit of the shard (same floats, same order), so the ranges
-     are consistent and partition [a+1, n). *)
+  let inc = Nbhd.Inc.create g in
+  let sc = make_scorer inc in
+  let prev = Array.make (max 1 (min kmax n)) 0 in
+  let prev_len = ref 0 in
+  let scored = ref 0 in
+  Combi.iter_subshard_le_prune n kmax a ~blo ~bhi ~self (fun buf ~len ~kept ->
+      for j = !prev_len - 1 downto kept do
+        Nbhd.Inc.remove inc prev.(j)
+      done;
+      for j = kept to len - 1 do
+        let v = buf.(j) in
+        Nbhd.Inc.add inc v;
+        prev.(j) <- v
+      done;
+      prev_len := len;
+      incr scored;
+      visit sc buf len (sc.score buf ~len));
+  sc.flush ();
+  if !scored > 0 then begin
+    Metrics.add m_sets_scored !scored;
+    Work.add Work.sets_scored !scored
+  end
+
+(* Reduce [unit_body a ~part ~blo ~bhi ~self] over every work unit of the
+   sets of size <= kmax, folded in (shard, part) order.
+
+   Steal weights: |shard a| = Σ_{j<=kmax-1} C(n-a-1, j) subsets. The pool
+   splits heavy shards into [parts] units; the split point between parts
+   is by cumulative second-element weight, recomputed identically by
+   every unit of the shard (same floats, same order), so the ranges are
+   consistent and partition [a+1, n). *)
+let reduce_units ?jobs g kmax ~init ~combine unit_body =
+  let n = Graph.n g in
   let shard_weight a = Combi.count_subsets_upto_float (n - 1 - a) (kmax - 1) in
   let map a ~part ~parts =
     if parts = 1 then unit_body a ~part ~blo:(a + 1) ~bhi:n ~self:true
@@ -426,10 +327,84 @@ let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
       unit_body a ~part ~blo:(lo part) ~bhi:(lo (part + 1)) ~self:(part = 0)
     end
   in
-  match
-    Pool.parallel_reduce_weighted ?jobs ~n ~weight:shard_weight ~init:None ~map
-      ~combine:better_opt ()
-  with
+  Pool.parallel_reduce_weighted ?jobs ~n ~weight:shard_weight ~init ~map ~combine ()
+
+(* The shared incumbent: a value some unit scored and that unit's rank.
+   Immutable, so one [Atomic.get] reads a consistent pair. *)
+type incumbent = { inc_v : float; inc_a : int; inc_part : int }
+
+(* Unit (a, p) ranks before unit (a', p'): it covers lex-smaller sets. *)
+let rank_lt a p a' p' = a < a' || (a = a' && p < p')
+
+let min_over_shards name ?(prune = true) ?jobs g kmax make_scorer =
+  let n = Graph.n g in
+  (* Read by every unit's pruning test. The box only allocates on
+     publication: on a lower value, or an equal one from a lower-ranked
+     unit. *)
+  let incumbent = Atomic.make { inc_v = infinity; inc_a = max_int; inc_part = max_int } in
+  let rec publish num len a part =
+    let v = float_of_int num /. float_of_int len in
+    let cur = Atomic.get incumbent in
+    if
+      (v < cur.inc_v || (v = cur.inc_v && rank_lt a part cur.inc_a cur.inc_part))
+      && not (Atomic.compare_and_set incumbent cur { inc_v = v; inc_a = a; inc_part = part })
+    then publish num len a part
+  in
+  let scratch = max 1 (min kmax n) in
+  (* [part] ranks the unit among its shard's units. *)
+  let unit_body a ~part ~blo ~bhi ~self =
+    let cut = ref 0 in
+    let improvements = ref 0 in
+    let have = ref false in
+    (* 1-slot float array: improvements store without boxing, so the only
+       timing-dependent allocation in a pruned run is incumbent boxes. *)
+    let best_v = Array.make 1 infinity in
+    let best_w = Array.make scratch 0 in
+    let best_len = ref 0 in
+    drive_unit g kmax make_scorer a ~blo ~bhi ~self (fun sc buf len num ->
+        let v = float_of_int num /. float_of_int len in
+        if
+          (not !have)
+          || v < best_v.(0)
+          || (v = best_v.(0) && lex_less_arr_len buf len best_w !best_len)
+        then begin
+          have := true;
+          incr improvements;
+          best_v.(0) <- v;
+          Array.blit buf 0 best_w 0 len;
+          best_len := len
+        end;
+        (* Prune decision for the subtree of strict extensions. [budget] =
+           how many vertices an extension can still add; the largest
+           reachable size [len + budget] is the denominator floor's mate.
+           The three-way cut is the one argued above. *)
+        prune
+        && begin
+             publish num len a part;
+             let budget = min (kmax - len) (n - 1 - buf.(len - 1)) in
+             budget > 0
+             && begin
+                  let floor_num = sc.bound_num ~last:buf.(len - 1) ~budget in
+                  let lb = float_of_int floor_num /. float_of_int (len + budget) in
+                  let c = Atomic.get incumbent in
+                  (lb > c.inc_v
+                  || (lb >= c.inc_v && rank_lt c.inc_a c.inc_part a part)
+                  || lb >= best_v.(0))
+                  &&
+                  (incr cut;
+                   true)
+                end
+           end);
+    if !cut > 0 then begin
+      Metrics.add m_subtrees_pruned !cut;
+      Work.add work_subtrees_pruned !cut
+    end;
+    if !improvements > 0 then Metrics.add m_improvements !improvements;
+    if !have then
+      Some { value = best_v.(0); witness = Bitset.of_array n (Array.sub best_w 0 !best_len) }
+    else None
+  in
+  match reduce_units ?jobs g kmax ~init:None ~combine:better_opt unit_body with
   | Some w -> w
   | None -> invalid_arg (name ^ ": no feasible sets")
 
@@ -514,64 +489,20 @@ let beta_u_sampled ?alpha ?jobs rng ~samples g =
       min_over_sampled_sets ?jobs g (max_set_size ?alpha g) rng samples
         (Nbhd.unique_expansion_of_set g))
 
-(* Exact max over S' of |Γ¹_S(S')| for a fixed S, returning (max, argmax).
-   Gray-code enumeration with incremental per-vertex neighbor counts. The
-   witness-tracking variant used by [wireless_of_set_exact] and the sampled
-   path; the exact outer loops use the count-only kernel above instead. *)
-let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
-  let n = Graph.n g in
+let wireless_of_set_exact ?(work_limit = 1 lsl 24) g s =
   let elts = Bitset.to_array s in
   let k = Array.length elts in
   if k = 0 then invalid_arg "Measure.wireless_of_set: empty set";
   check_gray_work "Measure.wireless_of_set" k work_limit;
-  let cnt = Array.make n 0 and offsets = Graph.offsets g and nbrs = Graph.adjacency g in
-  let uniq = ref 0 in
-  let cur = Bitset.create n in
-  let best = ref 0 in
-  let best_set = ref (Bitset.create n) in
-  let total = 1 lsl k in
-  for i = 1 to total - 1 do
-    let bit =
-      let rec go b = if (i lsr b) land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
-    let u = elts.(bit) in
-    let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
-    let lo = offsets.(u) and hi = offsets.(u + 1) - 1 in
-    if adding then begin
-      Bitset.add_inplace cur u;
-      for j = lo to hi do
-        let w = Array.unsafe_get nbrs j in
-        if not (Bitset.mem s w) then begin
-          let c = cnt.(w) in
-          if c = 0 then incr uniq else if c = 1 then decr uniq;
-          cnt.(w) <- c + 1
-        end
-      done
-    end
-    else begin
-      Bitset.remove_inplace cur u;
-      for j = lo to hi do
-        let w = Array.unsafe_get nbrs j in
-        if not (Bitset.mem s w) then begin
-          let c = cnt.(w) in
-          if c = 1 then decr uniq else if c = 2 then incr uniq;
-          cnt.(w) <- c - 1
-        end
-      done
-    end;
-    if !uniq > !best then begin
-      best := !uniq;
-      best_set := Bitset.copy cur
-    end
-  done;
-  Metrics.add m_gray_flips (total - 1);
-  Work.add Work.gray_steps (total - 1);
-  (!best, !best_set)
-
-let wireless_of_set_exact ?work_limit g s =
-  let m, s' = max_unique_over_subsets ?work_limit g s in
-  { value = float_of_int m /. float_of_int (Bitset.cardinal s); witness = s' }
+  let best = ref 0 and best_i = ref 0 in
+  walk_excluding g (Array.make (Graph.n g) 0) elts k (fun i _ u ->
+      if u > !best then begin
+        best := u;
+        best_i := i
+      end);
+  Metrics.add m_gray_flips ((1 lsl k) - 1);
+  Work.add Work.gray_steps ((1 lsl k) - 1);
+  { value = float_of_int !best /. float_of_int k; witness = Nbhd.gray_set (Graph.n g) elts !best_i }
 
 let beta_w_exact ?alpha ?(work_limit = 1 lsl 26) ?prune ?jobs g =
   Span.with_ ~name:"measure.beta_w_exact" (fun () ->
@@ -612,8 +543,8 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
             else k
           in
           let s = Bitset.random_of_universe r n k in
-          match max_unique_over_subsets ~work_limit:inner_work_limit g s with
-          | m, _ -> consider best (float_of_int m /. float_of_int k) s ~copy:false
+          match wireless_of_set_exact ~work_limit:inner_work_limit g s with
+          | w -> consider best w.value s ~copy:false
           | exception Too_large _ -> Metrics.incr m_inner_pruned
         done;
         Work.add Work.draws ndraws;
@@ -631,49 +562,28 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
 
 (* ---- per-size profiles ----
 
-   Values only (no witness), so plain [Float.min] is the combine: it is
-   associative and commutative, and scores are never NaN, so the profile is
-   deterministic without any tiebreak. Same incremental engine as the
-   minima, one size at a time. *)
+   Values only (no witness): one unpruned pass of the same units as the
+   exact minima, each recording the least score per set size. Scores are
+   never NaN, so the element-wise [Float.min] combine is associative and
+   commutative and the profile is deterministic without any tiebreak. *)
 
 let profile_sizes ?jobs g kmax make_scorer =
-  let n = Graph.n g in
-  let out = ref [] in
-  for k = kmax downto 1 do
-    let shard ~lo:a ~hi:_ =
-      let inc = Nbhd.Inc.create g in
-      let sc = make_scorer inc in
-      let prev = Array.make k 0 in
-      let prev_len = ref 0 in
-      let scored = ref 0 in
-      let best = ref infinity in
-      Combi.iter_subsets_of_size_with_min_delta n k a (fun idxs ~kept ->
-          for j = !prev_len - 1 downto kept do
-            Nbhd.Inc.remove inc prev.(j)
-          done;
-          for j = kept to k - 1 do
-            let v = idxs.(j) in
-            Nbhd.Inc.add inc v;
-            prev.(j) <- v
-          done;
-          prev_len := k;
-          incr scored;
-          let v = sc.score idxs ~len:k in
-          if v < !best then best := v);
-      sc.flush ();
-      if !scored > 0 then begin
-        Metrics.add m_sets_scored !scored;
-        Work.add Work.sets_scored !scored
-      end;
-      !best
+  if kmax < 1 then []
+  else begin
+    let unit_body a ~part:_ ~blo ~bhi ~self =
+      let mins = Array.make (kmax + 1) infinity in
+      drive_unit g kmax make_scorer a ~blo ~bhi ~self (fun _ _ len num ->
+          let v = float_of_int num /. float_of_int len in
+          if v < mins.(len) then mins.(len) <- v;
+          false);
+      mins
     in
-    let best =
-      Pool.parallel_reduce_ranges ?jobs ~range:1 ~n:(n - k + 1) ~init:infinity ~map:shard
-        ~combine:Float.min ()
+    let mins =
+      reduce_units ?jobs g kmax ~init:(Array.make (kmax + 1) infinity)
+        ~combine:(Array.map2 Float.min) unit_body
     in
-    out := (k, best) :: !out
-  done;
-  !out
+    List.init kmax (fun i -> (i + 1, mins.(i + 1)))
+  end
 
 let profile_beta ?alpha ?(work_limit = 1 lsl 24) ?jobs g =
   let kmax = max_set_size ?alpha g in

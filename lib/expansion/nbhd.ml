@@ -1,5 +1,6 @@
 module Bitset = Wx_util.Bitset
 module Graph = Wx_graph.Graph
+module Guard = Wx_util.Guard
 
 let gamma g s =
   let out = Bitset.create (Graph.n g) in
@@ -43,6 +44,61 @@ let expansion_of_set g s =
 let unique_expansion_of_set g s =
   let k = Bitset.cardinal s in
   if k = 0 then nan else float_of_int (Bitset.cardinal (gamma1 g s)) /. float_of_int k
+
+(* Gray-code walk over the subsets of [elts.(0 .. len-1)]. Step [i]
+   toggles the element at the lowest set bit of [i]; it is an add exactly
+   when that bit is set in gray(i) = i lxor (i lsr 1). A row entry whose
+   count starts at a sentinel >= 3 never crosses the 0/1/2 transitions,
+   which is how callers exclude vertices without a membership test. *)
+let gray_walk ~offsets ~adjacency cnt elts len f =
+  if len > Guard.max_gray_bits then
+    raise (Guard.Too_large "Nbhd.gray_walk: 2^len steps exceed the native-int ceiling");
+  let covered = ref 0 and unique = ref 0 in
+  for i = 1 to (1 lsl len) - 1 do
+    let bit = ref 0 in
+    while (i lsr !bit) land 1 = 0 do
+      incr bit
+    done;
+    let u = elts.(!bit) in
+    let lo = offsets.(u) and hi = offsets.(u + 1) - 1 in
+    if ((i lxor (i lsr 1)) lsr !bit) land 1 = 1 then
+      for j = lo to hi do
+        let w = Array.unsafe_get adjacency j in
+        let c = cnt.(w) in
+        if c = 0 then begin
+          incr covered;
+          incr unique
+        end
+        else if c = 1 then decr unique;
+        cnt.(w) <- c + 1
+      done
+    else
+      for j = lo to hi do
+        let w = Array.unsafe_get adjacency j in
+        let c = cnt.(w) in
+        if c = 1 then begin
+          decr covered;
+          decr unique
+        end
+        else if c = 2 then incr unique;
+        cnt.(w) <- c - 1
+      done;
+    f i !covered !unique
+  done;
+  (* The walk ends at the singleton {elts.(len-1)}: zeroing its row
+     restores every count the walk raised. *)
+  if len > 0 then begin
+    let last = elts.(len - 1) in
+    for j = offsets.(last) to offsets.(last + 1) - 1 do
+      cnt.(adjacency.(j)) <- 0
+    done
+  end
+
+let gray_set universe elts i =
+  let code = i lxor (i lsr 1) in
+  let out = Bitset.create universe in
+  Array.iteri (fun b v -> if (code lsr b) land 1 = 1 then Bitset.add_inplace out v) elts;
+  out
 
 module Inc = struct
   type t = {
@@ -145,12 +201,6 @@ module Inc = struct
   let[@inline] mem t v = t.in_s.(v)
   let[@inline] deg_in t v = t.cnt.(v)
 
-  let expansion t =
-    if t.size = 0 then nan else float_of_int t.boundary /. float_of_int t.size
-
-  let unique_expansion t =
-    if t.size = 0 then nan else float_of_int t.uniq /. float_of_int t.size
-
   (* Branch-and-bound numerator floors. Both are monotone consequences of
      the arena's single-vertex deltas, so they hold for EVERY superset
      reachable by at most [budget] further [add]s — the soundness the
@@ -192,54 +242,4 @@ module Bip = struct
   let unique_count t s' =
     let cnt = counts t s' in
     Array.fold_left (fun acc c -> if c = 1 then acc + 1 else acc) 0 cnt
-
-  let iter_gray t elts f =
-    let k = Array.length elts in
-    if k > 30 then invalid_arg "Nbhd.Bip.iter_gray: too many elements";
-    let cnt = Array.make (Bipartite.n_count t) 0 in
-    let cov = ref 0 and uniq = ref 0 in
-    let buf = Bitset.create (Bipartite.s_count t) in
-    let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
-    let flip u =
-      (* Toggle S-vertex [u]; update per-N counts and both counters. *)
-      if Bitset.mem buf u then begin
-        Bitset.remove_inplace buf u;
-        for i = off.(u) to off.(u + 1) - 1 do
-          let w = adj.(i) in
-          let c = cnt.(w) in
-          if c = 1 then begin
-            decr cov;
-            decr uniq
-          end
-          else if c = 2 then incr uniq;
-          cnt.(w) <- c - 1
-        done
-      end
-      else begin
-        Bitset.add_inplace buf u;
-        for i = off.(u) to off.(u + 1) - 1 do
-          let w = adj.(i) in
-          let c = cnt.(w) in
-          if c = 0 then begin
-            incr cov;
-            incr uniq
-          end
-          else if c = 1 then decr uniq;
-          cnt.(w) <- c + 1
-        done
-      end
-    in
-    f buf !cov !uniq;
-    let total = 1 lsl k in
-    for i = 1 to total - 1 do
-      let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
-      let gray = i lxor (i lsr 1) in
-      let changed = gray lxor gray_prev in
-      let bit =
-        let rec go b = if changed lsr b land 1 = 1 then b else go (b + 1) in
-        go 0
-      in
-      flip elts.(bit);
-      f buf !cov !uniq
-    done
 end

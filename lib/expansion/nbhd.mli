@@ -28,13 +28,46 @@ val expansion_of_set : Graph.t -> Bitset.t -> float
 val unique_expansion_of_set : Graph.t -> Bitset.t -> float
 (** [|Γ¹(S)| / |S|]. *)
 
+val gray_walk :
+  offsets:int array ->
+  adjacency:int array ->
+  int array ->
+  int array ->
+  int ->
+  (int -> int -> int -> unit) ->
+  unit
+(** [gray_walk ~offsets ~adjacency cnt elts len f] walks the non-empty
+    subsets [S′] of [elts.(0 .. len-1)] in Gray-code order over the CSR
+    rows [(offsets, adjacency)] (a {!Graph.t}'s rows, or side S of a
+    {!Wx_graph.Bipartite.t}). After step [i], for [i = 1 .. 2^len - 1],
+    [S′] holds [elts.(b)] for each set bit [b] of [i lxor (i lsr 1)], and
+    the walk calls [f i covered unique]: the number of row entries [w]
+    that at least one element of [S′] reaches, and that exactly one
+    reaches, excluded entries (below) never counted. Each step costs the
+    degree of the toggled element; the per-neighbour loop holds no test
+    beyond the count.
+
+    [cnt] is caller-owned scratch indexed by row entries. It must be 0
+    everywhere except at {e excluded} entries, which hold a sentinel
+    [σ >= 3]: such an entry stays in [\[σ, σ + len\]], never counts as
+    covered or unique, and its membership needs no test. The walk ends at
+    the singleton [{elts.(len-1)}] and zeroes that row, so every entry
+    that was 0 is 0 again; the caller resets its sentinels. Raises
+    {!Wx_util.Guard.Too_large} when [2^len] overflows the native int. *)
+
+val gray_set : int -> int array -> int -> Bitset.t
+(** [gray_set universe elts i] is the subset {!gray_walk} holds after
+    step [i] (the empty set for [i = 0]) — how callers decode a witness
+    from the step of its first strict improvement. *)
+
 (** Incremental neighborhood counters — the delta-scoring arena behind the
     exact measures.
 
     An [Inc.t] maintains a current set S under single-vertex [add]/[remove]
     in O(deg v) time with zero allocation, exposing O(1) reads of [|S|],
-    [|Γ⁻(S)| ] and [|Γ¹(S)|]. Driven by {!Wx_util.Combi}'s delta
-    enumerators, this replaces the O(|S|·Δ + n) fresh-bitset scoring of
+    [|Γ⁻(S)| ] and [|Γ¹(S)|]. Driven by
+    {!Wx_util.Combi.iter_subshard_le_prune}, this replaces the
+    O(|S|·Δ + n) fresh-bitset scoring of
     {!expansion_of_set}/{!unique_expansion_of_set} per enumerated subset.
 
     Arena discipline: one [Inc.t] per worker shard, reused across the whole
@@ -69,14 +102,6 @@ module Inc : sig
 
   val deg_in : t -> int -> int
   (** Number of the vertex's neighbors currently in S. O(1). *)
-
-  val expansion : t -> float
-  (** [boundary / cardinal]; [nan] on the empty set. Bit-identical to
-      {!expansion_of_set} on the same set: both divide the same two exact
-      integers. *)
-
-  val unique_expansion : t -> float
-  (** [unique / cardinal]; [nan] on the empty set. *)
 
   (** {2 Branch-and-bound floors}
 
@@ -115,13 +140,4 @@ module Bip : sig
 
   val unique_count : Bipartite.t -> Bitset.t -> int
   (** [cardinal (unique t s')] without materializing the set. *)
-
-  val iter_gray : Bipartite.t -> int array -> (Bitset.t -> int -> int -> unit) -> unit
-  (** [iter_gray t elts f] enumerates every subset [S′] of the given
-      S-vertices in Gray-code order (the order of {!Bitset.iter_subsets}),
-      maintaining per-N counts incrementally (O(deg) per step instead of
-      O(m)), and calls [f s' covered unique] for each, with
-      [covered = |covered t s'|] and [unique = unique_count t s']. The
-      bitset is a reused buffer. Requires [Array.length elts <= 30]. This
-      is the kernel of the exact bipartite measures. *)
 end

@@ -29,7 +29,9 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 type counters = {
-  minor_words : int;  (** deterministic per seed/jobs; the gated number *)
+  minor_words : int;
+      (** the gated number: exact run to run at jobs 1, and within ~0.15 %
+          at jobs > 1, where scheduling shifts a little allocation *)
   promoted_words : int;
   major_words : int;
   minor_collections : int;
@@ -67,8 +69,8 @@ val gc_read_count : unit -> int
 
     Deliberately separate from {!enable}: the stdlib re-arms alarms via
     [Gc.finalise], which allocates once per major cycle — fine for
-    tracing, but enough to perturb the byte-identical minor-word counts
-    the bench gate depends on. [wx prof] installs it; [wx bench record]
+    tracing, but enough to perturb the minor-word counts the bench gate
+    depends on. [wx prof] installs it; [wx bench record]
     never does. While {!Trace_export} is enabled, each cycle end also
     emits a ["gc.major"] counter sample onto the trace. *)
 

@@ -10,8 +10,8 @@
     committed baseline can always be traced back to the configuration
     that produced it. {!diff} compares two reports with {!judge} on two
     axes: wall time (noise-aware: a median-ratio breach {e and} disjoint
-    sample ranges) and minor words (deterministic per seed/jobs, so a bare
-    1% ratio). The work counts and the util block are a record only; no
+    sample ranges) and minor words (exact at jobs 1 and within ~0.15 % at
+    jobs > 1, so a bare 1% ratio). The work counts and the util block are a record only; no
     verdict reads them. *)
 
 val schema : string
@@ -102,7 +102,7 @@ type rule = {
 val rule : metric -> rule
 (** The one constant table; higher is worse on both axes. Wall: 25%,
     ranged, floored. Alloc: 1%, no range test, no floor (minor words are
-    deterministic per seed/jobs). *)
+    exact at jobs 1 and vary by well under 1% at jobs > 1). *)
 
 val min_wall_s : float
 (** 0.05 — timer resolution dominates under 50ms. *)

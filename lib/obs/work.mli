@@ -8,8 +8,8 @@
     and flush once per shard, exactly like the [expansion.*] counters.
 
     On top of the registry, [Work] enumerates kinds so the bench runner can
-    record per-experiment unit deltas into the [wx-bench/4] [rate] block
-    and derive units/sec against the wall samples.
+    record each experiment's unit deltas as the work counts of its
+    [wx-bench/4] entry — a record only, which no verdict reads.
 
     All write operations are single-flag-load no-ops while {!Metrics} is
     disabled; none ever reads a clock. *)

@@ -31,6 +31,9 @@ val remove : t -> int -> t
 val cardinal : t -> int
 (** Popcount over all words; O(n / word_size). *)
 
+val popcount_word : int -> int
+(** Number of set bits of a non-negative native int. *)
+
 val is_empty : t -> bool
 
 val equal : t -> t -> bool

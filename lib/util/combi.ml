@@ -15,18 +15,12 @@ let binomial n k =
     !acc
   end
 
-(* Delta-aware core: lex-order successor keeps the prefix [0..i-1] intact
-   when slot [i] is the one incremented, so [kept] for the next callback is
-   exactly that [i]. Incremental consumers drop elements [kept..] of the
-   previous set and add elements [kept..] of the new one. *)
-let iter_subsets_of_size_delta n k f =
-  if k < 1 || k > n then ()
-  else begin
+let iter_subsets_of_size n k f =
+  if k >= 1 && k <= n then begin
     let a = Array.init k (fun i -> i) in
-    let kept = ref 0 in
     let continue_ = ref true in
     while !continue_ do
-      f a ~kept:!kept;
+      f a;
       (* Advance to the next combination in lexicographic order. *)
       let i = ref (k - 1) in
       while !i >= 0 && a.(!i) = n - k + !i do
@@ -37,24 +31,15 @@ let iter_subsets_of_size_delta n k f =
         a.(!i) <- a.(!i) + 1;
         for j = !i + 1 to k - 1 do
           a.(j) <- a.(j - 1) + 1
-        done;
-        kept := !i
+        done
       end
     done
   end
 
-let iter_subsets_of_size n k f =
-  iter_subsets_of_size_delta n k (fun a ~kept:_ -> f a)
-
-let iter_subsets_le_delta n k f =
-  (* Each size restarts the enumeration: the first size-[s] set shares no
-     tracked prefix with the last size-[s-1] set, so [kept] resets to 0. *)
-  for size = 1 to min k n do
-    iter_subsets_of_size_delta n size f
-  done
-
 let iter_subsets_le n k f =
-  iter_subsets_le_delta n k (fun a ~kept:_ -> f a)
+  for size = 1 to min k n do
+    iter_subsets_of_size n size f
+  done
 
 let iter_all_subsets n f =
   if n > 30 then invalid_arg "Combi.iter_all_subsets: n too large";
@@ -62,50 +47,15 @@ let iter_all_subsets n f =
     f mask
   done
 
-let iter_subsets_of_size_with_min_delta n k a f =
-  if k < 1 || a < 0 || a >= n || a + k > n then ()
-  else if k = 1 then f [| a |] ~kept:0
-  else begin
-    (* Fix [a] in slot 0 and enumerate the remaining k-1 slots over the
-       suffix universe {a+1..n-1}, shifted back up on the way out. Slot 0
-       never changes, so the outer retained prefix is the inner one plus
-       one — except on the very first set, where [a] itself is new. *)
-    let out = Array.make k a in
-    let first = ref true in
-    iter_subsets_of_size_delta (n - a - 1) (k - 1) (fun idxs ~kept ->
-        let outer_kept = if !first then 0 else kept + 1 in
-        first := false;
-        for i = (if outer_kept = 0 then 0 else outer_kept - 1) to k - 2 do
-          out.(i + 1) <- idxs.(i) + a + 1
-        done;
-        f out ~kept:outer_kept)
-  end
-
-let iter_subsets_of_size_with_min n k a f =
-  iter_subsets_of_size_with_min_delta n k a (fun out ~kept:_ -> f out)
-
-let iter_subsets_le_with_min_delta n k a f =
-  for size = 1 to min k (n - a) do
-    iter_subsets_of_size_with_min_delta n size a f
-  done
-
-let iter_subsets_le_with_min n k a f =
-  iter_subsets_le_with_min_delta n k a (fun out ~kept:_ -> f out)
-
 (* ---- prunable sharded enumeration ----
 
    Branch-and-bound needs the enumeration to expose its prefix tree: a
    node is a sorted prefix, its children extend it by one larger element,
    and a whole subtree must be skippable once a bound proves it cannot
-   beat the incumbent. The size-by-size iterators above hide that tree
-   (they restart the prefix at every size boundary), so the prunable
-   walk is a pre-order DFS over increasing sequences instead: each set is
-   visited immediately after its longest proper prefix, which is exactly
-   the order an incremental arena absorbs for free. The family visited —
-   all subsets of size <= kmax with the given smallest element — is
-   identical to [iter_subsets_le_with_min_delta]'s; only the order
-   differs, which callers that minimise with an explicit lex tiebreak
-   cannot observe. *)
+   beat the incumbent. The walk is a pre-order DFS over increasing
+   sequences: each set is visited immediately after its longest proper
+   prefix, which is exactly the order an incremental arena absorbs for
+   free, and is also lexicographic order. *)
 
 let iter_subshard_le_prune n kmax a ~blo ~bhi ~self f =
   if kmax < 1 || a < 0 || a >= n then invalid_arg "Combi.iter_subshard_le_prune"
@@ -140,9 +90,6 @@ let iter_subshard_le_prune n kmax a ~blo ~bhi ~self f =
     end
   end
 
-let iter_subsets_le_with_min_prune n kmax a f =
-  iter_subshard_le_prune n kmax a ~blo:(a + 1) ~bhi:n ~self:true f
-
 (* Σ_{j=0..k} C(m, j) as a float — the work-unit weight of a prefix with
    [m] addable elements and [k] slots left. Float on purpose: weights
    only steer the splitter, and the exact counts overflow the native int
@@ -167,9 +114,3 @@ let subsets_count_le n k =
     acc := !acc + c
   done;
   !acc
-
-let choose_indices n xs =
-  List.iter (fun i -> if i < 0 || i >= n then invalid_arg "Combi.choose_indices") xs;
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a

@@ -22,78 +22,23 @@ val iter_all_subsets : int -> (int -> unit) -> unit
 (** [iter_all_subsets n f] calls [f mask] for every [mask] in
     [0 .. 2^n - 1]. Requires [n <= 30]. *)
 
-(** {2 Delta enumeration}
+(** {2 Sharded, prunable enumeration}
 
-    Consecutive subsets in lexicographic order share a prefix: the successor
-    of [a] increments one slot [i] and rewrites only the suffix [i..]. The
-    [_delta] iterators expose that structure so incremental scorers can pay
-    O(changed suffix) per step instead of rebuilding state from scratch.
+    The exact measures partition the subset space by smallest element:
+    the subsets with minimum [a] form a shard that one domain can
+    enumerate without coordination, and the shards for [a = 0..n-1]
+    cover every non-empty subset exactly once. Within a shard the walk is
+    a pre-order DFS over increasing sequences — every sorted set is
+    visited immediately after its longest proper prefix, which is
+    lexicographic order — so branch-and-bound can cut a whole subtree of
+    extensions.
 
-    Contract: the callback receives the (reused) sorted index array plus
-    [~kept], the number of leading slots unchanged since the {e previous}
-    callback. [kept = 0] on the first callback of an enumeration (everything
-    is new) and at every size boundary in the [le] variants (each size
-    restarts from its lex-first set). An incremental consumer maintaining a
-    running set removes its elements at positions [kept .. prev_len - 1]
-    (in any order) and then adds the array's elements at positions
-    [kept .. len - 1]. *)
-
-val iter_subsets_of_size_delta : int -> int -> (int array -> kept:int -> unit) -> unit
-(** Delta-aware {!iter_subsets_of_size}: same sets, same order, same reused
-    array, plus the retained-prefix length per step. *)
-
-val iter_subsets_le_delta : int -> int -> (int array -> kept:int -> unit) -> unit
-(** Delta-aware {!iter_subsets_le}. [kept = 0] at each size boundary. *)
-
-(** {2 Sharded enumeration}
-
-    The parallel exact measures partition the subset space by smallest
-    element: the subsets with minimum [a] form an independent shard that one
-    domain can enumerate without coordination, and the shards for
-    [a = 0..n-1] cover every non-empty subset exactly once. *)
-
-val iter_subsets_of_size_with_min : int -> int -> int -> (int array -> unit) -> unit
-(** [iter_subsets_of_size_with_min n k a f] calls [f] on each size-[k]
-    subset of [0..n-1] whose smallest element is [a], in lexicographic
-    order. The array is reused between calls — copy it if you keep it.
-    No-op when the shard is empty ([a + k > n]). *)
-
-val iter_subsets_le_with_min : int -> int -> int -> (int array -> unit) -> unit
-(** Subsets with smallest element [a] of size 1 up to [k], by increasing
-    size. Same buffer-reuse caveat. *)
-
-val iter_subsets_of_size_with_min_delta :
-  int -> int -> int -> (int array -> kept:int -> unit) -> unit
-(** Delta-aware {!iter_subsets_of_size_with_min}. The fixed smallest element
-    occupies slot 0 and counts toward [kept] on every callback after the
-    first. *)
-
-val iter_subsets_le_with_min_delta :
-  int -> int -> int -> (int array -> kept:int -> unit) -> unit
-(** Delta-aware {!iter_subsets_le_with_min}. [kept = 0] at each size
-    boundary. *)
-
-(** {2 Prunable sharded enumeration}
-
-    Branch-and-bound over the subset space needs the prefix tree of the
-    enumeration to be visible: every sorted set is visited immediately
-    after its longest proper prefix (pre-order DFS over increasing
-    sequences), and the callback can cut a whole subtree. The visited
-    family is exactly the one {!iter_subsets_le_with_min_delta} visits;
-    only the order differs. *)
-
-val iter_subsets_le_with_min_prune :
-  int -> int -> int -> (int array -> len:int -> kept:int -> bool) -> unit
-(** [iter_subsets_le_with_min_prune n kmax a f] visits every non-empty
-    subset of [0..n-1] with smallest element [a] and size at most [kmax],
-    in pre-order DFS over increasing sequences. The callback receives a
-    reused buffer whose first [len] slots hold the current sorted set and
-    [~kept], the number of leading slots unchanged since the previous
-    callback (same incremental contract as the [_delta] iterators).
-    Returning [true] skips every {e strict extension} of the current set
-    — the subtree of supersets obtained by appending larger elements —
-    without visiting it; the current set itself has already been
-    visited. *)
+    Incremental contract: the callback receives a reused buffer whose
+    first [len] slots hold the current sorted set, and [~kept], the
+    number of leading slots unchanged since the {e previous} callback
+    ([kept = 0] on the first). A consumer maintaining a running set
+    removes its elements at positions [kept .. prev_len - 1] and then
+    adds the buffer's elements at positions [kept .. len - 1]. *)
 
 val iter_subshard_le_prune :
   int ->
@@ -104,13 +49,19 @@ val iter_subshard_le_prune :
   self:bool ->
   (int array -> len:int -> kept:int -> bool) ->
   unit
-(** Work-stealing sub-shard of {!iter_subsets_le_with_min_prune}: only
-    the singleton [{a}] (iff [self]) and the sets whose {e second}
-    smallest element lies in [\[blo, bhi)] are visited. The sub-shards
-    [(self, blo..bhi)] partition the shard, so idle workers can claim
-    slices of one oversized smallest-element shard. A [true] return from
-    the singleton visit skips the rest of this sub-shard (its sets all
-    extend [{a}]). *)
+(** [iter_subshard_le_prune n kmax a ~blo ~bhi ~self f] visits, in
+    lexicographic pre-order, the subsets of [0..n-1] of size at most
+    [kmax] whose smallest element is [a] and that are either the
+    singleton [{a}] (iff [self]) or have their {e second} smallest element
+    in [\[blo, bhi)]. With [~blo:(a + 1) ~bhi:n ~self:true] that is the
+    whole shard; the sub-shards [(self, blo..bhi)] of a partition of
+    [\[a + 1, n)] partition it, so idle workers can claim slices of one
+    oversized shard. [f buf ~len ~kept] follows the incremental contract
+    above; returning [true] skips every {e strict extension} of the
+    current set (the supersets obtained by appending larger elements).
+    A [true] return from the singleton visit skips the rest of this
+    sub-shard, whose sets all extend [{a}]. Raises [Invalid_argument]
+    when [kmax < 1] or [a] is out of range. *)
 
 val count_subsets_upto_float : int -> int -> float
 (** [count_subsets_upto_float m k] is [Σ_{j=0..min k m} C(m, j)] as a
@@ -121,6 +72,3 @@ val count_subsets_upto_float : int -> int -> float
 val subsets_count_le : int -> int -> int
 (** Number of non-empty subsets of size at most [k] — used to refuse
     enumerations that would not terminate in reasonable time. *)
-
-val choose_indices : int -> int list -> int array
-(** [choose_indices n [i1; ...]] checks bounds and sorts. *)

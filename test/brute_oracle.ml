@@ -36,15 +36,25 @@ let numerator nbrs measure s =
       in
       go s 0
 
-(* [Some (value, sorted witness)] over non-empty sets of size <= n/2, or
-   [None] when there is none. *)
-let min_exact measure g =
+(* Per-vertex neighbour masks, from the edge list. *)
+let nbr_masks g =
   let n = Graph.n g in
-  if n > 20 then invalid_arg "Brute_oracle.min_exact: n > 20";
+  if n > 20 then invalid_arg "Brute_oracle: n > 20";
   let nbrs = Array.make n 0 in
   Graph.iter_edges g (fun u v ->
       nbrs.(u) <- nbrs.(u) lor (1 lsl v);
       nbrs.(v) <- nbrs.(v) lor (1 lsl u));
+  nbrs
+
+(* max over non-empty submasks s' of [s] of |Γ¹_s(s')|, where [nbrs.(w)]
+   is the mask of w's neighbours. *)
+let max_unique_submask nbrs s = numerator nbrs Beta_w s
+
+(* [Some (value, sorted witness)] over non-empty sets of size <= n/2, or
+   [None] when there is none. *)
+let min_exact measure g =
+  let n = Graph.n g in
+  let nbrs = nbr_masks g in
   let best = ref None in
   for s = 1 to (1 lsl n) - 1 do
     let k = popcount s in

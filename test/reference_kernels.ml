@@ -1,9 +1,11 @@
 (* The straightforward versions of the bipartite build, the spokesmen
-   solvers, the exact ordinary bipartite expansion and the min-degree peel,
-   kept as equivalence oracles for the incremental kernels in the library:
-   a Hashtbl dedup and comparison sorts, live neighbour lists rebuilt every
-   step, gains rescanned from scratch, a fresh covered set per subset and a
-   linear-scan peel. Each must agree with its library counterpart on every
+   solvers, the exact ordinary bipartite expansion, the two former Gray
+   walks for the inner wireless maximum and the min-degree peel, kept as
+   equivalence oracles for the incremental kernels in the library: a
+   Hashtbl dedup and comparison sorts, live neighbour lists rebuilt every
+   step, gains rescanned from scratch, a fresh covered set per subset,
+   Gray walks that carry the subset as a bitset and copy it at each
+   improvement, and a linear-scan peel. Each must agree with its library counterpart on every
    value, chosen set, witness and tie-break. *)
 
 module Bitset = Wx_util.Bitset
@@ -236,6 +238,119 @@ let ordinary_expansion_min t =
           best := v;
           best_set := Bitset.copy s'
         end
+      end);
+  (!best, !best_set)
+
+(* max over S' ⊆ S of |Γ¹_S(S')| and its first maximiser in Gray order:
+   the walk keeps S' as a bitset, tests every neighbour for membership in
+   S, and copies S' at each strict improvement. *)
+let max_unique_over_subsets g s =
+  let n = Graph.n g in
+  let elts = Bitset.to_array s in
+  let k = Array.length elts in
+  let cnt = Array.make n 0 and offsets = Graph.offsets g and nbrs = Graph.adjacency g in
+  let uniq = ref 0 in
+  let cur = Bitset.create n in
+  let best = ref 0 in
+  let best_set = ref (Bitset.create n) in
+  let total = 1 lsl k in
+  for i = 1 to total - 1 do
+    let bit =
+      let rec go b = if (i lsr b) land 1 = 1 then b else go (b + 1) in
+      go 0
+    in
+    let u = elts.(bit) in
+    let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
+    let lo = offsets.(u) and hi = offsets.(u + 1) - 1 in
+    if adding then begin
+      Bitset.add_inplace cur u;
+      for j = lo to hi do
+        let w = nbrs.(j) in
+        if not (Bitset.mem s w) then begin
+          let c = cnt.(w) in
+          if c = 0 then incr uniq else if c = 1 then decr uniq;
+          cnt.(w) <- c + 1
+        end
+      done
+    end
+    else begin
+      Bitset.remove_inplace cur u;
+      for j = lo to hi do
+        let w = nbrs.(j) in
+        if not (Bitset.mem s w) then begin
+          let c = cnt.(w) in
+          if c = 1 then decr uniq else if c = 2 then incr uniq;
+          cnt.(w) <- c - 1
+        end
+      done
+    end;
+    if !uniq > !best then begin
+      best := !uniq;
+      best_set := Bitset.copy cur
+    end
+  done;
+  (!best, !best_set)
+
+(* Every subset of the S-vertices [elts] in Gray order, empty set first,
+   as a reused bitset buffer with its covered and unique counts. *)
+let iter_gray t elts f =
+  let k = Array.length elts in
+  let cnt = Array.make (Bipartite.n_count t) 0 in
+  let cov = ref 0 and uniq = ref 0 in
+  let buf = Bitset.create (Bipartite.s_count t) in
+  let off = Bipartite.offsets_s t and adj = Bipartite.adjacency_s t in
+  let flip u =
+    if Bitset.mem buf u then begin
+      Bitset.remove_inplace buf u;
+      for i = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(i) in
+        let c = cnt.(w) in
+        if c = 1 then begin
+          decr cov;
+          decr uniq
+        end
+        else if c = 2 then incr uniq;
+        cnt.(w) <- c - 1
+      done
+    end
+    else begin
+      Bitset.add_inplace buf u;
+      for i = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(i) in
+        let c = cnt.(w) in
+        if c = 0 then begin
+          incr cov;
+          incr uniq
+        end
+        else if c = 1 then decr uniq;
+        cnt.(w) <- c + 1
+      done
+    end
+  in
+  f buf !cov !uniq;
+  let total = 1 lsl k in
+  for i = 1 to total - 1 do
+    let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
+    let gray = i lxor (i lsr 1) in
+    let changed = gray lxor gray_prev in
+    let bit =
+      let rec go b = if changed lsr b land 1 = 1 then b else go (b + 1) in
+      go 0
+    in
+    flip elts.(bit);
+    f buf !cov !uniq
+  done
+
+(* Exact maximum unique coverage over the subsets of side S, first strict
+   improvement in [iter_gray]'s order as the witness. *)
+let exact_max_unique t =
+  let s = Bipartite.s_count t in
+  let best = ref 0 in
+  let best_set = ref (Bitset.create s) in
+  iter_gray t (Array.init s Fun.id) (fun s' _ count ->
+      if count > !best then begin
+        best := count;
+        best_set := Bitset.copy s'
       end);
   (!best, !best_set)
 

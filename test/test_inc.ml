@@ -1,7 +1,8 @@
 (* Differential coverage for the incremental delta-scoring engine:
    [Nbhd.Inc] counters must track the naive set-algebra operators under any
-   add/remove sequence, the delta enumerators must report retained prefixes
-   that actually reconstruct each subset, and the exact measures built on
+   add/remove sequence, the sharded pre-order enumerator must visit each
+   shard in lex order with retained prefixes that actually reconstruct
+   each subset, and the exact measures built on
    top must return values and witnesses bit-identical to a from-scratch
    reference minimiser at any job count. *)
 
@@ -120,56 +121,59 @@ let prop_inc_counts_random_subset g =
   done;
   !ok
 
-(* ---- delta enumerator contract ---- *)
+(* ---- the sharded pre-order enumerator ---- *)
 
-(* The [kept] prefix must be byte-retained from the previous callback, and
-   rebuilding each set from the deltas must reproduce exactly the sequence
-   the plain iterators emit. *)
-let check_delta_rebuild name kmax plain_iter delta_iter =
-  let plain = ref [] in
-  plain_iter (fun (x : int array) -> plain := Array.to_list x :: !plain);
-  let rebuilt = ref [] in
-  let prev = Array.make (max 1 kmax) 0 in
-  let prev_len = ref 0 in
-  delta_iter (fun (x : int array) ~kept ->
-      let len = Array.length x in
+(* The sets [iter] visits, with no cuts, each rebuilt from the previous
+   visit's first [kept] slots plus the buffer's slots [kept .. len-1]; the
+   retained slots must equal the buffer's. *)
+let rebuilt_visits name iter =
+  let prev = Array.make 16 0 and prev_len = ref 0 in
+  let out = ref [] in
+  iter (fun (buf : int array) ~len ~kept ->
       check_true (name ^ " kept bounded") (kept >= 0 && kept <= !prev_len && kept <= len);
       for j = 0 to kept - 1 do
-        check_int (name ^ " retained slot") prev.(j) x.(j)
+        check_int (name ^ " retained slot") prev.(j) buf.(j)
       done;
-      for j = kept to len - 1 do
-        prev.(j) <- x.(j)
-      done;
+      Array.blit buf kept prev kept (len - kept);
       prev_len := len;
-      rebuilt := Array.to_list x :: !rebuilt);
-  check_true (name ^ " same sequence") (!plain = !rebuilt)
+      out := Array.to_list (Array.sub prev 0 len) :: !out;
+      false);
+  List.rev !out
 
-let test_delta_enumerators_rebuild () =
+(* Every subset of [0..n-1] with smallest element [a] and size <= kmax, in
+   lexicographic order (a prefix sorts before its extensions). *)
+let shard_sets n kmax a =
+  List.init (1 lsl n) Fun.id
+  |> List.filter_map (fun mask ->
+         match List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init n Fun.id) with
+         | x :: _ as s when x = a && List.length s <= kmax -> Some s
+         | _ -> None)
+  |> List.sort compare
+
+let test_subshard_enumerator () =
   List.iter
-    (fun (n, k) ->
-      check_delta_rebuild
-        (Printf.sprintf "of_size n=%d k=%d" n k)
-        k
-        (Combi.iter_subsets_of_size n k)
-        (Combi.iter_subsets_of_size_delta n k);
-      check_delta_rebuild
-        (Printf.sprintf "le n=%d k=%d" n k)
-        k (Combi.iter_subsets_le n k)
-        (Combi.iter_subsets_le_delta n k))
-    [ (6, 3); (7, 7); (5, 1); (8, 4); (4, 2) ];
-  let n = 7 and kmax = 4 in
-  for a = 0 to n - 1 do
-    check_delta_rebuild
-      (Printf.sprintf "le_with_min a=%d" a)
-      kmax
-      (Combi.iter_subsets_le_with_min n kmax a)
-      (Combi.iter_subsets_le_with_min_delta n kmax a);
-    check_delta_rebuild
-      (Printf.sprintf "of_size_with_min a=%d" a)
-      3
-      (Combi.iter_subsets_of_size_with_min n 3 a)
-      (Combi.iter_subsets_of_size_with_min_delta n 3 a)
-  done
+    (fun (n, kmax) ->
+      for a = 0 to n - 1 do
+        let name = Printf.sprintf "n=%d kmax=%d a=%d" n kmax a in
+        let part ~blo ~bhi ~self =
+          rebuilt_visits name (Combi.iter_subshard_le_prune n kmax a ~blo ~bhi ~self)
+        in
+        let whole = part ~blo:(a + 1) ~bhi:n ~self:true in
+        check_true (name ^ " each set once, lex pre-order") (whole = shard_sets n kmax a);
+        (* Cutting [a+1, n) at any two points gives three parts that, in
+           order, visit exactly the whole shard. *)
+        for c1 = a + 1 to n do
+          for c2 = c1 to n do
+            check_true
+              (Printf.sprintf "%s parts at %d,%d partition the shard" name c1 c2)
+              (part ~blo:(a + 1) ~bhi:c1 ~self:true
+               @ part ~blo:c1 ~bhi:c2 ~self:false
+               @ part ~blo:c2 ~bhi:n ~self:false
+              = whole)
+          done
+        done
+      done)
+    [ (6, 3); (7, 7); (5, 1); (8, 4); (4, 2) ]
 
 (* ---- exact measures vs a from-scratch reference minimiser ---- *)
 
@@ -258,8 +262,8 @@ let suite =
     Alcotest.test_case "Inc rejects invalid add/remove" `Quick test_inc_rejects_double_ops;
     qcheck ~count:60 "Inc counters match naive on random graphs" prop_inc_counts_random_subset
       (arbitrary_graph ~lo:2 ~hi:12);
-    Alcotest.test_case "delta enumerators rebuild plain sequences" `Quick
-      test_delta_enumerators_rebuild;
+    Alcotest.test_case "subshard enumerator: lex pre-order, kept, partition" `Quick
+      test_subshard_enumerator;
     Alcotest.test_case "exact measures match from-scratch reference" `Quick
       test_exact_measures_match_reference;
   ]

@@ -202,6 +202,32 @@ let qcheck_tests =
         let v', w' = Reference_kernels.ordinary_expansion_min t in
         Float.equal v v' && Bitset.equal w w')
       (arbitrary_bipartite_edges ~smax:12 ~nmax:16);
+    (* The one Gray walker against the former witness-tracking kernels and
+       the brute-force submask maximum. *)
+    qcheck ~count:150 "wireless of set exact = reference kernel and oracle"
+      (fun (g, seed) ->
+        let n = Graph.n g in
+        let r = Wx_util.Rng.create seed in
+        let s = Bitset.random_of_universe r n (1 + Wx_util.Rng.int r n) in
+        let w = Measure.wireless_of_set_exact g s in
+        let m, w' = Reference_kernels.max_unique_over_subsets g s in
+        let mask = List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 (Bitset.elements s) in
+        let oracle = Brute_oracle.max_unique_submask (Brute_oracle.nbr_masks g) mask in
+        w.Measure.value = float_of_int m /. float_of_int (Bitset.cardinal s)
+        && Bitset.equal w.Measure.witness w'
+        && m = oracle)
+      (QCheck.pair (arbitrary_graph ~lo:1 ~hi:14) (QCheck.int_bound 1_000_000));
+    qcheck ~count:150 "bipartite max unique exact = reference kernel and oracle"
+      (fun (s, n, es) ->
+        let t = Bipartite.of_edge_array ~s ~n (ends_of es) in
+        let m, w = Bip_measure.exact_max_unique t in
+        let m', w' = Reference_kernels.exact_max_unique t in
+        (* Side N as the vertices s .. s+n-1 outside the mask of side S. *)
+        let nbrs = Array.make (s + n) 0 in
+        Bipartite.iter_edges t (fun u x -> nbrs.(s + x) <- nbrs.(s + x) lor (1 lsl u));
+        m = m' && Bitset.equal w w'
+        && m = Brute_oracle.max_unique_submask nbrs ((1 lsl s) - 1))
+      (arbitrary_bipartite_edges ~smax:10 ~nmax:12);
     qcheck ~count:25 "Obs 2.1 on random graphs"
       (fun g ->
         if Graph.n g > 10 || Graph.n g < 2 then true

@@ -64,14 +64,26 @@ let test_bip_unique_full () =
   let s' = Bitset.full 3 in
   check_true "full" (Bitset.elements (Nbhd.Bip.unique inst s') = [ 0; 3 ])
 
+(* Walk the S side of [t] over [elts], decoding each step's set and passing
+   it with the walk's counts to [check]. Returns the number of steps and
+   whether the scratch counts are all zero again afterwards. *)
+let walk_checked t elts check =
+  let cnt = Array.make (Bipartite.n_count t) 0 in
+  let steps = ref 0 in
+  Nbhd.gray_walk ~offsets:(Bipartite.offsets_s t) ~adjacency:(Bipartite.adjacency_s t) cnt elts
+    (Array.length elts) (fun i cov c ->
+      incr steps;
+      check (Nbhd.gray_set (Bipartite.s_count t) elts i) cov c);
+  (!steps, Array.for_all (( = ) 0) cnt)
+
 let test_gray_unique_matches_direct () =
-  let elts = [| 0; 1; 2 |] in
-  let count = ref 0 in
-  Nbhd.Bip.iter_gray inst elts (fun s' cov c ->
-      incr count;
-      check_int "gray covered vs direct" (Bitset.cardinal (Nbhd.Bip.covered inst s')) cov;
-      check_int "gray vs direct" (Nbhd.Bip.unique_count inst s') c);
-  check_int "2^3 subsets" 8 !count
+  let steps, clean =
+    walk_checked inst [| 0; 1; 2 |] (fun s' cov c ->
+        check_int "gray covered vs direct" (Bitset.cardinal (Nbhd.Bip.covered inst s')) cov;
+        check_int "gray vs direct" (Nbhd.Bip.unique_count inst s') c)
+  in
+  check_int "2^3 - 1 non-empty subsets" 7 steps;
+  check_true "counts restored" clean
 
 let qcheck_tests =
   let arb = arbitrary_bipartite ~smax:10 ~nmax:12 in
@@ -79,17 +91,18 @@ let qcheck_tests =
     qcheck ~count:50 "gray enumeration complete and consistent"
       (fun t ->
         let s = Bipartite.s_count t in
-        if s > 12 then true
-        else begin
-          let elts = Array.init s (fun i -> i) in
-          let seen = ref 0 in
-          let ok = ref true in
-          Nbhd.Bip.iter_gray t elts (fun s' cov c ->
-              incr seen;
+        let seen = ref [] in
+        let ok = ref true in
+        let steps, clean =
+          walk_checked t (Array.init s Fun.id) (fun s' cov c ->
+              seen := Bitset.elements s' :: !seen;
               if Nbhd.Bip.unique_count t s' <> c then ok := false;
-              if Bitset.cardinal (Nbhd.Bip.covered t s') <> cov then ok := false);
-          !ok && !seen = 1 lsl s
-        end)
+              if Bitset.cardinal (Nbhd.Bip.covered t s') <> cov then ok := false)
+        in
+        let distinct = List.sort_uniq compare !seen in
+        !ok && clean && steps = (1 lsl s) - 1
+        && List.length distinct = steps
+        && not (List.mem [] distinct))
       arb;
     qcheck ~count:50 "unique ⊆ covered"
       (fun t ->

@@ -84,6 +84,28 @@ let test_instances_reproducible () =
       check_true "same graph" (Graph.equal g1 g2))
     a b
 
+(* The paper's relations between β, βu and βw with all three values taken
+   from the brute-force oracle alone, and Theorems' Lemma 3.2 and 4.1
+   checks reporting those same values. [ge] allows Theorems' float slack:
+   2β − ∆ can equal βu in the reals. *)
+let prop_relations_on_oracle g =
+  let value m = match Brute_oracle.min_exact m g with Some (v, _) -> v | None -> nan in
+  let beta = value Brute_oracle.Beta in
+  let beta_u = value Brute_oracle.Beta_u in
+  let beta_w = value Brute_oracle.Beta_w in
+  let delta = Graph.max_degree g in
+  let ge a b = a >= b -. 1e-9 in
+  let lb = Wx_expansion.Bounds.lemma_3_2 ~beta ~delta in
+  let l32 = T.lemma_3_2 "oracle" g and l41 = T.lemma_4_1 "oracle" g in
+  ge beta_u lb
+  && ge beta_w lb
+  && (beta < 1.0 /. float_of_int delta
+     || ge beta_w (Wx_expansion.Bounds.theorem_1_1 ~beta ~delta /. 9.0))
+  && l32.T.measured = beta_u
+  && l32.T.predicted = lb
+  && l41.T.measured = beta_w
+  && l41.T.predicted = lb
+
 let suite =
   [
     Alcotest.test_case "Obs 2.1 zoo" `Slow test_obs_2_1_zoo;
@@ -99,4 +121,6 @@ let suite =
     Alcotest.test_case "§5 LB vs decay" `Slow test_section_5_lower_bound_decay;
     Alcotest.test_case "§5 LB vs spokesmen" `Slow test_section_5_lower_bound_spokesmen;
     Alcotest.test_case "instances reproducible" `Quick test_instances_reproducible;
+    qcheck ~count:60 "Lemmas 3.2/4.1 and Theorem 1.1 on the brute-force oracle"
+      prop_relations_on_oracle (arbitrary_graph ~lo:2 ~hi:12);
   ]
