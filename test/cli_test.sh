@@ -74,20 +74,21 @@ check "the golden copy holds 202 claims" 0 $?
 
 # ---- wx expansion output is pinned byte for byte ----
 # The exact path (gnp 14, with witnesses) and the sampled path, whose βw
-# runs the Gray walk on every drawn set. The sampled pin uses α = 0.3:
-# at the default α the draws reach 22 vertices and the run takes ~20 s.
+# runs the Gray walk on every drawn set. The sampled pin uses α = 0.25
+# (draws of up to 15 vertices, ~0.2 s): at the default α the draws reach
+# 22 vertices and the run takes ~20 s.
 "$WX" expansion gnp 14 >"$tmp/exp_exact.out" 2>/dev/null
 printf '%s\n' 'gnp (n = 14, α = 0.50)' \
   'β  = 0.7143 (exact)  witness {1, 2, 5, 8, 9, 10, 11}' \
   'βw = 0.5714 (exact)' \
   'βu = 0.0000 (exact)  witness {0, 1, 2, 3, 4, 5}' | cmp -s - "$tmp/exp_exact.out"
 check "expansion gnp 14 matches its pinned output" 0 $?
-"$WX" expansion cm-regular 60 --alpha 0.3 >"$tmp/exp_sampled.out" 2>/dev/null
-printf '%s\n' 'cm-regular (n = 60, α = 0.30)' \
-  'β  <= 2.0556 (witness certificate, 2000 samples)' \
-  'βu <= 0.0000 (witness certificate)' \
-  'βw <= 1.5000 (witness certificate)' | cmp -s - "$tmp/exp_sampled.out"
-check "expansion cm-regular 60 --alpha 0.3 matches its pinned output" 0 $?
+"$WX" expansion cm-regular 60 --alpha 0.25 >"$tmp/exp_sampled.out" 2>/dev/null
+printf '%s\n' 'cm-regular (n = 60, α = 0.25)' \
+  'β  <= 2.2667 (witness certificate, 2000 samples)' \
+  'βu <= 0.4667 (witness certificate)' \
+  'βw <= 1.8667 (witness certificate)' | cmp -s - "$tmp/exp_sampled.out"
+check "expansion cm-regular 60 --alpha 0.25 matches its pinned output" 0 $?
 
 # ---- bench history ----
 # The committed ledger holds lines written while the rate gate existed
