@@ -277,12 +277,13 @@ let cmd_spokesmen obs family size seed solver =
   let s = Util.Bitset.random_of_universe r (Graph.n g) k in
   let inst, _, _ = Bipartite.of_set_neighborhood g s in
   say obs "frontier instance from %s: %s\n" family (Format.asprintf "%a" Bipartite.pp inst);
+  let reps = 48 in
   let results =
     match solver with
-    | "all" -> Spokesmen.Portfolio.solve_each ~reps:48 r inst
+    | "all" -> Spokesmen.Portfolio.solve_each ~reps r inst
     | name -> (
         match List.assoc_opt name Spokesmen.Portfolio.solvers with
-        | Some f -> [ (name, f r inst) ]
+        | Some f -> [ (name, f ~reps r inst) ]
         | None ->
             Printf.eprintf "unknown solver %S; use --solver all to list results of all\n" name;
             exit 1)

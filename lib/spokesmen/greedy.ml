@@ -5,23 +5,28 @@ module Bipartite = Wx_graph.Bipartite
    of uniquely covered vertices, and per-S marginal gains. A count c of
    N-vertex w contributes to each S-neighbor's add gain +1 at c = 0 and -1
    at c = 1, and to its remove gain -1 at c = 1 and +1 at c = 2, so the
-   gains move only when a count crosses 0/1/2. *)
+   gains move only when a count crosses 0/1/2. The heap picks the maximum
+   add gain, lowest index on ties; it lives in the state because
+   [solve_with_removal] runs several add passes. *)
 type state = {
   cnt : int array;
   mutable uniq : int;
   chosen : Bitset.t;
   add_gain : int array;
   remove_gain : int array;
+  heap : Lazy_heap.t;
 }
 
 let make_state t =
   let s = Bipartite.s_count t in
+  let add_gain = Array.init s (Bipartite.deg_s t) in
   {
     cnt = Array.make (Bipartite.n_count t) 0;
     uniq = 0;
     chosen = Bitset.create s;
-    add_gain = Array.init s (Bipartite.deg_s t);
+    add_gain;
     remove_gain = Array.make s 0;
+    heap = Lazy_heap.create s ~key:(fun u -> (-add_gain.(u) * s) + u);
   }
 
 let add_part c = match c with 0 -> 1 | 1 -> -1 | _ -> 0
@@ -36,7 +41,8 @@ let set_count t st w c c' =
     for i = off.(w) to off.(w + 1) - 1 do
       let x = adj.(i) in
       st.add_gain.(x) <- st.add_gain.(x) + da;
-      st.remove_gain.(x) <- st.remove_gain.(x) + dr
+      st.remove_gain.(x) <- st.remove_gain.(x) + dr;
+      if da > 0 && not (Bitset.mem st.chosen x) then Lazy_heap.lowered st.heap x
     done
   end
 
@@ -58,20 +64,15 @@ let apply_remove t st u =
     let c = st.cnt.(w) in
     (match c with 1 -> st.uniq <- st.uniq - 1 | 2 -> st.uniq <- st.uniq + 1 | _ -> ());
     set_count t st w c (c - 1)
-  done
+  done;
+  Lazy_heap.lowered st.heap u
 
 let greedy_pass t st =
-  let s = Bipartite.s_count t in
+  let in_play u = not (Bitset.mem st.chosen u) in
   let continue_ = ref true in
   while !continue_ do
-    let best_u = ref (-1) and best_g = ref 0 in
-    for u = 0 to s - 1 do
-      if st.add_gain.(u) > !best_g && not (Bitset.mem st.chosen u) then begin
-        best_g := st.add_gain.(u);
-        best_u := u
-      end
-    done;
-    if !best_u >= 0 then apply_add t st !best_u else continue_ := false
+    let u = Lazy_heap.top st.heap ~in_play in
+    if u >= 0 && st.add_gain.(u) > 0 then apply_add t st u else continue_ := false
   done
 
 (* Visits the chosen vertices in ascending order; removing u changes no

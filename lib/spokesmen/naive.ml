@@ -26,21 +26,17 @@ let run t =
      counts its neighbours in Γ(v, Stmp). *)
   let gv = Array.make s 0 and qv = Array.make n 0 in
   let stamp = Array.make n 0 and hits = Array.make n 0 in
+  (* The heap picks v ∈ Ntmp minimizing |Γ(v, Stmp)|, lowest index on
+     ties. Invariant (I4) guarantees ≥ 1. *)
+  let heap = Lazy_heap.create n ~key:(fun w -> (live.(w) * n) + w) in
+  let in_play = Bitset.mem n_tmp in
   let steps = ref 0 in
   while !n_left > 0 do
     incr steps;
     let step = !steps in
-    (* v ∈ Ntmp minimizing |Γ(v, Stmp)|, lowest index on ties. Invariant
-       (I4) guarantees ≥ 1. *)
-    let v = ref (-1) and vdeg = ref max_int in
-    for w = 0 to n - 1 do
-      if live.(w) < !vdeg && Bitset.mem n_tmp w then begin
-        v := w;
-        vdeg := live.(w)
-      end
-    done;
+    let v = Lazy_heap.top heap ~in_play in
     let ng = ref 0 in
-    for i = off_n.(!v) to off_n.(!v + 1) - 1 do
+    for i = off_n.(v) to off_n.(v + 1) - 1 do
       let x = adj_n.(i) in
       if Bitset.mem s_tmp x then begin
         gv.(!ng) <- x;
@@ -92,7 +88,8 @@ let run t =
       Bitset.remove_inplace s_tmp x;
       for j = off_s.(x) to off_s.(x + 1) - 1 do
         let y = adj_s.(j) in
-        live.(y) <- live.(y) - 1
+        live.(y) <- live.(y) - 1;
+        if in_play y then Lazy_heap.lowered heap y
       done
     done
   done;

@@ -41,29 +41,24 @@ let run ?restrict_n t =
   let n_uni = Bitset.create n and n_many = Bitset.create n in
   (* gains.(v) = gain v, shifted by [d] on each S-neighbor of an N-vertex
      that changes class: Ntmp -> Nuni costs 1 + 2, Nuni -> Nmany gives 2
-     back. *)
+     back. The heap picks the maximum gain, lowest index on ties. *)
   let gains = Array.init s (fun v -> gain_of t ~n_tmp ~n_uni v) in
+  let heap = Lazy_heap.create s ~key:(fun v -> (-gains.(v) * s) + v) in
+  let in_play = Bitset.mem s_tmp in
   let shift w d =
     for i = off_n.(w) to off_n.(w + 1) - 1 do
       let x = adj_n.(i) in
-      gains.(x) <- gains.(x) + d
+      gains.(x) <- gains.(x) + d;
+      if d > 0 && in_play x then Lazy_heap.lowered heap x
     done
   in
   let steps = ref 0 in
   let continue_ = ref true in
-  while !continue_ && not (Bitset.is_empty s_tmp) do
-    (* Pick v ∈ Stmp of maximum gain, lowest index on ties. *)
-    let best_v = ref (-1) and best_g = ref min_int in
-    for v = 0 to s - 1 do
-      if gains.(v) > !best_g && Bitset.mem s_tmp v then begin
-        best_g := gains.(v);
-        best_v := v
-      end
-    done;
-    if !best_g <= 0 then continue_ := false
+  while !continue_ do
+    let v = Lazy_heap.top heap ~in_play in
+    if v < 0 || gains.(v) <= 0 then continue_ := false
     else begin
       incr steps;
-      let v = !best_v in
       Bitset.remove_inplace s_tmp v;
       Bitset.add_inplace s_uni v;
       for i = off_s.(v) to off_s.(v + 1) - 1 do

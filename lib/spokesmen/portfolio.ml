@@ -2,17 +2,17 @@ module Bipartite = Wx_graph.Bipartite
 
 let solvers =
   [
-    ("decay", fun rng t -> Decay.solve rng t);
-    ("decay-all-buckets", fun rng t -> Decay.solve ~all_buckets:true rng t);
-    ("naive", fun _ t -> Naive.solve t);
-    ("partition", fun _ t -> Partition.solve t);
-    ("partition-capped", fun _ t -> Partition.solve_degree_capped t);
-    ("partition-recursive", fun _ t -> Partition.solve_recursive t);
-    ("buckets", fun _ t -> Buckets.solve t);
-    ("buckets-all-classes", fun _ t -> Buckets.solve_all_classes t);
-    ("greedy", fun _ t -> Greedy.solve t);
-    ("greedy-local", fun _ t -> Greedy.solve_with_removal t);
-    ("anneal", fun rng t -> Anneal.solve ~steps:(50 * Wx_graph.Bipartite.s_count t) rng t);
+    ("decay", fun ~reps rng t -> Decay.solve ~reps rng t);
+    ("decay-all-buckets", fun ~reps rng t -> Decay.solve ~reps ~all_buckets:true rng t);
+    ("naive", fun ~reps:_ _ t -> Naive.solve t);
+    ("partition", fun ~reps:_ _ t -> Partition.solve t);
+    ("partition-capped", fun ~reps:_ _ t -> Partition.solve_degree_capped t);
+    ("partition-recursive", fun ~reps:_ _ t -> Partition.solve_recursive t);
+    ("buckets", fun ~reps:_ _ t -> Buckets.solve t);
+    ("buckets-all-classes", fun ~reps:_ _ t -> Buckets.solve_all_classes t);
+    ("greedy", fun ~reps:_ _ t -> Greedy.solve t);
+    ("greedy-local", fun ~reps:_ _ t -> Greedy.solve_with_removal t);
+    ("anneal", fun ~reps:_ rng t -> Anneal.solve ~steps:(50 * Bipartite.s_count t) rng t);
   ]
 
 (* One timer per solver: the portfolio is where every solver runs under a
@@ -21,25 +21,13 @@ let solvers =
 let solver_timers =
   List.map (fun (name, _) -> (name, Wx_obs.Metrics.timer ("spokesmen.solver." ^ name))) solvers
 
-let solve_each ?reps rng t =
-  List.map
-    (fun (name, f) ->
-      let run () =
-        match name with
-        | "decay" -> Decay.solve ?reps rng t
-        | "decay-all-buckets" -> Decay.solve ?reps ~all_buckets:true rng t
-        | _ -> f rng t
-      in
-      let r =
-        match List.assoc_opt name solver_timers with
-        | Some tm -> Wx_obs.Metrics.time tm run
-        | None -> run ()
-      in
-      (name, r))
-    solvers
+let solve_each ~reps rng t =
+  List.map2
+    (fun (name, f) (_, tm) -> (name, Wx_obs.Metrics.time tm (fun () -> f ~reps rng t)))
+    solvers solver_timers
 
-let solve ?reps rng t =
-  match solve_each ?reps rng t with
+let solve ~reps rng t =
+  match solve_each ~reps rng t with
   | [] -> invalid_arg "Portfolio.solve: no solvers"
   | (_, first) :: rest ->
       List.fold_left (fun acc (_, r) -> Solver.best acc r) first rest

@@ -7,13 +7,14 @@
 
 module Bipartite = Wx_graph.Bipartite
 
-val solvers : (string * (Wx_util.Rng.t -> Bipartite.t -> Solver.result)) list
+val solvers : (string * (reps:int -> Wx_util.Rng.t -> Bipartite.t -> Solver.result)) list
 (** The constituent solvers, by name: decay, decay-all-buckets, naive,
     partition, partition-capped, partition-recursive, buckets,
-    buckets-all-classes, greedy, greedy-local, anneal. *)
+    buckets-all-classes, greedy, greedy-local, anneal. [reps] is the
+    repetition count of the decay samplers; the others ignore it. *)
 
-val solve : ?reps:int -> Wx_util.Rng.t -> Bipartite.t -> Solver.result
-(** Run all of them; [reps] is passed to the randomized ones. *)
+val solve : reps:int -> Wx_util.Rng.t -> Bipartite.t -> Solver.result
+(** Run all of them and keep the best; [reps] is passed to each. *)
 
-val solve_each : ?reps:int -> Wx_util.Rng.t -> Bipartite.t -> (string * Solver.result) list
+val solve_each : reps:int -> Wx_util.Rng.t -> Bipartite.t -> (string * Solver.result) list
 (** Per-solver results, for side-by-side comparison tables. *)

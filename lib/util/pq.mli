@@ -1,8 +1,10 @@
 (** Binary-heap priority queue with integer priorities.
 
-    Used by the greedy spokesmen procedures (pick the vertex of minimum /
-    maximum score) and by graph traversals. Max-oriented by default; wrap
-    priorities in [-p] for min behaviour, or use [create_min]. *)
+    Used as a lazy-deletion min-heap by [Arboricity.peel] (minimum degree)
+    and by the spokesmen procedures [Naive.run] (minimum live degree),
+    [Partition.run] and [Greedy] (maximum gain): each keys an entry by score
+    and index, pushes again when a score moves, and skips stale entries as
+    they surface. [create_max] gives a max-heap. *)
 
 type 'a t
 

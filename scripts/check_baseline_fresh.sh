@@ -29,12 +29,13 @@ baseline=bench/baseline.json
 # handling shares the registry the counted runs publish into, so a change
 # there can shift the instrumented-path cost the baseline certifies), and
 # the Section 4 code experiments E3-E10 time: the spokesmen solvers, the
+# heap their Naive/Partition/Greedy picks come from (lib/util/pq.ml), the
 # constructions, the bipartite build they all go through, and the claim
 # checks.
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
          lib/util/guard.ml lib/util/guard.mli
-         lib/util/rng.ml lib/util/rng.mli bench/*.ml
+         lib/util/rng.ml lib/util/rng.mli lib/util/pq.ml lib/util/pq.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio
          lib/graph/graph.ml lib/graph/rows.ml lib/obs/expose.ml
          lib/spokesmen lib/constructions

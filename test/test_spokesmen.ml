@@ -37,7 +37,7 @@ let test_all_solvers_valid () =
     (fun (name, t) ->
       List.iter
         (fun (sname, solve) ->
-          let result = solve r t in
+          let result = solve ~reps:32 r t in
           check_valid (name ^ "/" ^ sname) t result)
         Portfolio.solvers)
     (fixtures ())
@@ -312,18 +312,50 @@ let partition_matches_reference ?restrict_n t =
   && Bitset.equal st.Partition.n_tmp n_tmp
   && st.Partition.steps = steps
 
+let naive_matches_reference t =
+  let tr = Naive.run t in
+  let s_uni, n_uni, steps = Reference_kernels.naive_run t in
+  Bitset.equal tr.Naive.s_uni s_uni && Bitset.equal tr.Naive.n_uni n_uni && tr.Naive.steps = steps
+
+let greedy_matches_reference t =
+  Bitset.equal (Greedy.solve t).Solver.chosen (Reference_kernels.Greedy.solve t)
+  && Bitset.equal (Greedy.solve_with_removal t).Solver.chosen
+       (Reference_kernels.Greedy.solve_with_removal t)
+
+(* The heap-driven solvers against the rescanning references, with Partition
+   also run on a random 60 % of N. *)
+let heap_solvers_match_reference ~seed t =
+  let restrict_n =
+    Bitset.random_subset (Wx_util.Rng.create seed) (Bitset.full (Bipartite.n_count t)) 0.6
+  in
+  [
+    ("naive", naive_matches_reference t);
+    ("partition", partition_matches_reference t);
+    ("partition restricted", partition_matches_reference ~restrict_n t);
+    ("greedy and greedy-local", greedy_matches_reference t);
+  ]
+
+(* A perfect matching ties every gain at every step, so the lowest-index
+   tie-break decides each pick; core-64 has |S| = 64, |N| = 448 and N-degrees
+   up to 64, so one pick shifts thousands of gains. *)
+let test_heap_solvers_pinned () =
+  List.iter
+    (fun (name, t) ->
+      List.iter
+        (fun (solver, ok) -> check_true (name ^ ": " ^ solver ^ " = reference") ok)
+        (heap_solvers_match_reference ~seed:77 t))
+    [
+      ("matching-2048", Gen.bipartite_matching (rng ~salt:76 ()) 2048);
+      ("core-64", Wx_constructions.Core_graph.bip (Wx_constructions.Core_graph.create 64));
+    ]
+
 let qcheck_tests =
   let arb = arbitrary_bipartite ~smax:12 ~nmax:16 in
   let raw = arbitrary_bipartite_edges ~smax:14 ~nmax:18 in
   let of_raw (s, n, es) = Bipartite.of_edge_array ~s ~n (ends_of es) in
   [
     qcheck ~count:1000 "naive = reference (isolated, repeated edges)"
-      (fun e ->
-        let t = of_raw e in
-        let tr = Naive.run t in
-        let s_uni, n_uni, steps = Reference_kernels.naive_run t in
-        Bitset.equal tr.Naive.s_uni s_uni && Bitset.equal tr.Naive.n_uni n_uni
-        && tr.Naive.steps = steps)
+      (fun e -> naive_matches_reference (of_raw e))
       raw;
     qcheck ~count:1000 "partition = reference, with and without restrict_n"
       (fun ((_, n, es) as e) ->
@@ -333,12 +365,11 @@ let qcheck_tests =
         partition_matches_reference t && partition_matches_reference ~restrict_n t)
       raw;
     qcheck ~count:1000 "greedy and greedy-local = reference"
-      (fun e ->
-        let t = of_raw e in
-        Bitset.equal (Greedy.solve t).Solver.chosen (Reference_kernels.Greedy.solve t)
-        && Bitset.equal (Greedy.solve_with_removal t).Solver.chosen
-             (Reference_kernels.Greedy.solve_with_removal t))
+      (fun e -> greedy_matches_reference (of_raw e))
       raw;
+    qcheck ~count:100 "heap solvers = reference (s up to 200)"
+      (fun t -> List.for_all snd (heap_solvers_match_reference ~seed:(Bipartite.m t) t))
+      (arbitrary_bipartite ~smax:200 ~nmax:120);
     qcheck ~count:40 "naive guarantee γ/∆ (random)"
       (fun t ->
         if Bipartite.has_isolated t then true
@@ -395,5 +426,6 @@ let suite =
     Alcotest.test_case "exact optimal" `Quick test_exact_is_optimal;
     Alcotest.test_case "exact work limit" `Quick test_exact_work_limit;
     Alcotest.test_case "portfolio max" `Quick test_portfolio_is_max_of_parts;
+    Alcotest.test_case "heap solvers = reference, pinned" `Quick test_heap_solvers_pinned;
   ]
   @ qcheck_tests
