@@ -8,8 +8,9 @@
     counts, its newest, and that entry's key is at or below the current
     [key i]: a fall in [key i] must be reported with {!lowered}, while a
     rise is caught when the entry surfaces in {!top} and the index is
-    queued again at its current key. A run costs O((n + calls) log) heap
-    operations instead of a rescan per pick. *)
+    queued again at its current key. Each {!lowered} call and each rise
+    adds at most one entry, so a run costs O((n + c)·log(n + c)) for c key
+    changes, where a rescan costs O(n) per pick. *)
 
 type t
 

@@ -1,10 +1,10 @@
 (** Binary-heap priority queue with integer priorities.
 
-    Used as a lazy-deletion min-heap by [Arboricity.peel] (minimum degree)
-    and by the spokesmen procedures [Naive.run] (minimum live degree),
-    [Partition.run] and [Greedy] (maximum gain): each keys an entry by score
-    and index, pushes again when a score moves, and skips stale entries as
-    they surface. [create_max] gives a max-heap. *)
+    Used as a lazy-deletion min-heap, keyed by score and index, by
+    [Arboricity.peel] (minimum degree) and by the spokesmen library's
+    vertex pick behind [Naive.run], [Partition.run] and [Greedy]. Stale
+    entries stay in the heap and are skipped as they surface.
+    [create_max] gives a max-heap. *)
 
 type 'a t
 
