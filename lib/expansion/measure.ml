@@ -23,7 +23,7 @@ type witnessed = { value : float; witness : Bitset.t }
 (* Rebinding, not a fresh exception: [Measure.Too_large] and
    [Wx_util.Guard.Too_large] are the same constructor, so a handler
    written against either name catches work refused by any layer —
-   including [Bitset.iter_subsets]. *)
+   including [Nbhd.gray_walk]. *)
 exception Too_large = Guard.Too_large
 
 let max_set_size ?(alpha = 0.5) g =

@@ -58,7 +58,7 @@ exception Too_large of string
 (** Raised when an exact enumeration would exceed its work limit (including
     when the candidate-set count itself overflows the native int). This is
     a rebinding of {!Wx_util.Guard.Too_large} — the same constructor every
-    guarded enumeration kernel raises (e.g. [Bitset.iter_subsets]), so one
+    guarded enumeration kernel raises (e.g. [Nbhd.gray_walk]), so one
     handler catches refused work from any layer. *)
 
 val max_set_size : ?alpha:float -> Graph.t -> int

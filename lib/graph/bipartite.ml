@@ -37,9 +37,10 @@ let of_rows ~n offsets_s adjacency_s =
   done;
   make ~n offsets_s adjacency_s (Array.make m 0)
 
-(* O(s + n + m) and no comparison sort: scatter the S-endpoints into N
-   rows, transpose them into S rows — sorted, repeated edges adjacent —
-   drop the repeats, and transpose back for the N rows. *)
+(* O(s + n + m) and no comparison sort: scatter the S-endpoints into
+   unsorted N rows, pack the repeats out of them, count the S rows from the
+   packed N rows, transpose into S rows of the exact size — sorted — and
+   transpose back for the N rows. *)
 let of_edge_array ?edges ~s ~n ends =
   let who = "Bipartite.of_edge_array" in
   let k =
@@ -53,16 +54,22 @@ let of_edge_array ?edges ~s ~n ends =
   for i = 0 to k - 1 do
     let u = ends.(2 * i) and w = ends.((2 * i) + 1) in
     if u < 0 || u >= s || w < 0 || w >= n then invalid_arg (who ^ ": endpoint out of range");
-    offsets_s.(u + 1) <- offsets_s.(u + 1) + 1;
     by_n_offsets.(w + 1) <- by_n_offsets.(w + 1) + 1
   done;
-  Rows.starts offsets_s;
   Rows.starts by_n_offsets;
   let by_n = Array.make k 0 in
   Rows.scatter ~cursor:(Array.sub by_n_offsets 0 n) ends k ~both:false by_n;
-  let adjacency_s = Array.make k 0 in
-  Rows.transpose ~cursor:(Array.sub offsets_s 0 s) by_n_offsets by_n adjacency_s;
-  make ~n offsets_s (Rows.dedup offsets_s adjacency_s) by_n
+  let cursor = Array.make s (-1) in
+  Rows.pack ~mark:cursor by_n_offsets by_n;
+  let m = by_n_offsets.(n) in
+  for i = 0 to m - 1 do
+    offsets_s.(by_n.(i) + 1) <- offsets_s.(by_n.(i) + 1) + 1
+  done;
+  Rows.starts offsets_s;
+  Array.blit offsets_s 0 cursor 0 s;
+  let adjacency_s = Array.make m 0 in
+  Rows.transpose ~cursor by_n_offsets by_n adjacency_s;
+  make ~n offsets_s adjacency_s by_n
 
 let s_count t = Array.length t.offsets_s - 1
 let n_count t = Array.length t.offsets_n - 1

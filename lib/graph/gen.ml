@@ -113,6 +113,17 @@ let gnm rng n m =
   done;
   Graph.of_edge_array n ends
 
+(* The n·d half-edge stubs of the configuration model: d copies of each
+   vertex, in vertex order. *)
+let stubs n d =
+  let a = Array.make (n * d) 0 in
+  for v = 0 to n - 1 do
+    for j = v * d to (v * d) + d - 1 do
+      a.(j) <- v
+    done
+  done;
+  a
+
 let random_regular_config rng n d =
   if d >= n || d < 1 then invalid_arg "Gen.random_regular_config: need 1 <= d < n";
   if n * d mod 2 <> 0 then invalid_arg "Gen.random_regular_config: n*d must be even";
@@ -121,7 +132,7 @@ let random_regular_config rng n d =
      of_edges). Degrees come out ≤ d with the deficit vanishing for sparse
      d — the standard near-regular generator when exact regularity is not
      worth the repair loop at n = 10^6+. *)
-  let stubs = Array.init (n * d) (fun i -> i / d) in
+  let stubs = stubs n d in
   Rng.shuffle rng stubs;
   (* Compact the non-loop pairs to the front, in place. *)
   let k = ref 0 in
@@ -143,7 +154,7 @@ let random_regular rng n d =
      bad pair's endpoint with a random other pair (the standard repair that
      keeps the degree sequence intact). Restarting instead would need
      exp(Θ(d²)) attempts for d ≳ 5. *)
-  let stubs = Array.init (n * d) (fun i -> i / d) in
+  let stubs = stubs n d in
   Rng.shuffle rng stubs;
   let pairs = n * d / 2 in
   let a i = stubs.(2 * i) and b i = stubs.((2 * i) + 1) in

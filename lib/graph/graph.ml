@@ -5,11 +5,12 @@ module Bitset = Wx_util.Bitset
 type t = { n : int; m : int; offsets : int array; adjacency : int array }
 
 (* O(n + m) and no comparison sort: count degrees (repeats included),
-   scatter the half-edges into unsorted rows of [scratch], transpose them
-   into [adjacency] — every row comes out sorted — and drop adjacent
-   duplicates. The graph is symmetric, so the transpose has the same row
-   starts and one cursor serves both passes. [who] names the caller in
-   error messages. *)
+   scatter the half-edges into unsorted rows of [scratch], pack the repeats
+   out of each row, and transpose the packed rows into [adjacency] — every
+   row comes out sorted. The graph is symmetric, so each packed row's length
+   is its vertex's final degree: [adjacency] is allocated at its exact size,
+   and one cursor serves as scatter cursor, pack mark and transpose cursor.
+   [who] names the caller in error messages. *)
 let build who n ends k =
   if n < 0 then invalid_arg (who ^ ": negative n");
   let offsets = Array.make (n + 1) 0 in
@@ -21,15 +22,15 @@ let build who n ends k =
     offsets.(v + 1) <- offsets.(v + 1) + 1
   done;
   Rows.starts offsets;
-  let len = offsets.(n) in
   let cursor = Array.sub offsets 0 n in
-  let scratch = Array.make len 0 in
+  let scratch = Array.make offsets.(n) 0 in
   Rows.scatter ~cursor ends k ~both:true scratch;
+  Array.fill cursor 0 n (-1);
+  Rows.pack ~mark:cursor offsets scratch;
   Array.blit offsets 0 cursor 0 n;
-  let adjacency = Array.make len 0 in
+  let adjacency = Array.make offsets.(n) 0 in
   Rows.transpose ~cursor offsets scratch adjacency;
-  let adjacency = Rows.dedup offsets adjacency in
-  { n; m = Array.length adjacency / 2; offsets; adjacency }
+  { n; m = offsets.(n) / 2; offsets; adjacency }
 
 let of_edge_array ?edges n ends =
   let k =

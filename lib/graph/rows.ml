@@ -31,22 +31,22 @@ let transpose ~cursor offsets adjacency dst =
     done
   done
 
-(* Drop adjacent repeats within each row, packing the kept rows to the
-   front of [adjacency] and rewriting [offsets] to match; returns the packed
-   rows, [adjacency] itself when nothing was dropped. *)
-let dedup offsets adjacency =
+(* Keep the first copy of each entry within each (unsorted) row, packing the
+   kept rows to the front of [adjacency] and rewriting [offsets] to match.
+   [mark] is indexed by entry and must hold no row index on entry (-1, say):
+   [mark.(x) = r] once x is kept in row r. *)
+let pack ~mark offsets adjacency =
   let k = ref 0 and start = ref 0 in
   for r = 0 to Array.length offsets - 2 do
-    let stop = offsets.(r + 1) and prev = ref (-1) in
+    let stop = offsets.(r + 1) in
     for i = !start to stop - 1 do
       let x = adjacency.(i) in
-      if x <> !prev then begin
+      if mark.(x) <> r then begin
+        mark.(x) <- r;
         adjacency.(!k) <- x;
-        incr k;
-        prev := x
+        incr k
       end
     done;
     start := stop;
     offsets.(r + 1) <- !k
-  done;
-  if !k = Array.length adjacency then adjacency else Array.sub adjacency 0 !k
+  done

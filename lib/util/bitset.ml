@@ -227,32 +227,6 @@ let random_subset rng t p =
 let random_of_universe rng n k =
   of_array n (Rng.sample_without_replacement rng n k)
 
-let iter_subsets s f =
-  let elts = to_array s in
-  let k = Array.length elts in
-  (* Unified work contract: reject at the native-int ceiling on Gray-code
-     step counts (not an arbitrary 30) with the catchable [Guard.Too_large]
-     the measure layer rebinds — callers handle this the same way they
-     handle a refused [wireless_of_set_exact]. *)
-  Guard.check_gray_work "Bitset.iter_subsets" k max_int;
-  let buf = create s.n in
-  let total = 1 lsl k in
-  (* Gray-code order: successive subsets differ in one element, so each step
-     is a single bit flip in [buf]. *)
-  f buf;
-  for i = 1 to total - 1 do
-    let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
-    let gray = i lxor (i lsr 1) in
-    let changed = gray lxor gray_prev in
-    let bit =
-      let rec go b = if changed lsr b land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
-    let v = elts.(bit) in
-    if mem buf v then remove_inplace buf v else add_inplace buf v;
-    f buf
-  done
-
 let pp fmt t =
   Format.fprintf fmt "{";
   let first = ref true in

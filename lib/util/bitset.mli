@@ -93,15 +93,6 @@ val random_subset : Rng.t -> t -> float -> t
 val random_of_universe : Rng.t -> int -> int -> t
 (** [random_of_universe rng n k] is a uniformly random k-subset of [0..n-1]. *)
 
-val iter_subsets : t -> (t -> unit) -> unit
-(** [iter_subsets s f] calls [f] on every subset of [s] (including the empty
-    set and [s] itself), reusing a single buffer: the set passed to [f] is
-    only valid during the call. Cost O(2^|s| · |s| / word). Intended for
-    exact wireless-expansion computations on small sets ([|s|] ≲ 22).
-    Raises {!Guard.Too_large} when [|s|] exceeds {!Guard.max_gray_bits}
-    (the native-int ceiling on Gray-code step counts), so callers can
-    catch it exactly like a refused exact measure. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [{0, 3, 7}]. *)
 

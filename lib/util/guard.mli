@@ -1,8 +1,8 @@
 (** Shared work-guard contract for exponential enumeration kernels.
 
-    Every 2^k Gray-code enumeration in the tree — [Bitset.iter_subsets],
-    the wireless inner maximisations, the measure layer's single-set
-    guard — admits or rejects inputs through this one test, so callers
+    Every 2^k Gray-code enumeration in the tree — the measure layer's
+    single-set guard through {!check_gray_work}, and [Nbhd.gray_walk] at
+    the native-int ceiling — refuses work with {!Too_large}, so callers
     catch a single exception regardless of which layer refused the work.
     {!Wx_expansion.Measure.Too_large} is a rebinding of {!Too_large}:
     handlers written against either name match both. *)

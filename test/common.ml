@@ -17,6 +17,25 @@ let bitset_testable =
 
 let sorted_list_of_bitset s = Bitset.elements s
 
+(* [f] on every subset of [s] (the empty set and [s] included) in Gray-code
+   order, reusing one buffer: the set passed to [f] is only valid during the
+   call. Successive subsets differ in one element, so each step is a single
+   bit flip. Refuses a walk whose step count would overflow the native int
+   with [Guard.Too_large], like every guarded enumeration in the library. *)
+let iter_subsets s f =
+  let elts = Bitset.to_array s in
+  let k = Array.length elts in
+  Wx_util.Guard.check_gray_work "Common.iter_subsets" k max_int;
+  let buf = Bitset.create (Bitset.universe_size s) in
+  f buf;
+  for i = 1 to (1 lsl k) - 1 do
+    let changed = i lxor (i lsr 1) lxor ((i - 1) lxor ((i - 1) lsr 1)) in
+    let rec bit b = if (changed lsr b) land 1 = 1 then b else bit (b + 1) in
+    let v = elts.(bit 0) in
+    if Bitset.mem buf v then Bitset.remove_inplace buf v else Bitset.add_inplace buf v;
+    f buf
+  done
+
 (* A tiny deterministic pool of rngs for tests. *)
 let rng ?(salt = 0) () = Rng.create (424242 + salt)
 

@@ -225,12 +225,12 @@ module Greedy = struct
 end
 
 (* Min of |covered(S')| / |S'| over the nonempty subsets of S in
-   [Bitset.iter_subsets]' Gray order, covered set rebuilt per subset; the
+   [Common.iter_subsets]' Gray order, covered set rebuilt per subset; the
    first strict minimum is the witness. *)
 let ordinary_expansion_min t =
   let s = Bipartite.s_count t in
   let best = ref infinity and best_set = ref (Bitset.create s) in
-  Bitset.iter_subsets (Bitset.full s) (fun s' ->
+  Common.iter_subsets (Bitset.full s) (fun s' ->
       let k = Bitset.cardinal s' in
       if k > 0 then begin
         let v = float_of_int (Bitset.cardinal (Nbhd.Bip.covered t s')) /. float_of_int k in

@@ -84,6 +84,8 @@ let same_as_reference ~s ~n es t =
   Bipartite.s_count t = s
   && Bipartite.n_count t = n
   && Bipartite.m t = m
+  && Array.length (Bipartite.adjacency_s t) = m
+  && Array.length (Bipartite.adjacency_n t) = m
   && Array.for_all Fun.id (Array.mapi (fun u row -> Reference_kernels.row_s t u = row) adj_s)
   && Array.for_all Fun.id (Array.mapi (fun w row -> Reference_kernels.row_n t w = row) adj_n)
 

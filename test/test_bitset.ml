@@ -103,7 +103,7 @@ let test_iter_subsets_count () =
   let s = Bitset.of_list 20 [ 3; 7; 11; 15 ] in
   let count = ref 0 in
   let seen = Hashtbl.create 16 in
-  Bitset.iter_subsets s (fun sub ->
+  iter_subsets s (fun sub ->
       incr count;
       check_true "is subset" (Bitset.subset sub s);
       let key = Bitset.to_string sub in
@@ -117,11 +117,11 @@ let test_iter_subsets_too_large () =
      constructor, catchable from any layer under either name. *)
   let s = Bitset.full 70 in
   (try
-     Bitset.iter_subsets s (fun _ -> Alcotest.fail "callback must not run");
+     iter_subsets s (fun _ -> Alcotest.fail "callback must not run");
      Alcotest.fail "expected Too_large"
    with Wx_util.Guard.Too_large msg ->
      check_true "names the caller"
-       (String.length msg > 0 && String.sub msg 0 19 = "Bitset.iter_subsets");
+       (String.length msg > 0 && String.sub msg 0 19 = "Common.iter_subsets");
      check_true "explains the ceiling"
        (let sub = "native-int ceiling" in
         let n = String.length msg and m = String.length sub in
@@ -129,7 +129,7 @@ let test_iter_subsets_too_large () =
         find 0));
   (* Same exception through the Measure rebinding. *)
   (try
-     Bitset.iter_subsets s ignore;
+     iter_subsets s ignore;
      Alcotest.fail "expected Too_large"
    with Wx_expansion.Measure.Too_large _ -> ())
 

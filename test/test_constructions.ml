@@ -207,7 +207,7 @@ let test_core_dp_min_coverage_matches_brute_force () =
   (* Brute force per size. *)
   let brute = Array.make (s + 1) max_int in
   let full = Bitset.full s in
-  Bitset.iter_subsets full (fun sub ->
+  iter_subsets full (fun sub ->
       let k = Bitset.cardinal sub in
       let cov = Bitset.cardinal (Nbhd.Bip.covered t sub) in
       if cov < brute.(k) then brute.(k) <- cov);

@@ -155,6 +155,27 @@ let test_gen_random_regular_validation () =
   Alcotest.check_raises "odd product" (Invalid_argument "Gen.random_regular: n*d must be even")
     (fun () -> ignore (Gen.random_regular r 5 3))
 
+(* The configuration model always repeats some pairs, and the repeats must
+   not cost the build an extra edge-sized array. Beyond the len = n·d endpoint
+   array, the build may take [offsets] and [cursor] (n words each) and two
+   arrays of at most len words, [scratch] and the exact-size [adjacency].
+   The 4096 words of slack cover what the runtime promotes meanwhile (a few
+   hundred words, varying with what ran before); one more edge-sized array
+   would add about len = 131072. *)
+let test_build_allocation () =
+  let n = 1 lsl 14 and d = 8 in
+  let len = n * d in
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  Gc.minor ();
+  let before = major () in
+  let g = Gen.random_regular_config (rng ~salt:33 ()) n d in
+  Gc.minor ();
+  let words = int_of_float (major () -. before) - (len + 1) in
+  check_true "some pairs collapse" (2 * Graph.m g < len);
+  check_true
+    (Printf.sprintf "%d major words within 2·len + 2n + O(1)" words)
+    (words <= (2 * len) + (2 * n) + 4096)
+
 let test_gen_gnp_extremes () =
   let r = rng ~salt:32 () in
   check_int "p=0 empty" 0 (Graph.m (Gen.gnp r 10 0.0));
@@ -234,7 +255,13 @@ let of_edges_matches_matrix (n, es) =
   done;
   let m = !m / 2 in
   let offsets = Graph.offsets g and adjacency = Graph.adjacency g in
-  let ok = ref (Graph.m g = m && Array.length offsets = n + 1 && offsets.(n) = 2 * m) in
+  let ok =
+    ref
+      (Graph.m g = m
+      && Array.length offsets = n + 1
+      && offsets.(n) = 2 * m
+      && Array.length adjacency = 2 * m)
+  in
   for v = 0 to n - 1 do
     if Graph.degree g v <> row_count v then ok := false;
     for i = offsets.(v) to offsets.(v + 1) - 1 do
@@ -318,6 +345,7 @@ let suite =
     Alcotest.test_case "gen binary tree" `Quick test_gen_binary_tree;
     Alcotest.test_case "gen random regular" `Quick test_gen_random_regular;
     Alcotest.test_case "gen random regular validation" `Quick test_gen_random_regular_validation;
+    Alcotest.test_case "build allocation" `Quick test_build_allocation;
     Alcotest.test_case "gen gnp extremes" `Quick test_gen_gnp_extremes;
     Alcotest.test_case "gen margulis" `Quick test_gen_margulis;
     Alcotest.test_case "gen bipartite sdeg" `Quick test_gen_bipartite_sdeg;
